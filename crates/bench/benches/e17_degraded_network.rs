@@ -50,7 +50,10 @@ fn bench_e17(c: &mut Criterion) {
     // measures: the inert corner is fault-free, loss produces real
     // losses and panics, and the outage produces retries.
     let base = &result.rows[0];
-    assert_eq!((base.loss, base.outage_coverage), (0.0, 0));
+    assert_eq!(
+        (base.axis("loss"), base.axis("outage_coverage")),
+        (0.0, 0.0)
+    );
     assert_eq!(
         base.report.faults.total(),
         0,
@@ -59,14 +62,14 @@ fn bench_e17(c: &mut Criterion) {
     let heavy = result
         .rows
         .iter()
-        .find(|r| r.loss == 0.15 && r.outage_coverage == 0)
+        .find(|r| r.axis("loss") == 0.15 && r.axis("outage_coverage") == 0.0)
         .expect("heavy-loss row");
     assert!(heavy.report.faults.ntp_losses > 0);
     assert!(heavy.report.totals.panics > base.report.totals.panics);
     let outage = result
         .rows
         .iter()
-        .find(|r| r.loss == 0.0 && r.outage_coverage == RESOLVERS)
+        .find(|r| r.axis("loss") == 0.0 && r.axis("outage_coverage") == RESOLVERS as f64)
         .expect("outage row");
     assert!(outage.report.faults.boot_retries > 0);
 }

@@ -79,10 +79,10 @@ fn bench_e18(c: &mut Criterion) {
         result
             .rows
             .iter()
-            .find(|row| row.deployment == d && row.poisoned_resolvers == k)
+            .find(|row| row.axis("deployment") == d && row.axis("poisoned_resolvers") == k as f64)
             .expect("grid point present")
     };
-    let tier = |row: &chronos_pitfalls::experiments::E18Row, label: &str| {
+    let tier = |row: &chronos_pitfalls::experiments::SweepRow, label: &str| {
         row.report
             .tiers
             .iter()

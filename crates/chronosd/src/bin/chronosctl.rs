@@ -107,7 +107,7 @@ fn batch_e16(rest: &[String]) {
     let row = sweep
         .rows
         .iter()
-        .find(|row| row.poisoned_resolvers == poisoned)
+        .find(|row| row.axis("poisoned_resolvers") == poisoned as f64)
         .unwrap_or_else(|| fail("sweep produced no row for the requested k"));
     println!("{}", report_json(&row.report).render());
 }

@@ -21,14 +21,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fleet::engine::Fleet;
-
-use crate::jobs::{
-    default_workers, Job, JobSnapshot, JobSpec, JobState, JobTable, Params, SweepOutcome,
-};
+use crate::jobs::{default_workers, load, Job, JobSnapshot, JobState, JobTable, Params};
 use crate::json::Json;
 use crate::metrics::DaemonObs;
-use crate::render::{e18_sweep_json, progress_json, report_json, sweep_json};
+use crate::render::{progress_json, report_json, sweep_json};
 use crate::state::{self, ManifestEntry, StateDir};
 
 /// Protocol version reported by `ping` (bump on breaking wire changes).
@@ -344,99 +340,43 @@ fn adopt_entry(
     entry: &ManifestEntry,
     params: Params,
 ) -> Result<(), String> {
-    // Quarantine `file` and register the job as failed with `why`.
-    let quarantine = |file: &str, why: String| -> Result<(), String> {
-        obs.quarantines.inc();
-        let moved = dir.quarantine(file).is_ok();
-        obs.logger.warn(
-            "chronosd::daemon",
-            "state file quarantined",
-            &[("job", &entry.name), ("file", &file), ("moved", &moved)],
-        );
-        table
-            .adopt_failed(
-                &entry.name,
-                &entry.kind,
-                entry.spec.clone(),
-                format!("state file quarantined: {why}"),
-            )
-            .map(|_| ())
-    };
+    let failed = |error: String| table.adopt_failed(entry, error).map(drop);
     if entry.state == JobState::Failed {
         let error = entry
             .error
             .clone()
             .unwrap_or_else(|| "failed before the last shutdown".to_string());
-        return table
-            .adopt_failed(&entry.name, &entry.kind, entry.spec.clone(), error)
-            .map(|_| ());
+        return failed(error);
     }
     let Some(file) = &entry.file else {
         // No simulation bytes: a still-queued job is resubmitted from its
         // spec; a terminal one has nothing left to serve.
         if entry.state.is_terminal() {
-            return table
-                .adopt_failed(
-                    &entry.name,
-                    &entry.kind,
-                    entry.spec.clone(),
-                    "no state bytes survived the last shutdown".to_string(),
-                )
-                .map(|_| ());
+            return failed("no state bytes survived the last shutdown".to_string());
         }
-        let spec = JobSpec::from_json(&entry.spec)?;
-        return table.submit(&entry.name, spec).map(|_| ());
+        return table.submit(&entry.name, &entry.spec).map(drop);
     };
     let bytes = match dir.read_job_file(file) {
         Ok(bytes) => bytes,
-        Err(io) => {
-            return table
-                .adopt_failed(
-                    &entry.name,
-                    &entry.kind,
-                    entry.spec.clone(),
-                    format!("state file unreadable: {io}"),
-                )
-                .map(|_| ());
-        }
+        Err(io) => return failed(format!("state file unreadable: {io}")),
     };
-    if bytes.starts_with(&crate::sweep::MAGIC) {
-        match crate::sweep::decode(&bytes) {
-            Ok(cursor) => match table.adopt_sweep(
-                &entry.name,
-                &entry.kind,
-                entry.spec.clone(),
-                params,
-                cursor,
-                entry.state,
-                entry.slices,
-            ) {
-                Ok(_) => {
-                    obs.checkpoints_restored.inc();
-                    Ok(())
-                }
-                // The cursor decoded but a row inside it failed the
-                // engine's revalidation: same quarantine treatment.
-                Err(message) => quarantine(file, message),
-            },
-            Err(decode) => quarantine(file, decode.to_string()),
+    match load(&bytes, &table.fleet_metrics()) {
+        Ok(loaded) => {
+            table.adopt(entry, params, loaded)?;
+            obs.checkpoints_restored.inc();
+            Ok(())
         }
-    } else {
-        match Fleet::restore(&bytes) {
-            Ok(fleet) => {
-                table.adopt_fleet(
-                    &entry.name,
-                    &entry.kind,
-                    entry.spec.clone(),
-                    params,
-                    fleet,
-                    entry.state,
-                    entry.slices,
-                )?;
-                obs.checkpoints_restored.inc();
-                Ok(())
-            }
-            Err(decode) => quarantine(file, decode.to_string()),
+        // The bytes failed their checksum, their version check, or the
+        // engine's revalidation: quarantine the file, keep the job visible.
+        Err(why) => {
+            obs.quarantines.inc();
+            let moved = dir.quarantine(file).is_ok();
+            obs.logger.warn(
+                "chronosd::daemon",
+                "state file quarantined",
+                &[("job", &entry.name), ("file", &file), ("moved", &moved)],
+            );
+            failed(format!("state file quarantined: {why}"))
         }
     }
 }
@@ -488,7 +428,7 @@ fn snapshot_fields(job: &Job, snap: &JobSnapshot) -> Vec<(String, Json)> {
         .unwrap_or(Json::Null);
     vec![
         ("job".into(), Json::str(job.name.clone())),
-        ("kind".into(), Json::str(job.kind)),
+        ("kind".into(), Json::str(&job.kind)),
         ("state".into(), Json::str(snap.state.as_str())),
         ("slices".into(), Json::u64(snap.slices)),
         ("rows".into(), rows),
@@ -506,6 +446,16 @@ fn snapshot_fields(job: &Job, snap: &JobSnapshot) -> Vec<(String, Json)> {
                 .map(|e| Json::str(e.clone()))
                 .unwrap_or(Json::Null),
         ),
+    ]
+}
+
+/// The `submit` / `resume` acknowledgement: the new job's name, kind and
+/// state.
+fn accepted_fields(job: &Job) -> Vec<(String, Json)> {
+    vec![
+        ("job".into(), Json::str(job.name.clone())),
+        ("kind".into(), Json::str(&job.kind)),
+        ("state".into(), Json::str(job.snapshot().state.as_str())),
     ]
 }
 
@@ -590,16 +540,10 @@ fn dispatch(
             let name = request.get("name").and_then(Json::as_str);
             let spec = request.get("spec");
             match (name, spec) {
-                (Some(name), Some(spec)) => {
-                    match JobSpec::from_json(spec).and_then(|spec| table.submit(name, spec)) {
-                        Ok(job) => ok(vec![
-                            ("job".into(), Json::str(job.name.clone())),
-                            ("kind".into(), Json::str(job.kind)),
-                            ("state".into(), Json::str(job.snapshot().state.as_str())),
-                        ]),
-                        Err(message) => err(message),
-                    }
-                }
+                (Some(name), Some(spec)) => match table.submit(name, spec) {
+                    Ok(job) => ok(accepted_fields(&job)),
+                    Err(message) => err(message),
+                },
                 _ => err("submit needs \"name\" (string) and \"spec\" (object)"),
             }
         }
@@ -619,39 +563,28 @@ fn dispatch(
             Err(response) => response,
         },
         "report" => match require_job(table, request) {
-            Ok(job) => {
-                if job.is_sweep() {
-                    // Completed rows are servable while the sweep runs:
-                    // `row` asks for one row's full fleet report.
-                    if let Some(row) = request.get("row").and_then(Json::as_usize) {
-                        match job.sweep_row_report(row) {
-                            Some(report) => ok(vec![
-                                ("row".into(), Json::usize(row)),
-                                ("report".into(), report_json(&report)),
-                            ]),
-                            None => err(format!(
-                                "sweep job {:?} has not completed row {row} yet",
-                                job.name
-                            )),
-                        }
-                    } else {
-                        match job.sweep_result() {
-                            Some(SweepOutcome::E16(result)) => {
-                                ok(vec![("sweep".into(), sweep_json(&result))])
-                            }
-                            Some(SweepOutcome::E18(result)) => {
-                                ok(vec![("sweep".into(), e18_sweep_json(&result))])
-                            }
-                            None => err(format!("sweep job {:?} is not done yet", job.name)),
-                        }
-                    }
-                } else {
-                    match job.report(PARK_TIMEOUT) {
-                        Ok(report) => ok(vec![("report".into(), report_json(&report))]),
-                        Err(message) => err(message),
-                    }
-                }
-            }
+            // Completed rows are servable while the sweep runs: `row` asks
+            // for one row's full fleet report.
+            Ok(job) if job.is_sweep() => match request.get("row").and_then(Json::as_usize) {
+                Some(row) => match job.sweep_row_report(row) {
+                    Some(report) => ok(vec![
+                        ("row".into(), Json::usize(row)),
+                        ("report".into(), report_json(&report)),
+                    ]),
+                    None => err(format!(
+                        "sweep job {:?} has not completed row {row} yet",
+                        job.name
+                    )),
+                },
+                None => match job.sweep_result() {
+                    Some(result) => ok(vec![("sweep".into(), sweep_json(&result))]),
+                    None => err(format!("sweep job {:?} is not done yet", job.name)),
+                },
+            },
+            Ok(job) => match job.report(PARK_TIMEOUT) {
+                Ok(report) => ok(vec![("report".into(), report_json(&report))]),
+                Err(message) => err(message),
+            },
             Err(response) => response,
         },
         "watch" => match require_job(table, request) {
@@ -696,7 +629,7 @@ fn dispatch(
         },
         "checkpoint" => match require_job(table, request) {
             Ok(job) => match request.get("path").and_then(Json::as_str) {
-                Some(path) => match job.checkpoint(PARK_TIMEOUT) {
+                Some(path) => match job.durable_bytes(PARK_TIMEOUT) {
                     Ok(bytes) => match std::fs::write(path, &bytes) {
                         Ok(()) => ok(vec![
                             ("job".into(), Json::str(job.name.clone())),
@@ -716,43 +649,12 @@ fn dispatch(
             let path = request.get("path").and_then(Json::as_str);
             match (name, path) {
                 (Some(name), Some(path)) => match std::fs::read(path) {
-                    Ok(bytes) => {
-                        let threads = request
-                            .get("threads")
-                            .and_then(Json::as_usize)
-                            .unwrap_or(1)
-                            .max(1);
-                        let slice_s = request
-                            .get("slice_s")
-                            .and_then(Json::as_u64)
-                            .unwrap_or(crate::jobs::DEFAULT_SLICE_S)
-                            .max(1);
-                        // The file's magic says what it is: SWP1 resumes
-                        // a sweep cursor, anything else is tried as CHR1.
-                        let spec = if bytes.starts_with(&crate::sweep::MAGIC) {
-                            JobSpec::ResumeSweep {
-                                bytes,
-                                threads,
-                                slice_s,
-                                pause_at_row: request.get("pause_at_row").and_then(Json::as_usize),
-                            }
-                        } else {
-                            JobSpec::Resume {
-                                bytes,
-                                threads,
-                                slice_s,
-                                pause_at_s: request.get("pause_at_s").and_then(Json::as_u64),
-                            }
-                        };
-                        match table.submit(name, spec) {
-                            Ok(job) => ok(vec![
-                                ("job".into(), Json::str(job.name.clone())),
-                                ("kind".into(), Json::str(job.kind)),
-                                ("state".into(), Json::str(job.snapshot().state.as_str())),
-                            ]),
-                            Err(message) => err(message),
-                        }
-                    }
+                    Ok(bytes) => match Params::parse(request)
+                        .and_then(|params| table.resume(name, bytes, params))
+                    {
+                        Ok(job) => ok(accepted_fields(&job)),
+                        Err(message) => err(message),
+                    },
                     Err(io) => err(format!("reading {path:?}: {io}")),
                 },
                 _ => err("resume needs \"name\" and \"path\" (strings)"),

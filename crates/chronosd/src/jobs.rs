@@ -24,15 +24,16 @@
 //!   invisible to the simulation (`piecewise_runs_equal_one_continuous_run`,
 //!   `resume_equals_uninterrupted_run`).
 //!
-//! Sweep jobs (`e16-sweep`, `e18-sweep`) are no longer monolithic batch
-//! units: the worker steps the current row's fleet in slices like any
-//! fleet job and, when a row reaches its horizon, records the row's
-//! final checkpoint and report and immediately builds (and parks) the
-//! next row's fleet. The
-//! slot therefore always holds the *current row*, so a sweep is
-//! observable, pausable at row boundaries (`pause_at_row`), and
-//! checkpointable — the per-row cursor persists as a `SWP1` sidecar (see
-//! [`crate::sweep`]).
+//! A job runs one of four [`JobSpec`]s: a fleet, a sweep over grid
+//! points, a resume from durable bytes, or a panic probe. A sweep is not a
+//! monolithic batch unit: the worker steps the current row's fleet in
+//! slices like any fleet job and, when a row reaches its horizon, records
+//! the row's final checkpoint and report and immediately builds (and
+//! parks) the next row's fleet from the next point. The slot therefore
+//! always holds the *current row*, so a sweep is observable, pausable at
+//! row boundaries (`pause_at_row`), and checkpointable — its durable
+//! state is a `SWP1` cursor (see [`crate::sweep`]). The daemon never
+//! knows which experiment a grid came from: the points carry everything.
 //!
 //! Determinism follows: a job's final report depends only on its
 //! [`fleet::FleetConfig`] — not on slice length, worker count, how often
@@ -43,20 +44,20 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use chronos_pitfalls::experiments::{
-    e16_config, e16_result_from_rows, e17_config, e18_config, e18_grid, e18_result_from_rows,
-    E16Result, E16Row, E18Result, E18Row,
+    e16_config, e16_grid, e17_config, e18_config, e18_grid, SweepPoint, SweepResult, SweepRow,
 };
 use chronos_pitfalls::montecarlo::SweepStats;
 use fleet::engine::{Fleet, FleetProgress, FleetReport};
 use fleet::metrics::FleetMetrics;
+use fleet::FleetConfig;
 use netsim::time::{SimDuration, SimTime};
 
 use crate::json::Json;
 use crate::metrics::{DaemonObs, JobMetrics};
-use crate::sweep::SweepFlavor;
+use crate::state::ManifestEntry;
 
 /// Default slice length in simulated seconds between observation points.
 pub const DEFAULT_SLICE_S: u64 = 60;
@@ -71,130 +72,29 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// What a job runs. Parsed from the `spec` object of a `submit` request
-/// (see `docs/OPERATIONS.md` for the wire format); the `Resume*` variants
-/// are also built by the daemon from checkpoint files and the state-dir
-/// manifest.
+/// What a job runs: one fleet, a grid of fleets, or durable bytes to
+/// continue from. [`JobSpec::parse`] maps every `submit` kind onto the
+/// first two through the same `chronos_pitfalls::experiments` functions
+/// the batch runners use (see `docs/OPERATIONS.md` for the wire format);
+/// the `resume` command carries the bytes.
 #[derive(Debug, Clone)]
 pub enum JobSpec {
-    /// One E16 fleet: the mixed 2:1:1 population across `resolvers`
-    /// caches with `poisoned_resolvers` of them poisoned at t = 100 s.
-    E16Fleet {
-        /// Deterministic seed.
-        seed: u64,
-        /// Fleet size.
-        clients: usize,
-        /// Independent resolver caches.
-        resolvers: usize,
-        /// Caches the attacker poisons (`0..=resolvers`).
-        poisoned_resolvers: usize,
-        /// Worker threads for intra-fleet sharded stepping.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optionally park the job in `paused` state once simulated time
-        /// reaches this point (checkpoint anchor for operators and CI).
-        pause_at_s: Option<u64>,
+    /// One fleet stepped to its horizon (`e16-fleet`, `e17-fleet`,
+    /// `e18-fleet`).
+    Fleet {
+        /// The fleet to run; [`Params::threads`] replaces its `threads`.
+        config: Box<FleetConfig>,
     },
-    /// One E17 fleet: the E16 scenario on a degraded network.
-    E17Fleet {
-        /// Deterministic seed.
-        seed: u64,
-        /// Fleet size.
-        clients: usize,
-        /// Independent resolver caches.
-        resolvers: usize,
-        /// Per-sample NTP loss / DNS SERVFAIL probability.
-        loss: f64,
-        /// Resolvers covered by the mid-run outage window.
-        outage_coverage: usize,
-        /// Worker threads for intra-fleet sharded stepping.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optional pause point (simulated seconds).
-        pause_at_s: Option<u64>,
+    /// A grid stepped row by row (`e16-sweep`, `e18-sweep`).
+    Sweep {
+        /// The grid points, in row order.
+        points: Vec<SweepPoint>,
     },
-    /// One E18 fleet: the partially-secure population — the E16 mix
-    /// diluted with NTS and Roughtime tiers at `deployment` ∈ [0, 1] —
-    /// with `poisoned_resolvers` caches poisoned at t = 100 s.
-    E18Fleet {
-        /// Deterministic seed.
-        seed: u64,
-        /// Fleet size.
-        clients: usize,
-        /// Independent resolver caches.
-        resolvers: usize,
-        /// Fraction of the population on secure-time tiers (rounded to
-        /// sixteenths by `e18_tiers`; 0 is exactly the E16 mix).
-        deployment: f64,
-        /// Caches the attacker poisons (`0..=resolvers`).
-        poisoned_resolvers: usize,
-        /// Worker threads for intra-fleet sharded stepping.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optional pause point (simulated seconds).
-        pause_at_s: Option<u64>,
-    },
-    /// The full E16 partial-poisoning sweep (`k = 0..=resolvers`), run
-    /// row by row so it can be observed, paused at row boundaries, and
-    /// checkpointed (`SWP1` cursor) like any other job.
-    E16Sweep {
-        /// Deterministic seed.
-        seed: u64,
-        /// Fleet size per sweep point.
-        clients: usize,
-        /// Independent resolver caches.
-        resolvers: usize,
-        /// Worker threads for each row's fleet.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optionally park in `paused` state when about to *start* this
-        /// row (0-based; row k poisons k resolvers). A row-boundary
-        /// checkpoint anchor.
-        pause_at_row: Option<usize>,
-    },
-    /// The full E18 deployment × poisoning sweep
-    /// ([`chronos_pitfalls::experiments::e18_grid`]), run row by row
-    /// with the same observe/pause/checkpoint affordances as
-    /// [`JobSpec::E16Sweep`].
-    E18Sweep {
-        /// Deterministic seed.
-        seed: u64,
-        /// Fleet size per sweep point.
-        clients: usize,
-        /// Independent resolver caches.
-        resolvers: usize,
-        /// Worker threads for each row's fleet.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optional row-boundary pause anchor (0-based grid index).
-        pause_at_row: Option<usize>,
-    },
-    /// Resume a fleet from `CHR1` checkpoint bytes (any fleet kind).
+    /// Continue from durable bytes: an `SWP1` sweep cursor, or (any other
+    /// magic) a `CHR1` fleet checkpoint.
     Resume {
-        /// Serialized checkpoint (see `fleet::checkpoint`).
+        /// The cursor or checkpoint bytes.
         bytes: Vec<u8>,
-        /// Worker threads for the resumed run.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optional pause point (simulated seconds).
-        pause_at_s: Option<u64>,
-    },
-    /// Resume a sweep from `SWP1` cursor bytes (see [`crate::sweep`]).
-    ResumeSweep {
-        /// Serialized sweep cursor.
-        bytes: Vec<u8>,
-        /// Worker threads for each remaining row's fleet.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optional row-boundary pause point (0-based).
-        pause_at_row: Option<usize>,
     },
     /// A supervision probe: the job panics on its first slice. Operators
     /// (and CI) use it to verify the pool's panic isolation — the probe
@@ -233,375 +133,105 @@ fn field_f64(spec: &Json, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+/// An optional integer field; `null` reads as absent.
+fn field_opt<T>(spec: &Json, key: &str, read: fn(&Json) -> Option<T>) -> Result<Option<T>, String> {
+    match spec.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| format!("{key}: expected a non-negative integer")),
     }
-    out
 }
 
-fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
-    if !text.len().is_multiple_of(2) {
-        return Err("bytes_hex: odd length".to_string());
+fn poisoned_resolvers(spec: &Json, resolvers: usize) -> Result<usize, String> {
+    let poisoned = field_usize(spec, "poisoned_resolvers", resolvers)?;
+    if poisoned > resolvers {
+        return Err(format!(
+            "poisoned_resolvers: {poisoned} exceeds resolvers ({resolvers})"
+        ));
     }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&text[i..i + 2], 16).map_err(|_| "bytes_hex: not hex".to_string())
-        })
-        .collect()
+    Ok(poisoned)
 }
 
 impl JobSpec {
-    /// Parse a `submit` spec object. Unknown kinds and malformed fields
-    /// are rejected with a message naming the offending field.
-    pub fn from_json(spec: &Json) -> Result<JobSpec, String> {
+    /// Parse a `submit` spec object into what to run and how to schedule
+    /// it. Each wire kind becomes a fleet config or a grid of points;
+    /// unknown kinds and malformed fields are rejected with a message
+    /// naming the offending field.
+    pub fn parse(spec: &Json) -> Result<(JobSpec, Params), String> {
         let kind = spec
             .get("kind")
             .and_then(Json::as_str)
             .ok_or_else(|| "spec.kind: expected a string".to_string())?;
-        let threads = field_usize(spec, "threads", 1)?.max(1);
-        let slice_s = field_u64(spec, "slice_s", DEFAULT_SLICE_S)?.max(1);
-        let pause_at_s = match spec.get("pause_at_s") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| "pause_at_s: expected a non-negative integer".to_string())?,
-            ),
-        };
-        let pause_at_row = match spec.get("pause_at_row") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_usize()
-                    .ok_or_else(|| "pause_at_row: expected a non-negative integer".to_string())?,
-            ),
-        };
-        match kind {
+        let params = Params::parse(spec)?;
+        let seed = || field_u64(spec, "seed", 7);
+        let clients = || field_usize(spec, "clients", 1_000).map(|c| c.max(1));
+        let resolvers = |default| field_usize(spec, "resolvers", default).map(|r| r.max(1));
+        let job = match kind {
             "e16-fleet" => {
-                let resolvers = field_usize(spec, "resolvers", 4)?.max(1);
-                let poisoned_resolvers = field_usize(spec, "poisoned_resolvers", resolvers)?;
-                if poisoned_resolvers > resolvers {
-                    return Err(format!(
-                        "poisoned_resolvers: {poisoned_resolvers} exceeds resolvers ({resolvers})"
-                    ));
+                let resolvers = resolvers(4)?;
+                let poisoned = poisoned_resolvers(spec, resolvers)?;
+                JobSpec::Fleet {
+                    config: Box::new(e16_config(seed()?, clients()?, resolvers, poisoned)),
                 }
-                Ok(JobSpec::E16Fleet {
-                    seed: field_u64(spec, "seed", 7)?,
-                    clients: field_usize(spec, "clients", 1_000)?.max(1),
-                    resolvers,
-                    poisoned_resolvers,
-                    threads,
-                    slice_s,
-                    pause_at_s,
-                })
             }
             "e17-fleet" => {
-                let resolvers = field_usize(spec, "resolvers", 8)?.max(1);
+                let resolvers = resolvers(8)?;
                 let outage_coverage = field_usize(spec, "outage_coverage", 0)?;
                 if outage_coverage > resolvers {
                     return Err(format!(
                         "outage_coverage: {outage_coverage} exceeds resolvers ({resolvers})"
                     ));
                 }
-                Ok(JobSpec::E17Fleet {
-                    seed: field_u64(spec, "seed", 7)?,
-                    clients: field_usize(spec, "clients", 1_000)?.max(1),
-                    resolvers,
-                    loss: field_f64(spec, "loss", 0.05)?,
-                    outage_coverage,
-                    threads,
-                    slice_s,
-                    pause_at_s,
-                })
+                let (seed, clients) = (seed()?, clients()?);
+                let loss = field_f64(spec, "loss", 0.05)?;
+                JobSpec::Fleet {
+                    config: Box::new(e17_config(seed, clients, resolvers, loss, outage_coverage)),
+                }
             }
             "e18-fleet" => {
-                let resolvers = field_usize(spec, "resolvers", 4)?.max(1);
-                let poisoned_resolvers = field_usize(spec, "poisoned_resolvers", resolvers)?;
-                if poisoned_resolvers > resolvers {
-                    return Err(format!(
-                        "poisoned_resolvers: {poisoned_resolvers} exceeds resolvers ({resolvers})"
-                    ));
-                }
+                let resolvers = resolvers(4)?;
+                let poisoned = poisoned_resolvers(spec, resolvers)?;
                 let deployment = field_f64(spec, "deployment", 0.5)?;
                 if !(0.0..=1.0).contains(&deployment) {
                     return Err(format!("deployment: {deployment} outside [0, 1]"));
                 }
-                Ok(JobSpec::E18Fleet {
-                    seed: field_u64(spec, "seed", 7)?,
-                    clients: field_usize(spec, "clients", 1_000)?.max(1),
-                    resolvers,
-                    deployment,
-                    poisoned_resolvers,
-                    threads,
-                    slice_s,
-                    pause_at_s,
-                })
+                JobSpec::Fleet {
+                    config: Box::new(e18_config(
+                        seed()?,
+                        clients()?,
+                        resolvers,
+                        deployment,
+                        poisoned,
+                    )),
+                }
             }
-            "e16-sweep" => Ok(JobSpec::E16Sweep {
-                seed: field_u64(spec, "seed", 7)?,
-                clients: field_usize(spec, "clients", 1_000)?.max(1),
-                resolvers: field_usize(spec, "resolvers", 4)?.max(1),
-                threads,
-                slice_s,
-                pause_at_row,
-            }),
-            "e18-sweep" => Ok(JobSpec::E18Sweep {
-                seed: field_u64(spec, "seed", 7)?,
-                clients: field_usize(spec, "clients", 1_000)?.max(1),
-                resolvers: field_usize(spec, "resolvers", 4)?.max(1),
-                threads,
-                slice_s,
-                pause_at_row,
-            }),
-            "resume" => Ok(JobSpec::Resume {
-                bytes: Self::bytes_hex_field(spec)?,
-                threads,
-                slice_s,
-                pause_at_s,
-            }),
-            "resume-sweep" => Ok(JobSpec::ResumeSweep {
-                bytes: Self::bytes_hex_field(spec)?,
-                threads,
-                slice_s,
-                pause_at_row,
-            }),
-            "panic-probe" => Ok(JobSpec::PanicProbe {
+            "e16-sweep" | "e18-sweep" => {
+                let (seed, clients) = (seed()?, clients()?);
+                let grid = if kind == "e16-sweep" {
+                    e16_grid
+                } else {
+                    e18_grid
+                };
+                JobSpec::Sweep {
+                    points: grid(seed, clients, resolvers(4)?),
+                }
+            }
+            "panic-probe" => JobSpec::PanicProbe {
                 message: spec
                     .get("message")
                     .and_then(Json::as_str)
                     .unwrap_or("panic probe")
                     .to_string(),
-            }),
-            other => Err(format!(
-                "spec.kind: unknown kind {other:?} (expected e16-fleet, e17-fleet, \
-                 e18-fleet, e16-sweep, e18-sweep or panic-probe)"
-            )),
-        }
-    }
-
-    fn bytes_hex_field(spec: &Json) -> Result<Vec<u8>, String> {
-        let hex = spec
-            .get("bytes_hex")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "bytes_hex: expected a hex string".to_string())?;
-        hex_decode(hex)
-    }
-
-    /// Render the spec back to the wire/manifest object [`JobSpec::from_json`]
-    /// accepts (round-trips exactly; checkpoint bytes travel as hex).
-    /// This is what the state-dir manifest stores for jobs that have not
-    /// built their simulation yet, so a rebooted daemon can resubmit them.
-    pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![("kind".into(), Json::str(self.kind()))];
-        fn num(fields: &mut Vec<(String, Json)>, key: &str, value: u64) {
-            fields.push((key.into(), Json::u64(value)));
-        }
-        match self {
-            JobSpec::E16Fleet {
-                seed,
-                clients,
-                resolvers,
-                poisoned_resolvers,
-                threads,
-                slice_s,
-                pause_at_s,
-            } => {
-                num(&mut fields, "seed", *seed);
-                num(&mut fields, "clients", *clients as u64);
-                num(&mut fields, "resolvers", *resolvers as u64);
-                num(
-                    &mut fields,
-                    "poisoned_resolvers",
-                    *poisoned_resolvers as u64,
-                );
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_s {
-                    num(&mut fields, "pause_at_s", *p);
-                }
-            }
-            JobSpec::E17Fleet {
-                seed,
-                clients,
-                resolvers,
-                loss,
-                outage_coverage,
-                threads,
-                slice_s,
-                pause_at_s,
-            } => {
-                num(&mut fields, "seed", *seed);
-                num(&mut fields, "clients", *clients as u64);
-                num(&mut fields, "resolvers", *resolvers as u64);
-                fields.push(("loss".into(), Json::f64(*loss)));
-                num(&mut fields, "outage_coverage", *outage_coverage as u64);
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_s {
-                    num(&mut fields, "pause_at_s", *p);
-                }
-            }
-            JobSpec::E18Fleet {
-                seed,
-                clients,
-                resolvers,
-                deployment,
-                poisoned_resolvers,
-                threads,
-                slice_s,
-                pause_at_s,
-            } => {
-                num(&mut fields, "seed", *seed);
-                num(&mut fields, "clients", *clients as u64);
-                num(&mut fields, "resolvers", *resolvers as u64);
-                fields.push(("deployment".into(), Json::f64(*deployment)));
-                num(
-                    &mut fields,
-                    "poisoned_resolvers",
-                    *poisoned_resolvers as u64,
-                );
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_s {
-                    num(&mut fields, "pause_at_s", *p);
-                }
-            }
-            JobSpec::E16Sweep {
-                seed,
-                clients,
-                resolvers,
-                threads,
-                slice_s,
-                pause_at_row,
-            }
-            | JobSpec::E18Sweep {
-                seed,
-                clients,
-                resolvers,
-                threads,
-                slice_s,
-                pause_at_row,
-            } => {
-                num(&mut fields, "seed", *seed);
-                num(&mut fields, "clients", *clients as u64);
-                num(&mut fields, "resolvers", *resolvers as u64);
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_row {
-                    num(&mut fields, "pause_at_row", *p as u64);
-                }
-            }
-            JobSpec::Resume {
-                bytes,
-                threads,
-                slice_s,
-                pause_at_s,
-            } => {
-                fields.push(("bytes_hex".into(), Json::str(hex_encode(bytes))));
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_s {
-                    num(&mut fields, "pause_at_s", *p);
-                }
-            }
-            JobSpec::ResumeSweep {
-                bytes,
-                threads,
-                slice_s,
-                pause_at_row,
-            } => {
-                fields.push(("bytes_hex".into(), Json::str(hex_encode(bytes))));
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_row {
-                    num(&mut fields, "pause_at_row", *p as u64);
-                }
-            }
-            JobSpec::PanicProbe { message } => {
-                fields.push(("message".into(), Json::str(message.clone())));
-            }
-        }
-        Json::Obj(fields)
-    }
-
-    /// The job-kind label reported in `jobs` / `status` responses.
-    /// A resumed sweep reports as `e16-sweep` — it *is* one, and the
-    /// daemon's `report` dispatch keys off this label.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JobSpec::E16Fleet { .. } => "e16-fleet",
-            JobSpec::E17Fleet { .. } => "e17-fleet",
-            JobSpec::E18Fleet { .. } => "e18-fleet",
-            JobSpec::E16Sweep { .. } => "e16-sweep",
-            JobSpec::E18Sweep { .. } => "e18-sweep",
-            JobSpec::Resume { .. } => "resume",
-            JobSpec::ResumeSweep { .. } => "resume-sweep",
-            JobSpec::PanicProbe { .. } => "panic-probe",
-        }
-    }
-
-    fn params(&self) -> Params {
-        match self {
-            JobSpec::E16Fleet {
-                threads,
-                slice_s,
-                pause_at_s,
-                ..
-            }
-            | JobSpec::E17Fleet {
-                threads,
-                slice_s,
-                pause_at_s,
-                ..
-            }
-            | JobSpec::E18Fleet {
-                threads,
-                slice_s,
-                pause_at_s,
-                ..
-            }
-            | JobSpec::Resume {
-                threads,
-                slice_s,
-                pause_at_s,
-                ..
-            } => Params {
-                threads: *threads,
-                slice_s: *slice_s,
-                pause_at_s: *pause_at_s,
-                pause_at_row: None,
             },
-            JobSpec::E16Sweep {
-                threads,
-                slice_s,
-                pause_at_row,
-                ..
+            other => {
+                return Err(format!(
+                    "spec.kind: unknown kind {other:?} (expected e16-fleet, e17-fleet, \
+                     e18-fleet, e16-sweep, e18-sweep or panic-probe)"
+                ))
             }
-            | JobSpec::E18Sweep {
-                threads,
-                slice_s,
-                pause_at_row,
-                ..
-            }
-            | JobSpec::ResumeSweep {
-                threads,
-                slice_s,
-                pause_at_row,
-                ..
-            } => Params {
-                threads: *threads,
-                slice_s: *slice_s,
-                pause_at_s: None,
-                pause_at_row: *pause_at_row,
-            },
-            JobSpec::PanicProbe { .. } => Params {
-                threads: 1,
-                slice_s: DEFAULT_SLICE_S,
-                pause_at_s: None,
-                pause_at_row: None,
-            },
-        }
+        };
+        Ok((job, params))
     }
 }
 
@@ -687,84 +317,104 @@ pub struct Params {
     pub pause_at_row: Option<usize>,
 }
 
-/// Sweep bookkeeping: the per-row cursor that `SWP1` persists. The
-/// worker mutates it only while the slot is empty (between `take_parked`
-/// and `park`), so any observer holding the slot with a parked fleet sees
-/// a cursor consistent with that fleet.
+impl Params {
+    /// Read the scheduling fields a `submit` spec and a `resume` request
+    /// share: `threads` (default 1), `slice_s` (default
+    /// [`DEFAULT_SLICE_S`]) and the optional `pause_at_s` / `pause_at_row`
+    /// anchors (a fleet ignores the row anchor, a sweep the time anchor).
+    pub(crate) fn parse(request: &Json) -> Result<Params, String> {
+        Ok(Params {
+            threads: field_usize(request, "threads", 1)?.max(1),
+            slice_s: field_u64(request, "slice_s", DEFAULT_SLICE_S)?.max(1),
+            pause_at_s: field_opt(request, "pause_at_s", Json::as_u64)?,
+            pause_at_row: field_opt(request, "pause_at_row", Json::as_usize)?,
+        })
+    }
+}
+
+/// Sweep bookkeeping: the grid and the per-row cursor that `SWP1`
+/// persists. The worker mutates it only while the slot is empty (between
+/// `take_parked` and `park`), so any observer holding the slot with a
+/// parked fleet sees a cursor consistent with that fleet.
 #[derive(Debug, Default)]
-struct SweepBook {
-    /// Which experiment grid the sweep walks (E16 k-grid or the E18
-    /// deployment × poisoning grid).
-    flavor: SweepFlavor,
-    /// Deterministic seed (row configs derive from it).
-    seed: u64,
-    /// Fleet size per row.
-    clients: usize,
-    /// Resolver count (the grid derives from it per flavor).
-    resolvers: usize,
-    /// Rows in the grid ([`SweepFlavor::total_rows`]); 0 until the
-    /// sweep builds.
-    total: usize,
-    /// Index of the current row (== completed row count).
-    row: usize,
-    /// Final `CHR1` checkpoint of each completed row, in row order.
-    /// Restoring one and calling `report()` reproduces the row's report
-    /// byte-identically — this is how a rebooted daemon serves sweep
-    /// reports without recomputing rows.
+pub(crate) struct SweepBook {
+    /// The grid, in row order (empty for fleet jobs).
+    points: Vec<SweepPoint>,
+    /// Final `CHR1` checkpoint of each completed row, in row order; its
+    /// length is the current row's index. Restoring one and calling
+    /// `report()` reproduces the row's report byte-identically — this is
+    /// how a rebooted daemon serves sweep reports without recomputing
+    /// rows.
     done_blobs: Vec<Vec<u8>>,
     /// The completed rows' reports (derived from `done_blobs`).
     done_reports: Vec<FleetReport>,
 }
 
-impl SweepBook {
-    /// The fleet configuration of grid row `row` — a pure function of
-    /// the book's identity, shared (via `e16_config` / `e18_config`)
-    /// with the batch runners so a daemon sweep reproduces `run_e16` /
-    /// `run_e18` byte for byte.
-    fn row_config(&self, row: usize) -> fleet::FleetConfig {
-        match self.flavor {
-            SweepFlavor::E16 => e16_config(self.seed, self.clients, self.resolvers, row),
-            SweepFlavor::E18 => {
-                let (deployment, poisoned) = e18_grid(self.resolvers)[row];
-                e18_config(
-                    self.seed,
-                    self.clients,
-                    self.resolvers,
-                    deployment,
-                    poisoned,
-                )
-            }
-        }
-    }
+/// Simulation state ready to install into a job: one fleet, or a sweep's
+/// book plus its current row's fleet (`None` once every row is done).
+pub(crate) enum Loaded {
+    /// A fleet job's parked state.
+    Fleet(Fleet),
+    /// A sweep job's cursor and current row.
+    Sweep(SweepBook, Option<Fleet>),
 }
 
-/// A finished sweep's assembled result, matching the flavor of grid the
-/// job walked. Holds exactly what the batch runner for that flavor
-/// (`run_e16` / `run_e18`) would have produced, minus pooled `stats`.
-#[derive(Debug, Clone)]
-pub enum SweepOutcome {
-    /// An `e16-sweep` (or a resumed one): the partial-poisoning sweep.
-    E16(E16Result),
-    /// An `e18-sweep` (or a resumed one): the deployment × poisoning
-    /// sweep over the partially-secure population.
-    E18(E18Result),
+/// Decode a job's durable bytes, picking the format by magic: `SWP1` is a
+/// sweep cursor, anything else is tried as a `CHR1` checkpoint. The
+/// engine revalidates every embedded checkpoint, so an error here means
+/// the bytes are unusable (a resume fails; boot quarantines the file).
+pub(crate) fn load(bytes: &[u8], metrics: &Option<Arc<FleetMetrics>>) -> Result<Loaded, String> {
+    if !bytes.starts_with(&crate::sweep::MAGIC) {
+        return Fleet::restore_with(bytes, metrics.clone())
+            .map(Loaded::Fleet)
+            .map_err(|e| format!("checkpoint rejected: {e}"));
+    }
+    let rejected = |why: String| format!("sweep cursor rejected: {why}");
+    let cursor = crate::sweep::decode(bytes).map_err(|e| rejected(e.to_string()))?;
+    let done_reports = cursor
+        .done
+        .iter()
+        .enumerate()
+        .map(|(k, blob)| {
+            Fleet::restore(blob)
+                .map(|fleet| fleet.report())
+                .map_err(|e| rejected(format!("completed row {k} checkpoint rejected: {e}")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let current = cursor
+        .current
+        .map(|blob| {
+            Fleet::restore_with(&blob, metrics.clone())
+                .map_err(|e| rejected(format!("current row checkpoint rejected: {e}")))
+        })
+        .transpose()?;
+    let book = SweepBook {
+        points: cursor.points,
+        done_blobs: cursor.done,
+        done_reports,
+    };
+    Ok(Loaded::Sweep(book, current))
+}
+
+/// A fresh fleet at time zero, instrumented like every job fleet.
+fn new_fleet(config: FleetConfig, metrics: &Option<Arc<FleetMetrics>>) -> Fleet {
+    let mut fleet = Fleet::new(config);
+    fleet.set_metrics(metrics.clone());
+    fleet
 }
 
 /// What the worker knows about a job between steps. Guarded by a mutex
 /// that is only ever locked by the worker currently holding the job (the
-/// queue hands a job to one worker at a time) or, for paused jobs, by
-/// `request_unpause`/adoption — so it is never contended.
+/// queue hands a job to one worker at a time), for paused jobs by
+/// `request_unpause`/adoption, and briefly by `durable_bytes` reading a
+/// pending resume's bytes — so it is never held for long.
 #[derive(Debug)]
 enum WorkerState {
     /// Not yet built; the first step builds the simulation.
     Pending(JobSpec),
-    /// A fleet job stepping toward this horizon.
-    FleetRun {
-        /// The configured end of simulated time.
-        horizon: SimTime,
-    },
-    /// A sweep stepping its current row (cursor + identity in the
-    /// [`SweepBook`]).
+    /// A fleet job stepping toward its configured horizon.
+    FleetRun,
+    /// A sweep stepping its current row (cursor in the [`SweepBook`]).
     SweepRun,
     /// Terminal: nothing left to step.
     Finished,
@@ -784,8 +434,12 @@ enum StepOutcome {
 pub struct Job {
     /// Unique job name (operator-chosen at submit time).
     pub name: String,
-    /// Job-kind label (`"e16-fleet"`, `"e16-sweep"`, `"resume"`, ...).
-    pub kind: &'static str,
+    /// Job-kind label: the submitted spec's `kind` (`"e16-fleet"`,
+    /// `"e16-sweep"`, ...), or `"resume"` / `"resume-sweep"` for a job
+    /// continuing from a `CHR1` checkpoint / `SWP1` cursor.
+    pub kind: String,
+    /// Whether the job walks a grid (reports per row and as a sweep).
+    sweep: bool,
     me: Weak<Job>,
     sched: Weak<Scheduler>,
     status: Mutex<JobSnapshot>,
@@ -798,7 +452,6 @@ pub struct Job {
     params: Mutex<Params>,
     book: Mutex<SweepBook>,
     spec_json: Json,
-    sweep_result: Mutex<Option<SweepOutcome>>,
     /// Per-job gauges (`None` when the table runs without observability).
     metrics: Option<JobMetrics>,
     /// The daemon logger (`None` when embedding without observability).
@@ -815,63 +468,7 @@ impl std::fmt::Debug for Job {
     }
 }
 
-/// Map a wire/manifest kind label onto the static label the job carries
-/// (unknown labels — a manifest from a future version — collapse to
-/// `"unknown"` rather than being rejected).
-fn static_kind(label: &str) -> &'static str {
-    match label {
-        "e16-fleet" => "e16-fleet",
-        "e17-fleet" => "e17-fleet",
-        "e18-fleet" => "e18-fleet",
-        "e16-sweep" => "e16-sweep",
-        "e18-sweep" => "e18-sweep",
-        "resume" => "resume",
-        "resume-sweep" => "resume-sweep",
-        "panic-probe" => "panic-probe",
-        _ => "unknown",
-    }
-}
-
 impl Job {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        me: &Weak<Job>,
-        sched: Weak<Scheduler>,
-        name: String,
-        kind: &'static str,
-        spec_json: Json,
-        params: Params,
-        worker: WorkerState,
-        metrics: Option<JobMetrics>,
-        logger: Option<Arc<obs::Logger>>,
-    ) -> Job {
-        Job {
-            name,
-            kind,
-            me: me.clone(),
-            sched,
-            status: Mutex::new(JobSnapshot {
-                state: JobState::Queued,
-                progress: None,
-                slices: 0,
-                sweep_rows: None,
-                error: None,
-            }),
-            status_cv: Condvar::new(),
-            slot: Mutex::new(None),
-            slot_cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            unpause: AtomicBool::new(false),
-            worker: Mutex::new(worker),
-            params: Mutex::new(params),
-            book: Mutex::new(SweepBook::default()),
-            spec_json,
-            sweep_result: Mutex::new(None),
-            metrics,
-            logger,
-        }
-    }
-
     /// The watch-subscriber gauge, when observability is attached (the
     /// daemon's `watch` handler holds it up/down around a stream).
     pub(crate) fn watchers_gauge(&self) -> Option<Arc<obs::Gauge>> {
@@ -888,9 +485,18 @@ impl Job {
         *lock(&self.params)
     }
 
-    /// The original submit spec, as manifest-round-trippable JSON.
+    /// The spec the job was created from, exactly as received (for a
+    /// resumed job, `{"kind":"resume"}` or `{"kind":"resume-sweep"}`);
+    /// the manifest records it so a job that never built can be
+    /// resubmitted after a reboot.
     pub fn spec_json(&self) -> Json {
         self.spec_json.clone()
+    }
+
+    /// Whether this job walks a grid: its `report` answers per row and,
+    /// once done, as a whole sweep.
+    pub fn is_sweep(&self) -> bool {
+        self.sweep
     }
 
     /// Ask the pool to stop the job at the next slice boundary
@@ -953,7 +559,7 @@ impl Job {
         seen_state: JobState,
         timeout: Duration,
     ) -> Option<JobSnapshot> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let mut status = lock(&self.status);
         loop {
             if status.slices != seen_slices
@@ -962,7 +568,7 @@ impl Job {
             {
                 return Some(status.clone());
             }
-            let left = deadline.checked_duration_since(std::time::Instant::now())?;
+            let left = deadline.checked_duration_since(Instant::now())?;
             let (guard, _) = self
                 .status_cv
                 .wait_timeout(status, left)
@@ -979,7 +585,7 @@ impl Job {
         timeout: Duration,
         f: impl FnOnce(&Fleet) -> R,
     ) -> Result<R, String> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let mut slot = lock(&self.slot);
         loop {
             if let Some(fleet) = slot.as_ref() {
@@ -989,7 +595,7 @@ impl Job {
                 return Err(format!("job {:?} holds no fleet state", self.name));
             }
             let left = deadline
-                .checked_duration_since(std::time::Instant::now())
+                .checked_duration_since(Instant::now())
                 .ok_or_else(|| format!("timed out waiting for job {:?} to park", self.name))?;
             let (guard, _) = self
                 .slot_cv
@@ -999,12 +605,22 @@ impl Job {
         }
     }
 
-    /// Serialize the parked fleet (always at a `run_until` boundary).
-    /// For sweep jobs this is the *current row's* fleet; the full sweep
-    /// cursor is [`Job::sweep_cursor`].
-    pub fn checkpoint(&self, timeout: Duration) -> Result<Vec<u8>, String> {
-        let start = std::time::Instant::now();
-        let bytes = self.with_fleet(timeout, |fleet| fleet.checkpoint())?;
+    /// The job's durable bytes — what `checkpoint` writes to a file and a
+    /// state-dir snapshot to `jobs/`: the `SWP1` cursor of a sweep, the
+    /// pending bytes of a resume that has not been built yet, and the
+    /// `CHR1` checkpoint of the parked fleet otherwise. Captures land on
+    /// `run_until` boundaries; `resume` accepts every form.
+    pub fn durable_bytes(&self, timeout: Duration) -> Result<Vec<u8>, String> {
+        let start = Instant::now();
+        let pending = match &*lock(&self.worker) {
+            WorkerState::Pending(JobSpec::Resume { bytes }) => Some(bytes.clone()),
+            _ => None,
+        };
+        let bytes = match pending {
+            Some(bytes) => bytes,
+            None if self.sweep => self.sweep_cursor(timeout)?,
+            None => self.with_fleet(timeout, Fleet::checkpoint)?,
+        };
         if let Some(m) = &self.metrics {
             m.checkpoint_wall.set(start.elapsed().as_secs_f64());
             m.checkpoint_bytes.set(bytes.len() as f64);
@@ -1019,65 +635,63 @@ impl Job {
         Ok(bytes)
     }
 
+    /// The `SWP1` cursor: every completed row's final checkpoint plus,
+    /// mid-grid, the current row's live one (taken with the fleet parked,
+    /// so the book cannot move under it).
+    fn sweep_cursor(&self, timeout: Duration) -> Result<Vec<u8>, String> {
+        let encode = |current: Option<&[u8]>| {
+            let book = lock(&self.book);
+            crate::sweep::encode(&book.points, &book.done_blobs, current)
+        };
+        {
+            let book = lock(&self.book);
+            if book.points.is_empty() {
+                return Err(format!("job {:?} has no sweep cursor yet", self.name));
+            }
+            if book.done_blobs.len() == book.points.len() {
+                drop(book);
+                return Ok(encode(None));
+            }
+        }
+        self.with_fleet(timeout, |fleet| encode(Some(&fleet.checkpoint())))
+    }
+
     /// The live (or final) aggregate report of a fleet job (for sweeps:
     /// the current row's fleet).
     pub fn report(&self, timeout: Duration) -> Result<FleetReport, String> {
         self.with_fleet(timeout, |fleet| fleet.report())
     }
 
-    /// The stored sweep result (`None` until a sweep job is done); the
-    /// variant matches the grid flavor the job walked.
-    pub fn sweep_result(&self) -> Option<SweepOutcome> {
-        lock(&self.sweep_result).clone()
+    /// The finished sweep: every row's coordinates and report, in grid
+    /// order (`None` until the last row completes). Series and stats stay
+    /// empty — the daemon runs no reducer, and the wire format omits them.
+    pub fn sweep_result(&self) -> Option<SweepResult> {
+        let book = lock(&self.book);
+        let first = book.points.first()?;
+        if book.done_reports.len() < book.points.len() {
+            return None;
+        }
+        let rows = book
+            .points
+            .iter()
+            .zip(&book.done_reports)
+            .map(|(point, report)| SweepRow {
+                axes: point.axes.clone(),
+                report: report.clone(),
+            })
+            .collect();
+        Some(SweepResult {
+            resolvers: first.config.resolvers,
+            rows,
+            series: Vec::new(),
+            stats: SweepStats::default(),
+        })
     }
 
     /// The report of completed sweep row `row` (rows complete in order,
     /// so this serves partial results while the sweep is still running).
     pub fn sweep_row_report(&self, row: usize) -> Option<FleetReport> {
         lock(&self.book).done_reports.get(row).cloned()
-    }
-
-    /// Serialize the sweep cursor as `SWP1` bytes: every completed row's
-    /// final checkpoint plus the current row's live checkpoint. Errors
-    /// for non-sweep jobs and sweeps that have not built yet.
-    pub fn sweep_cursor(&self, timeout: Duration) -> Result<Vec<u8>, String> {
-        // Complete sweeps hold no current fleet: encode the cursor from
-        // the book alone. Otherwise hold the slot (fleet parked) so the
-        // book cannot move while we pair it with the live checkpoint.
-        {
-            let book = lock(&self.book);
-            if book.total == 0 {
-                return Err(format!("job {:?} has no sweep cursor yet", self.name));
-            }
-            if book.row >= book.total {
-                return Ok(crate::sweep::encode(&crate::sweep::SweepCursor {
-                    flavor: book.flavor,
-                    seed: book.seed,
-                    clients: book.clients,
-                    resolvers: book.resolvers,
-                    row: book.row,
-                    done: book.done_blobs.clone(),
-                    current: None,
-                }));
-            }
-        }
-        self.with_fleet(timeout, |fleet| {
-            let book = lock(&self.book);
-            crate::sweep::encode(&crate::sweep::SweepCursor {
-                flavor: book.flavor,
-                seed: book.seed,
-                clients: book.clients,
-                resolvers: book.resolvers,
-                row: book.row,
-                done: book.done_blobs.clone(),
-                current: Some(fleet.checkpoint()),
-            })
-        })
-    }
-
-    /// Whether this job is a sweep (current or resumed).
-    pub fn is_sweep(&self) -> bool {
-        matches!(self.kind, "e16-sweep" | "e18-sweep" | "resume-sweep")
     }
 
     fn log_state(&self, state: JobState, error: Option<&str>) {
@@ -1118,7 +732,7 @@ impl Job {
         }
         let sweep_rows = {
             let book = lock(&self.book);
-            (book.total > 0).then_some((book.row.min(book.total), book.total))
+            (!book.points.is_empty()).then_some((book.done_blobs.len(), book.points.len()))
         };
         let mut status = lock(&self.status);
         status.progress = Some(progress);
@@ -1142,8 +756,11 @@ impl Job {
         lock(&self.slot).take()
     }
 
-    fn parked_now(&self) -> Option<SimTime> {
-        lock(&self.slot).as_ref().map(Fleet::now)
+    /// The parked fleet's clock and configured horizon.
+    fn parked_clock(&self) -> Option<(SimTime, SimTime)> {
+        lock(&self.slot)
+            .as_ref()
+            .map(|fleet| (fleet.now(), SimTime::ZERO + fleet.config().horizon))
     }
 
     /// Retire the job as stopped (worker-side or shutdown drain).
@@ -1172,16 +789,15 @@ impl Job {
         match &*worker {
             WorkerState::Pending(spec) => {
                 let spec = spec.clone();
-                // The job is out of the queue while stepping, so nobody
-                // else touches the worker state: safe to release the
-                // guard and let build() (and adopt_cursor) relock it.
+                // The job is out of the queue while stepping, so no
+                // other thread changes the worker state: safe to release
+                // the guard and let build() relock it.
                 drop(worker);
                 self.build(spec, fleet_metrics)
             }
-            WorkerState::FleetRun { horizon } => {
-                let horizon = *horizon;
+            WorkerState::FleetRun => {
                 drop(worker);
-                self.step_fleet(horizon)
+                self.step_fleet()
             }
             WorkerState::SweepRun => {
                 drop(worker);
@@ -1193,91 +809,58 @@ impl Job {
 
     /// First step: build the simulation from the spec.
     fn build(&self, spec: JobSpec, fleet_metrics: &Option<Arc<FleetMetrics>>) -> StepOutcome {
-        let sweep_flavor = match &spec {
-            JobSpec::E18Sweep { .. } => SweepFlavor::E18,
-            _ => SweepFlavor::E16,
-        };
-        match spec {
-            JobSpec::PanicProbe { message } => {
-                // The probe exists to exercise the pool's catch_unwind
-                // path end to end; the panic is caught one frame up.
-                panic!("{message}");
-            }
-            JobSpec::E16Sweep {
-                seed,
-                clients,
-                resolvers,
-                threads,
-                ..
-            }
-            | JobSpec::E18Sweep {
-                seed,
-                clients,
-                resolvers,
-                threads,
-                ..
-            } => {
-                let mut config = {
-                    let mut book = lock(&self.book);
-                    book.flavor = sweep_flavor;
-                    book.seed = seed;
-                    book.clients = clients;
-                    book.resolvers = resolvers;
-                    book.total = sweep_flavor.total_rows(resolvers);
-                    book.row = 0;
-                    book.row_config(0)
+        let loaded = match spec {
+            // The probe exists to exercise the pool's catch_unwind path
+            // end to end; the panic is caught one frame up.
+            JobSpec::PanicProbe { message } => panic!("{message}"),
+            JobSpec::Fleet { config } => Ok(Loaded::Fleet(new_fleet(*config, fleet_metrics))),
+            JobSpec::Sweep { points } => {
+                let first = points
+                    .first()
+                    .map(|p| new_fleet(p.config.clone(), fleet_metrics));
+                let book = SweepBook {
+                    points,
+                    ..SweepBook::default()
                 };
-                config.threads = threads;
-                let mut fleet = Fleet::new(config);
-                fleet.set_metrics(fleet_metrics.clone());
-                let progress = fleet.progress();
-                self.park(fleet);
-                *lock(&self.worker) = WorkerState::SweepRun;
-                self.set_state(JobState::Running, None);
-                self.publish_slice(progress);
-                StepOutcome::Again
+                Ok(Loaded::Sweep(book, first))
             }
-            JobSpec::ResumeSweep {
-                ref bytes, threads, ..
-            } => {
-                let adopted = crate::sweep::decode(bytes)
-                    .map_err(|e| e.to_string())
-                    .and_then(|cursor| self.adopt_cursor(cursor, threads, fleet_metrics));
-                match adopted {
-                    Ok(running) => {
-                        if running {
-                            StepOutcome::Again
-                        } else {
-                            StepOutcome::Terminal
-                        }
-                    }
-                    Err(e) => {
-                        *lock(&self.worker) = WorkerState::Finished;
-                        self.set_state(
-                            JobState::Failed,
-                            Some(format!("sweep cursor rejected: {e}")),
-                        );
-                        StepOutcome::Terminal
-                    }
-                }
+            JobSpec::Resume { bytes } => load(&bytes, fleet_metrics),
+        };
+        match loaded.map(|loaded| self.install(loaded)) {
+            Ok(true) => StepOutcome::Again,
+            Ok(false) => StepOutcome::Terminal,
+            Err(message) => {
+                self.finish_failed(message);
+                StepOutcome::Terminal
             }
-            ref fleet_spec => match build_fleet(fleet_spec, fleet_metrics.clone()) {
-                Ok(fleet) => {
-                    let horizon = SimTime::ZERO + fleet.config().horizon;
-                    let progress = fleet.progress();
-                    self.park(fleet);
-                    *lock(&self.worker) = WorkerState::FleetRun { horizon };
-                    self.set_state(JobState::Running, None);
-                    self.publish_slice(progress);
-                    StepOutcome::Again
-                }
-                Err(message) => {
-                    *lock(&self.worker) = WorkerState::Finished;
-                    self.set_state(JobState::Failed, Some(message));
-                    StepOutcome::Terminal
-                }
-            },
         }
+    }
+
+    /// Install decoded state as the job's simulation: park the fleet (on
+    /// the job's thread count) and mark the job running. A sweep whose
+    /// rows are all done finishes instead; returns whether the job has
+    /// anything left to step.
+    fn install(&self, loaded: Loaded) -> bool {
+        let (mut fleet, worker) = match loaded {
+            Loaded::Fleet(fleet) => (fleet, WorkerState::FleetRun),
+            Loaded::Sweep(book, current) => {
+                *lock(&self.book) = book;
+                match current {
+                    Some(fleet) => (fleet, WorkerState::SweepRun),
+                    None => {
+                        self.finish_sweep();
+                        return false;
+                    }
+                }
+            }
+        };
+        fleet.set_threads(self.params().threads);
+        let progress = fleet.progress();
+        self.park(fleet);
+        *lock(&self.worker) = worker;
+        self.set_state(JobState::Running, None);
+        self.publish_slice(progress);
+        true
     }
 
     /// Decide whether to pause at the current boundary. Returns `true`
@@ -1304,9 +887,9 @@ impl Job {
         true
     }
 
-    fn step_fleet(&self, horizon: SimTime) -> StepOutcome {
+    fn step_fleet(&self) -> StepOutcome {
         let params = self.params();
-        let Some(now) = self.parked_now() else {
+        let Some((now, horizon)) = self.parked_clock() else {
             self.finish_failed("fleet state lost (earlier panic mid-slice)".to_string());
             return StepOutcome::Terminal;
         };
@@ -1341,11 +924,11 @@ impl Job {
 
     fn step_sweep(&self, fleet_metrics: &Option<Arc<FleetMetrics>>) -> StepOutcome {
         let params = self.params();
-        let Some(now) = self.parked_now() else {
+        let Some((now, horizon)) = self.parked_clock() else {
             self.finish_failed("sweep state lost (earlier panic mid-slice)".to_string());
             return StepOutcome::Terminal;
         };
-        let row = lock(&self.book).row;
+        let row = lock(&self.book).done_blobs.len();
         // Row-boundary pause: about to start row `pause_at_row`, its
         // fleet freshly built and untouched.
         if params.pause_at_row == Some(row) && now == SimTime::ZERO && self.pause_here() {
@@ -1355,7 +938,6 @@ impl Job {
             self.finish_failed("sweep state lost (earlier panic mid-slice)".to_string());
             return StepOutcome::Terminal;
         };
-        let horizon = SimTime::ZERO + fleet.config().horizon;
         if now < horizon {
             let target = (now + SimDuration::from_secs(params.slice_s)).min(horizon);
             fleet.run_until(target);
@@ -1370,193 +952,36 @@ impl Job {
         let blob = fleet.checkpoint();
         let report = fleet.report();
         drop(fleet);
-        let (next_row, total, next_config) = {
+        let next_config = {
             let mut book = lock(&self.book);
             book.done_blobs.push(blob);
             book.done_reports.push(report);
-            book.row += 1;
-            let config = (book.row < book.total).then(|| book.row_config(book.row));
-            (book.row, book.total, config)
+            book.points
+                .get(book.done_blobs.len())
+                .map(|p| p.config.clone())
         };
-        if next_row >= total {
+        let Some(config) = next_config else {
             self.finish_sweep();
             return StepOutcome::Terminal;
-        }
-        let mut config = next_config.expect("next row is inside the grid");
-        config.threads = params.threads;
-        let mut next = Fleet::new(config);
-        next.set_metrics(fleet_metrics.clone());
+        };
+        let mut next = new_fleet(config, fleet_metrics);
+        next.set_threads(params.threads);
         let progress = next.progress();
         self.park(next);
         self.publish_slice(progress);
         StepOutcome::Again
     }
 
-    /// Assemble the final sweep result ([`E16Result`] or [`E18Result`],
-    /// per the book's flavor) from the completed rows and retire the
-    /// sweep. Stats are zeroed: the daemon path builds rows directly
-    /// instead of going through the pooled dispatcher, and the wire
-    /// format omits stats either way.
+    /// Retire a sweep whose rows are all done; [`Job::sweep_result`]
+    /// serves it from the book.
     fn finish_sweep(&self) {
-        let result = {
-            let book = lock(&self.book);
-            let resolvers = book.resolvers.max(1);
-            match book.flavor {
-                SweepFlavor::E16 => {
-                    let rows: Vec<E16Row> = book
-                        .done_reports
-                        .iter()
-                        .enumerate()
-                        .map(|(k, report)| E16Row {
-                            poisoned_resolvers: k,
-                            poisoned_fraction: k as f64 / resolvers as f64,
-                            report: report.clone(),
-                        })
-                        .collect();
-                    SweepOutcome::E16(e16_result_from_rows(resolvers, rows, SweepStats::default()))
-                }
-                SweepFlavor::E18 => {
-                    let rows: Vec<E18Row> = e18_grid(resolvers)
-                        .iter()
-                        .zip(book.done_reports.iter())
-                        .map(|(&(deployment, poisoned), report)| E18Row {
-                            deployment,
-                            poisoned_resolvers: poisoned,
-                            poisoned_fraction: poisoned as f64 / resolvers as f64,
-                            report: report.clone(),
-                        })
-                        .collect();
-                    SweepOutcome::E18(e18_result_from_rows(resolvers, rows, SweepStats::default()))
-                }
-            }
-        };
-        *lock(&self.sweep_result) = Some(result);
         *lock(&self.worker) = WorkerState::Finished;
         {
             let book = lock(&self.book);
             let mut status = lock(&self.status);
-            status.sweep_rows = Some((book.row, book.total));
+            status.sweep_rows = Some((book.done_blobs.len(), book.points.len()));
         }
         self.set_state(JobState::Done, None);
-    }
-
-    /// Install a decoded sweep cursor: restore completed-row reports and
-    /// the current row's fleet. Returns whether the job keeps running
-    /// (false when the cursor was already complete). Shared by the
-    /// `resume-sweep` build path and boot-time adoption.
-    fn adopt_cursor(
-        &self,
-        cursor: crate::sweep::SweepCursor,
-        threads: usize,
-        fleet_metrics: &Option<Arc<FleetMetrics>>,
-    ) -> Result<bool, String> {
-        let total = cursor.flavor.total_rows(cursor.resolvers);
-        if cursor.row > total || (cursor.row < total) != cursor.current.is_some() {
-            return Err("cursor row count inconsistent with payload".to_string());
-        }
-        let mut done_reports = Vec::with_capacity(cursor.done.len());
-        for (k, blob) in cursor.done.iter().enumerate() {
-            let restored = Fleet::restore(blob)
-                .map_err(|e| format!("completed row {k} checkpoint rejected: {e}"))?;
-            done_reports.push(restored.report());
-        }
-        {
-            let mut params = lock(&self.params);
-            params.threads = threads;
-        }
-        {
-            let mut book = lock(&self.book);
-            book.flavor = cursor.flavor;
-            book.seed = cursor.seed;
-            book.clients = cursor.clients;
-            book.resolvers = cursor.resolvers;
-            book.total = total;
-            book.row = cursor.row;
-            book.done_blobs = cursor.done.clone();
-            book.done_reports = done_reports;
-        }
-        *lock(&self.worker) = WorkerState::SweepRun;
-        match cursor.current {
-            Some(blob) => {
-                let mut fleet = Fleet::restore_with(&blob, fleet_metrics.clone())
-                    .map_err(|e| format!("current row checkpoint rejected: {e}"))?;
-                fleet.set_threads(threads);
-                let progress = fleet.progress();
-                self.park(fleet);
-                self.set_state(JobState::Running, None);
-                self.publish_slice(progress);
-                Ok(true)
-            }
-            None => {
-                self.finish_sweep();
-                Ok(false)
-            }
-        }
-    }
-}
-
-fn build_fleet(spec: &JobSpec, metrics: Option<Arc<FleetMetrics>>) -> Result<Fleet, String> {
-    match spec {
-        JobSpec::E16Fleet {
-            seed,
-            clients,
-            resolvers,
-            poisoned_resolvers,
-            threads,
-            ..
-        } => {
-            let mut config = e16_config(*seed, *clients, *resolvers, *poisoned_resolvers);
-            config.threads = *threads;
-            let mut fleet = Fleet::new(config);
-            fleet.set_metrics(metrics);
-            Ok(fleet)
-        }
-        JobSpec::E17Fleet {
-            seed,
-            clients,
-            resolvers,
-            loss,
-            outage_coverage,
-            threads,
-            ..
-        } => {
-            let mut config = e17_config(*seed, *clients, *resolvers, *loss, *outage_coverage);
-            config.threads = *threads;
-            let mut fleet = Fleet::new(config);
-            fleet.set_metrics(metrics);
-            Ok(fleet)
-        }
-        JobSpec::E18Fleet {
-            seed,
-            clients,
-            resolvers,
-            deployment,
-            poisoned_resolvers,
-            threads,
-            ..
-        } => {
-            let mut config = e18_config(
-                *seed,
-                *clients,
-                *resolvers,
-                *deployment,
-                *poisoned_resolvers,
-            );
-            config.threads = *threads;
-            let mut fleet = Fleet::new(config);
-            fleet.set_metrics(metrics);
-            Ok(fleet)
-        }
-        JobSpec::Resume { bytes, threads, .. } => {
-            let mut fleet = Fleet::restore_with(bytes, metrics)
-                .map_err(|e| format!("checkpoint rejected: {e}"))?;
-            fleet.set_threads(*threads);
-            Ok(fleet)
-        }
-        JobSpec::E16Sweep { .. }
-        | JobSpec::E18Sweep { .. }
-        | JobSpec::ResumeSweep { .. }
-        | JobSpec::PanicProbe { .. } => Err("not a fleet spec".to_string()),
     }
 }
 
@@ -1709,36 +1134,50 @@ impl JobTable {
         lock(&self.workers).len()
     }
 
-    /// Register a job under `name` and enqueue it on the worker pool.
-    /// Fails if the name is empty or already taken (stale terminal jobs
-    /// keep their name — pick a new one).
-    pub fn submit(&self, name: &str, spec: JobSpec) -> Result<Arc<Job>, String> {
-        let job = self.register(name, spec)?;
+    /// Parse a `submit` spec ([`JobSpec::parse`]), register the job under
+    /// `name` with the spec's `kind` as its label, and enqueue it on the
+    /// worker pool. Fails on a malformed spec, or if the name is empty or
+    /// already taken (stale terminal jobs keep their name — pick a new
+    /// one, or `forget` the old job).
+    pub fn submit(&self, name: &str, spec: &Json) -> Result<Arc<Job>, String> {
+        let (job_spec, params) = JobSpec::parse(spec)?;
+        let kind = spec.get("kind").and_then(Json::as_str).unwrap_or_default();
+        let sweep = matches!(job_spec, JobSpec::Sweep { .. });
+        let worker = WorkerState::Pending(job_spec);
+        let job = self.register(name, kind, spec.clone(), params, sweep, worker)?;
         self.sched.enqueue(Arc::clone(&job));
         Ok(job)
     }
 
-    /// Create and register the job without enqueueing it (adoption paths
-    /// place restored jobs in non-queued states first).
-    fn register(&self, name: &str, spec: JobSpec) -> Result<Arc<Job>, String> {
-        let kind = spec.kind();
-        let spec_json = spec.to_json();
-        let params = spec.params();
-        self.register_raw(name, kind, spec_json, params, WorkerState::Pending(spec))
+    /// Register a job continuing from durable bytes — an `SWP1` sweep
+    /// cursor (kind `resume-sweep`) or a `CHR1` fleet checkpoint (kind
+    /// `resume`), told apart by magic — and enqueue it. The bytes are
+    /// decoded by the first worker step; a rejected file fails the job.
+    pub fn resume(&self, name: &str, bytes: Vec<u8>, params: Params) -> Result<Arc<Job>, String> {
+        let sweep = bytes.starts_with(&crate::sweep::MAGIC);
+        let kind = if sweep { "resume-sweep" } else { "resume" };
+        let spec = Json::Obj(vec![("kind".into(), Json::str(kind))]);
+        let worker = WorkerState::Pending(JobSpec::Resume { bytes });
+        let job = self.register(name, kind, spec, params, sweep, worker)?;
+        self.sched.enqueue(Arc::clone(&job));
+        Ok(job)
     }
 
-    fn register_raw(
+    /// Create and register a job without enqueueing it (adoption installs
+    /// restored state first).
+    fn register(
         &self,
         name: &str,
-        kind: &'static str,
+        kind: &str,
         spec_json: Json,
         params: Params,
+        sweep: bool,
         worker: WorkerState,
     ) -> Result<Arc<Job>, String> {
         if name.is_empty() {
             return Err("job name must not be empty".to_string());
         }
-        let job_metrics = self.obs.as_ref().map(|o| o.job_metrics(name));
+        let metrics = self.obs.as_ref().map(|o| o.job_metrics(name));
         let logger = self.obs.as_ref().map(|o| Arc::clone(&o.logger));
         let sched = Arc::downgrade(&self.sched);
         let job = {
@@ -1746,18 +1185,30 @@ impl JobTable {
             if jobs.contains_key(name) {
                 return Err(format!("job {name:?} already exists"));
             }
-            let job = Arc::new_cyclic(|me| {
-                Job::new(
-                    me,
-                    sched,
-                    name.to_string(),
-                    kind,
-                    spec_json,
-                    params,
-                    worker,
-                    job_metrics,
-                    logger,
-                )
+            let job = Arc::new_cyclic(|me| Job {
+                name: name.to_string(),
+                kind: kind.to_string(),
+                sweep,
+                me: me.clone(),
+                sched,
+                status: Mutex::new(JobSnapshot {
+                    state: JobState::Queued,
+                    progress: None,
+                    slices: 0,
+                    sweep_rows: None,
+                    error: None,
+                }),
+                status_cv: Condvar::new(),
+                slot: Mutex::new(None),
+                slot_cv: Condvar::new(),
+                stop: AtomicBool::new(false),
+                unpause: AtomicBool::new(false),
+                worker: Mutex::new(worker),
+                params: Mutex::new(params),
+                book: Mutex::new(SweepBook::default()),
+                spec_json,
+                metrics,
+                logger,
             });
             jobs.insert(name.to_string(), Arc::clone(&job));
             job
@@ -1772,86 +1223,49 @@ impl JobTable {
         Ok(job)
     }
 
-    /// Adopt a restored fleet job from the state dir: park the fleet,
-    /// install the manifest's lifecycle state and scheduling params, and
-    /// (for `running`) enqueue it. `spec_json` is the original submit
-    /// spec (re-recorded in the next manifest); `slices` restores the
-    /// watch cursor.
-    #[allow(clippy::too_many_arguments)]
-    pub fn adopt_fleet(
-        &self,
-        name: &str,
-        kind_label: &str,
-        spec_json: Json,
-        params: Params,
-        mut fleet: Fleet,
-        state: JobState,
-        slices: u64,
-    ) -> Result<Arc<Job>, String> {
-        fleet.set_threads(params.threads);
-        if let Some(o) = &self.obs {
-            fleet.set_metrics(Some(Arc::clone(&o.fleet)));
-        }
-        let horizon = SimTime::ZERO + fleet.config().horizon;
-        let progress = fleet.progress();
-        let worker = if state.is_terminal() {
-            WorkerState::Finished
-        } else {
-            WorkerState::FleetRun { horizon }
-        };
-        let job = self.register_raw(name, static_kind(kind_label), spec_json, params, worker)?;
-        job.park(fleet);
-        let run = state == JobState::Running || state == JobState::Queued;
-        {
-            let mut status = lock(&job.status);
-            status.state = if run { JobState::Running } else { state };
-            status.progress = Some(progress);
-            status.slices = slices;
-        }
-        job.status_cv.notify_all();
-        if run {
-            self.sched.enqueue(Arc::clone(&job));
-        }
-        Ok(job)
+    /// The daemon-wide engine instrumentation every job fleet carries.
+    pub(crate) fn fleet_metrics(&self) -> Option<Arc<FleetMetrics>> {
+        self.obs.as_ref().map(|o| Arc::clone(&o.fleet))
     }
 
-    /// Adopt a restored sweep job from its decoded `SWP1` cursor.
-    #[allow(clippy::too_many_arguments)]
-    pub fn adopt_sweep(
+    /// Adopt a job restored from the state dir: register it under the
+    /// manifest's name, kind and spec, install its decoded state (see
+    /// [`load`]), and restore the manifest's lifecycle state — a running
+    /// job re-enters the pool, a paused one waits for `unpause`, a
+    /// terminal one stays observable. `params` are the scheduling knobs
+    /// to resume with; `entry.slices` restores the watch cursor.
+    pub(crate) fn adopt(
         &self,
-        name: &str,
-        kind_label: &str,
-        spec_json: Json,
+        entry: &ManifestEntry,
         params: Params,
-        cursor: crate::sweep::SweepCursor,
-        state: JobState,
-        slices: u64,
+        loaded: Loaded,
     ) -> Result<Arc<Job>, String> {
-        let job = self.register_raw(
-            name,
-            static_kind(kind_label),
-            spec_json,
+        let sweep = matches!(loaded, Loaded::Sweep(..));
+        let finished = WorkerState::Finished; // install() sets the real state
+        let job = self.register(
+            &entry.name,
+            &entry.kind,
+            entry.spec.clone(),
             params,
-            WorkerState::Finished, // adopt_cursor installs the real state
+            sweep,
+            finished,
         )?;
-        let fleet_metrics = self.obs.as_ref().map(|o| Arc::clone(&o.fleet));
-        let still_running = job
-            .adopt_cursor(cursor, params.threads, &fleet_metrics)
-            .map_err(|e| format!("sweep cursor rejected: {e}"))?;
+        let still_running = job.install(loaded);
+        let run = matches!(entry.state, JobState::Running | JobState::Queued);
         {
             let mut status = lock(&job.status);
-            status.slices = status.slices.max(slices);
-            // adopt_cursor set Running (live cursor) or Done (complete);
-            // override with the manifest state for paused/stopped.
-            if still_running && state != JobState::Running && state != JobState::Queued {
-                status.state = state;
+            status.slices = status.slices.max(entry.slices);
+            // install() set Running (live state) or Done (complete
+            // sweep); the manifest wins for paused/stopped/done jobs.
+            if still_running && !run {
+                status.state = entry.state;
             }
         }
         job.status_cv.notify_all();
         if still_running {
-            if state.is_terminal() {
+            if entry.state.is_terminal() {
                 *lock(&job.worker) = WorkerState::Finished;
-            } else if state == JobState::Running || state == JobState::Queued {
+            } else if run {
                 self.sched.enqueue(Arc::clone(&job));
             }
         }
@@ -1859,12 +1273,10 @@ impl JobTable {
     }
 
     /// Adopt a job as failed without any simulation state (corrupt or
-    /// quarantined state files, unknown manifest kinds).
-    pub fn adopt_failed(
+    /// quarantined state files, failures recorded before a shutdown).
+    pub(crate) fn adopt_failed(
         &self,
-        name: &str,
-        kind_label: &str,
-        spec_json: Json,
+        entry: &ManifestEntry,
         error: String,
     ) -> Result<Arc<Job>, String> {
         let params = Params {
@@ -1873,12 +1285,14 @@ impl JobTable {
             pause_at_s: None,
             pause_at_row: None,
         };
-        let job = self.register_raw(
-            name,
-            static_kind(kind_label),
-            spec_json,
+        let finished = WorkerState::Finished;
+        let job = self.register(
+            &entry.name,
+            &entry.kind,
+            entry.spec.clone(),
             params,
-            WorkerState::Finished,
+            false,
+            finished,
         )?;
         job.set_state(JobState::Failed, Some(error));
         Ok(job)
@@ -1944,21 +1358,41 @@ impl JobTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chronos_pitfalls::experiments::{e16_series, e18_series};
 
-    fn small_spec(pause_at_s: Option<u64>) -> JobSpec {
-        JobSpec::E16Fleet {
-            seed: 7,
-            clients: 24,
-            resolvers: 2,
-            poisoned_resolvers: 1,
-            threads: 1,
-            slice_s: 500,
-            pause_at_s,
+    fn spec(text: &str) -> Json {
+        Json::parse(text).expect("spec literal")
+    }
+
+    fn small_spec(pause_at_s: Option<u64>) -> Json {
+        let pause = pause_at_s
+            .map(|p| format!(r#","pause_at_s":{p}"#))
+            .unwrap_or_default();
+        spec(&format!(
+            r#"{{"kind":"e16-fleet","seed":7,"clients":24,"resolvers":2,"poisoned_resolvers":1,"slice_s":500{pause}}}"#
+        ))
+    }
+
+    fn sweep_spec(kind: &str, pause_at_row: Option<usize>) -> Json {
+        let pause = pause_at_row
+            .map(|p| format!(r#","pause_at_row":{p}"#))
+            .unwrap_or_default();
+        spec(&format!(
+            r#"{{"kind":"{kind}","seed":7,"clients":16,"resolvers":2,"slice_s":2000{pause}}}"#
+        ))
+    }
+
+    fn params(threads: usize, slice_s: u64) -> Params {
+        Params {
+            threads,
+            slice_s,
+            pause_at_s: None,
+            pause_at_row: None,
         }
     }
 
     fn wait_for(job: &Job, state: JobState) -> JobSnapshot {
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        let deadline = Instant::now() + Duration::from_secs(60);
         let mut cursor: Option<(u64, JobState)> = None;
         loop {
             let snap = match cursor {
@@ -1976,7 +1410,7 @@ mod tests {
                 snap.state,
                 snap.error
             );
-            assert!(std::time::Instant::now() < deadline, "timed out");
+            assert!(Instant::now() < deadline, "timed out");
             cursor = Some((snap.slices, snap.state));
         }
     }
@@ -1984,7 +1418,8 @@ mod tests {
     #[test]
     fn fleet_job_runs_to_done_and_matches_batch() {
         let table = JobTable::with_workers(2);
-        let job = table.submit("smoke", small_spec(None)).unwrap();
+        let job = table.submit("smoke", &small_spec(None)).unwrap();
+        assert_eq!(job.kind, "e16-fleet");
         let done = wait_for(&job, JobState::Done);
         assert!(
             done.slices > 1,
@@ -2000,24 +1435,19 @@ mod tests {
     #[test]
     fn pause_checkpoint_resume_is_byte_identical() {
         let table = JobTable::with_workers(2);
-        let job = table.submit("first-leg", small_spec(Some(1_500))).unwrap();
+        let job = table.submit("first-leg", &small_spec(Some(1_500))).unwrap();
         wait_for(&job, JobState::Paused);
-        let bytes = job.checkpoint(Duration::from_secs(5)).unwrap();
+        let bytes = job.durable_bytes(Duration::from_secs(5)).unwrap();
+        assert!(
+            bytes.starts_with(b"CHR1"),
+            "a fleet's durable bytes are CHR1"
+        );
         let mid = job.report(Duration::from_secs(5)).unwrap();
         assert!(mid.end < netsim::time::SimTime::from_secs(6_000), "mid-run");
         job.request_stop();
 
-        let resumed = table
-            .submit(
-                "second-leg",
-                JobSpec::Resume {
-                    bytes,
-                    threads: 2,
-                    slice_s: 500,
-                    pause_at_s: None,
-                },
-            )
-            .unwrap();
+        let resumed = table.resume("second-leg", bytes, params(2, 500)).unwrap();
+        assert_eq!(resumed.kind, "resume");
         wait_for(&resumed, JobState::Done);
         let resumed_report = resumed.report(Duration::from_secs(5)).unwrap();
         let batch = Fleet::new(e16_config(7, 24, 2, 1)).run();
@@ -2028,8 +1458,8 @@ mod tests {
     #[test]
     fn stop_parks_state_and_names_stay_unique() {
         let table = JobTable::with_workers(1);
-        let job = table.submit("victim", small_spec(Some(1_000))).unwrap();
-        assert!(table.submit("victim", small_spec(None)).is_err());
+        let job = table.submit("victim", &small_spec(Some(1_000))).unwrap();
+        assert!(table.submit("victim", &small_spec(None)).is_err());
         wait_for(&job, JobState::Paused);
         job.request_stop();
         let snap = wait_for(&job, JobState::Stopped);
@@ -2041,34 +1471,80 @@ mod tests {
 
     #[test]
     fn bad_specs_and_bad_checkpoints_are_rejected() {
-        assert!(JobSpec::from_json(&Json::parse(r#"{"kind":"nope"}"#).unwrap()).is_err());
-        assert!(JobSpec::from_json(
-            &Json::parse(r#"{"kind":"e16-fleet","resolvers":2,"poisoned_resolvers":3}"#).unwrap()
-        )
+        assert!(JobSpec::parse(&spec(r#"{"kind":"nope"}"#)).is_err());
+        assert!(JobSpec::parse(&spec(
+            r#"{"kind":"e16-fleet","resolvers":2,"poisoned_resolvers":3}"#
+        ))
         .is_err());
         let table = JobTable::with_workers(1);
         let job = table
-            .submit(
-                "corrupt",
-                JobSpec::Resume {
-                    bytes: b"junk".to_vec(),
-                    threads: 1,
-                    slice_s: 60,
-                    pause_at_s: None,
-                },
-            )
+            .resume("corrupt", b"junk".to_vec(), params(1, 60))
             .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let snap = job.snapshot();
             if snap.state == JobState::Failed {
                 assert!(snap.error.unwrap().contains("checkpoint rejected"));
                 break;
             }
-            assert!(std::time::Instant::now() < deadline, "timed out");
+            assert!(Instant::now() < deadline, "timed out");
             std::thread::sleep(Duration::from_millis(10));
         }
         table.stop_all_and_join();
+    }
+
+    #[test]
+    fn an_unbuilt_resume_is_durable_as_its_own_bytes() {
+        // Registered but never stepped: a snapshot (or `checkpoint`) must
+        // still capture the job, as the bytes it will start from.
+        let table = JobTable::with_workers(1);
+        let bytes = b"CHR1 not yet decoded".to_vec();
+        let pending = WorkerState::Pending(JobSpec::Resume {
+            bytes: bytes.clone(),
+        });
+        let job = table
+            .register(
+                "pending",
+                "resume",
+                Json::Null,
+                params(1, 60),
+                false,
+                pending,
+            )
+            .unwrap();
+        assert_eq!(job.durable_bytes(Duration::from_secs(1)), Ok(bytes));
+        table.stop_all_and_join();
+    }
+
+    #[test]
+    fn parse_maps_wire_kinds_onto_the_batch_grids() {
+        let (fleet, fleet_params) = JobSpec::parse(&small_spec(Some(900))).unwrap();
+        let JobSpec::Fleet { config } = fleet else {
+            panic!("e16-fleet parses to a fleet");
+        };
+        assert_eq!(*config, e16_config(7, 24, 2, 1));
+        assert_eq!(
+            fleet_params,
+            Params {
+                pause_at_s: Some(900),
+                ..params(1, 500)
+            }
+        );
+        let (e17, _) =
+            JobSpec::parse(&spec(r#"{"kind":"e17-fleet","outage_coverage":2}"#)).unwrap();
+        let JobSpec::Fleet { config } = e17 else {
+            panic!("e17-fleet parses to a fleet");
+        };
+        assert_eq!(*config, e17_config(7, 1_000, 8, 0.05, 2));
+        let (e18, _) = JobSpec::parse(&sweep_spec("e18-sweep", Some(3))).unwrap();
+        let JobSpec::Sweep { points } = e18 else {
+            panic!("e18-sweep parses to a sweep");
+        };
+        assert_eq!(points, e18_grid(7, 16, 2));
+        // Scheduling knobs come from the same fields for every kind.
+        let (_, sweep_params) = JobSpec::parse(&sweep_spec("e16-sweep", Some(1))).unwrap();
+        assert_eq!(sweep_params.pause_at_row, Some(1));
+        assert!(JobSpec::parse(&spec(r#"{"kind":"e16-sweep","threads":"two"}"#)).is_err());
     }
 
     #[test]
@@ -2079,13 +1555,11 @@ mod tests {
         let probe = table
             .submit(
                 "probe",
-                JobSpec::PanicProbe {
-                    message: "deliberate test panic".to_string(),
-                },
+                &spec(r#"{"kind":"panic-probe","message":"deliberate test panic"}"#),
             )
             .unwrap();
-        let fleet = table.submit("survivor", small_spec(None)).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let fleet = table.submit("survivor", &small_spec(None)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let snap = probe.snapshot();
             if snap.state == JobState::Failed {
@@ -2096,7 +1570,7 @@ mod tests {
                 );
                 break;
             }
-            assert!(std::time::Instant::now() < deadline, "probe never failed");
+            assert!(Instant::now() < deadline, "probe never failed");
             std::thread::sleep(Duration::from_millis(10));
         }
         let done = wait_for(&fleet, JobState::Done);
@@ -2110,26 +1584,14 @@ mod tests {
     fn sweep_job_matches_run_e16_rows_and_series() {
         let table = JobTable::with_workers(2);
         let job = table
-            .submit(
-                "sweep",
-                JobSpec::E16Sweep {
-                    seed: 7,
-                    clients: 16,
-                    resolvers: 2,
-                    threads: 1,
-                    slice_s: 2_000,
-                    pause_at_row: None,
-                },
-            )
+            .submit("sweep", &sweep_spec("e16-sweep", None))
             .unwrap();
         let snap = wait_for(&job, JobState::Done);
         assert_eq!(snap.sweep_rows, Some((3, 3)));
-        let SweepOutcome::E16(result) = job.sweep_result().expect("sweep result") else {
-            panic!("e16 sweep produced a non-e16 outcome");
-        };
+        let result = job.sweep_result().expect("sweep result");
         let batch = chronos_pitfalls::experiments::run_e16(7, 16, 2, 1);
         assert_eq!(result.rows, batch.rows);
-        assert_eq!(result.series, batch.series);
+        assert_eq!(e16_series(result.resolvers, &result.rows), batch.series);
         table.stop_all_and_join();
     }
 
@@ -2137,44 +1599,28 @@ mod tests {
     fn sweep_pause_cursor_resume_is_byte_identical() {
         let table = JobTable::with_workers(2);
         let job = table
-            .submit(
-                "sweep-a",
-                JobSpec::E16Sweep {
-                    seed: 7,
-                    clients: 16,
-                    resolvers: 2,
-                    threads: 1,
-                    slice_s: 2_000,
-                    pause_at_row: Some(1),
-                },
-            )
+            .submit("sweep-a", &sweep_spec("e16-sweep", Some(1)))
             .unwrap();
         wait_for(&job, JobState::Paused);
         let snap = job.snapshot();
         assert_eq!(snap.sweep_rows, Some((1, 3)));
         // Row 0 is already servable while the sweep is parked.
         assert!(job.sweep_row_report(0).is_some());
-        let cursor = job.sweep_cursor(Duration::from_secs(5)).unwrap();
+        let cursor = job.durable_bytes(Duration::from_secs(5)).unwrap();
+        assert!(
+            cursor.starts_with(&crate::sweep::MAGIC),
+            "a sweep's durable bytes are its SWP1 cursor"
+        );
         job.request_stop();
 
-        let resumed = table
-            .submit(
-                "sweep-b",
-                JobSpec::ResumeSweep {
-                    bytes: cursor,
-                    threads: 2,
-                    slice_s: 1_000,
-                    pause_at_row: None,
-                },
-            )
-            .unwrap();
+        let resumed = table.resume("sweep-b", cursor, params(2, 1_000)).unwrap();
+        assert_eq!(resumed.kind, "resume-sweep");
+        assert!(resumed.is_sweep());
         wait_for(&resumed, JobState::Done);
-        let SweepOutcome::E16(result) = resumed.sweep_result().expect("sweep result") else {
-            panic!("resumed e16 sweep produced a non-e16 outcome");
-        };
+        let result = resumed.sweep_result().expect("sweep result");
         let batch = chronos_pitfalls::experiments::run_e16(7, 16, 2, 1);
         assert_eq!(result.rows, batch.rows);
-        assert_eq!(result.series, batch.series);
+        assert_eq!(e16_series(result.resolvers, &result.rows), batch.series);
         table.stop_all_and_join();
     }
 
@@ -2182,34 +1628,22 @@ mod tests {
     fn e18_sweep_job_matches_run_e18_rows_and_series() {
         let table = JobTable::with_workers(2);
         let job = table
-            .submit(
-                "e18-sweep",
-                JobSpec::E18Sweep {
-                    seed: 7,
-                    clients: 16,
-                    resolvers: 2,
-                    threads: 1,
-                    slice_s: 2_000,
-                    pause_at_row: None,
-                },
-            )
+            .submit("e18-sweep", &sweep_spec("e18-sweep", None))
             .unwrap();
         let snap = wait_for(&job, JobState::Done);
-        let total = e18_grid(2).len();
+        let total = e18_grid(7, 16, 2).len();
         assert_eq!(snap.sweep_rows, Some((total, total)));
-        let SweepOutcome::E18(result) = job.sweep_result().expect("sweep result") else {
-            panic!("e18 sweep produced a non-e18 outcome");
-        };
+        let result = job.sweep_result().expect("sweep result");
         let batch = chronos_pitfalls::experiments::run_e18(7, 16, 2, 1);
         assert_eq!(result.rows, batch.rows);
-        assert_eq!(result.series, batch.series);
+        assert_eq!(e18_series(result.resolvers, &result.rows), batch.series);
         table.stop_all_and_join();
     }
 
     #[test]
     fn forget_drops_only_terminal_jobs_and_frees_the_name() {
         let table = JobTable::with_workers(1);
-        let job = table.submit("keeper", small_spec(Some(1_000))).unwrap();
+        let job = table.submit("keeper", &small_spec(Some(1_000))).unwrap();
         wait_for(&job, JobState::Paused);
         // Paused is not terminal: the job is still steerable.
         let err = table.forget("keeper").unwrap_err();
@@ -2223,7 +1657,7 @@ mod tests {
         table.forget("keeper").unwrap();
         assert!(table.get("keeper").is_none());
         // The name is immediately reusable.
-        let again = table.submit("keeper", small_spec(None)).unwrap();
+        let again = table.submit("keeper", &small_spec(None)).unwrap();
         wait_for(&again, JobState::Done);
         table.stop_all_and_join();
     }
@@ -2231,58 +1665,12 @@ mod tests {
     #[test]
     fn unpause_reenqueues_a_paused_job() {
         let table = JobTable::with_workers(1);
-        let job = table.submit("pausing", small_spec(Some(1_000))).unwrap();
+        let job = table.submit("pausing", &small_spec(Some(1_000))).unwrap();
         wait_for(&job, JobState::Paused);
         job.request_unpause();
         wait_for(&job, JobState::Done);
         let report = job.report(Duration::from_secs(5)).unwrap();
         assert_eq!(report, Fleet::new(e16_config(7, 24, 2, 1)).run());
         table.stop_all_and_join();
-    }
-
-    #[test]
-    fn spec_json_round_trips() {
-        for spec in [
-            small_spec(Some(9)),
-            JobSpec::E16Sweep {
-                seed: 3,
-                clients: 10,
-                resolvers: 2,
-                threads: 2,
-                slice_s: 100,
-                pause_at_row: Some(1),
-            },
-            JobSpec::E18Fleet {
-                seed: 11,
-                clients: 48,
-                resolvers: 4,
-                deployment: 0.75,
-                poisoned_resolvers: 2,
-                threads: 2,
-                slice_s: 250,
-                pause_at_s: Some(500),
-            },
-            JobSpec::E18Sweep {
-                seed: 5,
-                clients: 12,
-                resolvers: 3,
-                threads: 1,
-                slice_s: 400,
-                pause_at_row: Some(2),
-            },
-            JobSpec::Resume {
-                bytes: vec![1, 2, 0xfe],
-                threads: 2,
-                slice_s: 60,
-                pause_at_s: None,
-            },
-            JobSpec::PanicProbe {
-                message: "boom".to_string(),
-            },
-        ] {
-            let json = spec.to_json();
-            let reparsed = JobSpec::from_json(&json).expect("round trip parses");
-            assert_eq!(format!("{spec:?}"), format!("{reparsed:?}"));
-        }
     }
 }

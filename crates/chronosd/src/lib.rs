@@ -22,15 +22,19 @@
 //! `docs/OPERATIONS.md`.
 //!
 //! Module map: [`json`] (hand-rolled wire format; the vendored serde is a
-//! no-op), [`render`] (canonical report/progress JSON), [`jobs`] (the job
-//! table and the fair-slicing worker pool), [`daemon`] (the socket
-//! server), [`client`] (the client used by `chronosctl`, the
-//! `service_mode` example and the smoke tests), [`metrics`] (the
-//! chronoscope layer: the metric registry behind the `metrics` command,
-//! per-job gauges, and the structured logger that replaces the daemon's
-//! formerly silent failure paths), [`sweep`] (the `SWP1` sweep-cursor
-//! codec), [`state`] (the `--state-dir` durability layer: checksummed
-//! manifest, periodic snapshots, resume-on-boot with quarantine).
+//! no-op), [`render`] (canonical report/progress JSON, one generic
+//! renderer for every sweep), [`jobs`] (the four-variant job model — a
+//! fleet, a sweep over grid points, a resume from durable bytes, a panic
+//! probe — the one parse function mapping wire kinds onto experiment
+//! configs and grids, the job table and the fair-slicing worker pool),
+//! [`daemon`] (the socket server), [`client`] (the client used by
+//! `chronosctl`, the `service_mode` example and the smoke tests),
+//! [`metrics`] (the chronoscope layer: the metric registry behind the
+//! `metrics` command, per-job gauges, and the structured logger that
+//! replaces the daemon's formerly silent failure paths), [`sweep`] (the
+//! `SWP1` sweep-cursor codec: grid points plus per-row checkpoints),
+//! [`state`] (the `--state-dir` durability layer: checksummed manifest,
+//! periodic snapshots, resume-on-boot with quarantine).
 
 #![warn(missing_docs)]
 
@@ -45,8 +49,8 @@ pub mod sweep;
 
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, DaemonConfig, PROTOCOL_VERSION};
-pub use jobs::{Job, JobSnapshot, JobSpec, JobState, JobTable, SweepOutcome};
+pub use jobs::{Job, JobSnapshot, JobSpec, JobState, JobTable};
 pub use json::Json;
 pub use metrics::{DaemonObs, JobMetrics, LOG_ENV};
 pub use state::StateDir;
-pub use sweep::{SweepCursor, SweepFlavor};
+pub use sweep::SweepCursor;

@@ -11,7 +11,7 @@
 
 use crate::json::Json;
 use chronos::core::ChronosStats;
-use chronos_pitfalls::experiments::{E16Result, E18Result};
+use chronos_pitfalls::experiments::{SweepResult, SweepRow};
 use fleet::engine::{FleetProgress, FleetReport, TierBreakdown};
 use fleet::stats::{FaultCounters, OffsetHistogram, SecureCounters};
 
@@ -89,62 +89,28 @@ pub fn progress_json(progress: &FleetProgress) -> Json {
     ])
 }
 
-/// Render an [`E16Result`]: the resolver count plus one row (poisoned
-/// count, poisoned fraction, full [`FleetReport`]) per sweep point. The
-/// figure-ready series and pooling counters are recomputable from the
-/// rows and are omitted from the wire format.
-pub fn sweep_json(result: &E16Result) -> Json {
+/// Render a [`SweepResult`]: the resolver count plus one row per grid
+/// point — its named coordinates in order, then its full [`FleetReport`].
+/// The figure-ready series and pooling counters are recomputable from the
+/// rows and are omitted from the wire format, so a daemon sweep (which
+/// runs no reducer) renders the same bytes as the batch `run_e16` /
+/// `run_e18` result for the same grid. Integral coordinates render as
+/// integers (`Json::f64` prints `2.0` as `2`).
+pub fn sweep_json(result: &SweepResult) -> Json {
+    let row_json = |row: &SweepRow| {
+        let mut fields: Vec<(String, Json)> = row
+            .axes
+            .iter()
+            .map(|(name, value)| (name.clone(), Json::f64(*value)))
+            .collect();
+        fields.push(("report".into(), report_json(&row.report)));
+        Json::Obj(fields)
+    };
     Json::Obj(vec![
         ("resolvers".into(), Json::usize(result.resolvers)),
         (
             "rows".into(),
-            Json::Arr(
-                result
-                    .rows
-                    .iter()
-                    .map(|row| {
-                        Json::Obj(vec![
-                            (
-                                "poisoned_resolvers".into(),
-                                Json::usize(row.poisoned_resolvers),
-                            ),
-                            ("poisoned_fraction".into(), Json::f64(row.poisoned_fraction)),
-                            ("report".into(), report_json(&row.report)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Render an [`E18Result`]: the resolver count plus one row (deployment
-/// fraction, poisoned count/fraction, full [`FleetReport`]) per grid
-/// point. Like [`sweep_json`], the figure-ready series are recomputable
-/// from the rows ([`chronos_pitfalls::experiments::e18_result_from_rows`])
-/// and are omitted from the wire format.
-pub fn e18_sweep_json(result: &E18Result) -> Json {
-    Json::Obj(vec![
-        ("resolvers".into(), Json::usize(result.resolvers)),
-        (
-            "rows".into(),
-            Json::Arr(
-                result
-                    .rows
-                    .iter()
-                    .map(|row| {
-                        Json::Obj(vec![
-                            ("deployment".into(), Json::f64(row.deployment)),
-                            (
-                                "poisoned_resolvers".into(),
-                                Json::usize(row.poisoned_resolvers),
-                            ),
-                            ("poisoned_fraction".into(), Json::f64(row.poisoned_fraction)),
-                            ("report".into(), report_json(&row.report)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(result.rows.iter().map(row_json).collect()),
         ),
     ])
 }

@@ -28,8 +28,10 @@
 //! the daemon never deletes them.
 //!
 //! [`snapshot`] is the single producer: it captures every job's
-//! scheduling params, lifecycle state, and simulation bytes (fleet `CHR1`
-//! or sweep `SWP1` cursor) at `run_until` boundaries, which the engine's
+//! scheduling params, lifecycle state, and durable bytes (fleet `CHR1`,
+//! sweep `SWP1` cursor, or the pending bytes of a resume that has not
+//! been built yet — checkpoint bytes never pass through the JSON
+//! manifest) at `run_until` boundaries, which the engine's
 //! property tests prove are invisible cut points — hence the determinism
 //! contract: a SIGKILL'd daemon rebooted from its state dir finishes with
 //! byte-identical reports to an uninterrupted run.
@@ -41,7 +43,7 @@ use std::time::Duration;
 
 use fleet::checkpoint::{checksum, CheckpointError};
 
-use crate::jobs::{Job, JobState, JobTable, Params};
+use crate::jobs::{JobState, JobTable, Params};
 use crate::json::Json;
 
 /// Magic prefix of the manifest header line.
@@ -74,9 +76,10 @@ pub struct ManifestEntry {
     pub slices: u64,
     /// Filename under `jobs/` holding the simulation bytes, if any.
     pub file: Option<String>,
-    /// The original submit spec (round-trips through
-    /// [`crate::jobs::JobSpec::from_json`]); jobs with no simulation
-    /// bytes yet are resubmitted from it.
+    /// The submit spec exactly as received (`{"kind":"resume"}` or
+    /// `{"kind":"resume-sweep"}` for a resumed job, whose bytes live in
+    /// its `jobs/` file); jobs with no simulation bytes yet are
+    /// resubmitted from it.
     pub spec: Json,
 }
 
@@ -361,18 +364,6 @@ impl StateDir {
     }
 }
 
-/// Capture one job's durable bytes: `SWP1` cursor for sweeps, `CHR1`
-/// checkpoint for fleets, `None` for jobs holding no simulation state
-/// (still queued, failed, or a probe). All captures land on `run_until`
-/// boundaries via the parked-slot protocol.
-fn job_bytes(job: &Job) -> Option<Vec<u8>> {
-    if job.is_sweep() {
-        job.sweep_cursor(PARK_TIMEOUT).ok()
-    } else {
-        job.checkpoint(PARK_TIMEOUT).ok()
-    }
-}
-
 /// Write a full snapshot of the job table: every job's state bytes plus
 /// the manifest, all atomically. `state_overrides` substitutes lifecycle
 /// states in the manifest only — the shutdown path records jobs the
@@ -390,18 +381,21 @@ pub fn snapshot(
             .get(&job.name)
             .copied()
             .unwrap_or(snap.state);
-        let bytes = job_bytes(&job);
-        let file = match &bytes {
-            Some(bytes) => {
+        // The job's durable bytes (Job::durable_bytes): no file for a job
+        // holding no simulation state (a queued grid, a failed job, a
+        // probe), which the manifest resubmits from its spec or keeps as
+        // failed.
+        let file = match job.durable_bytes(PARK_TIMEOUT) {
+            Ok(bytes) => {
                 let file = StateDir::job_file_name(&job.name);
-                dir.write_job_file(&file, bytes)?;
+                dir.write_job_file(&file, &bytes)?;
                 Some(file)
             }
-            None => None,
+            Err(_) => None,
         };
         entries.push(ManifestEntry {
             name: job.name.clone(),
-            kind: job.kind.to_string(),
+            kind: job.kind.clone(),
             state,
             error: snap.error.clone(),
             params: job.params(),

@@ -1,126 +1,90 @@
-//! `SWP1`: the sweep-cursor wire format — how an in-flight `e16-sweep`
-//! or `e18-sweep` grid persists across daemon restarts.
+//! `SWP1`: the sweep-cursor format — how an in-flight sweep job persists
+//! across daemon restarts and travels between daemons.
 //!
-//! A sweep is a sequence of fleet runs — the E16 poisoned-resolver grid
-//! (`k = 0..=resolvers`) or the E18 deployment × poisoning grid
-//! ([`chronos_pitfalls::experiments::e18_grid`]). Its durable state is
-//! therefore a *cursor*: the final `CHR1` checkpoint of every completed
-//! row (restoring one and calling `report()` reproduces the row's report
-//! byte-identically, so nothing is recomputed on reboot) plus the live
-//! `CHR1` checkpoint of the row currently stepping. Scheduling knobs
-//! (threads, slice length, pause anchors) deliberately live *outside*
-//! the cursor — in the state-dir manifest or the `resume-sweep` request
-//! — because they are allowed to differ across the two legs of a resume
-//! without changing a byte of the final result.
+//! A sweep is a list of grid points ([`SweepPoint`]: named coordinates
+//! plus the fleet configuration the row runs) stepped one row at a time.
+//! Its durable state is therefore the points themselves plus a *cursor*:
+//! the final `CHR1` checkpoint of every completed row (restoring one and
+//! calling `report()` reproduces the row's report byte-identically, so
+//! nothing is recomputed on reboot) and the live `CHR1` checkpoint of the
+//! row currently stepping. The cursor names no experiment — the points
+//! carry everything a row needs, so the embedded configs win, exactly as
+//! for a `CHR1` checkpoint. Scheduling knobs (threads, slice length,
+//! pause anchors) deliberately live *outside* the cursor — in the
+//! state-dir manifest or the `resume` request — because they may differ
+//! across the two legs of a resume without changing a byte of the result.
 //!
 //! Layout (all integers little-endian), sharing `CHR1`'s trailing
 //! XOR-fold checksum ([`fleet::checkpoint::checksum`]) and its error
 //! taxonomy ([`CheckpointError`]):
 //!
 //! ```text
-//! magic    [u8; 4]           "SWP1"
-//! version  u32               currently 2 (v2 added the flavor byte)
-//! flavor   u8                0 = e16 grid, 1 = e18 grid
-//! seed     u64
-//! clients  u64
-//! resolvers u64              row grid derives from this per flavor
-//! row      u64               completed-row count == current row index
-//! done     u64, then per row: len u64 + CHR1 bytes
-//! current  u8 flag, then if 1: len u64 + CHR1 bytes
-//! checksum u64               over every byte above
+//! magic       [u8; 4]    "SWP1"
+//! version     u32        currently 3 (v2 cursors are rejected)
+//! config_ver  u32        the fleet::checkpoint::VERSION the configs use
+//! points      u64, then per point:
+//!               axes u64, then per axis: name (len u64 + UTF-8) and
+//!                 value (f64 bits as u64)
+//!               config (len u64 + fleet::checkpoint::encode_config bytes)
+//! done        u64 (== index of the current row), then per completed
+//!               row: len u64 + CHR1 bytes
+//! current     u8 flag, then if 1: len u64 + CHR1 bytes
+//! checksum    u64        over every byte above
 //! ```
 
-use fleet::checkpoint::{checksum, CheckpointError};
+use chronos_pitfalls::experiments::SweepPoint;
+use fleet::checkpoint::{self, checksum, CheckpointError};
 
 /// First bytes of every sweep cursor.
 pub const MAGIC: [u8; 4] = *b"SWP1";
 
-/// Current cursor format version; other versions are rejected. Version
-/// 2 added the grid-flavor byte when `e18-sweep` jobs landed.
-pub const VERSION: u32 = 2;
-
-/// Which experiment grid a sweep walks. The flavor fixes the row count
-/// and the per-row fleet configuration as pure functions of
-/// `(seed, clients, resolvers, row)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepFlavor {
-    /// The E16 partial-poisoning grid: `k = 0..=resolvers`.
-    #[default]
-    E16,
-    /// The E18 deployment × poisoning grid
-    /// ([`chronos_pitfalls::experiments::e18_grid`]).
-    E18,
-}
-
-impl SweepFlavor {
-    /// Total rows in this flavor's grid for a given resolver count.
-    pub fn total_rows(self, resolvers: usize) -> usize {
-        match self {
-            SweepFlavor::E16 => resolvers + 1,
-            SweepFlavor::E18 => chronos_pitfalls::experiments::e18_grid(resolvers.max(1)).len(),
-        }
-    }
-
-    fn to_byte(self) -> u8 {
-        match self {
-            SweepFlavor::E16 => 0,
-            SweepFlavor::E18 => 1,
-        }
-    }
-
-    fn from_byte(b: u8) -> Result<SweepFlavor, CheckpointError> {
-        match b {
-            0 => Ok(SweepFlavor::E16),
-            1 => Ok(SweepFlavor::E18),
-            _ => Err(CheckpointError::Corrupt("sweep flavor out of range")),
-        }
-    }
-}
+/// Current cursor format version; other versions are rejected. Version 3
+/// stores the grid points instead of naming an experiment grid.
+pub const VERSION: u32 = 3;
 
 /// The decoded durable state of a sweep job.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCursor {
-    /// Which grid the sweep walks (fixes the row count and row configs).
-    pub flavor: SweepFlavor,
-    /// Deterministic seed the row configs derive from.
-    pub seed: u64,
-    /// Fleet size per row.
-    pub clients: usize,
-    /// Resolver count; the grid derives from it per flavor.
-    pub resolvers: usize,
-    /// Completed-row count (== index of the current row).
-    pub row: usize,
-    /// Final `CHR1` checkpoint of each completed row, in row order.
+    /// The grid, in row order.
+    pub points: Vec<SweepPoint>,
+    /// Final `CHR1` checkpoint of each completed row, in row order; its
+    /// length is the index of the current row.
     pub done: Vec<Vec<u8>>,
-    /// Live `CHR1` checkpoint of the current row; `None` when the sweep
-    /// is complete (`row == total_rows`).
+    /// Live `CHR1` checkpoint of the current row; `None` exactly when
+    /// every row is done.
     pub current: Option<Vec<u8>>,
 }
 
-/// Serialize a cursor to `SWP1` bytes.
-pub fn encode(cursor: &SweepCursor) -> Vec<u8> {
+fn put_blob(buf: &mut Vec<u8>, blob: &[u8]) {
+    buf.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+    buf.extend_from_slice(blob);
+}
+
+/// Serialize a sweep's durable state to `SWP1` bytes: its `points`, the
+/// final checkpoints of the `done` rows and, unless the sweep is
+/// complete, the `current` row's live checkpoint.
+pub fn encode(points: &[SweepPoint], done: &[Vec<u8>], current: Option<&[u8]>) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(cursor.flavor.to_byte());
-    for v in [
-        cursor.seed,
-        cursor.clients as u64,
-        cursor.resolvers as u64,
-        cursor.row as u64,
-        cursor.done.len() as u64,
-    ] {
-        buf.extend_from_slice(&v.to_le_bytes());
+    buf.extend_from_slice(&checkpoint::VERSION.to_le_bytes());
+    buf.extend_from_slice(&(points.len() as u64).to_le_bytes());
+    for point in points {
+        buf.extend_from_slice(&(point.axes.len() as u64).to_le_bytes());
+        for (name, value) in &point.axes {
+            put_blob(&mut buf, name.as_bytes());
+            buf.extend_from_slice(&value.to_bits().to_le_bytes());
+        }
+        put_blob(&mut buf, &checkpoint::encode_config(&point.config));
     }
-    for blob in &cursor.done {
-        buf.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-        buf.extend_from_slice(blob);
+    buf.extend_from_slice(&(done.len() as u64).to_le_bytes());
+    for blob in done {
+        put_blob(&mut buf, blob);
     }
-    match &cursor.current {
+    match current {
         Some(blob) => {
             buf.push(1);
-            buf.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            buf.extend_from_slice(blob);
+            put_blob(&mut buf, blob);
         }
         None => buf.push(0),
     }
@@ -161,19 +125,28 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
+    /// A count or length. Nothing is allocated from it directly: every
+    /// element it announces must be read from the bytes that follow.
     fn len(&mut self) -> Result<usize, CheckpointError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| CheckpointError::Corrupt("length overflows usize"))
+    }
+
+    fn blob(&mut self) -> Result<&'a [u8], CheckpointError> {
+        let len = self.len()?;
+        self.take(len)
     }
 }
 
 /// Decode `SWP1` bytes, reusing the `CHR1` error taxonomy: checksum is
 /// verified before any structural field is trusted, so a bit flip
 /// anywhere surfaces as [`CheckpointError::BadChecksum`], truncation as
-/// [`CheckpointError::Truncated`], and impossible structure (row counts
-/// that disagree with the payload) as [`CheckpointError::Corrupt`]. The
-/// embedded `CHR1` blobs are *not* decoded here — callers restore them
-/// through [`fleet::engine::Fleet::restore`], which revalidates each one.
+/// [`CheckpointError::Truncated`], a cursor (or embedded configs) from
+/// another format version as [`CheckpointError::BadVersion`], and
+/// impossible structure (row counts that disagree with the grid) as
+/// [`CheckpointError::Corrupt`]. The grid configs are decoded here; the
+/// embedded `CHR1` blobs are *not* — callers restore them through
+/// [`fleet::engine::Fleet::restore`], which revalidates each one.
 pub fn decode(bytes: &[u8]) -> Result<SweepCursor, CheckpointError> {
     if bytes.len() < MAGIC.len() {
         return Err(CheckpointError::Truncated);
@@ -194,52 +167,47 @@ pub fn decode(bytes: &[u8]) -> Result<SweepCursor, CheckpointError> {
         bytes: payload,
         at: MAGIC.len(),
     };
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(CheckpointError::BadVersion(version));
+    for expected in [VERSION, checkpoint::VERSION] {
+        let version = r.u32()?;
+        if version != expected {
+            return Err(CheckpointError::BadVersion(version));
+        }
     }
-    let flavor = SweepFlavor::from_byte(r.u8()?)?;
-    let seed = r.u64()?;
-    let clients = r.len()?;
-    let resolvers = r.len()?;
-    let row = r.len()?;
-    let done_count = r.len()?;
-    let total = flavor.total_rows(resolvers);
-    if row > total {
-        return Err(CheckpointError::Corrupt("row index beyond grid"));
+    let mut points = Vec::new();
+    for _ in 0..r.len()? {
+        let mut axes = Vec::new();
+        for _ in 0..r.len()? {
+            let name = std::str::from_utf8(r.blob()?)
+                .map_err(|_| CheckpointError::Corrupt("axis name is not UTF-8"))?;
+            axes.push((name.to_string(), f64::from_bits(r.u64()?)));
+        }
+        let config = checkpoint::decode_config(r.blob()?)?;
+        points.push(SweepPoint { axes, config });
     }
-    if done_count != row {
-        return Err(CheckpointError::Corrupt(
-            "completed-row count != cursor row",
-        ));
-    }
-    let mut done = Vec::with_capacity(done_count.min(1 << 16));
-    for _ in 0..done_count {
-        let len = r.len()?;
-        done.push(r.take(len)?.to_vec());
+    let mut done = Vec::new();
+    for _ in 0..r.len()? {
+        done.push(r.blob()?.to_vec());
     }
     let current = match r.u8()? {
         0 => None,
-        1 => {
-            let len = r.len()?;
-            Some(r.take(len)?.to_vec())
-        }
+        1 => Some(r.blob()?.to_vec()),
         _ => return Err(CheckpointError::Corrupt("current-row flag out of range")),
     };
     if r.at != payload.len() {
         return Err(CheckpointError::Corrupt("trailing bytes after cursor"));
     }
-    if (row < total) != current.is_some() {
+    if points.is_empty() || done.len() > points.len() {
+        return Err(CheckpointError::Corrupt(
+            "completed-row count outside the grid",
+        ));
+    }
+    if (done.len() < points.len()) != current.is_some() {
         return Err(CheckpointError::Corrupt(
             "current-row presence disagrees with cursor row",
         ));
     }
     Ok(SweepCursor {
-        flavor,
-        seed,
-        clients,
-        resolvers,
-        row,
+        points,
         done,
         current,
     })
@@ -248,67 +216,48 @@ pub fn decode(bytes: &[u8]) -> Result<SweepCursor, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chronos_pitfalls::experiments::{e16_grid, e18_grid};
 
     fn sample() -> SweepCursor {
         SweepCursor {
-            flavor: SweepFlavor::E16,
-            seed: 7,
-            clients: 16,
-            resolvers: 2,
-            row: 1,
+            points: e16_grid(7, 16, 2),
             done: vec![vec![1, 2, 3, 4, 5]],
             current: Some(vec![9, 8, 7]),
         }
     }
 
+    fn round_trip(cursor: &SweepCursor) -> Result<SweepCursor, CheckpointError> {
+        decode(&encode(
+            &cursor.points,
+            &cursor.done,
+            cursor.current.as_deref(),
+        ))
+    }
+
     #[test]
     fn round_trips() {
         let cursor = sample();
-        assert_eq!(decode(&encode(&cursor)).unwrap(), cursor);
+        assert_eq!(round_trip(&cursor), Ok(cursor));
         let complete = SweepCursor {
-            row: 3,
             done: vec![vec![1], vec![2], vec![3]],
             current: None,
             ..sample()
         };
-        assert_eq!(decode(&encode(&complete)).unwrap(), complete);
-        // The E18 grid with 2 resolvers has 10 rows (5 deployments × 2
-        // poisoned counts), so a mid-grid cursor round-trips too.
+        assert_eq!(round_trip(&complete), Ok(complete));
+        // Any grid travels the same way: a mid-grid E18 cursor (10 rows
+        // with 2 resolvers) carries its own points and coordinates.
         let e18 = SweepCursor {
-            flavor: SweepFlavor::E18,
-            row: 4,
+            points: e18_grid(7, 16, 2),
             done: vec![vec![1], vec![2], vec![3], vec![4]],
             current: Some(vec![5]),
-            ..sample()
         };
-        assert_eq!(decode(&encode(&e18)).unwrap(), e18);
-    }
-
-    #[test]
-    fn flavor_bounds_the_grid() {
-        assert_eq!(SweepFlavor::E16.total_rows(2), 3);
-        assert_eq!(
-            SweepFlavor::E18.total_rows(2),
-            chronos_pitfalls::experiments::e18_grid(2).len()
-        );
-        // An E16 row index valid only under the larger E18 grid is
-        // rejected once the flavor says E16.
-        let wrong = SweepCursor {
-            flavor: SweepFlavor::E16,
-            row: 4,
-            done: vec![vec![1], vec![2], vec![3], vec![4]],
-            current: Some(vec![5]),
-            ..sample()
-        };
-        assert!(matches!(
-            decode(&encode(&wrong)),
-            Err(CheckpointError::Corrupt(_))
-        ));
+        assert_eq!(round_trip(&e18), Ok(e18));
     }
 
     #[test]
     fn corruption_is_classified() {
-        let bytes = encode(&sample());
+        let cursor = sample();
+        let bytes = encode(&cursor.points, &cursor.done, cursor.current.as_deref());
         assert_eq!(decode(&bytes[..3]), Err(CheckpointError::Truncated));
         assert_eq!(
             decode(&bytes[..bytes.len() - 1]),
@@ -322,30 +271,80 @@ mod tests {
         assert_eq!(decode(&bad_magic), Err(CheckpointError::BadMagic));
     }
 
+    /// Re-checksum a hand-built payload into full cursor bytes.
+    fn sealed(mut payload: Vec<u8>) -> Vec<u8> {
+        let sum = checksum(&payload);
+        payload.extend_from_slice(&sum.to_le_bytes());
+        payload
+    }
+
+    #[test]
+    fn older_layouts_are_bad_versions() {
+        // A v2 cursor (flavor byte + seed/clients/resolvers) — what a
+        // state dir written before v3 holds — is rejected, not misread;
+        // boot quarantines it like any other undecodable job file.
+        let mut v2 = MAGIC.to_vec();
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.push(0);
+        for v in [7u64, 16, 2, 0, 0] {
+            v2.extend_from_slice(&v.to_le_bytes());
+        }
+        v2.push(0);
+        assert_eq!(decode(&sealed(v2)), Err(CheckpointError::BadVersion(2)));
+        // Configs written under another CHR1 layout are rejected too.
+        let cursor = sample();
+        let mut bytes = encode(&cursor.points, &cursor.done, cursor.current.as_deref());
+        bytes.truncate(bytes.len() - 8);
+        bytes[8..12].copy_from_slice(&(checkpoint::VERSION + 1).to_le_bytes());
+        assert_eq!(
+            decode(&sealed(bytes)),
+            Err(CheckpointError::BadVersion(checkpoint::VERSION + 1))
+        );
+    }
+
     #[test]
     fn structural_lies_are_corrupt_not_panics() {
-        // A cursor whose row count disagrees with its payload must be
-        // rejected as Corrupt even when the checksum is recomputed.
-        let mut cursor = sample();
-        cursor.row = 2; // but only 1 done blob
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.push(0); // flavor: e16
-        for v in [
-            cursor.seed,
-            cursor.clients as u64,
-            cursor.resolvers as u64,
-            2u64,
-            1u64,
-        ] {
-            buf.extend_from_slice(&v.to_le_bytes());
+        // Cursors whose row counts disagree with their own grid are
+        // rejected as Corrupt even though the checksum holds.
+        let beyond = SweepCursor {
+            done: vec![vec![1], vec![2], vec![3], vec![4]],
+            current: None,
+            ..sample()
+        };
+        let live_after_end = SweepCursor {
+            done: vec![vec![1], vec![2], vec![3]],
+            current: Some(vec![4]),
+            ..sample()
+        };
+        let missing_current = SweepCursor {
+            current: None,
+            ..sample()
+        };
+        for lie in [beyond, live_after_end, missing_current] {
+            assert!(matches!(round_trip(&lie), Err(CheckpointError::Corrupt(_))));
         }
-        buf.extend_from_slice(&5u64.to_le_bytes());
-        buf.extend_from_slice(&[1, 2, 3, 4, 5]);
-        buf.push(0);
-        let sum = checksum(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        assert!(matches!(decode(&buf), Err(CheckpointError::Corrupt(_))));
+        // An empty grid is not a sweep.
+        let mut empty = MAGIC.to_vec();
+        empty.extend_from_slice(&VERSION.to_le_bytes());
+        empty.extend_from_slice(&checkpoint::VERSION.to_le_bytes());
+        empty.extend_from_slice(&0u64.to_le_bytes());
+        empty.extend_from_slice(&0u64.to_le_bytes());
+        empty.push(0);
+        assert!(matches!(
+            decode(&sealed(empty)),
+            Err(CheckpointError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn inflated_counts_are_truncated() {
+        // A point count of u64::MAX with nothing behind it (checksum
+        // recomputed) fails on the first missing element; nothing is
+        // sized from the count.
+        let mut huge = MAGIC.to_vec();
+        huge.extend_from_slice(&VERSION.to_le_bytes());
+        huge.extend_from_slice(&checkpoint::VERSION.to_le_bytes());
+        huge.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode(&sealed(huge)), Err(CheckpointError::Truncated));
     }
 }

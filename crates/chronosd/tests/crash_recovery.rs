@@ -6,14 +6,18 @@
 //! cursors), across *different* thread counts on the two legs. A third
 //! test covers the clean-shutdown path: jobs still running when the
 //! daemon exits are recorded as running and auto-resume on the next
-//! boot with no operator involvement.
+//! boot with no operator involvement. A fourth pins that a resumed job's
+//! checkpoint bytes live in its `jobs/` file, never in the manifest.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use chronos_pitfalls::experiments::e16_config;
 use chronosd::json::Json;
 use chronosd::render::{report_json, sweep_json};
 use chronosd::{Client, Daemon, DaemonConfig, DaemonObs};
+use fleet::Fleet;
+use netsim::time::SimTime;
 
 const SEED: u64 = 7;
 const CLIENTS: usize = 24;
@@ -148,7 +152,7 @@ fn fleet_job_survives_a_simulated_crash_byte_identically() {
     let row = sweep
         .rows
         .iter()
-        .find(|row| row.poisoned_resolvers == POISONED)
+        .find(|row| row.axis("poisoned_resolvers") == POISONED as f64)
         .expect("sweep row for k");
     assert_eq!(daemon_line, report_json(&row.report).render());
 
@@ -218,6 +222,70 @@ fn sweep_job_survives_a_simulated_crash_byte_identically() {
 }
 
 #[test]
+fn resumed_checkpoints_live_in_job_files_not_the_manifest() {
+    let socket_a = scratch("lean-a.sock");
+    let socket_b = scratch("lean-b.sock");
+    let dir = scratch("lean-state");
+    let ckpt = scratch("lean.ckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A mid-run checkpoint of a 2000-client fleet: a few hundred KB of
+    // CHR1 that must never be copied into the JSON manifest.
+    let clients = 2_000;
+    let config = e16_config(SEED, clients, RESOLVERS, POISONED);
+    let mut fleet = Fleet::new(config.clone());
+    fleet.run_until(SimTime::from_secs(1_500));
+    std::fs::write(&ckpt, fleet.checkpoint()).expect("write checkpoint");
+
+    let (first, mut client) = boot(&socket_a, &dir, None);
+    client
+        .request(
+            "resume",
+            vec![
+                ("name".into(), Json::str("lean")),
+                ("path".into(), Json::str(ckpt.display().to_string())),
+                ("pause_at_s".into(), Json::u64(3_000)),
+            ],
+        )
+        .expect("resume");
+    client
+        .wait_for_state("lean", "paused", Duration::from_secs(300))
+        .expect("resumed job pauses at its anchor");
+    client.request("sync", Vec::new()).expect("sync");
+    let manifest = std::fs::metadata(dir.join("manifest.chrm")).expect("manifest written");
+    assert!(
+        manifest.len() < 4_096,
+        "manifest holds {} bytes: checkpoint bytes leaked into it",
+        manifest.len()
+    );
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    first.join().expect("first daemon exits");
+
+    // The job file alone carries the state: reboot, finish, compare.
+    let (second, mut client) = boot(&socket_b, &dir, Some(2));
+    let status = client
+        .request("status", vec![("name".into(), Json::str("lean"))])
+        .expect("adopted job answers status");
+    assert_eq!(status.get("kind").and_then(Json::as_str), Some("resume"));
+    client
+        .request("unpause", vec![("name".into(), Json::str("lean"))])
+        .expect("unpause");
+    client
+        .wait_for_state("lean", "done", Duration::from_secs(300))
+        .expect("rebooted job finishes");
+    let done = client
+        .request("report", vec![("name".into(), Json::str("lean"))])
+        .expect("final report");
+    let daemon_line = done.get("report").expect("report payload").render();
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    second.join().expect("second daemon exits");
+    assert_eq!(daemon_line, report_json(&Fleet::new(config).run()).render());
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
 fn running_jobs_auto_resume_after_a_clean_shutdown() {
     let socket_a = scratch("auto-a.sock");
     let socket_b = scratch("auto-b.sock");
@@ -272,7 +340,7 @@ fn running_jobs_auto_resume_after_a_clean_shutdown() {
     let row = sweep
         .rows
         .iter()
-        .find(|row| row.poisoned_resolvers == POISONED)
+        .find(|row| row.axis("poisoned_resolvers") == POISONED as f64)
         .expect("sweep row for k");
     assert_eq!(daemon_line, report_json(&row.report).render());
 

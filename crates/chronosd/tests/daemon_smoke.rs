@@ -3,13 +3,14 @@
 //! mid-run, pause, checkpoint to a file, shut the daemon down, boot a
 //! **fresh** daemon, resume from the file, and assert the final report
 //! is byte-identical to the batch `run_e16` output for the same
-//! parameters.
+//! parameters — and the same loop for a sweep, whose socket checkpoint
+//! is its `SWP1` cursor.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use chronosd::json::Json;
-use chronosd::render::report_json;
+use chronosd::render::{report_json, sweep_json};
 use chronosd::{Client, Daemon};
 
 const SEED: u64 = 7;
@@ -179,9 +180,70 @@ fn checkpoint_resume_across_daemon_processes_matches_batch() {
     let row = sweep
         .rows
         .iter()
-        .find(|row| row.poisoned_resolvers == POISONED)
+        .find(|row| row.axis("poisoned_resolvers") == POISONED as f64)
         .expect("sweep row for k");
     assert_eq!(daemon_line, report_json(&row.report).render());
+}
+
+#[test]
+fn socket_checkpoint_of_a_paused_sweep_resumes_the_whole_grid() {
+    let socket = scratch("sweep.sock");
+    let cursor = scratch("grid.swp");
+    let handle = boot(&socket);
+    let mut client = Client::connect(&socket).expect("connect");
+    let spec = Json::parse(&format!(
+        r#"{{"kind":"e16-sweep","seed":{SEED},"clients":16,"resolvers":{RESOLVERS},"slice_s":900,"pause_at_row":1}}"#
+    ))
+    .expect("spec literal");
+    client
+        .request(
+            "submit",
+            vec![("name".into(), Json::str("grid")), ("spec".into(), spec)],
+        )
+        .expect("submit");
+    client
+        .wait_for_state("grid", "paused", Duration::from_secs(120))
+        .expect("sweep pauses at its row anchor");
+    let path = cursor.display().to_string();
+    client
+        .request(
+            "checkpoint",
+            vec![
+                ("name".into(), Json::str("grid")),
+                ("path".into(), Json::str(path.as_str())),
+            ],
+        )
+        .expect("checkpoint the sweep");
+    // The file is the whole sweep's cursor, not the current row's fleet.
+    let bytes = std::fs::read(&cursor).expect("read the checkpoint file");
+    assert!(bytes.starts_with(b"SWP1"), "a sweep checkpoints as SWP1");
+
+    let resumed = client
+        .request(
+            "resume",
+            vec![
+                ("name".into(), Json::str("grid-resumed")),
+                ("path".into(), Json::str(path.as_str())),
+            ],
+        )
+        .expect("resume the cursor");
+    assert_eq!(
+        resumed.get("kind").and_then(Json::as_str),
+        Some("resume-sweep")
+    );
+    client
+        .wait_for_state("grid-resumed", "done", Duration::from_secs(300))
+        .expect("resumed sweep runs every remaining row");
+    let done = client
+        .request("report", vec![("name".into(), Json::str("grid-resumed"))])
+        .expect("final sweep report");
+    let daemon_line = done.get("sweep").expect("sweep payload").render();
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    handle.join().expect("daemon exits");
+    let _ = std::fs::remove_file(&cursor);
+
+    let batch = chronos_pitfalls::experiments::run_e16(SEED, 16, RESOLVERS, 1);
+    assert_eq!(daemon_line, sweep_json(&batch).render());
 }
 
 #[test]

@@ -18,10 +18,11 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use chronos_pitfalls::experiments::{e16_grid, e18_grid};
 use chronosd::json::Json;
 use chronosd::state::{decode_manifest, encode_manifest, ManifestEntry};
 use chronosd::sweep::{decode, encode};
-use chronosd::{Client, Daemon, DaemonConfig, DaemonObs, StateDir, SweepCursor, SweepFlavor};
+use chronosd::{Client, Daemon, DaemonConfig, DaemonObs, StateDir, SweepCursor};
 use fleet::checkpoint::CheckpointError;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -110,22 +111,14 @@ fn cursor_strategy() -> impl Strategy<Value = SweepCursor> {
         .prop_map(|(e18, seed, clients, resolvers, row, blobs, live)| {
             // Make the cursor structurally valid: row within the grid,
             // exactly `row` done blobs, a current blob iff incomplete.
-            let flavor = if e18 {
-                SweepFlavor::E18
-            } else {
-                SweepFlavor::E16
-            };
-            let total = flavor.total_rows(resolvers);
-            let row = row.min(total);
+            let grid = if e18 { e18_grid } else { e16_grid };
+            let points = grid(seed, clients, resolvers);
+            let row = row.min(points.len());
             let mut done = blobs;
             done.resize(row, vec![0xAB; 7]);
-            let current = (row < total).then_some(live);
+            let current = (row < points.len()).then_some(live);
             SweepCursor {
-                flavor,
-                seed,
-                clients,
-                resolvers,
-                row,
+                points,
                 done,
                 current,
             }
@@ -191,7 +184,8 @@ proptest! {
     /// cursors (including complete ones with no current row).
     #[test]
     fn sweep_cursor_round_trips(cursor in cursor_strategy()) {
-        prop_assert_eq!(decode(&encode(&cursor)), Ok(cursor));
+        let bytes = encode(&cursor.points, &cursor.done, cursor.current.as_deref());
+        prop_assert_eq!(decode(&bytes), Ok(cursor));
     }
 
     /// Truncating or flipping a cursor is rejected with the taxonomy —
@@ -204,7 +198,7 @@ proptest! {
         bit in 0u8..8,
         truncate in any::<bool>(),
     ) {
-        let bytes = encode(&cursor);
+        let bytes = encode(&cursor.points, &cursor.done, cursor.current.as_deref());
         if truncate {
             let cut = (bytes.len() - 1) * frac as usize / 1_000;
             let decoded = decode(&bytes[..cut]);

@@ -505,6 +505,124 @@ pub fn e5_figure(
 }
 
 // ---------------------------------------------------------------------
+// Fleet sweeps: the grid shape E16–E18 share with chronosd, and the one
+// runner every fleet experiment (E14–E18) goes through.
+// ---------------------------------------------------------------------
+
+/// One point of a fleet experiment's grid: its named coordinates and the
+/// fleet configuration that runs there. [`e16_grid`], [`e17_grid`] and
+/// [`e18_grid`] build their sweeps from these, and chronosd's sweep jobs
+/// step the very same points row by row — a daemon sweep reproduces the
+/// batch runner because both walk one list of points.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepPoint {
+    /// The coordinates, name → value, in rendering order (for example
+    /// `poisoned_resolvers`, `poisoned_fraction`).
+    pub axes: Vec<(String, f64)>,
+    /// The fleet this point runs.
+    pub config: fleet::FleetConfig,
+}
+
+/// One completed grid point: its coordinates and the fleet's report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepRow {
+    /// The point's coordinates, as in [`SweepPoint::axes`].
+    pub axes: Vec<(String, f64)>,
+    /// The fleet's aggregate outcome (per-tier breakdown included).
+    pub report: fleet::FleetReport,
+}
+
+impl SweepRow {
+    /// The value of coordinate `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row has no such axis.
+    pub fn axis(&self, name: &str) -> f64 {
+        self.axes
+            .iter()
+            .find(|(axis, _)| axis == name)
+            .map(|&(_, value)| value)
+            .unwrap_or_else(|| panic!("sweep row has no axis {name:?}"))
+    }
+}
+
+/// Result of a fleet sweep (E16, E17, E18).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepResult {
+    /// Independent resolver caches in every fleet.
+    pub resolvers: usize,
+    /// One row per grid point, in grid order.
+    pub rows: Vec<SweepRow>,
+    /// The experiment's figure: curves reduced from the rows.
+    pub series: Vec<crate::report::Series>,
+    /// Sweep/pooling counters.
+    pub stats: montecarlo::SweepStats,
+}
+
+/// Runs `configs` through one [`montecarlo::run_fleets`] invocation and
+/// returns their reports in order.
+///
+/// `threads` is a total CPU budget split across both parallelism levels:
+/// the configs dispatch over the trial engine on `min(threads, configs)`
+/// workers, and each fleet steps its shards on the remaining
+/// `threads / outer` workers ([`fleet::FleetConfig::threads`]) — so a
+/// 4-core host runs the points concurrently while a 16-core host also
+/// gets 4-way intra-fleet stepping, without oversubscribing either.
+/// Results are byte-identical for any value; the knob is pure wall-clock.
+fn run_fleet_configs(
+    configs: Vec<fleet::FleetConfig>,
+    threads: usize,
+) -> (Vec<fleet::FleetReport>, montecarlo::SweepStats) {
+    let outer = threads.max(1).min(configs.len().max(1));
+    let inner = (threads.max(1) / outer).max(1);
+    let configs: Vec<fleet::FleetConfig> = configs
+        .into_iter()
+        .map(|c| fleet::FleetConfig {
+            threads: inner,
+            ..c
+        })
+        .collect();
+    let (reports, stats) = montecarlo::run_fleets(&configs, outer, 1, |fleet, _, _| fleet.run());
+    (
+        reports.into_iter().map(|mut r| r.remove(0)).collect(),
+        stats,
+    )
+}
+
+/// Runs a grid through [`run_fleet_configs`] and reduces its rows to the
+/// experiment's figure with `series(resolvers, rows)`.
+fn run_sweep(
+    points: Vec<SweepPoint>,
+    threads: usize,
+    series: fn(usize, &[SweepRow]) -> Vec<crate::report::Series>,
+) -> SweepResult {
+    let resolvers = points[0].config.resolvers;
+    let (axes, configs): (Vec<_>, Vec<_>) = points.into_iter().map(|p| (p.axes, p.config)).unzip();
+    let (reports, stats) = run_fleet_configs(configs, threads);
+    let rows: Vec<SweepRow> = axes
+        .into_iter()
+        .zip(reports)
+        .map(|(axes, report)| SweepRow { axes, report })
+        .collect();
+    SweepResult {
+        resolvers,
+        series: series(resolvers, &rows),
+        rows,
+        stats,
+    }
+}
+
+/// The poisoning coordinates of a grid point: `poisoned_resolvers` = `k`
+/// and `poisoned_fraction` = `k / resolvers`.
+fn poisoning_axes(k: usize, resolvers: usize) -> Vec<(String, f64)> {
+    vec![
+        ("poisoned_resolvers".to_string(), k as f64),
+        ("poisoned_fraction".to_string(), k as f64 / resolvers as f64),
+    ]
+}
+
+// ---------------------------------------------------------------------
 // E14 — the fleet experiment: fraction of a client population shifted
 // beyond the safety bound, over time, under shared attacks.
 // ---------------------------------------------------------------------
@@ -566,14 +684,9 @@ pub fn e14_config(
 /// majority), and the early poisoning against the §V-mitigated client —
 /// and emits the fraction-shifted series for each.
 ///
-/// `threads` is a total CPU budget split across both parallelism levels:
-/// the four variants dispatch over the trial engine on
-/// `min(threads, variants)` workers, and each fleet steps its shards on
-/// the remaining `threads / outer` workers
-/// ([`fleet::FleetConfig::threads`]) — so a 4-core host runs the variants
-/// concurrently while a 16-core host also gets 4-way intra-fleet
-/// stepping, without oversubscribing either. Results are byte-identical
-/// for any value; the knob is pure wall-clock.
+/// `threads` is a total CPU budget split between the variants and each
+/// fleet's shards, as for every fleet sweep; results are byte-identical
+/// for any value.
 pub fn run_e14(seed: u64, clients: usize, threads: usize) -> E14Result {
     use netsim::time::SimDuration as D;
     let shift = D::from_millis(500);
@@ -585,7 +698,7 @@ pub fn run_e14(seed: u64, clients: usize, threads: usize) -> E14Result {
         query_interval: D::from_secs(200),
         ..PoolGenConfig::mitigated()
     };
-    let labelled: Vec<(&str, fleet::FleetConfig)> = vec![
+    let (labels, configs): (Vec<&str>, Vec<fleet::FleetConfig>) = [
         ("no attack", e14_config(seed, clients, None)),
         (
             "poison @400s (early)",
@@ -596,24 +709,16 @@ pub fn run_e14(seed: u64, clients: usize, threads: usize) -> E14Result {
             e14_config(seed, clients, Some(late)),
         ),
         ("poison @400s vs §V mitigations", mitigated),
-    ];
-    let outer = threads.max(1).min(labelled.len());
-    let inner = (threads.max(1) / outer).max(1);
-    let configs: Vec<fleet::FleetConfig> = labelled
-        .iter()
-        .map(|(_, c)| fleet::FleetConfig {
-            threads: inner,
-            ..c.clone()
-        })
-        .collect();
-    let (mut reports, stats) =
-        montecarlo::run_fleets(&configs, outer, 1, |fleet, _, _| fleet.run());
-    let rows: Vec<E14Row> = labelled
-        .iter()
-        .zip(reports.iter_mut())
-        .map(|((label, _), r)| E14Row {
-            label: (*label).to_string(),
-            report: r.remove(0),
+    ]
+    .into_iter()
+    .unzip();
+    let (reports, stats) = run_fleet_configs(configs, threads);
+    let rows: Vec<E14Row> = labels
+        .into_iter()
+        .zip(reports)
+        .map(|(label, report)| E14Row {
+            label: label.to_string(),
+            report,
         })
         .collect();
     let series = rows
@@ -673,32 +778,6 @@ pub fn e14_table(result: &E14Result) -> Table {
 // this before the cohort layer (PR 5).
 // ---------------------------------------------------------------------
 
-/// One point of the E16 sweep: the fleet outcome with the attacker in
-/// `poisoned_resolvers` of the resolver caches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct E16Row {
-    /// Resolvers the attacker poisoned (`0..=resolvers`).
-    pub poisoned_resolvers: usize,
-    /// The x coordinate: `poisoned_resolvers / resolvers`.
-    pub poisoned_fraction: f64,
-    /// The mixed fleet's aggregate outcome (per-tier breakdown included).
-    pub report: fleet::FleetReport,
-}
-
-/// Result of the E16 partial-poisoning sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct E16Result {
-    /// Independent resolver caches in every fleet.
-    pub resolvers: usize,
-    /// One row per poisoned-resolver count, in increasing order.
-    pub rows: Vec<E16Row>,
-    /// Fraction-shifted vs fraction-of-resolvers-poisoned — one series
-    /// per tier plus the fleet-wide `"all clients"` curve (the figure).
-    pub series: Vec<crate::report::Series>,
-    /// Sweep/pooling counters.
-    pub stats: montecarlo::SweepStats,
-}
-
 /// The E16 population mix: half the fleet runs stock Chronos (the paper's
 /// vulnerable 24-round generation), a quarter runs the §V-mitigated
 /// Chronos, and a quarter is the plain-NTP baseline (one resolution, four
@@ -751,10 +830,23 @@ pub fn e16_config(
     config
 }
 
+/// The E16 grid: the [`e16_config`] fleet at every poisoned-resolver
+/// count `k = 0..=resolvers`, with coordinates `poisoned_resolvers` and
+/// `poisoned_fraction`.
+pub fn e16_grid(seed: u64, clients: usize, resolvers: usize) -> Vec<SweepPoint> {
+    assert!(resolvers >= 1, "need at least one resolver");
+    (0..=resolvers)
+        .map(|k| SweepPoint {
+            axes: poisoning_axes(k, resolvers),
+            config: e16_config(seed, clients, resolvers, k),
+        })
+        .collect()
+}
+
 /// Runs E16: one [`montecarlo::run_fleets`] invocation sweeps the
-/// poisoned-resolver count `k = 0..=resolvers` over the mixed fleet and
-/// emits fraction-shifted vs fraction-of-resolvers-poisoned, fleet-wide
-/// and per tier, from that single sweep.
+/// [`e16_grid`] over the mixed fleet and emits fraction-shifted vs
+/// fraction-of-resolvers-poisoned, fleet-wide and per tier, from that
+/// single sweep.
 ///
 /// The expected shape, which the unit tests pin: the stock-Chronos curve
 /// tracks `k/R` (every client behind a poisoned cache is captured), the
@@ -765,50 +857,14 @@ pub fn e16_config(
 /// trust-anchor-diversity question partial poisoning asks.
 ///
 /// `threads` splits across the two parallelism levels exactly as
-/// [`run_e14`] does: `min(threads, k+1)` sweep workers, the rest stepping
-/// shards inside each fleet. Results are byte-identical for any value.
-pub fn run_e16(seed: u64, clients: usize, resolvers: usize, threads: usize) -> E16Result {
-    assert!(resolvers >= 1, "need at least one resolver");
-    let ks: Vec<usize> = (0..=resolvers).collect();
-    let outer = threads.max(1).min(ks.len());
-    let inner = (threads.max(1) / outer).max(1);
-    let configs: Vec<fleet::FleetConfig> = ks
-        .iter()
-        .map(|&k| fleet::FleetConfig {
-            threads: inner,
-            ..e16_config(seed, clients, resolvers, k)
-        })
-        .collect();
-    let (mut reports, stats) =
-        montecarlo::run_fleets(&configs, outer, 1, |fleet, _, _| fleet.run());
-    let rows: Vec<E16Row> = ks
-        .iter()
-        .zip(reports.iter_mut())
-        .map(|(&k, r)| E16Row {
-            poisoned_resolvers: k,
-            poisoned_fraction: k as f64 / resolvers as f64,
-            report: r.remove(0),
-        })
-        .collect();
-    e16_result_from_rows(resolvers, rows, stats)
+/// [`run_e14`] does. Results are byte-identical for any value.
+pub fn run_e16(seed: u64, clients: usize, resolvers: usize, threads: usize) -> SweepResult {
+    run_sweep(e16_grid(seed, clients, resolvers), threads, e16_series)
 }
 
-/// Assembles an [`E16Result`] from already-computed rows: derives the
-/// per-tier and fleet-wide fraction-shifted series from the row reports.
-///
-/// This is the tail of [`run_e16`], split out so callers that produce the
-/// rows incrementally (chronosd steps each row's fleet in checkpointable
-/// slices) build the identical result structure. Because each row's
-/// report is a pure function of its `FleetConfig`, assembling from
-/// row-by-row `Fleet::run` output is byte-identical to the pooled sweep.
-pub fn e16_result_from_rows(
-    resolvers: usize,
-    rows: Vec<E16Row>,
-    stats: montecarlo::SweepStats,
-) -> E16Result {
-    assert!(!rows.is_empty(), "need at least one E16 row");
-    // One curve per tier, plus the fleet-wide one: x = fraction of
-    // resolvers poisoned, y = fraction shifted at the horizon.
+/// The E16 figure: one curve per tier plus the fleet-wide one, x =
+/// fraction of resolvers poisoned, y = fraction shifted at the horizon.
+pub fn e16_series(_resolvers: usize, rows: &[SweepRow]) -> Vec<crate::report::Series> {
     let mut series: Vec<crate::report::Series> = rows[0]
         .report
         .tiers
@@ -820,7 +876,7 @@ pub fn e16_result_from_rows(
                 .iter()
                 .map(|row| {
                     (
-                        row.poisoned_fraction,
+                        row.axis("poisoned_fraction"),
                         row.report.tiers[t].final_shifted_fraction,
                     )
                 })
@@ -831,20 +887,20 @@ pub fn e16_result_from_rows(
         label: "all clients".to_string(),
         points: rows
             .iter()
-            .map(|row| (row.poisoned_fraction, row.report.final_shifted_fraction))
+            .map(|row| {
+                (
+                    row.axis("poisoned_fraction"),
+                    row.report.final_shifted_fraction,
+                )
+            })
             .collect(),
     });
-    E16Result {
-        resolvers,
-        rows,
-        series,
-        stats,
-    }
+    series
 }
 
 /// Renders the E16 rows (one line per poisoned-resolver count, shifted
 /// percentage per tier).
-pub fn e16_table(result: &E16Result) -> Table {
+pub fn e16_table(result: &SweepResult) -> Table {
     let tier_labels: Vec<String> = result.rows[0]
         .report
         .tiers
@@ -862,8 +918,8 @@ pub fn e16_table(result: &E16Result) -> Table {
     );
     for row in &result.rows {
         let mut cells = vec![
-            format!("{}/{}", row.poisoned_resolvers, result.resolvers),
-            format!("{:.3}", row.poisoned_fraction),
+            format!("{}/{}", row.axis("poisoned_resolvers"), result.resolvers),
+            format!("{:.3}", row.axis("poisoned_fraction")),
         ];
         for tier in &row.report.tiers {
             cells.push(format!("{:.1}", 100.0 * tier.final_shifted_fraction));
@@ -889,32 +945,6 @@ pub fn e16_table(result: &E16Result) -> Table {
 /// The E17 loss sweep: each value is used as both the per-sample NTP
 /// loss probability and the per-query DNS SERVFAIL probability.
 pub const E17_LOSSES: [f64; 5] = [0.0, 0.001, 0.01, 0.05, 0.15];
-
-/// One point of the E17 grid: the mixed fleet under `loss` with the
-/// first `outage_coverage` resolvers down for the boot window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct E17Row {
-    /// NTP sample-loss = DNS SERVFAIL probability for every tier.
-    pub loss: f64,
-    /// Resolvers (of [`E17Result::resolvers`]) under the boot outage.
-    pub outage_coverage: usize,
-    /// The mixed fleet's outcome (per-tier fault counters included).
-    pub report: fleet::FleetReport,
-}
-
-/// Result of the E17 loss × outage-coverage sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct E17Result {
-    /// Independent resolver caches in every fleet.
-    pub resolvers: usize,
-    /// One row per grid point, loss-major then coverage.
-    pub rows: Vec<E17Row>,
-    /// Per-tier fraction-shifted, panics-per-client and boot-retries-
-    /// per-client curves over the loss axis, one family per coverage.
-    pub series: Vec<crate::report::Series>,
-    /// Sweep/pooling counters.
-    pub stats: montecarlo::SweepStats,
-}
 
 /// The fleet configuration one E17 grid point runs: [`e16_config`] with
 /// *every* resolver poisoned (the attack is the constant; the faults are
@@ -950,9 +980,28 @@ pub fn e17_config(
     config
 }
 
-/// Runs E17: one [`montecarlo::run_fleets`] invocation sweeps
-/// [`E17_LOSSES`] × outage coverage ∈ {0, all resolvers} over the fully
-/// poisoned E16 mix.
+/// The E17 grid, loss-major: every [`E17_LOSSES`] value crossed with
+/// outage coverage ∈ {0, all resolvers}, with coordinates `loss` and
+/// `outage_coverage`.
+pub fn e17_grid(seed: u64, clients: usize, resolvers: usize) -> Vec<SweepPoint> {
+    assert!(resolvers >= 1, "need at least one resolver");
+    let mut points = Vec::new();
+    for loss in E17_LOSSES {
+        for coverage in [0, resolvers] {
+            points.push(SweepPoint {
+                axes: vec![
+                    ("loss".to_string(), loss),
+                    ("outage_coverage".to_string(), coverage as f64),
+                ],
+                config: e17_config(seed, clients, resolvers, loss, coverage),
+            });
+        }
+    }
+    points
+}
+
+/// Runs E17: one [`montecarlo::run_fleets`] invocation sweeps the
+/// [`e17_grid`] over the fully poisoned E16 mix.
 ///
 /// The shape the unit test pins: the zero-loss/no-outage corner *is* the
 /// fault-free E16 run (inert plan, byte-identical); rising loss drives
@@ -961,39 +1010,21 @@ pub fn e17_config(
 /// under SERVFAILs serve-stale re-serves the poisoned entry at the short
 /// stale TTL — capturing clients in the §V-mitigated tier that the
 /// fault-free attack cannot touch.
-pub fn run_e17(seed: u64, clients: usize, resolvers: usize, threads: usize) -> E17Result {
-    assert!(resolvers >= 1, "need at least one resolver");
-    let coverages = [0usize, resolvers];
-    let grid: Vec<(f64, usize)> = E17_LOSSES
-        .iter()
-        .flat_map(|&loss| coverages.iter().map(move |&c| (loss, c)))
-        .collect();
-    let outer = threads.max(1).min(grid.len());
-    let inner = (threads.max(1) / outer).max(1);
-    let configs: Vec<fleet::FleetConfig> = grid
-        .iter()
-        .map(|&(loss, c)| fleet::FleetConfig {
-            threads: inner,
-            ..e17_config(seed, clients, resolvers, loss, c)
-        })
-        .collect();
-    let (mut reports, stats) =
-        montecarlo::run_fleets(&configs, outer, 1, |fleet, _, _| fleet.run());
-    let rows: Vec<E17Row> = grid
-        .iter()
-        .zip(reports.iter_mut())
-        .map(|(&(loss, c), r)| E17Row {
-            loss,
-            outage_coverage: c,
-            report: r.remove(0),
-        })
-        .collect();
-    // Per coverage level, one curve family over the loss axis per tier:
-    // fraction shifted, panic episodes per client, boot retries per
-    // client (the latter only ever non-zero for plain-NTP tiers).
+pub fn run_e17(seed: u64, clients: usize, resolvers: usize, threads: usize) -> SweepResult {
+    run_sweep(e17_grid(seed, clients, resolvers), threads, e17_series)
+}
+
+/// The E17 figure: per coverage level, one curve family over the loss
+/// axis per tier — fraction shifted, panic episodes per client, boot
+/// retries per client (the latter only ever non-zero for plain-NTP
+/// tiers).
+pub fn e17_series(resolvers: usize, rows: &[SweepRow]) -> Vec<crate::report::Series> {
     let mut series: Vec<crate::report::Series> = Vec::new();
-    for &cov in &coverages {
-        let cov_rows: Vec<&E17Row> = rows.iter().filter(|r| r.outage_coverage == cov).collect();
+    for cov in [0, resolvers] {
+        let cov_rows: Vec<&SweepRow> = rows
+            .iter()
+            .filter(|r| r.axis("outage_coverage") == cov as f64)
+            .collect();
         let suffix = if cov == 0 {
             "no outage".to_string()
         } else {
@@ -1001,41 +1032,28 @@ pub fn run_e17(seed: u64, clients: usize, resolvers: usize, threads: usize) -> E
         };
         for (t, tier) in cov_rows[0].report.tiers.iter().enumerate() {
             let per_client =
-                |v: u64, row: &E17Row| v as f64 / row.report.tiers[t].clients.max(1) as f64;
-            series.push(crate::report::Series {
-                label: format!("{} shifted ({suffix})", tier.label),
-                points: cov_rows
-                    .iter()
-                    .map(|r| (r.loss, r.report.tiers[t].final_shifted_fraction))
-                    .collect(),
-            });
-            series.push(crate::report::Series {
-                label: format!("{} panics/client ({suffix})", tier.label),
-                points: cov_rows
-                    .iter()
-                    .map(|r| (r.loss, per_client(r.report.tiers[t].totals.panics, r)))
-                    .collect(),
-            });
-            series.push(crate::report::Series {
-                label: format!("{} boot retries/client ({suffix})", tier.label),
-                points: cov_rows
-                    .iter()
-                    .map(|r| (r.loss, per_client(r.report.tiers[t].faults.boot_retries, r)))
-                    .collect(),
-            });
+                |v: u64, row: &SweepRow| v as f64 / row.report.tiers[t].clients.max(1) as f64;
+            let curve = |what: &str, y: &dyn Fn(&SweepRow) -> f64| crate::report::Series {
+                label: format!("{} {what} ({suffix})", tier.label),
+                points: cov_rows.iter().map(|r| (r.axis("loss"), y(r))).collect(),
+            };
+            series.push(curve("shifted", &|r| {
+                r.report.tiers[t].final_shifted_fraction
+            }));
+            series.push(curve("panics/client", &|r| {
+                per_client(r.report.tiers[t].totals.panics, r)
+            }));
+            series.push(curve("boot retries/client", &|r| {
+                per_client(r.report.tiers[t].faults.boot_retries, r)
+            }));
         }
     }
-    E17Result {
-        resolvers,
-        rows,
-        series,
-        stats,
-    }
+    series
 }
 
 /// Renders the E17 grid, one line per (loss, coverage, tier) with the
 /// tier's decision and fault counters side by side.
-pub fn e17_table(result: &E17Result) -> Table {
+pub fn e17_table(result: &SweepResult) -> Table {
     let mut t = Table::new(
         "E17 — fault injection over the mixed fleet (loss × outage coverage)",
         &[
@@ -1056,8 +1074,8 @@ pub fn e17_table(result: &E17Result) -> Table {
     for row in &result.rows {
         for tier in &row.report.tiers {
             t.push_row(vec![
-                format!("{:.1}", 100.0 * row.loss),
-                format!("{}/{}", row.outage_coverage, result.resolvers),
+                format!("{:.1}", 100.0 * row.axis("loss")),
+                format!("{}/{}", row.axis("outage_coverage"), result.resolvers),
                 tier.label.clone(),
                 format!("{:.1}", 100.0 * tier.final_shifted_fraction),
                 tier.totals.panics.to_string(),
@@ -1088,35 +1106,6 @@ pub fn e17_table(result: &E17Result) -> Table {
 /// sixteenths, see [`e18_tiers`]) moved from the legacy E16 mix onto
 /// secure-time tiers.
 pub const E18_DEPLOYMENTS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
-
-/// One point of the E18 grid: the partially-secure fleet with the
-/// attacker in `poisoned_resolvers` caches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct E18Row {
-    /// Fraction of the population on secure-time tiers (NTS + Roughtime).
-    pub deployment: f64,
-    /// Resolvers the attacker poisoned.
-    pub poisoned_resolvers: usize,
-    /// The x coordinate of the poisoning axis: `poisoned / resolvers`.
-    pub poisoned_fraction: f64,
-    /// The mixed fleet's outcome (per-tier secure counters included).
-    pub report: fleet::FleetReport,
-}
-
-/// Result of the E18 deployment × poisoning sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct E18Result {
-    /// Independent resolver caches in every fleet.
-    pub resolvers: usize,
-    /// One row per grid point, deployment-major then poisoned count.
-    pub rows: Vec<E18Row>,
-    /// Fraction-shifted vs deployment fraction, one curve per tier plus
-    /// the fleet-wide one, one family per poisoned-resolver count — and
-    /// the secure tiers' capture/detection diagnostics.
-    pub series: Vec<crate::report::Series>,
-    /// Sweep/pooling counters.
-    pub stats: montecarlo::SweepStats,
-}
 
 /// The E18 population mix at `deployment` ∈ [0, 1]: the fleet is carved
 /// into 16 weighted-round-robin units, `deployment · 16` of them secure
@@ -1192,9 +1181,32 @@ pub fn e18_config(
     config
 }
 
-/// Runs E18: one [`montecarlo::run_fleets`] invocation sweeps
-/// [`E18_DEPLOYMENTS`] × poisoned resolvers ∈ {1, all} over the
-/// partially-secure mix.
+/// The E18 grid, deployment-major: every [`E18_DEPLOYMENTS`] fraction
+/// crossed with the poisoned-resolver counts `{1, resolvers}` (just `{1}`
+/// when there is a single resolver), with coordinates `deployment`,
+/// `poisoned_resolvers` and `poisoned_fraction`.
+pub fn e18_grid(seed: u64, clients: usize, resolvers: usize) -> Vec<SweepPoint> {
+    assert!(resolvers >= 1, "need at least one resolver");
+    let mut ks = vec![1usize];
+    if resolvers > 1 {
+        ks.push(resolvers);
+    }
+    let mut points = Vec::new();
+    for deployment in E18_DEPLOYMENTS {
+        for &k in &ks {
+            let mut axes = vec![("deployment".to_string(), deployment)];
+            axes.extend(poisoning_axes(k, resolvers));
+            points.push(SweepPoint {
+                axes,
+                config: e18_config(seed, clients, resolvers, deployment, k),
+            });
+        }
+    }
+    points
+}
+
+/// Runs E18: one [`montecarlo::run_fleets`] invocation sweeps the
+/// [`e18_grid`] over the partially-secure mix.
 ///
 /// The shape the unit test pins: the zero-deployment corner is the E16
 /// fleet byte for byte; NTS capture is bounded by the *association*
@@ -1205,70 +1217,24 @@ pub fn e18_config(
 /// under single-resolver poisoning (each client holds at most one
 /// captured source) while full poisoning captures whole source sets at
 /// boot.
-pub fn run_e18(seed: u64, clients: usize, resolvers: usize, threads: usize) -> E18Result {
-    assert!(resolvers >= 1, "need at least one resolver");
-    let grid = e18_grid(resolvers);
-    let outer = threads.max(1).min(grid.len());
-    let inner = (threads.max(1) / outer).max(1);
-    let configs: Vec<fleet::FleetConfig> = grid
-        .iter()
-        .map(|&(d, k)| fleet::FleetConfig {
-            threads: inner,
-            ..e18_config(seed, clients, resolvers, d, k)
-        })
-        .collect();
-    let (mut reports, stats) =
-        montecarlo::run_fleets(&configs, outer, 1, |fleet, _, _| fleet.run());
-    let rows: Vec<E18Row> = grid
-        .iter()
-        .zip(reports.iter_mut())
-        .map(|(&(d, k), r)| E18Row {
-            deployment: d,
-            poisoned_resolvers: k,
-            poisoned_fraction: k as f64 / resolvers as f64,
-            report: r.remove(0),
-        })
-        .collect();
-    e18_result_from_rows(resolvers, rows, stats)
+pub fn run_e18(seed: u64, clients: usize, resolvers: usize, threads: usize) -> SweepResult {
+    run_sweep(e18_grid(seed, clients, resolvers), threads, e18_series)
 }
 
-/// The E18 grid, deployment-major: every [`E18_DEPLOYMENTS`] fraction
-/// crossed with the poisoned-resolver counts `{1, resolvers}` (just
-/// `{1}` when there is a single resolver). Shared between [`run_e18`]
-/// and chronosd's row-by-row `e18-sweep` jobs so both walk the exact
-/// same rows in the exact same order.
-pub fn e18_grid(resolvers: usize) -> Vec<(f64, usize)> {
-    assert!(resolvers >= 1, "need at least one resolver");
-    let mut ks = vec![1usize];
-    if resolvers > 1 {
-        ks.push(resolvers);
-    }
-    E18_DEPLOYMENTS
-        .iter()
-        .flat_map(|&d| ks.iter().map(move |&k| (d, k)))
-        .collect()
-}
-
-/// Assembles an [`E18Result`] from already-computed rows — the tail of
-/// [`run_e18`], split out (like [`e16_result_from_rows`]) so chronosd's
-/// checkpointable row-by-row sweeps build the identical structure.
-pub fn e18_result_from_rows(
-    resolvers: usize,
-    rows: Vec<E18Row>,
-    stats: montecarlo::SweepStats,
-) -> E18Result {
-    assert!(!rows.is_empty(), "need at least one E18 row");
-    let mut ks: Vec<usize> = rows.iter().map(|r| r.poisoned_resolvers).collect();
+/// The E18 figure: per poisoned-resolver count, fraction-shifted vs
+/// deployment per tier (tier sets change across deployments, so each
+/// label's curve spans the rows where the tier exists), the fleet-wide
+/// curve, and the secure tiers' per-client capture/detection diagnostics.
+pub fn e18_series(resolvers: usize, rows: &[SweepRow]) -> Vec<crate::report::Series> {
+    let mut ks: Vec<f64> = rows.iter().map(|r| r.axis("poisoned_resolvers")).collect();
+    ks.sort_by(f64::total_cmp);
     ks.dedup();
-    ks.sort_unstable();
-    ks.dedup();
-    // Per poisoned-resolver count, fraction-shifted vs deployment per
-    // tier (tier sets change across deployments, so each label's curve
-    // spans the rows where the tier exists), the fleet-wide curve, and
-    // the secure tiers' per-client capture/detection diagnostics.
     let mut series: Vec<crate::report::Series> = Vec::new();
     for &k in &ks {
-        let k_rows: Vec<&E18Row> = rows.iter().filter(|r| r.poisoned_resolvers == k).collect();
+        let k_rows: Vec<&SweepRow> = rows
+            .iter()
+            .filter(|r| r.axis("poisoned_resolvers") == k)
+            .collect();
         let suffix = format!("k={k}/{resolvers}");
         let mut labels: Vec<String> = Vec::new();
         for row in &k_rows {
@@ -1286,7 +1252,7 @@ pub fn e18_result_from_rows(
                         .tiers
                         .iter()
                         .find(|t| t.label == label)
-                        .map(|t| (r.deployment, f(t)))
+                        .map(|t| (r.axis("deployment"), f(t)))
                 })
                 .collect::<Vec<_>>()
         };
@@ -1300,7 +1266,7 @@ pub fn e18_result_from_rows(
             label: format!("all clients shifted ({suffix})"),
             points: k_rows
                 .iter()
-                .map(|r| (r.deployment, r.report.final_shifted_fraction))
+                .map(|r| (r.axis("deployment"), r.report.final_shifted_fraction))
                 .collect(),
         });
         let per_client = |v: u64, t: &fleet::TierBreakdown| v as f64 / t.clients.max(1) as f64;
@@ -1320,17 +1286,12 @@ pub fn e18_result_from_rows(
             });
         }
     }
-    E18Result {
-        resolvers,
-        rows,
-        series,
-        stats,
-    }
+    series
 }
 
 /// Renders the E18 grid, one line per (deployment, poisoned count, tier)
 /// with the tier's decision and secure counters side by side.
-pub fn e18_table(result: &E18Result) -> Table {
+pub fn e18_table(result: &SweepResult) -> Table {
     let mut t = Table::new(
         "E18 — partial secure-time deployment (deployment × poisoned resolvers)",
         &[
@@ -1349,8 +1310,8 @@ pub fn e18_table(result: &E18Result) -> Table {
     for row in &result.rows {
         for tier in &row.report.tiers {
             t.push_row(vec![
-                format!("{:.0}", 100.0 * row.deployment),
-                format!("{}/{}", row.poisoned_resolvers, result.resolvers),
+                format!("{:.0}", 100.0 * row.axis("deployment")),
+                format!("{}/{}", row.axis("poisoned_resolvers"), result.resolvers),
                 tier.label.clone(),
                 format!("{:.1}", 100.0 * tier.final_shifted_fraction),
                 tier.poisoned_clients.to_string(),
@@ -2310,7 +2271,7 @@ mod tests {
         let at = |loss: f64, cov: usize| {
             r.rows
                 .iter()
-                .find(|row| row.loss == loss && row.outage_coverage == cov)
+                .find(|row| row.axis("loss") == loss && row.axis("outage_coverage") == cov as f64)
                 .expect("grid point present")
         };
         // The zero-loss/no-outage corner is the fault-free run: an inert
@@ -2366,10 +2327,12 @@ mod tests {
         let at = |d: f64, k: usize| {
             r.rows
                 .iter()
-                .find(|row| row.deployment == d && row.poisoned_resolvers == k)
+                .find(|row| {
+                    row.axis("deployment") == d && row.axis("poisoned_resolvers") == k as f64
+                })
                 .expect("grid point present")
         };
-        let tier = |row: &E18Row, label: &str| {
+        let tier = |row: &SweepRow, label: &str| {
             row.report
                 .tiers
                 .iter()

@@ -38,8 +38,8 @@ pub mod prelude {
     pub use crate::experiments::{
         e14_table, e16_table, e16_tiers, e4_figure, e4_series_from_rows, e5_figure,
         e5_series_from_rows, rows_to_series, run_e1, run_e10, run_e11, run_e14, run_e16, run_e2,
-        run_e3, run_e4, run_e5, run_e7, run_e8, run_e9, run_e9_mtu, E14Result, E16Result,
-        E1Strategy,
+        run_e3, run_e4, run_e5, run_e7, run_e8, run_e9, run_e9_mtu, E14Result, E1Strategy,
+        SweepPoint, SweepResult, SweepRow,
     };
     pub use crate::montecarlo::{
         run_fleets, run_grid, run_scenarios, run_scenarios_detailed, run_trials, success_rate,

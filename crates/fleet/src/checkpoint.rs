@@ -229,6 +229,18 @@ impl<'a> Reader<'a> {
     pub(crate) fn len(&mut self) -> Result<usize, CheckpointError> {
         Ok(self.u32()? as usize)
     }
+
+    /// An element count for a sequence whose elements each encode to at
+    /// least `min_bytes` bytes. A count the remaining input cannot hold
+    /// is [`CheckpointError::Truncated`], rejected before anything is
+    /// allocated for it: a crafted count must never size an allocation.
+    pub(crate) fn count(&mut self, min_bytes: usize) -> Result<usize, CheckpointError> {
+        let n = self.len()?;
+        if n.saturating_mul(min_bytes) > self.remaining() {
+            return Err(CheckpointError::Truncated);
+        }
+        Ok(n)
+    }
 }
 
 /// XOR-fold checksum over 8-byte lanes: cheap, order-sensitive enough to
@@ -446,13 +458,13 @@ fn put_faults(w: &mut Writer, f: &FaultPlan) {
 
 fn get_faults(r: &mut Reader<'_>) -> Result<FaultPlan, CheckpointError> {
     let all_tiers = get_tier_faults(r)?;
-    let tiers = (0..r.len()?)
+    let tiers = (0..r.count(16)?)
         .map(|_| get_tier_faults(r))
         .collect::<Result<Vec<_>, _>>()?;
-    let outage_resolvers = r.len()?;
+    let outage_resolvers = r.count(4)?;
     let mut outages = Vec::with_capacity(outage_resolvers);
     for _ in 0..outage_resolvers {
-        let windows = (0..r.len()?)
+        let windows = (0..r.count(16)?)
             .map(|_| {
                 Ok(OutageWindow {
                     start_ns: r.u64()?,
@@ -529,7 +541,7 @@ pub(crate) fn get_config(r: &mut Reader<'_>) -> Result<FleetConfig, CheckpointEr
         clients: r.u64()? as usize,
         first_client_id: r.u64()?,
         chronos: get_chronos(r)?,
-        tiers: (0..r.len()?)
+        tiers: (0..r.count(15)?)
             .map(|_| get_tier(r))
             .collect::<Result<Vec<_>, _>>()?,
         resolvers: r.u64()? as usize,
@@ -554,6 +566,31 @@ pub(crate) fn get_config(r: &mut Reader<'_>) -> Result<FleetConfig, CheckpointEr
         threads: r.u64()? as usize,
         shard_size: r.u64()? as usize,
     })
+}
+
+/// Encodes a [`FleetConfig`] exactly as a checkpoint embeds it (the
+/// [`VERSION`] layout, no magic or checksum), for sibling formats that
+/// carry configurations — chronosd's `SWP1` sweep cursor stores each grid
+/// point's config this way, and records [`VERSION`] beside it.
+pub fn encode_config(config: &FleetConfig) -> Vec<u8> {
+    let mut w = Writer::new();
+    put_config(&mut w, config);
+    w.buf
+}
+
+/// Decodes [`encode_config`] output, which must span `bytes` exactly.
+///
+/// # Errors
+///
+/// [`CheckpointError::Truncated`] or [`CheckpointError::Corrupt`] when the
+/// bytes are not one config in the current [`VERSION`] layout.
+pub fn decode_config(bytes: &[u8]) -> Result<FleetConfig, CheckpointError> {
+    let mut r = Reader::new(bytes);
+    let config = get_config(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(CheckpointError::Corrupt("trailing bytes after config"));
+    }
+    Ok(config)
 }
 
 #[cfg(test)]
@@ -615,14 +652,47 @@ mod tests {
 
     #[test]
     fn config_round_trips_exactly() {
+        // Through the public pair sibling formats use: the bytes must
+        // decode to the same config and span exactly one config.
         let config = rich_config();
+        let bytes = encode_config(&config);
+        assert_eq!(decode_config(&bytes), Ok(config));
+        assert_eq!(
+            decode_config(&bytes[..bytes.len() - 1]),
+            Err(CheckpointError::Truncated)
+        );
+        let mut long = bytes;
+        long.push(0);
+        assert!(matches!(
+            decode_config(&long),
+            Err(CheckpointError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn inflated_counts_are_truncated_before_allocating() {
+        // A faults block (checksum intact) whose outage count claims
+        // u32::MAX resolvers with nothing behind it. Sized from the count
+        // alone, the outage vector asks for ~100 GB, and the failed
+        // allocation aborts the process where no catch_unwind reaches.
         let mut w = Writer::new();
-        put_config(&mut w, &config);
+        put_tier_faults(&mut w, &TierFaults::default());
+        w.len(0);
+        w.u32(u32::MAX);
         let bytes = w.finish();
         let mut r = Reader::verified(&bytes).expect("checksum holds");
-        let back = get_config(&mut r).expect("decodes");
-        assert_eq!(back, config);
-        assert_eq!(r.remaining(), 0, "nothing left over");
+        assert_eq!(get_faults(&mut r).err(), Some(CheckpointError::Truncated));
+        // The helper itself: a count fits only if its minimum encoding does.
+        let mut w = Writer::new();
+        w.len(2);
+        w.u64(1);
+        w.u64(2);
+        let bytes = w.finish();
+        assert_eq!(Reader::verified(&bytes).unwrap().count(8), Ok(2));
+        assert_eq!(
+            Reader::verified(&bytes).unwrap().count(9),
+            Err(CheckpointError::Truncated)
+        );
     }
 
     #[test]

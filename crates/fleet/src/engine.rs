@@ -1629,7 +1629,7 @@ impl Shard {
             return Err(CheckpointError::Corrupt("trajectory layout mismatch"));
         }
         for t in 0..trace_count {
-            let points = r.len()?;
+            let points = r.count(16)?;
             self.traces[t].clear();
             self.traces[t].reserve(points);
             for _ in 0..points {
@@ -1637,7 +1637,7 @@ impl Shard {
                 self.traces[t].push((at, r.i64()?));
             }
         }
-        let due_count = r.len()?;
+        let due_count = r.count(4)?;
         let mut due = Vec::with_capacity(due_count);
         for _ in 0..due_count {
             let id = r.u32()?;
@@ -1669,13 +1669,13 @@ impl Shard {
             }
         }
         self.due = due;
-        let sc = r.len()?;
+        let sc = r.count(8)?;
         self.shifted_counts.clear();
         self.shifted_counts.reserve(sc);
         for _ in 0..sc {
             self.shifted_counts.push(r.u64()?);
         }
-        let bins = r.len()?;
+        let bins = r.count(8)?;
         let mut counts = Vec::with_capacity(bins);
         for _ in 0..bins {
             counts.push(r.u64()?);
