@@ -8,9 +8,11 @@
 //! guarded hot paths are the ones PRs promise not to regress.
 //!
 //! The JSON is the schema written by the vendored criterion stub
-//! (`render_json`); parsing is a purpose-built scanner, so the gate works
-//! without a JSON dependency in the offline container.
+//! (`render_json`), parsed with [`obs::json`] — the workspace's one JSON
+//! codec — so the gate needs no third-party dependency in the offline
+//! container.
 
+use obs::json::Json;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -257,109 +259,29 @@ impl fmt::Display for Comparison {
     }
 }
 
-fn scan_string(bytes: &[u8], mut i: usize) -> Option<(String, usize)> {
-    // `i` points at the opening quote.
-    debug_assert_eq!(bytes[i], b'"');
-    i += 1;
-    let mut out = String::new();
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Some((out, i + 1)),
-            b'\\' => {
-                let esc = *bytes.get(i + 1)?;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'u' => {
-                        let hex = std::str::from_utf8(bytes.get(i + 2..i + 6)?).ok()?;
-                        let code = u32::from_str_radix(hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        i += 4;
-                    }
-                    other => out.push(other as char),
-                }
-                i += 2;
-            }
-            b => {
-                out.push(b as char);
-                i += 1;
-            }
-        }
-    }
-    None
-}
-
-/// Extracts the string value for `key` starting at/after `from`.
-fn field_string(text: &str, key: &str, from: usize) -> Option<(String, usize)> {
-    let needle = format!("\"{key}\":");
-    let at = text[from..].find(&needle)? + from + needle.len();
-    let bytes = text.as_bytes();
-    let mut i = at;
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    if bytes.get(i) != Some(&b'"') {
-        return None;
-    }
-    scan_string(bytes, i)
-}
-
-/// Extracts the numeric value for `key` starting at/after `from`.
-fn field_number(text: &str, key: &str, from: usize) -> Option<(f64, usize)> {
-    let needle = format!("\"{key}\":");
-    let at = text[from..].find(&needle)? + from + needle.len();
-    let rest = text[at..].trim_start();
-    let off = at + (text[at..].len() - rest.len());
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok().map(|v| (v, off + end))
-}
-
 /// Parses the entries out of one `BENCH_*.json` artifact.
 ///
-/// Returns an empty vector for files without a `results` array; malformed
-/// entries are skipped rather than failing the whole gate.
+/// Returns an empty vector for text that is not JSON or has no `results`
+/// array; entries without a name or a numeric mean are skipped rather
+/// than failing the whole gate.
 pub fn parse_artifact(text: &str) -> Vec<BenchEntry> {
-    let mut entries = Vec::new();
-    let Some(results_at) = text.find("\"results\"") else {
-        return entries;
+    let Ok(doc) = Json::parse(text) else {
+        return Vec::new();
     };
-    let mut cursor = results_at;
-    while let Some((name, after_name)) = field_string(text, "name", cursor) {
-        // The bench-level "bench" field also precedes "results"; starting
-        // the scan at the array keeps us inside entry objects only.
-        let next_name = text[after_name..].find("\"name\":").map(|p| after_name + p);
-        match field_number(text, "mean_secs_per_iter", after_name) {
-            // Accept the mean only if it belongs to THIS entry (it must
-            // appear before the next entry's name); otherwise the entry is
-            // malformed — skip it and keep scanning the rest.
-            Some((mean, after_mean)) if next_name.map(|n| after_mean <= n).unwrap_or(true) => {
-                // min_secs_per_iter and elements_per_sec are optional
-                // ("null" fails the numeric parse, which is exactly the
-                // absent case) and must also belong to this entry.
-                let min_secs_per_iter = field_number(text, "min_secs_per_iter", after_mean)
-                    .filter(|&(_, after)| next_name.map(|n| after <= n).unwrap_or(true))
-                    .map(|(min, _)| min);
-                let elements_per_sec = field_number(text, "elements_per_sec", after_mean)
-                    .filter(|&(_, after)| next_name.map(|n| after <= n).unwrap_or(true))
-                    .map(|(eps, _)| eps);
-                entries.push(BenchEntry {
-                    name,
-                    mean_secs_per_iter: mean,
-                    min_secs_per_iter,
-                    elements_per_sec,
-                });
-                cursor = after_mean;
-            }
-            _ => match next_name {
-                Some(n) => cursor = n,
-                None => break,
-            },
-        }
-    }
-    entries
+    let Some(results) = doc.get("results").and_then(Json::as_arr) else {
+        return Vec::new();
+    };
+    results
+        .iter()
+        .filter_map(|entry| {
+            Some(BenchEntry {
+                name: entry.get("name")?.as_str()?.to_string(),
+                mean_secs_per_iter: entry.get("mean_secs_per_iter")?.as_f64()?,
+                min_secs_per_iter: entry.get("min_secs_per_iter").and_then(Json::as_f64),
+                elements_per_sec: entry.get("elements_per_sec").and_then(Json::as_f64),
+            })
+        })
+        .collect()
 }
 
 /// Pairs up baseline and fresh entries by name.
@@ -527,6 +449,16 @@ mod tests {
         assert_eq!(entries[0].name, "g/a");
         assert!((entries[0].mean_secs_per_iter - 0.001).abs() < 1e-12);
         assert!((entries[1].mean_secs_per_iter - 2.5e-7).abs() < 1e-15);
+        // Key order inside an entry does not matter.
+        let reordered = "{\"results\": [\
+                         {\"mean_secs_per_iter\": 0.25, \"name\": \"g/a\"},\
+                         {\"mean_secs_per_iter\": 0.5, \"name\": \"g/b\"}]}";
+        let entries = parse_artifact(reordered);
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].name, "g/a");
+        assert_eq!(entries[0].mean_secs_per_iter, 0.25);
+        assert_eq!(entries[1].name, "g/b");
+        assert_eq!(entries[1].mean_secs_per_iter, 0.5);
     }
 
     #[test]
@@ -552,6 +484,31 @@ mod tests {
         assert_eq!(entries[0].name, "a\"b");
         assert!(parse_artifact("not json at all").is_empty());
         assert!(parse_artifact("{}").is_empty());
+        // Objects outside `results` are not entries, whatever keys they
+        // carry.
+        let staged = "{\"results\": [{\"name\": \"g/a\", \"mean_secs_per_iter\": 1.5}],\
+                      \"stage_timings\": [{\"stage\": \"shard_slice\", \"name\": \"shard_slice\",\
+                      \"mean_secs_per_iter\": 2.0}]}";
+        let entries = parse_artifact(staged);
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].name, "g/a");
+    }
+
+    /// The snapshot CI gates against parses completely: compared with
+    /// itself it regresses nowhere and carries every guarded name.
+    #[test]
+    fn newest_committed_snapshot_passes_against_itself() {
+        let perf = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../perf");
+        let snapshot = newest_snapshot(&perf).expect("a committed snapshot");
+        let report = diff_dirs(&snapshot, &snapshot).expect("snapshot holds artifacts");
+        assert!(report.unmatched_fresh.is_empty());
+        assert!(report.regressions(DEFAULT_THRESHOLD_PCT).is_empty());
+        assert!(
+            report.missing_guards.is_empty(),
+            "guards missing from {}: {:?}",
+            snapshot.display(),
+            report.missing_guards
+        );
     }
 
     /// The acceptance criterion: a guarded target >25% slower must fail.

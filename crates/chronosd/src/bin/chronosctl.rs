@@ -39,9 +39,9 @@
 
 use std::time::Duration;
 
-use chronosd::json::Json;
 use chronosd::render::report_json;
 use chronosd::Client;
+use chronosd::Json;
 
 fn usage() -> ! {
     eprintln!(

@@ -6,7 +6,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
+use crate::Json;
 
 /// A connected control-socket client (one request/response at a time).
 #[derive(Debug)]

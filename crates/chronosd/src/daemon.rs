@@ -22,10 +22,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::jobs::{default_workers, load, Job, JobSnapshot, JobState, JobTable, Params};
-use crate::json::Json;
 use crate::metrics::DaemonObs;
 use crate::render::{progress_json, report_json, sweep_json};
 use crate::state::{self, ManifestEntry, StateDir};
+use crate::Json;
 
 /// Protocol version reported by `ping` (bump on breaking wire changes).
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -103,13 +103,7 @@ impl Daemon {
     /// [`DaemonObs::from_env`]: a stderr logger at the `CHRONOSD_LOG`
     /// level and a fresh metric registry.
     pub fn bind(path: impl AsRef<Path>) -> std::io::Result<Daemon> {
-        Daemon::bind_with(path, DaemonObs::from_env())
-    }
-
-    /// [`Daemon::bind`] with explicit observability state (tests and
-    /// embedders can pass a quiet or captured logger).
-    pub fn bind_with(path: impl AsRef<Path>, obs: DaemonObs) -> std::io::Result<Daemon> {
-        Daemon::bind_with_config(path, obs, DaemonConfig::default())
+        Daemon::bind_with_config(path, DaemonObs::from_env(), DaemonConfig::default())
     }
 
     /// The fully explicit constructor: bind the socket, build the worker
@@ -132,9 +126,9 @@ impl Daemon {
             "listening",
             &[("socket", &path.display())],
         );
-        let table = Arc::new(JobTable::with_config(
+        let table = Arc::new(JobTable::new(
             config.workers.unwrap_or_else(default_workers),
-            Some(Arc::clone(&obs)),
+            Arc::clone(&obs),
         ));
         let state = match &config.state_dir {
             Some(root) => {
@@ -360,7 +354,7 @@ fn adopt_entry(
         Ok(bytes) => bytes,
         Err(io) => return failed(format!("state file unreadable: {io}")),
     };
-    match load(&bytes, &table.fleet_metrics()) {
+    match load(&bytes, table.fleet_metrics()) {
         Ok(loaded) => {
             table.adopt(entry, params, loaded)?;
             obs.checkpoints_restored.inc();
@@ -384,22 +378,18 @@ fn adopt_entry(
 /// Holds a gauge incremented for this guard's lifetime (the live
 /// `watch`-subscriber count). A guard — not paired add calls — because
 /// the stream loop exits through `?` on client disconnect.
-struct GaugeGuard(Option<Arc<obs::Gauge>>);
+struct GaugeGuard(Arc<obs::Gauge>);
 
 impl GaugeGuard {
-    fn hold(gauge: Option<Arc<obs::Gauge>>) -> GaugeGuard {
-        if let Some(g) = &gauge {
-            g.add(1.0);
-        }
+    fn hold(gauge: Arc<obs::Gauge>) -> GaugeGuard {
+        gauge.add(1.0);
         GaugeGuard(gauge)
     }
 }
 
 impl Drop for GaugeGuard {
     fn drop(&mut self) {
-        if let Some(g) = &self.0 {
-            g.add(-1.0);
-        }
+        self.0.add(-1.0);
     }
 }
 

@@ -55,9 +55,9 @@ use fleet::metrics::FleetMetrics;
 use fleet::FleetConfig;
 use netsim::time::{SimDuration, SimTime};
 
-use crate::json::Json;
 use crate::metrics::{DaemonObs, JobMetrics};
 use crate::state::ManifestEntry;
+use crate::Json;
 
 /// Default slice length in simulated seconds between observation points.
 pub const DEFAULT_SLICE_S: u64 = 60;
@@ -363,9 +363,9 @@ pub(crate) enum Loaded {
 /// sweep cursor, anything else is tried as a `CHR1` checkpoint. The
 /// engine revalidates every embedded checkpoint, so an error here means
 /// the bytes are unusable (a resume fails; boot quarantines the file).
-pub(crate) fn load(bytes: &[u8], metrics: &Option<Arc<FleetMetrics>>) -> Result<Loaded, String> {
+pub(crate) fn load(bytes: &[u8], metrics: &Arc<FleetMetrics>) -> Result<Loaded, String> {
     if !bytes.starts_with(&crate::sweep::MAGIC) {
-        return Fleet::restore_with(bytes, metrics.clone())
+        return Fleet::restore_with(bytes, Some(Arc::clone(metrics)))
             .map(Loaded::Fleet)
             .map_err(|e| format!("checkpoint rejected: {e}"));
     }
@@ -384,7 +384,7 @@ pub(crate) fn load(bytes: &[u8], metrics: &Option<Arc<FleetMetrics>>) -> Result<
     let current = cursor
         .current
         .map(|blob| {
-            Fleet::restore_with(&blob, metrics.clone())
+            Fleet::restore_with(&blob, Some(Arc::clone(metrics)))
                 .map_err(|e| rejected(format!("current row checkpoint rejected: {e}")))
         })
         .transpose()?;
@@ -397,9 +397,9 @@ pub(crate) fn load(bytes: &[u8], metrics: &Option<Arc<FleetMetrics>>) -> Result<
 }
 
 /// A fresh fleet at time zero, instrumented like every job fleet.
-fn new_fleet(config: FleetConfig, metrics: &Option<Arc<FleetMetrics>>) -> Fleet {
+fn new_fleet(config: FleetConfig, metrics: &Arc<FleetMetrics>) -> Fleet {
     let mut fleet = Fleet::new(config);
-    fleet.set_metrics(metrics.clone());
+    fleet.set_metrics(Some(Arc::clone(metrics)));
     fleet
 }
 
@@ -452,10 +452,10 @@ pub struct Job {
     params: Mutex<Params>,
     book: Mutex<SweepBook>,
     spec_json: Json,
-    /// Per-job gauges (`None` when the table runs without observability).
-    metrics: Option<JobMetrics>,
-    /// The daemon logger (`None` when embedding without observability).
-    logger: Option<Arc<obs::Logger>>,
+    /// Per-job gauges.
+    metrics: JobMetrics,
+    /// The daemon logger.
+    logger: Arc<obs::Logger>,
 }
 
 impl std::fmt::Debug for Job {
@@ -469,10 +469,10 @@ impl std::fmt::Debug for Job {
 }
 
 impl Job {
-    /// The watch-subscriber gauge, when observability is attached (the
-    /// daemon's `watch` handler holds it up/down around a stream).
-    pub(crate) fn watchers_gauge(&self) -> Option<Arc<obs::Gauge>> {
-        self.metrics.as_ref().map(|m| Arc::clone(&m.watchers))
+    /// The watch-subscriber gauge (the daemon's `watch` handler holds it
+    /// up/down around a stream).
+    pub(crate) fn watchers_gauge(&self) -> Arc<obs::Gauge> {
+        Arc::clone(&self.metrics.watchers)
     }
 
     /// The current status snapshot.
@@ -621,17 +621,15 @@ impl Job {
             None if self.sweep => self.sweep_cursor(timeout)?,
             None => self.with_fleet(timeout, Fleet::checkpoint)?,
         };
-        if let Some(m) = &self.metrics {
-            m.checkpoint_wall.set(start.elapsed().as_secs_f64());
-            m.checkpoint_bytes.set(bytes.len() as f64);
-        }
-        if let Some(logger) = &self.logger {
-            logger.debug(
-                "chronosd::jobs",
-                "checkpoint taken",
-                &[("job", &self.name), ("bytes", &bytes.len())],
-            );
-        }
+        self.metrics
+            .checkpoint_wall
+            .set(start.elapsed().as_secs_f64());
+        self.metrics.checkpoint_bytes.set(bytes.len() as f64);
+        self.logger.debug(
+            "chronosd::jobs",
+            "checkpoint taken",
+            &[("job", &self.name), ("bytes", &bytes.len())],
+        );
         Ok(bytes)
     }
 
@@ -695,19 +693,17 @@ impl Job {
     }
 
     fn log_state(&self, state: JobState, error: Option<&str>) {
-        if let Some(logger) = &self.logger {
-            match error {
-                Some(message) => logger.error(
-                    "chronosd::jobs",
-                    "job failed",
-                    &[("job", &self.name), ("error", &message)],
-                ),
-                None => logger.info(
-                    "chronosd::jobs",
-                    "job state change",
-                    &[("job", &self.name), ("state", &state.as_str())],
-                ),
-            }
+        match error {
+            Some(message) => self.logger.error(
+                "chronosd::jobs",
+                "job failed",
+                &[("job", &self.name), ("error", &message)],
+            ),
+            None => self.logger.info(
+                "chronosd::jobs",
+                "job state change",
+                &[("job", &self.name), ("state", &state.as_str())],
+            ),
         }
     }
 
@@ -725,10 +721,10 @@ impl Job {
     }
 
     fn publish_slice(&self, progress: FleetProgress) {
-        if let (Some(m), Some(t)) = (&self.metrics, progress.throughput) {
-            m.slice_wall.set(t.wall_secs);
-            m.sim_per_wall.set(t.sim_per_wall);
-            m.events_per_sec.set(t.events_per_sec);
+        if let Some(t) = progress.throughput {
+            self.metrics.slice_wall.set(t.wall_secs);
+            self.metrics.sim_per_wall.set(t.sim_per_wall);
+            self.metrics.events_per_sec.set(t.events_per_sec);
         }
         let sweep_rows = {
             let book = lock(&self.book);
@@ -777,7 +773,7 @@ impl Job {
     /// One cooperative scheduling step: build the simulation or advance
     /// it by one slice. Called by pool workers with exclusive ownership
     /// of the job (it is out of the queue while stepping).
-    fn step(&self, fleet_metrics: &Option<Arc<FleetMetrics>>) -> StepOutcome {
+    fn step(&self, fleet_metrics: &Arc<FleetMetrics>) -> StepOutcome {
         if self.snapshot().state.is_terminal() {
             return StepOutcome::Terminal;
         }
@@ -808,7 +804,7 @@ impl Job {
     }
 
     /// First step: build the simulation from the spec.
-    fn build(&self, spec: JobSpec, fleet_metrics: &Option<Arc<FleetMetrics>>) -> StepOutcome {
+    fn build(&self, spec: JobSpec, fleet_metrics: &Arc<FleetMetrics>) -> StepOutcome {
         let loaded = match spec {
             // The probe exists to exercise the pool's catch_unwind path
             // end to end; the panic is caught one frame up.
@@ -922,7 +918,7 @@ impl Job {
         StepOutcome::Again
     }
 
-    fn step_sweep(&self, fleet_metrics: &Option<Arc<FleetMetrics>>) -> StepOutcome {
+    fn step_sweep(&self, fleet_metrics: &Arc<FleetMetrics>) -> StepOutcome {
         let params = self.params();
         let Some((now, horizon)) = self.parked_clock() else {
             self.finish_failed("sweep state lost (earlier panic mid-slice)".to_string());
@@ -1040,23 +1036,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// One pool worker: step jobs round-robin until shutdown.
-fn worker_loop(sched: Arc<Scheduler>, obs: Option<Arc<DaemonObs>>) {
-    let fleet_metrics = obs.as_ref().map(|o| Arc::clone(&o.fleet));
+fn worker_loop(sched: Arc<Scheduler>, obs: Arc<DaemonObs>) {
     while let Some(job) = sched.next() {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| job.step(&fleet_metrics)));
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| job.step(&obs.fleet)));
         match outcome {
             Ok(StepOutcome::Again) => {
-                if let Some(o) = &obs {
-                    o.slices_scheduled.inc();
-                }
+                obs.slices_scheduled.inc();
                 sched.enqueue(job);
             }
             Ok(StepOutcome::Idle) | Ok(StepOutcome::Terminal) => {}
             Err(payload) => {
                 let message = format!("job panicked: {}", panic_message(payload));
-                if let Some(o) = &obs {
-                    o.job_panics.inc();
-                }
+                obs.job_panics.inc();
                 job.finish_failed(message);
             }
         }
@@ -1078,43 +1069,21 @@ pub struct JobTable {
     jobs: Mutex<BTreeMap<String, Arc<Job>>>,
     sched: Arc<Scheduler>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    obs: Option<Arc<DaemonObs>>,
-}
-
-impl Default for JobTable {
-    fn default() -> JobTable {
-        JobTable::new()
-    }
+    obs: Arc<DaemonObs>,
 }
 
 impl JobTable {
-    /// An empty table without observability (embedding and tests), with
-    /// the default worker-pool size.
-    pub fn new() -> JobTable {
-        JobTable::with_config(default_workers(), None)
-    }
-
-    /// An empty table with an explicit pool size, no observability.
-    pub fn with_workers(workers: usize) -> JobTable {
-        JobTable::with_config(workers, None)
-    }
-
-    /// An empty table whose jobs register gauges in `obs`, attach the
+    /// An empty table with a pool of `workers` threads (at least one),
+    /// spawned immediately. Its jobs register gauges in `obs`, attach the
     /// daemon-wide [`FleetMetrics`] to their fleets, and log lifecycle
     /// transitions through the daemon logger.
-    pub fn with_observability(obs: Arc<DaemonObs>) -> JobTable {
-        JobTable::with_config(default_workers(), Some(obs))
-    }
-
-    /// The fully explicit constructor: pool size and optional
-    /// observability. Spawns the worker threads immediately.
-    pub fn with_config(workers: usize, obs: Option<Arc<DaemonObs>>) -> JobTable {
+    pub fn new(workers: usize, obs: Arc<DaemonObs>) -> JobTable {
         let sched = Arc::new(Scheduler::new());
         let workers = workers.max(1);
         let handles = (0..workers)
             .map(|i| {
                 let sched = Arc::clone(&sched);
-                let obs = obs.clone();
+                let obs = Arc::clone(&obs);
                 std::thread::Builder::new()
                     .name(format!("chronosd-worker-{i}"))
                     .spawn(move || worker_loop(sched, obs))
@@ -1127,11 +1096,6 @@ impl JobTable {
             workers: Mutex::new(handles),
             obs,
         }
-    }
-
-    /// The pool size (worker threads stepping jobs).
-    pub fn worker_count(&self) -> usize {
-        lock(&self.workers).len()
     }
 
     /// Parse a `submit` spec ([`JobSpec::parse`]), register the job under
@@ -1177,8 +1141,8 @@ impl JobTable {
         if name.is_empty() {
             return Err("job name must not be empty".to_string());
         }
-        let metrics = self.obs.as_ref().map(|o| o.job_metrics(name));
-        let logger = self.obs.as_ref().map(|o| Arc::clone(&o.logger));
+        let metrics = self.obs.job_metrics(name);
+        let logger = Arc::clone(&self.obs.logger);
         let sched = Arc::downgrade(&self.sched);
         let job = {
             let mut jobs = lock(&self.jobs);
@@ -1213,19 +1177,17 @@ impl JobTable {
             jobs.insert(name.to_string(), Arc::clone(&job));
             job
         };
-        if let Some(o) = &self.obs {
-            o.logger.info(
-                "chronosd::jobs",
-                "job submitted",
-                &[("job", &name), ("kind", &kind)],
-            );
-        }
+        self.obs.logger.info(
+            "chronosd::jobs",
+            "job submitted",
+            &[("job", &name), ("kind", &kind)],
+        );
         Ok(job)
     }
 
     /// The daemon-wide engine instrumentation every job fleet carries.
-    pub(crate) fn fleet_metrics(&self) -> Option<Arc<FleetMetrics>> {
-        self.obs.as_ref().map(|o| Arc::clone(&o.fleet))
+    pub(crate) fn fleet_metrics(&self) -> &Arc<FleetMetrics> {
+        &self.obs.fleet
     }
 
     /// Adopt a job restored from the state dir: register it under the
@@ -1326,10 +1288,9 @@ impl JobTable {
             }
             jobs.remove(name);
         }
-        if let Some(o) = &self.obs {
-            o.logger
-                .info("chronosd::jobs", "job forgotten", &[("job", &name)]);
-        }
+        self.obs
+            .logger
+            .info("chronosd::jobs", "job forgotten", &[("job", &name)]);
         Ok(())
     }
 
@@ -1362,6 +1323,12 @@ mod tests {
 
     fn spec(text: &str) -> Json {
         Json::parse(text).expect("spec literal")
+    }
+
+    /// A table whose observability writes nowhere.
+    fn quiet_table(workers: usize) -> JobTable {
+        let logger = obs::Logger::to_sink(obs::Level::Error, Box::new(std::io::sink()));
+        JobTable::new(workers, Arc::new(DaemonObs::new(logger)))
     }
 
     fn small_spec(pause_at_s: Option<u64>) -> Json {
@@ -1417,7 +1384,7 @@ mod tests {
 
     #[test]
     fn fleet_job_runs_to_done_and_matches_batch() {
-        let table = JobTable::with_workers(2);
+        let table = quiet_table(2);
         let job = table.submit("smoke", &small_spec(None)).unwrap();
         assert_eq!(job.kind, "e16-fleet");
         let done = wait_for(&job, JobState::Done);
@@ -1434,7 +1401,7 @@ mod tests {
 
     #[test]
     fn pause_checkpoint_resume_is_byte_identical() {
-        let table = JobTable::with_workers(2);
+        let table = quiet_table(2);
         let job = table.submit("first-leg", &small_spec(Some(1_500))).unwrap();
         wait_for(&job, JobState::Paused);
         let bytes = job.durable_bytes(Duration::from_secs(5)).unwrap();
@@ -1457,7 +1424,7 @@ mod tests {
 
     #[test]
     fn stop_parks_state_and_names_stay_unique() {
-        let table = JobTable::with_workers(1);
+        let table = quiet_table(1);
         let job = table.submit("victim", &small_spec(Some(1_000))).unwrap();
         assert!(table.submit("victim", &small_spec(None)).is_err());
         wait_for(&job, JobState::Paused);
@@ -1476,7 +1443,7 @@ mod tests {
             r#"{"kind":"e16-fleet","resolvers":2,"poisoned_resolvers":3}"#
         ))
         .is_err());
-        let table = JobTable::with_workers(1);
+        let table = quiet_table(1);
         let job = table
             .resume("corrupt", b"junk".to_vec(), params(1, 60))
             .unwrap();
@@ -1497,7 +1464,7 @@ mod tests {
     fn an_unbuilt_resume_is_durable_as_its_own_bytes() {
         // Registered but never stepped: a snapshot (or `checkpoint`) must
         // still capture the job, as the bytes it will start from.
-        let table = JobTable::with_workers(1);
+        let table = quiet_table(1);
         let bytes = b"CHR1 not yet decoded".to_vec();
         let pending = WorkerState::Pending(JobSpec::Resume {
             bytes: bytes.clone(),
@@ -1551,7 +1518,7 @@ mod tests {
     fn panicking_job_fails_while_pool_keeps_serving() {
         // One worker: the probe and the fleet share it, so surviving the
         // panic *and* finishing the fleet proves the worker survived.
-        let table = JobTable::with_workers(1);
+        let table = quiet_table(1);
         let probe = table
             .submit(
                 "probe",
@@ -1582,7 +1549,7 @@ mod tests {
 
     #[test]
     fn sweep_job_matches_run_e16_rows_and_series() {
-        let table = JobTable::with_workers(2);
+        let table = quiet_table(2);
         let job = table
             .submit("sweep", &sweep_spec("e16-sweep", None))
             .unwrap();
@@ -1597,7 +1564,7 @@ mod tests {
 
     #[test]
     fn sweep_pause_cursor_resume_is_byte_identical() {
-        let table = JobTable::with_workers(2);
+        let table = quiet_table(2);
         let job = table
             .submit("sweep-a", &sweep_spec("e16-sweep", Some(1)))
             .unwrap();
@@ -1626,7 +1593,7 @@ mod tests {
 
     #[test]
     fn e18_sweep_job_matches_run_e18_rows_and_series() {
-        let table = JobTable::with_workers(2);
+        let table = quiet_table(2);
         let job = table
             .submit("e18-sweep", &sweep_spec("e18-sweep", None))
             .unwrap();
@@ -1642,7 +1609,7 @@ mod tests {
 
     #[test]
     fn forget_drops_only_terminal_jobs_and_frees_the_name() {
-        let table = JobTable::with_workers(1);
+        let table = quiet_table(1);
         let job = table.submit("keeper", &small_spec(Some(1_000))).unwrap();
         wait_for(&job, JobState::Paused);
         // Paused is not terminal: the job is still steerable.
@@ -1664,7 +1631,7 @@ mod tests {
 
     #[test]
     fn unpause_reenqueues_a_paused_job() {
-        let table = JobTable::with_workers(1);
+        let table = quiet_table(1);
         let job = table.submit("pausing", &small_spec(Some(1_000))).unwrap();
         wait_for(&job, JobState::Paused);
         job.request_unpause();

@@ -21,18 +21,20 @@
 //! shards), so comparisons must hold `shard_size` fixed — see
 //! `docs/OPERATIONS.md`.
 //!
-//! Module map: [`json`] (hand-rolled wire format; the vendored serde is a
-//! no-op), [`render`] (canonical report/progress JSON, one generic
-//! renderer for every sweep), [`jobs`] (the four-variant job model — a
-//! fleet, a sweep over grid points, a resume from durable bytes, a panic
-//! probe — the one parse function mapping wire kinds onto experiment
-//! configs and grids, the job table and the fair-slicing worker pool),
+//! Module map: [`render`] (canonical report/progress JSON through
+//! [`obs::json`], the workspace's one JSON codec, re-exported here as
+//! [`Json`]; one generic renderer for every sweep), [`jobs`] (the
+//! four-variant job model — a fleet, a sweep over grid points, a resume
+//! from durable bytes, a panic probe — the one parse function mapping
+//! wire kinds onto experiment configs and grids, the job table and the
+//! fair-slicing worker pool),
 //! [`daemon`] (the socket server), [`client`] (the client used by
 //! `chronosctl`, the `service_mode` example and the smoke tests),
 //! [`metrics`] (the chronoscope layer: the metric registry behind the
 //! `metrics` command, per-job gauges, and the structured logger that
 //! replaces the daemon's formerly silent failure paths), [`sweep`] (the
-//! `SWP1` sweep-cursor codec: grid points plus per-row checkpoints),
+//! `SWP1` sweep-cursor layout — grid points plus per-row checkpoints —
+//! written and read through `fleet::checkpoint`'s `Writer`/`Reader`),
 //! [`state`] (the `--state-dir` durability layer: checksummed manifest,
 //! periodic snapshots, resume-on-boot with quarantine).
 
@@ -41,7 +43,6 @@
 pub mod client;
 pub mod daemon;
 pub mod jobs;
-pub mod json;
 pub mod metrics;
 pub mod render;
 pub mod state;
@@ -50,7 +51,7 @@ pub mod sweep;
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, DaemonConfig, PROTOCOL_VERSION};
 pub use jobs::{Job, JobSnapshot, JobSpec, JobState, JobTable};
-pub use json::Json;
 pub use metrics::{DaemonObs, JobMetrics, LOG_ENV};
+pub use obs::json::Json;
 pub use state::StateDir;
 pub use sweep::SweepCursor;

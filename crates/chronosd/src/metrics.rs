@@ -15,8 +15,9 @@
 //!
 //! A [`JobMetrics`] bundle is registered per job at submit time, labelled
 //! `{job="<name>"}`; gauges hold the job's latest-slice throughput and
-//! checkpoint cost. [`JobTable::new`](crate::jobs::JobTable::new) without
-//! observability still works — embedding and tests pay nothing.
+//! checkpoint cost. Every [`JobTable`](crate::jobs::JobTable) takes one;
+//! embedders and tests that want silence pass a logger whose sink
+//! discards (`Logger::to_sink(Level::Error, Box::new(std::io::sink()))`).
 
 use fleet::metrics::FleetMetrics;
 use obs::{Counter, Gauge, Level, Logger, Registry};

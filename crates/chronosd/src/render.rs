@@ -7,9 +7,9 @@
 //! lines are diffed **byte for byte**. That works because a
 //! [`FleetReport`] is a pure function of its [`fleet::FleetConfig`]
 //! (byte-identical across thread counts and checkpoint/resume cuts) and
-//! because [`crate::json::Json`] rendering is canonical.
+//! because [`Json`] rendering is canonical.
 
-use crate::json::Json;
+use crate::Json;
 use chronos::core::ChronosStats;
 use chronos_pitfalls::experiments::{SweepResult, SweepRow};
 use fleet::engine::{FleetProgress, FleetReport, TierBreakdown};
@@ -195,7 +195,7 @@ fn tier_json(tier: &TierBreakdown) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use crate::Json;
     use chronos_pitfalls::experiments::e16_config;
     use fleet::Fleet;
 

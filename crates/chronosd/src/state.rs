@@ -44,7 +44,7 @@ use std::time::Duration;
 use fleet::checkpoint::{checksum, CheckpointError};
 
 use crate::jobs::{JobState, JobTable, Params};
-use crate::json::Json;
+use crate::Json;
 
 /// Magic prefix of the manifest header line.
 pub const MANIFEST_MAGIC: &str = "CHRM1";
@@ -348,19 +348,6 @@ impl StateDir {
             Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
             _ => Ok(()),
         }
-    }
-
-    /// List the filenames currently under `jobs/`.
-    pub fn list_job_files(&self) -> io::Result<Vec<String>> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(self.root.join("jobs"))? {
-            let entry = entry?;
-            if let Some(name) = entry.file_name().to_str() {
-                out.push(name.to_string());
-            }
-        }
-        out.sort();
-        Ok(out)
     }
 }
 

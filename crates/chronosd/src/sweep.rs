@@ -14,9 +14,10 @@
 //! state-dir manifest or the `resume` request — because they may differ
 //! across the two legs of a resume without changing a byte of the result.
 //!
-//! Layout (all integers little-endian), sharing `CHR1`'s trailing
-//! XOR-fold checksum ([`fleet::checkpoint::checksum`]) and its error
-//! taxonomy ([`CheckpointError`]):
+//! Layout (all integers little-endian), written and read through
+//! `CHR1`'s [`Writer`]/[`Reader`] — so it shares their bounds checks, the
+//! trailing XOR-fold checksum ([`fleet::checkpoint::checksum`]) and the
+//! error taxonomy ([`CheckpointError`]):
 //!
 //! ```text
 //! magic       [u8; 4]    "SWP1"
@@ -33,7 +34,7 @@
 //! ```
 
 use chronos_pitfalls::experiments::SweepPoint;
-use fleet::checkpoint::{self, checksum, CheckpointError};
+use fleet::checkpoint::{self, CheckpointError, Reader, Writer};
 
 /// First bytes of every sweep cursor.
 pub const MAGIC: [u8; 4] = *b"SWP1";
@@ -55,87 +56,35 @@ pub struct SweepCursor {
     pub current: Option<Vec<u8>>,
 }
 
-fn put_blob(buf: &mut Vec<u8>, blob: &[u8]) {
-    buf.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-    buf.extend_from_slice(blob);
-}
-
 /// Serialize a sweep's durable state to `SWP1` bytes: its `points`, the
 /// final checkpoints of the `done` rows and, unless the sweep is
 /// complete, the `current` row's live checkpoint.
 pub fn encode(points: &[SweepPoint], done: &[Vec<u8>], current: Option<&[u8]>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&checkpoint::VERSION.to_le_bytes());
-    buf.extend_from_slice(&(points.len() as u64).to_le_bytes());
+    let mut w = Writer::new();
+    w.bytes(&MAGIC);
+    w.u32(VERSION);
+    w.u32(checkpoint::VERSION);
+    w.u64(points.len() as u64);
     for point in points {
-        buf.extend_from_slice(&(point.axes.len() as u64).to_le_bytes());
+        w.u64(point.axes.len() as u64);
         for (name, value) in &point.axes {
-            put_blob(&mut buf, name.as_bytes());
-            buf.extend_from_slice(&value.to_bits().to_le_bytes());
+            w.blob(name.as_bytes());
+            w.f64(*value);
         }
-        put_blob(&mut buf, &checkpoint::encode_config(&point.config));
+        w.blob(&checkpoint::encode_config(&point.config));
     }
-    buf.extend_from_slice(&(done.len() as u64).to_le_bytes());
+    w.u64(done.len() as u64);
     for blob in done {
-        put_blob(&mut buf, blob);
+        w.blob(blob);
     }
     match current {
         Some(blob) => {
-            buf.push(1);
-            put_blob(&mut buf, blob);
+            w.u8(1);
+            w.blob(blob);
         }
-        None => buf.push(0),
+        None => w.u8(0),
     }
-    let sum = checksum(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    buf
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.at.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// A count or length. Nothing is allocated from it directly: every
-    /// element it announces must be read from the bytes that follow.
-    fn len(&mut self) -> Result<usize, CheckpointError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| CheckpointError::Corrupt("length overflows usize"))
-    }
-
-    fn blob(&mut self) -> Result<&'a [u8], CheckpointError> {
-        let len = self.len()?;
-        self.take(len)
-    }
+    w.finish()
 }
 
 /// Decode `SWP1` bytes, reusing the `CHR1` error taxonomy: checksum is
@@ -157,35 +106,29 @@ pub fn decode(bytes: &[u8]) -> Result<SweepCursor, CheckpointError> {
     if bytes.len() < MAGIC.len() + 4 + 8 {
         return Err(CheckpointError::Truncated);
     }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(trailer);
-    if checksum(payload) != u64::from_le_bytes(sum) {
-        return Err(CheckpointError::BadChecksum);
-    }
-    let mut r = Reader {
-        bytes: payload,
-        at: MAGIC.len(),
-    };
+    let mut r = Reader::verified(bytes)?;
+    r.take(MAGIC.len())?;
     for expected in [VERSION, checkpoint::VERSION] {
         let version = r.u32()?;
         if version != expected {
             return Err(CheckpointError::BadVersion(version));
         }
     }
+    // Counts size nothing: every element they announce is read from the
+    // bytes that follow.
     let mut points = Vec::new();
-    for _ in 0..r.len()? {
+    for _ in 0..r.u64()? {
         let mut axes = Vec::new();
-        for _ in 0..r.len()? {
+        for _ in 0..r.u64()? {
             let name = std::str::from_utf8(r.blob()?)
                 .map_err(|_| CheckpointError::Corrupt("axis name is not UTF-8"))?;
-            axes.push((name.to_string(), f64::from_bits(r.u64()?)));
+            axes.push((name.to_string(), r.f64()?));
         }
         let config = checkpoint::decode_config(r.blob()?)?;
         points.push(SweepPoint { axes, config });
     }
     let mut done = Vec::new();
-    for _ in 0..r.len()? {
+    for _ in 0..r.u64()? {
         done.push(r.blob()?.to_vec());
     }
     let current = match r.u8()? {
@@ -193,7 +136,7 @@ pub fn decode(bytes: &[u8]) -> Result<SweepCursor, CheckpointError> {
         1 => Some(r.blob()?.to_vec()),
         _ => return Err(CheckpointError::Corrupt("current-row flag out of range")),
     };
-    if r.at != payload.len() {
+    if r.remaining() != 0 {
         return Err(CheckpointError::Corrupt("trailing bytes after cursor"));
     }
     if points.is_empty() || done.len() > points.len() {
@@ -217,6 +160,7 @@ pub fn decode(bytes: &[u8]) -> Result<SweepCursor, CheckpointError> {
 mod tests {
     use super::*;
     use chronos_pitfalls::experiments::{e16_grid, e18_grid};
+    use fleet::checkpoint::checksum;
 
     fn sample() -> SweepCursor {
         SweepCursor {
@@ -276,6 +220,45 @@ mod tests {
         let sum = checksum(&payload);
         payload.extend_from_slice(&sum.to_le_bytes());
         payload
+    }
+
+    #[test]
+    fn v3_layout_is_pinned() {
+        // Two points, one completed row and the live row, laid out field
+        // by field: encode must write exactly these bytes, and decode
+        // must read them back.
+        let points = e16_grid(7, 16, 2)[..2].to_vec();
+        let mut v3 = MAGIC.to_vec();
+        v3.extend_from_slice(&3u32.to_le_bytes());
+        v3.extend_from_slice(&checkpoint::VERSION.to_le_bytes());
+        v3.extend_from_slice(&2u64.to_le_bytes());
+        for point in &points {
+            v3.extend_from_slice(&(point.axes.len() as u64).to_le_bytes());
+            for (name, value) in &point.axes {
+                v3.extend_from_slice(&(name.len() as u64).to_le_bytes());
+                v3.extend_from_slice(name.as_bytes());
+                v3.extend_from_slice(&value.to_bits().to_le_bytes());
+            }
+            let config = checkpoint::encode_config(&point.config);
+            v3.extend_from_slice(&(config.len() as u64).to_le_bytes());
+            v3.extend_from_slice(&config);
+        }
+        v3.extend_from_slice(&1u64.to_le_bytes());
+        v3.extend_from_slice(&3u64.to_le_bytes());
+        v3.extend_from_slice(&[1, 2, 3]);
+        v3.push(1);
+        v3.extend_from_slice(&2u64.to_le_bytes());
+        v3.extend_from_slice(&[9, 8]);
+        let v3 = sealed(v3);
+        assert_eq!(encode(&points, &[vec![1, 2, 3]], Some(&[9, 8])), v3);
+        assert_eq!(
+            decode(&v3),
+            Ok(SweepCursor {
+                points,
+                done: vec![vec![1, 2, 3]],
+                current: Some(vec![9, 8]),
+            })
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use chronos_pitfalls::experiments::e16_config;
-use chronosd::json::Json;
 use chronosd::render::{report_json, sweep_json};
+use chronosd::Json;
 use chronosd::{Client, Daemon, DaemonConfig, DaemonObs};
 use fleet::Fleet;
 use netsim::time::SimTime;

@@ -9,8 +9,8 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use chronosd::json::Json;
 use chronosd::render::{report_json, sweep_json};
+use chronosd::Json;
 use chronosd::{Client, Daemon};
 
 const SEED: u64 = 7;

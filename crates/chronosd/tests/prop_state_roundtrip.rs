@@ -19,9 +19,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use chronos_pitfalls::experiments::{e16_grid, e18_grid};
-use chronosd::json::Json;
 use chronosd::state::{decode_manifest, encode_manifest, ManifestEntry};
 use chronosd::sweep::{decode, encode};
+use chronosd::Json;
 use chronosd::{Client, Daemon, DaemonConfig, DaemonObs, StateDir, SweepCursor};
 use fleet::checkpoint::CheckpointError;
 use proptest::collection::vec;

@@ -15,6 +15,7 @@
 //! *(Workspace map: see `ARCHITECTURE.md` at the repo root — crate-by-crate
 //! architecture, the data-flow diagram, and the determinism contract.)*
 
+use obs::json::Json;
 use std::hint;
 use std::time::{Duration, Instant};
 
@@ -301,26 +302,14 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Serializes `measurements` (and any recorded stage timings) into the
-/// `BENCH_<target>.json` schema. The `stage_timings` section comes
-/// *after* `results` and its objects carry no `name` key, so scanners of
-/// the results array (the `bench-diff` gate) are unaffected.
+/// `BENCH_<target>.json` schema: one entry per line, numbers fixed to nine
+/// decimals, strings escaped through [`obs::json`]. The `stage_timings`
+/// section comes after `results`; `bench-diff` reads only `results`.
 pub fn render_json(target: &str, measurements: &[Measurement], stages: &[StageTiming]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(target)));
+    out.push_str(&format!("  \"bench\": {},\n", Json::str(target).render()));
     out.push_str(&format!(
         "  \"schema\": 1,\n  \"peak_rss_bytes\": {},\n",
         peak_rss_bytes()
@@ -334,10 +323,10 @@ pub fn render_json(target: &str, measurements: &[Measurement], stages: &[StageTi
                 .unwrap_or_else(|| "null".to_string())
         };
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \"wall_time_secs\": {:.9}, \
+            "    {{\"name\": {}, \"iters\": {}, \"wall_time_secs\": {:.9}, \
              \"mean_secs_per_iter\": {:.9}, \"min_secs_per_iter\": {:.9}, \
              \"elements_per_sec\": {}, \"bytes_per_sec\": {}}}{}\n",
-            json_escape(&m.name),
+            Json::str(&m.name).render(),
             m.iters,
             m.total.as_secs_f64(),
             m.mean_secs(),
@@ -351,8 +340,8 @@ pub fn render_json(target: &str, measurements: &[Measurement], stages: &[StageTi
     out.push_str("  \"stage_timings\": [\n");
     for (i, s) in stages.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"count\": {}, \"total_secs\": {:.9}}}{}\n",
-            json_escape(&s.stage),
+            "    {{\"stage\": {}, \"count\": {}, \"total_secs\": {:.9}}}{}\n",
+            Json::str(&s.stage).render(),
             s.count,
             s.total_secs,
             if i + 1 == stages.len() { "" } else { "," },

@@ -61,11 +61,6 @@ impl StubResolver {
         self.resolver
     }
 
-    /// Repoints the stub at a different resolver.
-    pub fn set_resolver(&mut self, resolver: Ipv4Addr) {
-        self.resolver = resolver;
-    }
-
     /// Number of unanswered queries.
     pub fn pending(&self) -> usize {
         self.pending.len()

@@ -132,11 +132,6 @@ impl AuthServer {
         &self.zones
     }
 
-    /// Mutable access to zones (rotation state advances as it answers).
-    pub fn zones_mut(&mut self) -> &mut [Zone] {
-        &mut self.zones
-    }
-
     fn deepest_zone_for(&mut self, q: &Question) -> Option<&mut Zone> {
         self.zones
             .iter_mut()

@@ -31,8 +31,10 @@
 //! All integers are little-endian. Variable-length sequences are
 //! length-prefixed (u32 for element counts, u64 for nanosecond values).
 //! The per-shard encoding lives in `engine.rs` (the columns are private
-//! to the engine); this module owns the primitive writer/reader, the
-//! error type and the [`FleetConfig`] codec.
+//! to the engine); this module owns the primitive [`Writer`]/[`Reader`]
+//! pair — the workspace's one binary codec, public so chronosd's `SWP1`
+//! sweep cursor is written and read through it too — the error type and
+//! the [`FleetConfig`] codec.
 
 use crate::cohort::{ClientKind, CohortTier};
 use crate::config::{
@@ -83,30 +85,36 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Append-only byte sink for the checkpoint payload.
+/// Append-only byte sink for the checkpoint payload. Public so sibling
+/// formats (chronosd's `SWP1` sweep cursor) are written with the same
+/// primitives and the same checksum trailer as `CHR1`; the primitives
+/// only `CHR1` uses stay crate-private.
 #[derive(Debug, Default)]
-pub(crate) struct Writer {
+pub struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    pub(crate) fn new() -> Writer {
+    /// An empty writer.
+    pub fn new() -> Writer {
         Writer { buf: Vec::new() }
     }
 
     /// Finalizes the payload: appends the XOR-fold checksum of every byte
     /// written so far and returns the buffer.
-    pub(crate) fn finish(mut self) -> Vec<u8> {
+    pub fn finish(mut self) -> Vec<u8> {
         let sum = checksum(&self.buf);
         self.buf.extend_from_slice(&sum.to_le_bytes());
         self.buf
     }
 
-    pub(crate) fn bytes(&mut self, b: &[u8]) {
+    /// Raw bytes, no length prefix (magics).
+    pub fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 
-    pub(crate) fn u8(&mut self, v: u8) {
+    /// One byte (tags and flags).
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
@@ -114,11 +122,13 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -127,7 +137,7 @@ impl Writer {
     }
 
     /// Bit-exact float encoding.
-    pub(crate) fn f64(&mut self, v: f64) {
+    pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
@@ -145,11 +155,21 @@ impl Writer {
     pub(crate) fn len(&mut self, n: usize) {
         self.u32(u32::try_from(n).expect("checkpoint sequence longer than u32"));
     }
+
+    /// A `u64`-length-prefixed byte string (how `SWP1` nests names,
+    /// configs and whole `CHR1` checkpoints).
+    pub fn blob(&mut self, b: &[u8]) {
+        self.u64(b.len() as u64);
+        self.bytes(b);
+    }
 }
 
-/// Cursor over a checkpoint payload; every read is bounds-checked.
+/// Cursor over a checkpoint payload; every read is bounds-checked. Public
+/// so sibling formats (chronosd's `SWP1` sweep cursor) decode with the
+/// same checks and the same [`CheckpointError`] taxonomy as `CHR1`; the
+/// primitives only `CHR1` uses stay crate-private.
 #[derive(Debug)]
-pub(crate) struct Reader<'a> {
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -161,7 +181,7 @@ impl<'a> Reader<'a> {
 
     /// Verifies the trailing checksum against everything before it and
     /// returns a reader over the payload (checksum excluded).
-    pub(crate) fn verified(buf: &'a [u8]) -> Result<Reader<'a>, CheckpointError> {
+    pub fn verified(buf: &'a [u8]) -> Result<Reader<'a>, CheckpointError> {
         if buf.len() < 8 {
             return Err(CheckpointError::Truncated);
         }
@@ -174,11 +194,12 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes left unread (0 after a complete decode).
-    pub(crate) fn remaining(&self) -> usize {
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    /// The next `n` raw bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         if self.remaining() < n {
             return Err(CheckpointError::Truncated);
         }
@@ -187,7 +208,8 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, CheckpointError> {
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
     }
 
@@ -195,11 +217,13 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len")))
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len")))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len")))
     }
 
@@ -207,7 +231,8 @@ impl<'a> Reader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len")))
     }
 
-    pub(crate) fn f64(&mut self) -> Result<f64, CheckpointError> {
+    /// A float from its exact bits.
+    pub fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
@@ -240,6 +265,13 @@ impl<'a> Reader<'a> {
             return Err(CheckpointError::Truncated);
         }
         Ok(n)
+    }
+
+    /// A `u64`-length-prefixed byte string, as [`Writer::blob`] writes it.
+    pub fn blob(&mut self) -> Result<&'a [u8], CheckpointError> {
+        let n = usize::try_from(self.u64()?)
+            .map_err(|_| CheckpointError::Corrupt("length overflows usize"))?;
+        self.take(n)
     }
 }
 

@@ -213,19 +213,6 @@ impl NodeHarness {
         self.actions = kept;
         sent
     }
-
-    /// Drains and returns the timers armed so far as `(delay, tag)` pairs.
-    pub fn take_timers(&mut self) -> Vec<(SimDuration, u64)> {
-        let mut timers = Vec::new();
-        self.actions.retain(|a| match a {
-            Action::Timer { delay, tag } => {
-                timers.push((*delay, *tag));
-                false
-            }
-            _ => true,
-        });
-        timers
-    }
 }
 
 #[cfg(test)]

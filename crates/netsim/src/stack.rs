@@ -7,7 +7,7 @@
 //! predictability — the knob the defragmentation attack turns), path-MTU
 //! bookkeeping and sender-side fragmentation.
 
-use crate::frag::{OverlapPolicy, ReassemblyCache, ReassemblyOutcome, ReassemblyStats};
+use crate::frag::{OverlapPolicy, ReassemblyCache, ReassemblyOutcome};
 use crate::icmp::{IcmpMessage, QuotedPacket};
 use crate::ip::{IpProto, Ipv4Packet, ETHERNET_MTU};
 use crate::node::Context;
@@ -169,16 +169,6 @@ impl IpStack {
         self.pmtu.get(&dst).copied().unwrap_or(self.default_mtu)
     }
 
-    /// Overrides the default MTU assumed for unprobed destinations.
-    pub fn set_default_mtu(&mut self, mtu: u16) {
-        self.default_mtu = mtu;
-    }
-
-    /// Reassembly statistics (completed datagrams, overlap drops, ...).
-    pub fn reassembly_stats(&self) -> ReassemblyStats {
-        self.reassembly.stats()
-    }
-
     /// Fragments dropped by the [`FragFilter`].
     pub fn dropped_fragments(&self) -> u64 {
         self.dropped_fragments
@@ -297,20 +287,6 @@ impl IpStack {
             }
             Err(_) => self.dropped_fragments += 1,
         }
-    }
-
-    /// Sends an ICMP message from `src` to `dst`.
-    pub fn send_icmp(
-        &mut self,
-        ctx: &mut Context<'_>,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        message: IcmpMessage,
-    ) {
-        let mut pkt = message.into_packet(src, dst);
-        pkt.id = self.next_id(ctx, dst);
-        pkt.ttl = self.config.default_ttl;
-        ctx.send(pkt);
     }
 
     /// Feeds a received packet through filtering, reassembly, checksum

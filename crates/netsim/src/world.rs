@@ -260,11 +260,6 @@ impl World {
         });
     }
 
-    /// Removes all hijacks.
-    pub fn clear_hijacks(&mut self) {
-        self.hijacks.clear();
-    }
-
     /// The node that currently receives traffic for `dst`, with a flag
     /// indicating whether a hijack is responsible.
     pub fn route(&self, dst: Ipv4Addr, at: SimTime) -> Option<(NodeId, bool)> {
@@ -357,15 +352,6 @@ impl World {
     /// Runs for a duration from the current time.
     pub fn run_for(&mut self, d: SimDuration) {
         self.run_until(self.now + d);
-    }
-
-    /// Runs until no events remain (careful with self-rearming timers).
-    pub fn run_until_idle(&mut self) {
-        self.ensure_started();
-        while let Some(ev) = self.queue.pop() {
-            self.now = ev.at;
-            self.dispatch(ev.kind);
-        }
     }
 
     /// Processes a single event; returns its timestamp, or `None` if the

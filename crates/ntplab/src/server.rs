@@ -62,12 +62,6 @@ impl NtpServer {
         }
     }
 
-    /// Overrides the advertised stratum. Returns `self` for chaining.
-    pub fn with_stratum(mut self, stratum: u8) -> Self {
-        self.stratum = stratum;
-        self
-    }
-
     /// The server's primary address.
     pub fn addr(&self) -> Ipv4Addr {
         self.stack.addr()

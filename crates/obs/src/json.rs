@@ -1,9 +1,12 @@
-//! A small self-contained JSON value type with a writer and a parser.
+//! A small self-contained JSON value type with a writer and a parser —
+//! the workspace's one JSON codec.
 //!
-//! The vendored `serde` stub is a no-op (see `crates/compat/serde`), so the
-//! daemon's wire protocol is hand-rolled: requests and responses are
+//! The vendored `serde` stub is a no-op (see `crates/compat/serde`), so
+//! JSON is hand-rolled here: `chronosd`'s requests and responses are
 //! [`Json`] trees rendered to **compact single-line** text (the protocol is
-//! newline-delimited) and parsed back with a recursive-descent reader.
+//! newline-delimited) and parsed back with a recursive-descent reader; the
+//! bench harness escapes its `BENCH_*.json` strings through it, and
+//! `bench-diff` parses those artifacts with it.
 //!
 //! Two properties matter here:
 //!

@@ -4,7 +4,7 @@
 //!
 //! The container this workspace builds in has no network access, so like
 //! everything under `crates/compat/` this crate depends on nothing but
-//! `std`. It provides four small pieces:
+//! `std`. It provides five small pieces:
 //!
 //! * [`Counter`] / [`Gauge`] — lock-free atomic instruments; a handle is
 //!   an `Arc` clone, recording is a single relaxed atomic op.
@@ -18,8 +18,12 @@
 //!   ([`expo::parse`]) used by `chronosctl metrics` and CI.
 //! * [`Logger`] — a leveled, monotonic-stamped structured (logfmt)
 //!   logger that replaces `chronosd`'s silent failure paths.
+//! * [`json::Json`] — the workspace's one JSON codec: canonical compact
+//!   rendering and a bounded recursive-descent parser, behind
+//!   `chronosd`'s wire protocol and manifest, the bench harness's
+//!   `BENCH_*.json` writer and `bench-diff`'s reader.
 //!
-//! Everything here is wall-clock only: nothing in this crate touches
+//! The instruments are wall-clock only: nothing in this crate touches
 //! simulation state or RNG streams, which is what lets the fleet engine
 //! attach instrumentation and stay byte-identical with metrics on or off
 //! (proptest-proven in `crates/fleet/tests/prop_metrics_determinism.rs`).
@@ -28,6 +32,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod expo;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod registry;

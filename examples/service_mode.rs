@@ -14,8 +14,8 @@
 
 use std::time::Duration;
 
-use chronosd::json::Json;
 use chronosd::render::report_json;
+use chronosd::Json;
 use chronosd::{Client, Daemon};
 use fleet::Fleet;
 
