@@ -3,11 +3,16 @@
 //! cheap-closure workload (the regime where dispatch overhead dominates),
 //! plus the allocation-free Chronos selection hot path vs its sort-based
 //! reference.
+//!
+//! `lockfree_batch1_10k_cheap` (unguarded) drives the same claim loop with
+//! one atomic claim per trial — `for_each_mut` over a preallocated slot
+//! vector — to show what batching saves.
 
 use bench::banner;
 use chronos::select::{chronos_select_with, reference, SelectScratch};
-use chronos_pitfalls::montecarlo::{baseline_run_trials, run_trials, TrialBudget};
+use chronos_pitfalls::montecarlo::{baseline_run_trials, run_trials};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use netsim::par::for_each_mut;
 
 const TRIALS: u32 = 10_000;
 const THREADS: usize = 4;
@@ -38,14 +43,12 @@ fn bench_dispatch(c: &mut Criterion) {
     group.bench_function("lockfree_10k_cheap", |bch| {
         bch.iter(|| run_trials(black_box(TRIALS), THREADS, cheap_trial))
     });
+    let mut slots = vec![0u64; TRIALS as usize];
     group.bench_function("lockfree_batch1_10k_cheap", |bch| {
         bch.iter(|| {
-            chronos_pitfalls::montecarlo::run_trials_with_budget(
-                black_box(TRIALS),
-                THREADS,
-                TrialBudget::fixed(1),
-                cheap_trial,
-            )
+            for_each_mut(black_box(&mut slots), THREADS, |slot, i| {
+                *slot = cheap_trial(i as u32);
+            });
         })
     });
     group.bench_function("baseline_mutex_10k_cheap", |bch| {

@@ -1,10 +1,13 @@
-//! E13 — scenario-sweep throughput: pooled/reset worlds (`run_scenarios`)
-//! vs a fresh `Scenario::build` per trial, on a 32-config × 256-trial grid.
+//! E13 — scenario-sweep throughput: pooled/reset scenarios
+//! (`run_scenarios_detailed`) vs a fresh `Scenario::build` per trial, on a
+//! 32-config × 256-trial grid.
 //!
-//! This guards PR 2's tentpole: `World::reset` + `WorldPool` must keep
-//! beating per-trial reconstruction by ≥ 2× on grid-shaped workloads (the
-//! shape of every success-probability / security-bound sweep in the
-//! paper). `bench-diff` gates CI on both targets' per-iter means.
+//! This guards pooled sweeps: scenarios shelved by shape in an
+//! `ObjectPool` and rewound with `Scenario::reset` must keep beating
+//! per-trial reconstruction on grid-shaped workloads (the shape of every
+//! success-probability / security-bound sweep in the paper). `bench-diff`
+//! gates CI on `pooled_32x256`'s per-iter mean and on its speed-up over
+//! `rebuild_32x256` (≥ 1.5×).
 
 use bench::banner;
 use chronos_pitfalls::experiments::compressed_chronos;

@@ -440,12 +440,14 @@ fn snapshot_fields(job: &Job, snap: &JobSnapshot) -> Vec<(String, Json)> {
 }
 
 /// The `submit` / `resume` acknowledgement: the new job's name, kind and
-/// state.
+/// state. The state is always `queued`, the state every accepted job is
+/// registered in: reading the live state instead would race the worker
+/// that may already have picked the job up.
 fn accepted_fields(job: &Job) -> Vec<(String, Json)> {
     vec![
         ("job".into(), Json::str(job.name.clone())),
         ("kind".into(), Json::str(&job.kind)),
-        ("state".into(), Json::str(job.snapshot().state.as_str())),
+        ("state".into(), Json::str(JobState::Queued.as_str())),
     ]
 }
 
@@ -497,13 +499,10 @@ fn ping_fields(ctx: &ServerCtx) -> Vec<(String, Json)> {
     ]
 }
 
-/// Handle one request; `None` means the response was already streamed
-/// (the `watch` command writes its own lines).
-fn dispatch(
-    request: &Json,
-    ctx: &ServerCtx,
-    out: &mut impl Write,
-) -> std::io::Result<Option<Json>> {
+/// Handle one request and return its response line. The `watch` command
+/// streams its snapshot lines to `out` first and returns its `end` line;
+/// an error means the client went away mid-stream.
+fn dispatch(request: &Json, ctx: &ServerCtx, out: &mut impl Write) -> std::io::Result<Json> {
     let table: &JobTable = &ctx.table;
     let shutdown: &AtomicBool = &ctx.shutdown;
     let cmd = match request.get("cmd").and_then(Json::as_str) {
@@ -513,7 +512,7 @@ fn dispatch(
             ctx.obs
                 .logger
                 .warn("chronosd::daemon", "request without cmd", &[]);
-            return Ok(Some(err("cmd: expected a string")));
+            return Ok(err("cmd: expected a string"));
         }
     };
     // Unrecognized commands share one fixed label so arbitrary client
@@ -613,7 +612,7 @@ fn dispatch(
                 }
                 let mut end = vec![("event".to_string(), Json::str("end"))];
                 end.extend(snapshot_fields(&job, &job.snapshot()));
-                return Ok(Some(ok(end)));
+                ok(end)
             }
             Err(response) => response,
         },
@@ -716,7 +715,7 @@ fn dispatch(
             err(format!("unknown cmd {other:?}"))
         }
     };
-    Ok(Some(response))
+    Ok(response)
 }
 
 fn handle_connection(stream: UnixStream, ctx: &ServerCtx) {
@@ -775,8 +774,7 @@ fn handle_connection(stream: UnixStream, ctx: &ServerCtx) {
         }
         let response = match Json::parse(line.trim_end_matches(['\n', '\r'])) {
             Ok(request) => match dispatch(&request, ctx, &mut writer) {
-                Ok(Some(response)) => response,
-                Ok(None) => continue,
+                Ok(response) => response,
                 Err(io) => {
                     // Client went away mid-stream.
                     ctx.obs.logger.debug(

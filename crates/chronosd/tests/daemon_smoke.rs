@@ -52,12 +52,13 @@ fn checkpoint_resume_across_daemon_processes_matches_batch() {
         r#"{{"kind":"e16-fleet","seed":{SEED},"clients":{CLIENTS},"resolvers":{RESOLVERS},"poisoned_resolvers":{POISONED},"slice_s":500,"pause_at_s":1500}}"#
     ))
     .expect("spec literal");
-    client
+    let accepted = client
         .request(
             "submit",
             vec![("name".into(), Json::str("smoke")), ("spec".into(), spec)],
         )
         .expect("submit");
+    assert_eq!(accepted.get("state").and_then(Json::as_str), Some("queued"));
 
     // Live observability: stream a couple of snapshots while it steps.
     let mut watcher = Client::connect(&socket).expect("watch connection");
@@ -151,7 +152,7 @@ fn checkpoint_resume_across_daemon_processes_matches_batch() {
     // Fresh daemon process (new Daemon, new JobTable): resume and finish.
     let second = boot(&socket);
     let mut client = Client::connect(&socket).expect("reconnect");
-    client
+    let resumed = client
         .request(
             "resume",
             vec![
@@ -162,6 +163,7 @@ fn checkpoint_resume_across_daemon_processes_matches_batch() {
             ],
         )
         .expect("resume from checkpoint file");
+    assert_eq!(resumed.get("state").and_then(Json::as_str), Some("queued"));
     client
         .wait_for_state("smoke-resumed", "done", Duration::from_secs(300))
         .expect("resumed job finishes");
@@ -195,12 +197,13 @@ fn socket_checkpoint_of_a_paused_sweep_resumes_the_whole_grid() {
         r#"{{"kind":"e16-sweep","seed":{SEED},"clients":16,"resolvers":{RESOLVERS},"slice_s":900,"pause_at_row":1}}"#
     ))
     .expect("spec literal");
-    client
+    let accepted = client
         .request(
             "submit",
             vec![("name".into(), Json::str("grid")), ("spec".into(), spec)],
         )
         .expect("submit");
+    assert_eq!(accepted.get("state").and_then(Json::as_str), Some("queued"));
     client
         .wait_for_state("grid", "paused", Duration::from_secs(120))
         .expect("sweep pauses at its row anchor");
@@ -231,6 +234,7 @@ fn socket_checkpoint_of_a_paused_sweep_resumes_the_whole_grid() {
         resumed.get("kind").and_then(Json::as_str),
         Some("resume-sweep")
     );
+    assert_eq!(resumed.get("state").and_then(Json::as_str), Some("queued"));
     client
         .wait_for_state("grid-resumed", "done", Duration::from_secs(300))
         .expect("resumed sweep runs every remaining row");

@@ -1445,8 +1445,8 @@ pub struct E8Row {
 }
 
 /// The [`ScenarioConfig`] for one E8 variant — each variant is a pure
-/// config, so the whole table runs as one [`montecarlo::run_scenarios`]
-/// sweep (and larger grids can Monte-Carlo each variant across seeds).
+/// config, so the whole table runs as one
+/// [`montecarlo::run_scenarios_detailed`] sweep (and larger grids can Monte-Carlo each variant across seeds).
 pub fn e8_config(variant: E8Variant, seed: u64) -> ScenarioConfig {
     let interval = SimDuration::from_secs(200);
     let rounds = 24usize;
@@ -1496,7 +1496,7 @@ pub fn run_e8(seed: u64, threads: usize) -> Vec<E8Row> {
     let rounds = 24usize;
     let variants = E8Variant::all();
     let configs: Vec<ScenarioConfig> = variants.iter().map(|&v| e8_config(v, seed)).collect();
-    let rows = montecarlo::run_scenarios(&configs, threads, 1, |scenario, ci, _| {
+    let (rows, _) = montecarlo::run_scenarios_detailed(&configs, threads, 1, |scenario, ci, _| {
         scenario.run_pool_generation(interval * (rounds as u64 + 4));
         let (benign, malicious) = scenario.chronos_pool_composition();
         let total = benign + malicious;

@@ -42,8 +42,8 @@ pub mod prelude {
         SweepPoint, SweepResult, SweepRow,
     };
     pub use crate::montecarlo::{
-        run_fleets, run_grid, run_scenarios, run_scenarios_detailed, run_trials, success_rate,
-        success_rates, trial_seed, SuccessRate, SweepStats,
+        run_fleets, run_grid, run_scenarios_detailed, run_trials, success_rate, success_rates,
+        trial_seed, SuccessRate, SweepStats,
     };
     pub use crate::poolmodel::{composition_after_poison, latest_winning_round, PoolModelParams};
     pub use crate::report::{Series, Table};

@@ -5,29 +5,27 @@
 //! out over scoped threads and returns results in trial order, so outcomes
 //! are independent of thread scheduling.
 //!
-//! The lock-free batch dispatcher itself — pre-allocated slots, disjoint
-//! `&mut` batches claimed off an atomic cursor, [`TrialBudget`] batching —
-//! lives in [`netsim::par`] so the fleet engine's intra-fleet shard
-//! stepping can run on the same machinery without a circular dependency;
-//! this module re-exports the trial API and builds the *sweep* engines on
-//! top: scenario grids with pooled worlds ([`run_scenarios`]) and fleet
-//! grids with pooled state columns ([`run_fleets`]).
+//! The claim loop itself — pre-allocated slots, disjoint `&mut` batches
+//! claimed off one atomic cursor — lives in [`netsim::par`] so the fleet
+//! engine's intra-fleet shard stepping can run on the same machinery
+//! without a circular dependency. This module re-exports the trial API
+//! and builds one pooled *sweep* engine on top, behind two entry points:
+//! scenario grids ([`run_scenarios_detailed`]) and fleet grids
+//! ([`run_fleets`]). Both keep one pool shelf per config shape and rewind
+//! the shelved trial object to each trial's seed instead of rebuilding it.
 
 use crate::scenario::{Scenario, ScenarioConfig};
 use fleet::config::FleetConfig;
 use fleet::engine::Fleet;
-use netsim::pool::{ObjectPool, WorldPool, WorldPoolStats};
+use netsim::pool::ObjectPool;
 use serde::{Deserialize, Serialize};
 
 #[doc(hidden)]
 pub use netsim::par::baseline_run_trials;
-pub use netsim::par::{
-    default_threads, run_trials, run_trials_stateful, run_trials_with_budget, TrialBudget,
-};
+pub use netsim::par::{default_threads, run_trials, run_trials_stateful};
 
 // ---------------------------------------------------------------------
-// Scenario sweeps: a flattened (config × trial) index space over the
-// batch dispatcher, with netsim worlds pooled and reset across trials.
+// Sweeps: a flattened (config × trial) index space over the claim loop.
 // ---------------------------------------------------------------------
 
 /// Derives the world seed for one trial of a sweep point from the config's
@@ -68,16 +66,16 @@ fn unflatten<T>(flat: Vec<T>, per_config_trials: u32) -> Vec<Vec<T>> {
 
 /// Sweeps an arbitrary config grid: runs `per_config_trials` evaluations of
 /// `f` for every element of `configs`, fanning the flattened
-/// (config × trial) index space over the batch dispatcher. Returns one
-/// result vector per config, trials in index order (deterministic under
-/// thread scheduling, like [`run_trials`]).
+/// (config × trial) index space over the claim loop. Returns one result
+/// vector per config, trials in index order (deterministic under thread
+/// scheduling, like [`run_trials`]).
 ///
 /// `f` receives `(config, config_index, trial_index)` and must derive all
 /// randomness from those (e.g. via [`trial_seed`]).
 ///
 /// This is the engine for *analytic* sweeps (no simulation world). For
-/// packet-level scenario grids use [`run_scenarios`], which additionally
-/// pools worlds.
+/// packet-level scenario grids use [`run_scenarios_detailed`], which
+/// additionally pools worlds.
 ///
 /// # Panics
 ///
@@ -93,24 +91,15 @@ where
         return configs.iter().map(|_| Vec::new()).collect();
     }
     let total = flat_len(configs.len(), per_config_trials);
-    let flat = run_trials_stateful(
-        total,
-        threads,
-        TrialBudget::auto(),
-        || (),
-        |(), i| {
-            let cfg = (i / per_config_trials) as usize;
-            let trial = i % per_config_trials;
-            f(&configs[cfg], cfg, trial)
-        },
-    );
+    let flat = run_trials(total, threads, |i| {
+        let cfg = (i / per_config_trials) as usize;
+        f(&configs[cfg], cfg, i % per_config_trials)
+    });
     unflatten(flat, per_config_trials)
 }
 
 /// Assigns each config a pool-shelf group by structural fingerprint, in
 /// first-occurrence order. Returns `(group index per config, group count)`.
-/// Shared by [`run_scenarios_detailed`] and [`run_fleets`] so the two
-/// engines cannot drift in how they key their pools.
 fn fingerprint_groups(fingerprints: impl Iterator<Item = u64>) -> (Vec<usize>, usize) {
     let mut group_of = Vec::new();
     let mut seen: Vec<u64> = Vec::new();
@@ -128,25 +117,23 @@ fn fingerprint_groups(fingerprints: impl Iterator<Item = u64>) -> (Vec<usize>, u
     (group_of, groups)
 }
 
-/// Counters describing how much construction a scenario sweep avoided.
+/// Counters describing how much construction a pooled sweep avoided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepStats {
-    /// Scenario trials executed.
+    /// Trials executed.
     pub trials: u64,
-    /// Worlds constructed from scratch (`Scenario::build`).
+    /// Trial objects (worlds or fleets) constructed from scratch: pool
+    /// checkouts that found the shelf empty.
     pub worlds_built: u64,
-    /// Worlds adopted from the pool after a worker crossed configs.
+    /// Trial objects taken from a shelf after a worker crossed into
+    /// another config shape.
     pub worlds_adopted: u64,
     /// Distinct structural config shapes in the grid (pool shelves).
     pub config_groups: u64,
-    /// Raw pool counters (hits/misses), for sweep users who want pooling
-    /// effectiveness without a debugger: `pool.hit_rate()` is the share of
-    /// shape-boundary crossings served from the shelf.
-    pub pool: WorldPoolStats,
 }
 
 impl SweepStats {
-    /// Share of trials that ran on a reused world instead of a fresh
+    /// Share of trials that ran on a reused object instead of a fresh
     /// build — the sweep-level hit rate (shelf handoffs *and* worker-local
     /// rewinds both count as reuse).
     pub fn reuse_rate(&self) -> f64 {
@@ -158,41 +145,160 @@ impl SweepStats {
     }
 }
 
-/// Sweeps a grid of packet-level scenarios: `per_config_trials` trials per
-/// [`ScenarioConfig`], flattened over the batch dispatcher, with netsim
-/// worlds **pooled and reset** across trials instead of rebuilt.
+/// What the pooled sweep needs of a config type: its shape and seed, a
+/// build at a seed, and a rewind of a same-shape object to a seed. A
+/// rewound object must run byte-identically to one built at that seed.
+trait PooledConfig: Sync {
+    type Object: Send;
+    fn shape(&self) -> u64;
+    fn seed(&self) -> u64;
+    fn build(&self, seed: u64) -> Self::Object;
+    fn rewind(&self, object: &mut Self::Object, seed: u64);
+}
+
+impl PooledConfig for ScenarioConfig {
+    type Object = Scenario;
+
+    fn shape(&self) -> u64 {
+        self.structural_fingerprint()
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn build(&self, seed: u64) -> Scenario {
+        Scenario::build(ScenarioConfig {
+            seed,
+            ..self.clone()
+        })
+    }
+
+    /// Same-shape configs differ only in `seed`, and node ids follow
+    /// build order, so the scenario's own reset is the whole rewind.
+    fn rewind(&self, scenario: &mut Scenario, seed: u64) {
+        scenario.reset(seed);
+    }
+}
+
+impl PooledConfig for FleetConfig {
+    type Object = Fleet;
+
+    fn shape(&self) -> u64 {
+        self.structural_fingerprint()
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn build(&self, seed: u64) -> Fleet {
+        Fleet::new(FleetConfig {
+            seed,
+            ..self.clone()
+        })
+    }
+
+    /// Same shape ≠ same config: the fingerprint deliberately ignores
+    /// `threads` (a pure wall-clock knob), so carry this config's worker
+    /// count onto the reused fleet before rewinding it.
+    fn rewind(&self, fleet: &mut Fleet, seed: u64) {
+        fleet.set_threads(self.threads);
+        fleet.reset(seed);
+    }
+}
+
+/// The pooled sweep engine behind [`run_scenarios_detailed`] and
+/// [`run_fleets`].
 ///
-/// Each worker thread keeps the scenario for the config it is currently
-/// inside; per trial it is rewound with [`Scenario::reset`] under
-/// [`trial_seed`]`(config.seed, trial)` — byte-identical to a fresh
-/// [`Scenario::build`] at that seed, at a fraction of the cost. The
-/// [`WorldPool`] is keyed by [`ScenarioConfig::structural_fingerprint`]
-/// (not config position), so when a worker crosses a config boundary
-/// within one *shape group* — e.g. a seed sweep — it keeps its world and
-/// just rewinds it, and shelved worlds serve every same-shape grid point.
-/// Construction cost is therefore O(shapes + threads), not
-/// O(configs × trials).
-///
-/// `f` receives the reset scenario plus `(config_index, trial_index)`;
-/// results come back per config, in trial order, independent of scheduling.
-///
-/// # Panics
-///
-/// Propagates panics from `f` and panics if `threads` is zero.
-pub fn run_scenarios<T, F>(
-    configs: &[ScenarioConfig],
+/// Each worker keeps the trial object for the shape it is currently
+/// inside and rewinds it to [`trial_seed`]`(config.seed, trial)` for every
+/// trial. When a worker crosses into another shape it shelves its object
+/// under the old shape and checks one out for the new shape, building at
+/// the trial seed only when that shelf is empty. Construction cost is
+/// therefore O(shapes + threads), not O(configs × trials).
+fn pooled_sweep<C, T, F>(
+    configs: &[C],
     threads: usize,
     per_config_trials: u32,
     f: F,
-) -> Vec<Vec<T>>
+) -> (Vec<Vec<T>>, SweepStats)
 where
+    C: PooledConfig,
     T: Send,
-    F: Fn(&mut Scenario, usize, u32) -> T + Sync,
+    F: Fn(&mut C::Object, usize, u32) -> T + Sync,
 {
-    run_scenarios_detailed(configs, threads, per_config_trials, f).0
+    assert!(threads > 0, "need at least one worker thread");
+    if configs.is_empty() || per_config_trials == 0 {
+        return (
+            configs.iter().map(|_| Vec::new()).collect(),
+            SweepStats::default(),
+        );
+    }
+    let total = flat_len(configs.len(), per_config_trials);
+    let (group_of, groups) = fingerprint_groups(configs.iter().map(C::shape));
+    let pool = ObjectPool::new(groups);
+    let group_of = &group_of[..];
+
+    // A worker's cache: the object for the shape it is currently inside.
+    // Whatever is still cached when workers finish is dropped.
+    let flat = run_trials_stateful(
+        total,
+        threads,
+        || None::<(usize, C::Object)>,
+        |cache, i| {
+            let cfg_idx = (i / per_config_trials) as usize;
+            let trial = i % per_config_trials;
+            let group = group_of[cfg_idx];
+            let config = &configs[cfg_idx];
+            let seed = trial_seed(config.seed(), trial);
+            let reusable = match cache.take() {
+                Some((cached, object)) if cached == group => Some(object),
+                other => {
+                    if let Some((old_group, object)) = other {
+                        pool.checkin(old_group, object);
+                    }
+                    pool.checkout(group)
+                }
+            };
+            let object = match reusable {
+                Some(mut object) => {
+                    config.rewind(&mut object, seed);
+                    object
+                }
+                None => config.build(seed),
+            };
+            let (_, object) = cache.insert((group, object));
+            f(object, cfg_idx, trial)
+        },
+    );
+    // The pool's own counters are the single source of truth: a checkout
+    // miss is exactly a build, a hit exactly a shelf handoff.
+    let pool_stats = pool.stats();
+    let stats = SweepStats {
+        trials: u64::from(total),
+        worlds_built: pool_stats.misses,
+        worlds_adopted: pool_stats.reused,
+        config_groups: groups as u64,
+    };
+    (unflatten(flat, per_config_trials), stats)
 }
 
-/// [`run_scenarios`], also reporting pool-effectiveness counters.
+/// Sweeps a grid of packet-level scenarios: `per_config_trials` trials per
+/// [`ScenarioConfig`], flattened over the claim loop, with scenarios
+/// **pooled and reset** across trials instead of rebuilt, and
+/// pool-effectiveness counters alongside the results.
+///
+/// Per trial the scenario is rewound with [`Scenario::reset`] under
+/// [`trial_seed`]`(config.seed, trial)` — byte-identical to a fresh
+/// [`Scenario::build`] at that seed, at a fraction of the cost. Pool
+/// shelves are keyed by [`ScenarioConfig::structural_fingerprint`] (not
+/// config position), so a worker crossing configs within one shape — e.g.
+/// a seed sweep — keeps its scenario and just rewinds it, and shelved
+/// scenarios serve every same-shape grid point.
+///
+/// `f` receives the reset scenario plus `(config_index, trial_index)`;
+/// results come back per config, in trial order, independent of scheduling.
 ///
 /// # Panics
 ///
@@ -207,88 +313,18 @@ where
     T: Send,
     F: Fn(&mut Scenario, usize, u32) -> T + Sync,
 {
-    assert!(threads > 0, "need at least one worker thread");
-    if configs.is_empty() || per_config_trials == 0 {
-        return (
-            configs.iter().map(|_| Vec::new()).collect(),
-            SweepStats::default(),
-        );
-    }
-    let total = flat_len(configs.len(), per_config_trials);
-    // Group configs by structural fingerprint: same-shape grid points
-    // (differing only in seed) share one pool shelf — and a worker that
-    // crosses between them keeps its world and merely rewinds it.
-    let (group_of, groups) =
-        fingerprint_groups(configs.iter().map(ScenarioConfig::structural_fingerprint));
-    let pool = WorldPool::new(groups);
-    let group_of = &group_of[..];
-
-    // A worker's cache: the scenario for the shape group it is currently
-    // inside. Returned to the pool when the worker crosses into another
-    // group; whatever is still cached when workers finish is dropped.
-    let flat = run_trials_stateful(
-        total,
-        threads,
-        TrialBudget::auto(),
-        || None::<(usize, Scenario)>,
-        |cache, i| {
-            let cfg_idx = (i / per_config_trials) as usize;
-            let trial = i % per_config_trials;
-            let group = group_of[cfg_idx];
-            let config = &configs[cfg_idx];
-            let seed = trial_seed(config.seed, trial);
-            if cache.as_ref().map(|(k, _)| *k) == Some(group) {
-                // Same shape (possibly a different config): rewinding under
-                // the trial seed is all a shape-equal world needs.
-                let (_, scenario) = cache.as_mut().expect("checked above");
-                scenario.reset(seed);
-            } else {
-                if let Some((old_group, s)) = cache.take() {
-                    pool.checkin(old_group, s.into_world());
-                }
-                // Build/adopt directly at the trial seed — both leave the
-                // scenario reset and ready, so no second reset is needed.
-                let trial_config = ScenarioConfig {
-                    seed,
-                    ..config.clone()
-                };
-                let scenario = match pool.checkout(group) {
-                    Some(world) => Scenario::adopt(world, trial_config),
-                    None => Scenario::build(trial_config),
-                };
-                *cache = Some((group, scenario));
-            }
-            let (_, scenario) = cache.as_mut().expect("cache populated above");
-            f(scenario, cfg_idx, trial)
-        },
-    );
-    // The pool's own counters are the single source of truth: a checkout
-    // miss is exactly a build, a hit exactly an adoption.
-    let pool_stats = pool.stats();
-    let stats = SweepStats {
-        trials: u64::from(total),
-        worlds_built: pool_stats.misses,
-        worlds_adopted: pool_stats.reused,
-        config_groups: groups as u64,
-        pool: pool_stats,
-    };
-    (unflatten(flat, per_config_trials), stats)
+    pooled_sweep(configs, threads, per_config_trials, f)
 }
 
-// ---------------------------------------------------------------------
-// Fleet sweeps: population trials fan out over the same dispatcher, with
-// fleets pooled and reset like worlds.
-// ---------------------------------------------------------------------
-
 /// Sweeps a grid of population simulations: `per_config_trials` trials per
-/// [`FleetConfig`], flattened over the lock-free batch dispatcher, with
-/// [`Fleet`] state **pooled and reset** across trials instead of
-/// reallocated — the population analogue of [`run_scenarios`].
+/// [`FleetConfig`], flattened over the claim loop, with [`Fleet`] state
+/// **pooled and reset** across trials instead of reallocated — the
+/// population analogue of [`run_scenarios_detailed`].
 ///
 /// Pool shelves are keyed by [`FleetConfig::structural_fingerprint`], so a
 /// seed sweep reuses one set of state columns per worker; per trial the
-/// fleet is rewound with [`Fleet::reset`] under
-/// [`trial_seed`]`(config.seed, trial)`, byte-identical to a fresh
+/// fleet takes the config's `threads` and is rewound with [`Fleet::reset`]
+/// under [`trial_seed`]`(config.seed, trial)`, byte-identical to a fresh
 /// [`Fleet::new`] at that seed. `f` receives the reset fleet plus
 /// `(config_index, trial_index)` and typically runs it to its horizon;
 /// results come back per config, in trial order, independent of thread
@@ -307,73 +343,11 @@ where
     T: Send,
     F: Fn(&mut Fleet, usize, u32) -> T + Sync,
 {
-    assert!(threads > 0, "need at least one worker thread");
-    if configs.is_empty() || per_config_trials == 0 {
-        return (
-            configs.iter().map(|_| Vec::new()).collect(),
-            SweepStats::default(),
-        );
-    }
-    let total = flat_len(configs.len(), per_config_trials);
-    let (group_of, groups) =
-        fingerprint_groups(configs.iter().map(FleetConfig::structural_fingerprint));
-    let pool: ObjectPool<Fleet> = ObjectPool::new(groups);
-    let group_of = &group_of[..];
-
-    let flat = run_trials_stateful(
-        total,
-        threads,
-        TrialBudget::auto(),
-        || None::<(usize, Fleet)>,
-        |cache, i| {
-            let cfg_idx = (i / per_config_trials) as usize;
-            let trial = i % per_config_trials;
-            let group = group_of[cfg_idx];
-            let config = &configs[cfg_idx];
-            let seed = trial_seed(config.seed, trial);
-            if cache.as_ref().map(|(k, _)| *k) == Some(group) {
-                let (_, fleet) = cache.as_mut().expect("checked above");
-                // Same shape ≠ same config: the fingerprint deliberately
-                // ignores `threads` (a pure wall-clock knob), so carry the
-                // target config's worker count onto the reused fleet.
-                fleet.set_threads(config.threads);
-                fleet.reset(seed);
-            } else {
-                if let Some((old_group, fleet)) = cache.take() {
-                    pool.checkin(old_group, fleet);
-                }
-                let trial_config = FleetConfig {
-                    seed,
-                    ..config.clone()
-                };
-                let fleet = match pool.checkout(group) {
-                    Some(mut fleet) => {
-                        // Same shape ⇒ same client count: reconfigure
-                        // reuses every column allocation.
-                        fleet.reconfigure(trial_config);
-                        fleet
-                    }
-                    None => Fleet::new(trial_config),
-                };
-                *cache = Some((group, fleet));
-            }
-            let (_, fleet) = cache.as_mut().expect("cache populated above");
-            f(fleet, cfg_idx, trial)
-        },
-    );
-    let pool_stats = pool.stats();
-    let stats = SweepStats {
-        trials: u64::from(total),
-        worlds_built: pool_stats.misses,
-        worlds_adopted: pool_stats.reused,
-        config_groups: groups as u64,
-        pool: pool_stats,
-    };
-    (unflatten(flat, per_config_trials), stats)
+    pooled_sweep(configs, threads, per_config_trials, f)
 }
 
 /// Aggregates a boolean sweep result (one inner vector per config, as
-/// returned by [`run_scenarios`]/[`run_grid`]) into per-config
+/// returned by [`run_scenarios_detailed`]/[`run_grid`]) into per-config
 /// [`SuccessRate`]s.
 pub fn success_rates(outcomes: &[Vec<bool>]) -> Vec<SuccessRate> {
     outcomes.iter().map(|o| success_rate(o)).collect()

@@ -140,11 +140,12 @@ impl Default for ScenarioConfig {
 impl ScenarioConfig {
     /// A seed-independent hash of the configuration *shape*: two configs
     /// with equal fingerprints differ at most in `seed`, which means a
-    /// world built for one can be [`Scenario::adopt`]ed for the other —
-    /// the node set, zones, attack wiring and topology are identical, and
-    /// everything seed-derived re-derives on reset. Sweep engines key
-    /// their [`netsim::pool::WorldPool`] by this, so same-shape grid
-    /// points (e.g. a seed sweep) share pooled worlds.
+    /// scenario built for one serves the other after a
+    /// [`Scenario::reset`] — the node set (in build order, so node ids
+    /// too), zones, attack wiring and topology are identical, and
+    /// everything seed-derived re-derives on reset. The sweep engine keys
+    /// its [`netsim::pool::ObjectPool`] shelves by this, so same-shape
+    /// grid points (e.g. a seed sweep) share pooled scenarios.
     pub fn structural_fingerprint(&self) -> u64 {
         let mut shape = self.clone();
         shape.seed = 0;
@@ -477,50 +478,6 @@ impl Scenario {
                 PoisonStrategy::BlindSpoof { .. } | PoisonStrategy::Oracle { .. } => {}
             }
         }
-    }
-
-    /// Consumes the scenario, releasing its world for pooling (see
-    /// [`netsim::pool::WorldPool`]); re-attach it with [`Scenario::adopt`].
-    pub fn into_world(self) -> World {
-        self.world
-    }
-
-    /// Re-attaches a world previously detached with [`Scenario::into_world`]
-    /// and resets it for `config.seed`.
-    ///
-    /// The world must have been built by [`Scenario::build`] from a config
-    /// identical to `config` except for the seed — node handles are
-    /// re-bound by label, and structural differences would make the reused
-    /// world diverge from a fresh build (debug assertions catch label
-    /// mismatches; semantic mismatches are the caller's responsibility).
-    pub fn adopt(world: World, config: ScenarioConfig) -> Scenario {
-        let find = |label: &str| {
-            world
-                .find_node(label)
-                .unwrap_or_else(|| panic!("adopted world has no {label:?} node"))
-        };
-        let nodes = ScenarioNodes {
-            auth: find("pool-auth"),
-            resolver: find("resolver"),
-            chronos: find("chronos"),
-            plain: world.find_node("plain-ntp"),
-            frag_attacker: world.find_node("frag-attacker"),
-            fake_auth: world.find_node("fake-auth"),
-            farm: world.find_node("malicious-farm"),
-        };
-        let benign: Vec<NodeId> = (0..config.benign_universe)
-            .map(|i| find(&format!("ntp{i}")))
-            .collect();
-        let seed = config.seed;
-        let mut scenario = Scenario {
-            world,
-            nodes,
-            benign,
-            config,
-            oracle_done: false,
-        };
-        scenario.reset(seed);
-        scenario
     }
 
     /// The scenario configuration.

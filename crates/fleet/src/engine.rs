@@ -2052,15 +2052,9 @@ impl Fleet {
             DnsView::Independent(&self.resolvers)
         };
         let threads = config.effective_threads().min(self.shards.len()).max(1);
-        if threads == 1 {
-            for shard in &mut self.shards {
-                shard.run_until(target, config, tiers, dns, obs);
-            }
-        } else {
-            netsim::par::for_each_mut(&mut self.shards, threads, |shard, _| {
-                shard.run_until(target, config, tiers, dns, obs)
-            });
-        }
+        netsim::par::for_each_mut(&mut self.shards, threads, |shard, _| {
+            shard.run_until(target, config, tiers, dns, obs)
+        });
         self.now_ns = target;
         let events: u64 = self.shards.iter().map(|s| s.events).sum();
         self.last_slice = Some((

@@ -108,21 +108,13 @@ pub struct OffsetHistogram {
 
 impl OffsetHistogram {
     /// A histogram with `bins_per_decade` bins per decade over
-    /// `[1 µs, 1000 s)`.
+    /// `[1 µs, 1000 s)`: the [`obs::metrics::log_edges_ns`] layout.
     ///
     /// # Panics
     ///
     /// Panics if `bins_per_decade` is zero.
     pub fn log_scale(bins_per_decade: usize) -> Self {
-        assert!(bins_per_decade > 0, "need at least one bin per decade");
-        let decades = 9; // 1e3 ns .. 1e12 ns
-        let mut edges_ns = Vec::with_capacity(decades * bins_per_decade);
-        for d in 0..decades {
-            for b in 1..=bins_per_decade {
-                let exp = 3.0 + d as f64 + b as f64 / bins_per_decade as f64;
-                edges_ns.push(10f64.powf(exp).round() as u64);
-            }
-        }
+        let edges_ns = obs::metrics::log_edges_ns(bins_per_decade);
         let bins = edges_ns.len() + 1;
         OffsetHistogram {
             edges_ns,

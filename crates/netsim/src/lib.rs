@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::ip::{IpProto, Ipv4Net, Ipv4Packet};
     pub use crate::link::{LatencyModel, PathProfile};
     pub use crate::node::{Context, Node, NodeId};
-    pub use crate::pool::{WorldPool, WorldPoolStats};
+    pub use crate::pool::{ObjectPool, WorldPoolStats};
     pub use crate::rng::SimRng;
     pub use crate::stack::{FragFilter, IpIdPolicy, IpStack, StackConfig, StackEvent};
     pub use crate::time::{SimDuration, SimTime};

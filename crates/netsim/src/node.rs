@@ -104,7 +104,7 @@ impl<'a> Context<'a> {
 /// experiment code can downcast back to the concrete type after the run.
 ///
 /// Nodes are `Send` so whole worlds can migrate between Monte-Carlo worker
-/// threads (see [`crate::pool::WorldPool`]).
+/// threads (see [`crate::pool::ObjectPool`]).
 pub trait Node: Any + Send {
     /// Invoked once when the simulation starts (time 0 of the run).
     fn on_start(&mut self, ctx: &mut Context<'_>) {

@@ -5,7 +5,9 @@
 //! and intra-fleet shard stepping (`fleet::engine`) all reduce to the same
 //! problem: hand out independent units of work to a fixed set of worker
 //! threads, with results (or mutations) landing in caller-owned slots.
-//! This module is that engine, index-deterministic by construction:
+//! This module is that engine — one claim loop behind [`run_trials`]
+//! (batches of trials per claim) and [`for_each_mut`] (one element per
+//! claim) — index-deterministic by construction:
 //!
 //! * **Pre-allocated slots, disjoint `&mut` batches.** Output cells are
 //!   split into contiguous batches handed to workers through unique
@@ -53,57 +55,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Batching policy for [`run_trials_with_budget`].
-///
-/// A batch is the unit of work a worker claims from the shared cursor: all
-/// trials in a batch run on one thread, back to back, with a single atomic
-/// operation for the whole batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrialBudget {
-    /// Trials claimed per atomic dispatch. `None` picks a size that yields
-    /// roughly [`TrialBudget::AUTO_BATCHES_PER_THREAD`] batches per worker —
-    /// enough slack for stealing, few enough that dispatch stays amortized.
-    pub batch_size: Option<usize>,
-}
-
-impl TrialBudget {
-    /// Batches each worker gets on average under the automatic policy.
-    pub const AUTO_BATCHES_PER_THREAD: usize = 8;
-
-    /// The automatic policy (recommended).
-    pub const fn auto() -> Self {
-        TrialBudget { batch_size: None }
-    }
-
-    /// A fixed batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn fixed(size: usize) -> Self {
-        assert!(size > 0, "batch size must be positive");
-        TrialBudget {
-            batch_size: Some(size),
-        }
-    }
-
-    /// Resolves the batch size for a workload.
-    pub fn resolve(self, trials: u32, threads: usize) -> usize {
-        match self.batch_size {
-            Some(n) => n.max(1),
-            None => {
-                let target = threads.max(1) * Self::AUTO_BATCHES_PER_THREAD;
-                ((trials as usize).div_ceil(target.max(1))).max(1)
-            }
-        }
-    }
-}
-
-impl Default for TrialBudget {
-    fn default() -> Self {
-        TrialBudget::auto()
-    }
-}
+/// Batches each worker claims on average in [`run_trials_stateful`]:
+/// enough slack for stealing, few enough that dispatch stays amortized.
+const BATCHES_PER_WORKER: usize = 8;
 
 /// A sensible worker count: the machine's available parallelism (1 when it
 /// cannot be determined).
@@ -115,8 +69,7 @@ pub fn default_threads() -> usize {
 
 /// Runs `trials` independent evaluations of `f` (called with the trial
 /// index) across `threads` worker threads, returning results in index
-/// order. Batching follows [`TrialBudget::auto`]; use
-/// [`run_trials_with_budget`] to tune it.
+/// order.
 ///
 /// Determinism: `f` must derive all randomness from its trial index (e.g.
 /// `seed ^ index`); results are written to slot `index` regardless of which
@@ -133,35 +86,20 @@ where
     T: Send,
     F: Fn(u32) -> T + Sync,
 {
-    run_trials_with_budget(trials, threads, TrialBudget::auto(), f)
-}
-
-/// [`run_trials`] with an explicit [`TrialBudget`].
-///
-/// # Panics
-///
-/// Propagates panics from `f` and panics if `threads` is zero.
-pub fn run_trials_with_budget<T, F>(
-    trials: u32,
-    threads: usize,
-    budget: TrialBudget,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u32) -> T + Sync,
-{
-    run_trials_stateful(trials, threads, budget, || (), |(), i| f(i))
+    run_trials_stateful(trials, threads, || (), |(), i| f(i))
 }
 
 /// The dispatcher underneath [`run_trials`] and the sweep engines: like
-/// [`run_trials_with_budget`], but each worker thread carries private state
-/// created by `init` and threaded through every trial it claims.
+/// [`run_trials`], but each worker thread carries private state created
+/// by `init` and threaded through every trial it claims.
 ///
-/// This is what makes world pooling possible: the state holds the worker's
-/// current scenario, so consecutive trials of one configuration reuse a
-/// constructed world instead of rebuilding it. The state never crosses
-/// threads and is dropped when the worker runs out of batches.
+/// This is what makes pooling possible: the state holds the worker's
+/// current trial object, so consecutive trials of one configuration shape
+/// reuse a constructed object instead of rebuilding it. The state never
+/// crosses threads and is dropped when the worker runs out of batches.
+///
+/// Trials are claimed in batches of about `trials / (8 · threads)`, so
+/// each worker claims eight batches on average.
 ///
 /// Determinism contract: `f`'s *result* must depend only on the trial
 /// index, never on the worker state's history — state may only be used as a
@@ -170,68 +108,23 @@ where
 /// # Panics
 ///
 /// Propagates panics from `f` and panics if `threads` is zero.
-pub fn run_trials_stateful<T, S, I, F>(
-    trials: u32,
-    threads: usize,
-    budget: TrialBudget,
-    init: I,
-    f: F,
-) -> Vec<T>
+pub fn run_trials_stateful<T, S, I, F>(trials: u32, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, u32) -> T + Sync,
 {
-    assert!(threads > 0, "need at least one worker thread");
-    if trials == 0 {
-        return Vec::new();
-    }
-    let batch = budget.resolve(trials, threads);
+    let batch = (trials as usize)
+        .div_ceil(threads.max(1) * BATCHES_PER_WORKER)
+        .max(1);
     let mut slots: Vec<Option<T>> = (0..trials).map(|_| None).collect();
-
-    // Serial fast path: one worker needs neither threads nor atomics.
-    if threads == 1 || trials == 1 {
-        let mut state = init();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(f(&mut state, i as u32));
-        }
-        return unwrap_slots(slots);
-    }
-
-    // Disjoint &mut batches behind an atomic claim cursor: each batch index
-    // is handed out exactly once, so every slot has a unique writer and no
-    // result write ever takes a lock.
-    {
-        let cells: Vec<Cell<'_, Option<T>>> = slots.chunks_mut(batch).map(Cell::new).collect();
-        let cells = &cells[..];
-        let cursor = AtomicUsize::new(0);
-        let workers = threads.min(cells.len());
-        std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let init = &init;
-            let f = &f;
-            for _ in 0..workers {
-                scope.spawn(move || {
-                    let mut state = init();
-                    loop {
-                        let b = cursor.fetch_add(1, Ordering::Relaxed);
-                        if b >= cells.len() {
-                            break;
-                        }
-                        // Safety: the cursor returns each index exactly
-                        // once, so this worker is the sole accessor of
-                        // batch `b`.
-                        let chunk = unsafe { cells[b].take() };
-                        let base = (b * batch) as u32;
-                        for (off, slot) in chunk.iter_mut().enumerate() {
-                            *slot = Some(f(&mut state, base + off as u32));
-                        }
-                    }
-                });
-            }
-        });
-    }
-    unwrap_slots(slots)
+    dispatch(&mut slots, batch, threads, init, |state, slot, i| {
+        *slot = Some(f(state, i as u32));
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every trial filled"))
+        .collect()
 }
 
 /// Runs `f` once on every element of `items` (with its index) across
@@ -255,30 +148,50 @@ where
     T: Send,
     F: Fn(&mut T, usize) + Sync,
 {
+    dispatch(items, 1, threads, || (), |(), item, i| f(item, i));
+}
+
+/// The claim loop: splits `items` into chunks of `batch` and calls `run`
+/// on every element with its index and the worker's state from `init`.
+/// With one worker or one chunk everything runs on the calling thread;
+/// otherwise scoped workers claim chunk indices off one atomic cursor, so
+/// each chunk has exactly one writer and no element write takes a lock.
+fn dispatch<T, S, I, R>(items: &mut [T], batch: usize, threads: usize, init: I, run: R)
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    R: Fn(&mut S, &mut T, usize) + Sync,
+{
     assert!(threads > 0, "need at least one worker thread");
-    if threads == 1 || items.len() <= 1 {
+    if threads == 1 || items.len() <= batch {
+        let mut state = init();
         for (i, item) in items.iter_mut().enumerate() {
-            f(item, i);
+            run(&mut state, item, i);
         }
         return;
     }
-    let cells: Vec<Cell<'_, T>> = items.chunks_mut(1).map(Cell::new).collect();
+    let cells: Vec<Cell<'_, T>> = items.chunks_mut(batch).map(Cell::new).collect();
     let cells = &cells[..];
     let cursor = AtomicUsize::new(0);
-    let workers = threads.min(cells.len());
     std::thread::scope(|scope| {
         let cursor = &cursor;
-        let f = &f;
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
+        let init = &init;
+        let run = &run;
+        for _ in 0..threads.min(cells.len()) {
+            scope.spawn(move || {
+                let mut state = init();
+                loop {
+                    let c = cursor.fetch_add(1, Ordering::Relaxed);
+                    if c >= cells.len() {
+                        break;
+                    }
+                    // SAFETY: the cursor returns each index exactly once,
+                    // so this worker is the sole accessor of chunk `c`.
+                    let chunk = unsafe { cells[c].take() };
+                    for (off, item) in chunk.iter_mut().enumerate() {
+                        run(&mut state, item, c * batch + off);
+                    }
                 }
-                // Safety: the cursor returns each index exactly once, so
-                // this worker is the sole accessor of element `i`.
-                let chunk = unsafe { cells[i].take() };
-                f(&mut chunk[0], i);
             });
         }
     });
@@ -311,13 +224,6 @@ impl<'a, T> Cell<'a, T> {
     unsafe fn take(&self) -> &mut [T] {
         &mut **self.chunk.get()
     }
-}
-
-fn unwrap_slots<T>(slots: Vec<Option<T>>) -> Vec<T> {
-    slots
-        .into_iter()
-        .map(|r| r.expect("every trial filled"))
-        .collect()
 }
 
 /// The seed implementation retained as the benchmark baseline: one global
@@ -387,9 +293,10 @@ mod tests {
             let mut rng = SimRng::seed_from(9000 + u64::from(i));
             rng.gen::<u64>()
         };
-        let reference = run_trials_with_budget(257, 1, TrialBudget::auto(), f);
+        let reference = run_trials(257, 1, f);
         for batch in [1usize, 2, 7, 64, 300] {
-            let got = run_trials_with_budget(257, 6, TrialBudget::fixed(batch), f);
+            let mut got = vec![0u64; 257];
+            dispatch(&mut got, batch, 6, || (), |(), slot, i| *slot = f(i as u32));
             assert_eq!(reference, got, "batch size {batch} changed outcomes");
         }
     }
@@ -406,8 +313,14 @@ mod tests {
         // barrier-style closure; mostly documents the no-spawn guarantee.
         let out: Vec<u32> = run_trials(0, 4, |i| i);
         assert!(out.is_empty());
-        let out: Vec<u32> = run_trials_with_budget(0, 4, TrialBudget::fixed(3), |i| i);
-        assert!(out.is_empty());
+        let mut empty: [u32; 0] = [];
+        dispatch(
+            &mut empty,
+            3,
+            4,
+            || (),
+            |(), _, _| unreachable!("no trials"),
+        );
     }
 
     #[test]
@@ -423,19 +336,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_rejected() {
-        TrialBudget::fixed(0);
-    }
-
-    #[test]
-    fn auto_budget_scales_with_workload() {
-        assert_eq!(TrialBudget::auto().resolve(10_000, 8), 157);
-        assert_eq!(TrialBudget::auto().resolve(4, 8), 1);
-        assert_eq!(TrialBudget::fixed(32).resolve(10_000, 8), 32);
-    }
-
-    #[test]
     fn more_threads_than_trials_is_fine() {
         let out = run_trials(3, 16, |i| i + 1);
         assert_eq!(out, vec![1, 2, 3]);
@@ -447,7 +347,6 @@ mod tests {
         let out = run_trials_stateful(
             100,
             4,
-            TrialBudget::fixed(5),
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0u32

@@ -1,25 +1,27 @@
 //! Object pooling for Monte-Carlo sweeps.
 //!
-//! Building a [`World`] — zones, nodes, address maps, topology — dominates
-//! the cost of cheap packet-level trials, and a fleet's state columns are
-//! similarly worth reusing across trials. An [`ObjectPool`] lets sweep
-//! engines keep one constructed object per *configuration key* and hand it
-//! from worker to worker: a worker checks an object out, resets it for its
-//! trial seed, runs the trial, and checks it back in. Construction then
-//! happens O(keys + threads) times instead of O(keys × trials).
+//! Building a packet-level scenario — zones, nodes, address maps,
+//! topology in a [`World`](crate::world::World) — dominates the cost of
+//! cheap trials, and a fleet's state columns are similarly worth reusing
+//! across trials. An [`ObjectPool`] lets sweep engines keep constructed
+//! trial objects on one *shelf* per configuration key and hand them from
+//! worker to worker: a worker checks an object out, rewinds it to its
+//! trial seed, runs the trial, and checks it back in when it moves to
+//! another key. Construction then happens O(keys + threads) times instead
+//! of O(keys × trials).
 //!
 //! The pool is deliberately dumb about what a "configuration" is: keys are
-//! plain indices assigned by the caller. Since PR 3 the scenario sweep
-//! engine assigns keys by *structural fingerprint* (seed-independent config
-//! shape) rather than config position, so same-shape grid points share
-//! shelves. Objects checked in under key `k` must all be interchangeable
-//! under that key — the pool never validates this.
+//! plain indices assigned by the caller. The sweep engine in
+//! `chronos_pitfalls::montecarlo` assigns keys by *structural fingerprint*
+//! (seed-independent config shape) rather than config position, so
+//! same-shape grid points share shelves. Objects checked in under key `k`
+//! must all be interchangeable under that key — the pool never validates
+//! this.
 //!
-//! Locking: one mutex per key shelf, taken once per *batch* of trials (the
-//! sweep engines claim batches, not single trials), so contention is
-//! amortized to noise and the per-trial hot path stays lock-free.
+//! Locking: one mutex per key shelf, taken only when a worker crosses
+//! into another key, so contention is amortized to noise and the
+//! per-trial hot path stays lock-free.
 
-use crate::world::World;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -31,18 +33,6 @@ pub struct WorldPoolStats {
     pub reused: u64,
     /// Checkouts that came back empty (the caller had to build).
     pub misses: u64,
-}
-
-impl WorldPoolStats {
-    /// Hit rate over all checkouts (0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.reused + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.reused as f64 / total as f64
-        }
-    }
 }
 
 /// FNV-1a over a string — stable within one build, which is all pool keys
@@ -66,9 +56,6 @@ pub struct ObjectPool<T> {
     misses: AtomicU64,
 }
 
-/// The packet-level instantiation: pooled netsim [`World`]s.
-pub type WorldPool = ObjectPool<World>;
-
 impl<T> ObjectPool<T> {
     /// Creates a pool with `keys` empty shelves (one per configuration).
     pub fn new(keys: usize) -> Self {
@@ -77,11 +64,6 @@ impl<T> ObjectPool<T> {
             reused: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// Number of configuration shelves.
-    pub fn keys(&self) -> usize {
-        self.shelves.len()
     }
 
     /// Takes an object previously checked in under `key`, if any. The
@@ -130,10 +112,11 @@ impl<T> ObjectPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::World;
 
     #[test]
     fn checkout_of_empty_shelf_is_a_miss() {
-        let pool = WorldPool::new(2);
+        let pool = ObjectPool::<World>::new(2);
         assert!(pool.checkout(0).is_none());
         assert_eq!(
             pool.stats(),
@@ -142,12 +125,11 @@ mod tests {
                 misses: 1
             }
         );
-        assert_eq!(pool.stats().hit_rate(), 0.0);
     }
 
     #[test]
     fn checkin_then_checkout_reuses() {
-        let pool = WorldPool::new(1);
+        let pool = ObjectPool::<World>::new(1);
         pool.checkin(0, World::new(7));
         let w = pool.checkout(0).expect("shelved world comes back");
         assert_eq!(w.node_count(), 0);
@@ -158,13 +140,12 @@ mod tests {
                 misses: 0
             }
         );
-        assert_eq!(pool.stats().hit_rate(), 1.0);
         assert!(pool.checkout(0).is_none(), "shelf is empty again");
     }
 
     #[test]
     fn shelves_are_independent() {
-        let pool = WorldPool::new(3);
+        let pool = ObjectPool::<World>::new(3);
         pool.checkin(2, World::new(1));
         assert!(pool.checkout(0).is_none());
         assert!(pool.checkout(2).is_some());
@@ -175,17 +156,21 @@ mod tests {
         let pool: ObjectPool<Vec<u8>> = ObjectPool::new(1);
         pool.checkin(0, vec![1, 2, 3]);
         assert_eq!(pool.checkout(0), Some(vec![1, 2, 3]));
-        assert_eq!(pool.stats().hit_rate(), 1.0, "the one checkout hit");
+        assert_eq!(pool.stats().reused, 1, "the one checkout hit");
         assert!(pool.checkout(0).is_none());
-        assert!(
-            (pool.stats().hit_rate() - 0.5).abs() < 1e-12,
+        assert_eq!(
+            pool.stats(),
+            WorldPoolStats {
+                reused: 1,
+                misses: 1
+            },
             "1 hit, 1 miss"
         );
     }
 
     #[test]
     fn pool_is_shareable_across_threads() {
-        let pool = WorldPool::new(4);
+        let pool = ObjectPool::<World>::new(4);
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 let pool = &pool;

@@ -9,9 +9,9 @@
 //! * [`Counter`] / [`Gauge`] — lock-free atomic instruments; a handle is
 //!   an `Arc` clone, recording is a single relaxed atomic op.
 //! * [`TimeHistogram`] — a log-binned wall-time histogram over
-//!   1 µs … 1000 s, reusing the `fleet::stats::OffsetHistogram` edge
-//!   construction (`10^(3 + d + b/bpd)` ns) so bin layouts read the same
-//!   across the whole repo.
+//!   1 µs … 1000 s, on the [`metrics::log_edges_ns`] layout
+//!   (`10^(3 + d + b/bpd)` ns) that `fleet::stats::OffsetHistogram` bins
+//!   on too, so bin layouts read the same across the whole repo.
 //! * [`Registry`] — a label-ordered instrument registry with
 //!   point-in-time [`Registry::snapshot`]s and a Prometheus text
 //!   exposition renderer ([`expo::render`]) plus a parser/validator

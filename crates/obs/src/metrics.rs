@@ -79,11 +79,11 @@ impl Gauge {
 
 /// A log-binned histogram of wall-clock durations in nanoseconds.
 ///
-/// The bin edges reuse the `fleet::stats::OffsetHistogram::log_scale`
-/// construction: `bins_per_decade` edges per decade at
-/// `10^(3 + d + b/bpd)` ns across nine decades (1 µs … 1000 s), plus an
-/// overflow bin. Recording is two relaxed atomic adds and a binary
-/// search over the precomputed edges — no locks, no allocation.
+/// The bin edges are [`log_edges_ns`]: `bins_per_decade` edges per
+/// decade at `10^(3 + d + b/bpd)` ns across nine decades
+/// (1 µs … 1000 s), plus an overflow bin. Recording is two relaxed atomic
+/// adds and a binary search over the precomputed edges — no locks, no
+/// allocation.
 #[derive(Debug)]
 pub struct TimeHistogram {
     edges_ns: Vec<u64>,
@@ -105,23 +105,37 @@ pub struct HistogramSnapshot {
     pub total: u64,
 }
 
+/// The repo's one log-bin layout: ascending upper bin edges in
+/// nanoseconds, `bins_per_decade` per decade over the nine decades from
+/// 1 µs to 1000 s. Edge `b = 1..=bins_per_decade` of decade `d = 0..9` is
+/// `10^(3 + d + b/bins_per_decade)` ns, rounded, so the last edge is
+/// exactly 10¹² ns. [`TimeHistogram`] and `fleet::stats::OffsetHistogram`
+/// both bin on it.
+///
+/// # Panics
+///
+/// Panics if `bins_per_decade` is zero.
+pub fn log_edges_ns(bins_per_decade: usize) -> Vec<u64> {
+    assert!(bins_per_decade > 0, "need at least one bin per decade");
+    let decades = 9; // 1e3 ns .. 1e12 ns
+    let mut edges_ns = Vec::with_capacity(decades * bins_per_decade);
+    for d in 0..decades {
+        for b in 1..=bins_per_decade {
+            let exp = 3.0 + d as f64 + b as f64 / bins_per_decade as f64;
+            edges_ns.push(10f64.powf(exp).round() as u64);
+        }
+    }
+    edges_ns
+}
+
 impl TimeHistogram {
-    /// Builds a histogram with `bins_per_decade` log bins per decade over
-    /// 1 µs … 1000 s (the `fleet::stats` layout).
+    /// Builds a histogram over [`log_edges_ns`]`(bins_per_decade)`.
     ///
     /// # Panics
     ///
     /// Panics if `bins_per_decade` is zero.
     pub fn log_scale(bins_per_decade: usize) -> TimeHistogram {
-        assert!(bins_per_decade > 0, "need at least one bin per decade");
-        let decades = 9; // 1e3 ns .. 1e12 ns
-        let mut edges_ns = Vec::with_capacity(decades * bins_per_decade);
-        for d in 0..decades {
-            for b in 1..=bins_per_decade {
-                let exp = 3.0 + d as f64 + b as f64 / bins_per_decade as f64;
-                edges_ns.push(10f64.powf(exp).round() as u64);
-            }
-        }
+        let edges_ns = log_edges_ns(bins_per_decade);
         let bins = edges_ns.len() + 1;
         TimeHistogram {
             edges_ns,
