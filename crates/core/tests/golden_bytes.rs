@@ -11,9 +11,10 @@
 //!   trial observed.
 //!
 //! The constants are regenerated only in a commit that changes random
-//! streams on purpose (such as replacing the Box-Muller normal sampler
-//! with a ziggurat), and that commit says so. Any other change that
-//! moves them is a regression.
+//! streams on purpose, and that commit says so. Any other change that
+//! moves them is a regression. They were last regenerated by "One
+//! ziggurat normal sampler for fleet and packet worlds", which replaced
+//! both Box-Muller normal samplers with `netsim::rng::standard_normal_from`.
 
 use chronos_pitfalls::experiments::{
     compressed_chronos, e14_config, e16_config, e17_config, e18_config,
@@ -94,11 +95,11 @@ fn lanes() -> Vec<Lane> {
 }
 
 const FLEET_GOLDENS: [u64; 5] = [
-    0x0d46_0907_11fe_80c1,
-    0xa3f0_f240_da56_5d14,
-    0x9b7a_c909_ef81_9de7,
-    0xb5ef_89b5_457f_5884,
-    0x1142_002a_2db3_6a29,
+    0x1bed_eb23_42d9_7060,
+    0x8d8f_241d_29c4_6fdd,
+    0x78b4_8a4f_6bba_fb50,
+    0xd2d6_c6aa_8230_fa72,
+    0xd374_2868_70f4_ad21,
 ];
 
 #[test]
@@ -135,18 +136,18 @@ fn sweep_config(seed: u64, with_attack: bool) -> ScenarioConfig {
 
 /// Trial hashes, config-major: four configs of three trials each.
 const SWEEP_GOLDENS: [u64; 12] = [
-    0x9731_5dfd_ae83_f69f,
-    0x9017_2178_d7d7_0a8b,
-    0x8970_b54e_471d_78c4,
-    0x59cc_dff6_3f4e_9b3b,
-    0xd263_9c26_beb8_9cc5,
-    0x9429_a446_d1a1_80df,
-    0xa0fa_6d7c_6588_705b,
-    0xe058_0536_1997_c4d2,
-    0x5b0a_e155_b21a_79fc,
-    0xf8e3_a42f_85fc_d52a,
-    0xfe41_b96c_5c1c_f418,
-    0xa719_0458_19dc_6e67,
+    0x0035_6210_a066_b22a,
+    0x4696_48b6_dbab_ab81,
+    0xaed1_6f4a_ae07_ca6a,
+    0x88ae_0588_43a9_b676,
+    0x175c_d92e_883e_9cf0,
+    0xb3af_058c_b615_cf10,
+    0x18d5_654a_d2a5_a469,
+    0x32e0_41af_f7c8_9d72,
+    0xadd4_b5a6_4849_35db,
+    0x7070_6d31_9c08_90e5,
+    0xbf6f_4c93_befb_3989,
+    0x4548_009e_c53c_f750,
 ];
 
 /// Two shapes interleaved on two threads, one trial per claim, so

@@ -3,8 +3,9 @@
 //! A fleet keeps one RNG stream per client so trajectories are a function
 //! of `(fleet seed, global client id)` alone — independent of fleet size,
 //! iteration order and thread count. The generator is SplitMix64: 8 bytes
-//! of state per client (a [`netsim::rng::SimRng`] carries a full ChaCha
-//! state, far too heavy for 10⁶ columns), passes practical statistical
+//! of state per client, where a [`netsim::rng::SimRng`] carries 40 (the
+//! vendored `rand` stub's 32-byte `xoshiro256**` state plus an 8-byte fork
+//! counter), too heavy for 10⁶ columns. It passes practical statistical
 //! tests, and seeds decorrelate under the finalizer mix.
 //!
 //! # Fault substreams
@@ -21,6 +22,7 @@
 //!   stay byte-identical across thread counts, shard sizes and fleet
 //!   slicings (the draw never depends on stepping order).
 
+use netsim::rng::standard_normal_from;
 use serde::{Deserialize, Serialize};
 
 /// Weyl increment of SplitMix64.
@@ -155,13 +157,13 @@ impl FleetRng {
         (lo as i128 + draw as i128) as i64
     }
 
-    /// A normal variate with the given mean and standard deviation
-    /// (Box-Muller; consumes two uniforms).
+    /// A normal variate with the given mean and standard deviation, from
+    /// the workspace's one normal sampler,
+    /// [`netsim::rng::standard_normal_from`]: one [`FleetRng::next_u64`]
+    /// on its fast path, about 1.022 on average.
     #[inline]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = 1.0 - self.next_f64(); // (0, 1] so ln is finite
-        let u2 = self.next_f64();
-        mean + std_dev * (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+        mean + std_dev * standard_normal_from(|| self.next_u64())
     }
 }
 
