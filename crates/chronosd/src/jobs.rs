@@ -720,7 +720,13 @@ impl Job {
         self.slot_cv.notify_all();
     }
 
-    fn publish_slice(&self, progress: FleetProgress) {
+    /// Publish a slice's progress, together with `state` when the job
+    /// enters it at this slice: one lock section and one notify, so a
+    /// watcher never sees the new state without its first progress.
+    fn publish_slice(&self, progress: FleetProgress, state: Option<JobState>) {
+        if let Some(state) = state {
+            self.log_state(state, None);
+        }
         if let Some(t) = progress.throughput {
             self.metrics.slice_wall.set(t.wall_secs);
             self.metrics.sim_per_wall.set(t.sim_per_wall);
@@ -731,6 +737,9 @@ impl Job {
             (!book.points.is_empty()).then_some((book.done_blobs.len(), book.points.len()))
         };
         let mut status = lock(&self.status);
+        if let Some(state) = state {
+            status.state = state;
+        }
         status.progress = Some(progress);
         status.slices += 1;
         if sweep_rows.is_some() {
@@ -854,8 +863,7 @@ impl Job {
         let progress = fleet.progress();
         self.park(fleet);
         *lock(&self.worker) = worker;
-        self.set_state(JobState::Running, None);
-        self.publish_slice(progress);
+        self.publish_slice(progress, Some(JobState::Running));
         true
     }
 
@@ -914,7 +922,7 @@ impl Job {
         fleet.run_until(target);
         let progress = fleet.progress();
         self.park(fleet);
-        self.publish_slice(progress);
+        self.publish_slice(progress, None);
         StepOutcome::Again
     }
 
@@ -939,7 +947,7 @@ impl Job {
             fleet.run_until(target);
             let progress = fleet.progress();
             self.park(fleet);
-            self.publish_slice(progress);
+            self.publish_slice(progress, None);
             return StepOutcome::Again;
         }
         // Row complete: record its final checkpoint + report, then build
@@ -964,7 +972,7 @@ impl Job {
         next.set_threads(params.threads);
         let progress = next.progress();
         self.park(next);
-        self.publish_slice(progress);
+        self.publish_slice(progress, None);
         StepOutcome::Again
     }
 

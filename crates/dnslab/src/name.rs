@@ -1,8 +1,19 @@
 //! Domain names: validation, ordering, zone containment.
 //!
-//! Names are stored as lowercase label sequences (DNS is case-insensitive
-//! for matching). Validation follows RFC 1035 limits: labels of 1–63 bytes,
-//! total encoded length at most 255.
+//! A [`Name`] is stored once, as its lowercase, uncompressed wire encoding
+//! (each label behind its length byte, then the root byte) in a shared
+//! `Arc<[u8]>`. Cloning a name is a reference-count increment,
+//! [`Name::encoded_len`] is the slice length, and the wire codec copies
+//! and compares the bytes as they are. DNS matches names
+//! case-insensitively, so every constructor lowercases.
+//!
+//! Every constructor that takes labels ([`Name::from_labels`], `FromStr`,
+//! [`Name::prepend`] and the wire decoder) lowercases and validates them
+//! into one 255-byte stack buffer and then allocates once. Validation
+//! follows RFC 1035 limits: labels of 1–63 bytes drawn from
+//! `[a-z0-9-_]`, total encoded length at most 255. Names order label by
+//! label, most specific first, as label sequences do: `ab.org` sorts
+//! before `b.org` although its encoding starts with a larger length byte.
 //!
 //! # Examples
 //!
@@ -13,13 +24,16 @@
 //! let zone: Name = "ntp.org".parse()?;
 //! assert!(pool.is_subdomain_of(&zone));
 //! assert_eq!(pool.encoded_len(), 14);
+//! assert_eq!(pool.labels().collect::<Vec<_>>(), ["pool", "ntp", "org"]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use core::cmp::Ordering;
 use core::fmt;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Maximum bytes in one label.
 pub const MAX_LABEL_LEN: usize = 63;
@@ -28,9 +42,10 @@ pub const MAX_LABEL_LEN: usize = 63;
 pub const MAX_NAME_LEN: usize = 255;
 
 /// A validated, case-normalised domain name.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Name {
-    labels: Vec<String>,
+    /// The lowercase, uncompressed wire encoding, ending in the root byte.
+    wire: Arc<[u8]>,
 }
 
 /// Errors from [`Name`] construction.
@@ -72,7 +87,9 @@ impl Error for NameError {}
 impl Name {
     /// The DNS root (empty label sequence).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name {
+            wire: Arc::from(&[0u8][..]),
+        }
     }
 
     /// Builds a name from labels, validating each.
@@ -86,60 +103,59 @@ impl Name {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut out = Vec::new();
-        for l in labels {
-            let label = l.as_ref().to_ascii_lowercase();
-            validate_label(&label)?;
-            out.push(label);
+        let mut buf = NameBuf::new();
+        for label in labels {
+            buf.push(label.as_ref().as_bytes())?;
         }
-        let name = Name { labels: out };
-        if name.encoded_len() > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong);
-        }
-        Ok(name)
+        buf.finish()
     }
 
     /// The labels, most specific first.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    pub fn labels(&self) -> impl Iterator<Item = &str> + '_ {
+        self.label_bytes()
+            .map(|label| std::str::from_utf8(label).expect("labels are ASCII"))
     }
 
     /// Number of labels (0 for the root).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.label_bytes().count()
     }
 
     /// `true` for the DNS root.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.len() == 1
     }
 
     /// Length of the uncompressed wire encoding: one length byte per label,
     /// the label bytes, and the terminating root byte.
     pub fn encoded_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+        self.wire.len()
+    }
+
+    /// The uncompressed wire encoding, ending in the root byte.
+    pub(crate) fn wire(&self) -> &[u8] {
+        &self.wire
     }
 
     /// `true` if `self` equals `zone` or is beneath it.
     ///
     /// Every name is a subdomain of the root.
     pub fn is_subdomain_of(&self, zone: &Name) -> bool {
-        if zone.labels.len() > self.labels.len() {
-            return false;
+        let mut rest = self.wire();
+        while rest.len() > zone.wire.len() {
+            rest = &rest[1 + usize::from(rest[0])..];
         }
-        let offset = self.labels.len() - zone.labels.len();
-        self.labels[offset..] == zone.labels[..]
+        rest == zone.wire()
     }
 
     /// The parent name (one label removed); `None` for the root.
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels[1..].to_vec(),
-            })
+        if self.is_root() {
+            return None;
         }
+        Some(Name {
+            wire: Arc::from(&self.wire[1 + usize::from(self.wire[0])..]),
+        })
     }
 
     /// Prepends a label, e.g. `"ns1"` to `pool.ntp.org`.
@@ -149,28 +165,113 @@ impl Name {
     /// Returns a [`NameError`] if the label is invalid or the result too
     /// long.
     pub fn prepend(&self, label: &str) -> Result<Name, NameError> {
-        let mut labels = vec![label.to_ascii_lowercase()];
-        labels.extend(self.labels.iter().cloned());
-        Name::from_labels(labels)
+        let mut buf = NameBuf::new();
+        buf.push(label.as_bytes())?;
+        for label in self.label_bytes() {
+            buf.push(label)?;
+        }
+        buf.finish()
+    }
+
+    /// The label bytes, most specific first.
+    fn label_bytes(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let mut rest = self.wire();
+        std::iter::from_fn(move || {
+            let (&len, tail) = rest.split_first()?;
+            let (label, next) = tail.split_at(usize::from(len));
+            rest = next;
+            (len > 0).then_some(label)
+        })
     }
 }
 
-fn validate_label(label: &str) -> Result<(), NameError> {
-    if label.is_empty() {
-        return Err(NameError::EmptyLabel);
-    }
-    if label.len() > MAX_LABEL_LEN {
-        return Err(NameError::LabelTooLong {
-            label: label.to_string(),
-        });
-    }
-    for ch in label.chars() {
-        let ok = ch.is_ascii_lowercase() || ch.is_ascii_digit() || ch == '-' || ch == '_';
-        if !ok {
-            return Err(NameError::BadCharacter { ch });
+/// A name under construction: the one place labels are lowercased,
+/// validated and checked against [`MAX_NAME_LEN`].
+pub(crate) struct NameBuf {
+    buf: [u8; MAX_NAME_LEN],
+    len: usize,
+    too_long: bool,
+}
+
+impl NameBuf {
+    pub(crate) fn new() -> Self {
+        NameBuf {
+            buf: [0; MAX_NAME_LEN],
+            len: 0,
+            too_long: false,
         }
     }
-    Ok(())
+
+    /// Appends one label, lowercased.
+    ///
+    /// A label that does not fit is still validated, so that a bad label
+    /// anywhere in the name is reported ahead of [`NameError::NameTooLong`],
+    /// which [`NameBuf::finish`] reports.
+    pub(crate) fn push(&mut self, label: &[u8]) -> Result<(), NameError> {
+        if label.is_empty() {
+            return Err(NameError::EmptyLabel);
+        }
+        if label.len() > MAX_LABEL_LEN {
+            return Err(NameError::LabelTooLong {
+                label: String::from_utf8_lossy(label).to_ascii_lowercase(),
+            });
+        }
+        if label
+            .iter()
+            .any(|&b| !is_label_byte(b.to_ascii_lowercase()))
+        {
+            return Err(bad_character(label));
+        }
+        // The length byte, the label and the root byte must fit.
+        if self.len + label.len() + 2 > MAX_NAME_LEN {
+            self.too_long = true;
+            return Ok(());
+        }
+        self.buf[self.len] = label.len() as u8;
+        let dst = &mut self.buf[self.len + 1..self.len + 1 + label.len()];
+        dst.copy_from_slice(label);
+        dst.make_ascii_lowercase();
+        self.len += 1 + label.len();
+        Ok(())
+    }
+
+    /// The finished name, allocated once.
+    pub(crate) fn finish(mut self) -> Result<Name, NameError> {
+        if self.too_long {
+            return Err(NameError::NameTooLong);
+        }
+        self.buf[self.len] = 0;
+        Ok(Name {
+            wire: Arc::from(&self.buf[..=self.len]),
+        })
+    }
+}
+
+fn is_label_byte(byte: u8) -> bool {
+    byte.is_ascii_lowercase() || byte.is_ascii_digit() || byte == b'-' || byte == b'_'
+}
+
+/// The error for a label holding a byte [`is_label_byte`] refuses: its
+/// first such character, after lowercasing.
+fn bad_character(label: &[u8]) -> NameError {
+    let ch = String::from_utf8_lossy(label)
+        .chars()
+        .map(|ch| ch.to_ascii_lowercase())
+        .find(|&ch| !(ch.is_ascii() && is_label_byte(ch as u8)))
+        .expect("the label holds a refused byte");
+    NameError::BadCharacter { ch }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.label_bytes().cmp(other.label_bytes())
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl FromStr for Name {
@@ -187,11 +288,22 @@ impl FromStr for Name {
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            write!(f, ".")
-        } else {
-            write!(f, "{}", self.labels.join("."))
+        if self.is_root() {
+            return f.write_str(".");
         }
+        for (i, label) in self.labels().enumerate() {
+            if i > 0 {
+                f.write_str(".")?;
+            }
+            f.write_str(label)?;
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Name({self})")
     }
 }
 
@@ -204,7 +316,7 @@ mod tests {
         let n: Name = "Pool.NTP.org".parse().unwrap();
         assert_eq!(n.to_string(), "pool.ntp.org");
         assert_eq!(n.label_count(), 3);
-        assert_eq!(n.labels()[0], "pool");
+        assert_eq!(n.labels().next(), Some("pool"));
     }
 
     #[test]
@@ -244,6 +356,8 @@ mod tests {
         assert!(!zone.is_subdomain_of(&pool));
         let evil: Name = "ntp.org.evil.example".parse().unwrap();
         assert!(!evil.is_subdomain_of(&zone), "suffix must align on labels");
+        let xntp: Name = "xntp.org".parse().unwrap();
+        assert!(!xntp.is_subdomain_of(&zone), "a byte suffix is not a zone");
     }
 
     #[test]
@@ -283,6 +397,17 @@ mod tests {
         let label = "x".repeat(63);
         let parts = vec![label.as_str(); 5]; // 5*64 + 1 = 321 > 255
         assert_eq!(Name::from_labels(parts), Err(NameError::NameTooLong));
+        // 3*64 + (1+62) + 1 = 256: one byte over, through both builders.
+        let base = Name::from_labels([&label, &label, &label]).unwrap();
+        let (fits, over) = ("y".repeat(61), "y".repeat(62));
+        assert_eq!(base.prepend(&fits).unwrap().encoded_len(), MAX_NAME_LEN);
+        assert_eq!(base.prepend(&over), Err(NameError::NameTooLong));
+        let at_limit = Name::from_labels([&label, &label, &label, &fits]).unwrap();
+        assert_eq!(at_limit.encoded_len(), MAX_NAME_LEN);
+        assert_eq!(
+            Name::from_labels([&label, &label, &label, &over]),
+            Err(NameError::NameTooLong)
+        );
     }
 
     #[test]
@@ -298,5 +423,10 @@ mod tests {
             .collect();
         v.sort();
         assert_eq!(v[0].to_string(), "a.org");
+        // Label order, not encoding order: `ab.org` starts with length 2.
+        let ab: Name = "ab.org".parse().unwrap();
+        let b: Name = "b.org".parse().unwrap();
+        assert!(ab < b);
+        assert!("org".parse::<Name>().unwrap() < "org.a".parse().unwrap());
     }
 }

@@ -5,6 +5,18 @@
 //! response is a headline number of the paper), and forged fragments are
 //! spliced at byte level against these encodings.
 //!
+//! Names travel as the wire encodings [`Name`] already holds:
+//!
+//! * The encoder compresses against a list of name suffixes already
+//!   written, borrowed from the message. A suffix is recorded only at an
+//!   offset a pointer can reach (at most 0x3fff), and the first offset
+//!   wins.
+//! * The decoder validates labels into one stack buffer per name. A name
+//!   that is only a pointer to where an earlier name of the message
+//!   started shares that [`Name`] instead of decoding it again, as long
+//!   as the chain stays within the 32-jump bound. A cached pool answer of
+//!   89 records thus decodes with no more allocations than one of 4.
+//!
 //! # Examples
 //!
 //! ```
@@ -21,11 +33,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::name::Name;
+use crate::name::{Name, NameBuf};
 use bytes::Bytes;
 use core::fmt;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::error::Error;
 use std::net::Ipv4Addr;
 
@@ -444,7 +455,7 @@ impl Message {
         out.extend_from_slice(&(self.authorities.len() as u16).to_be_bytes());
         out.extend_from_slice(&(self.additionals.len() as u16).to_be_bytes());
 
-        let mut compress: HashMap<Vec<String>, usize> = HashMap::new();
+        let mut compress = Compression::new();
         for q in &self.question {
             encode_name(&mut out, &q.name, &mut compress);
             out.extend_from_slice(&q.qtype.code().to_be_bytes());
@@ -563,30 +574,32 @@ pub struct RecordSpan {
     pub fields: FieldSpan,
 }
 
-fn encode_name(out: &mut Vec<u8>, name: &Name, compress: &mut HashMap<Vec<String>, usize>) {
-    let labels = name.labels();
-    for i in 0..labels.len() {
-        let suffix: Vec<String> = labels[i..].to_vec();
-        if let Some(&offset) = compress.get(&suffix) {
-            if offset <= 0x3fff {
-                out.extend_from_slice(&((0xC000 | offset as u16).to_be_bytes()));
-                return;
-            }
+/// Suffixes of names already written, each with the offset it was
+/// written at. Only offsets a pointer can hold (at most 0x3fff) are kept,
+/// and the first offset of a suffix wins.
+type Compression<'m> = Vec<(&'m [u8], u16)>;
+
+fn encode_name<'m>(out: &mut Vec<u8>, name: &'m Name, compress: &mut Compression<'m>) {
+    let mut rest = name.wire();
+    while rest.len() > 1 {
+        if let Some(&(_, offset)) = compress.iter().find(|(suffix, _)| *suffix == rest) {
+            out.extend_from_slice(&(0xC000 | offset).to_be_bytes());
+            return;
         }
         if out.len() <= 0x3fff {
-            compress.insert(suffix, out.len());
+            compress.push((rest, out.len() as u16));
         }
-        let label = &labels[i];
-        out.push(label.len() as u8);
-        out.extend_from_slice(label.as_bytes());
+        let (label, next) = rest.split_at(1 + usize::from(rest[0]));
+        out.extend_from_slice(label);
+        rest = next;
     }
     out.push(0);
 }
 
-fn encode_record(
+fn encode_record<'m>(
     out: &mut Vec<u8>,
-    r: &Record,
-    compress: &mut HashMap<Vec<String>, usize>,
+    r: &'m Record,
+    compress: &mut Compression<'m>,
 ) -> FieldSpan {
     let start = out.len();
     encode_name(out, &r.name, compress);
@@ -725,11 +738,21 @@ fn decode_record(cur: &mut Cursor<'_>) -> Result<Record, WireError> {
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Names decoded so far that start with a label, in offset order:
+    /// (offset, pointer jumps taken, name).
+    names: Vec<(usize, u32, Name)>,
 }
+
+/// Pointer jumps one name may take before it counts as a loop.
+const MAX_JUMPS: u32 = 32;
 
 impl<'a> Cursor<'a> {
     fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
+        Cursor {
+            bytes,
+            pos: 0,
+            names: Vec::new(),
+        }
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
@@ -767,8 +790,14 @@ impl<'a> Cursor<'a> {
     }
 
     fn name(&mut self) -> Result<Name, WireError> {
-        let mut labels: Vec<String> = Vec::new();
-        let mut pos = self.pos;
+        let at = self.pos;
+        if let Some(name) = self.shared_name(at) {
+            self.pos = at + 2;
+            return Ok(name);
+        }
+        let mut buf = NameBuf::new();
+        let mut valid = true;
+        let mut pos = at;
         let mut jumped = false;
         let mut jumps = 0;
         loop {
@@ -780,7 +809,7 @@ impl<'a> Cursor<'a> {
                     return Err(WireError::BadPointer);
                 }
                 jumps += 1;
-                if jumps > 32 {
+                if jumps > MAX_JUMPS {
                     return Err(WireError::BadPointer);
                 }
                 if !jumped {
@@ -802,10 +831,36 @@ impl<'a> Cursor<'a> {
             let start = pos + 1;
             let end = start + len;
             let bytes = self.bytes.get(start..end).ok_or(WireError::Truncated)?;
-            labels.push(String::from_utf8_lossy(bytes).to_ascii_lowercase());
+            // Walk the whole name before judging its labels, so that a
+            // malformed pointer or truncation is reported first.
+            valid &= buf.push(bytes).is_ok();
             pos = end;
         }
-        Name::from_labels(labels).map_err(|_| WireError::BadName)
+        if !valid {
+            return Err(WireError::BadName);
+        }
+        let name = buf.finish().map_err(|_| WireError::BadName)?;
+        if self.bytes[at] & 0xC0 == 0 {
+            self.names.push((at, jumps, name.clone()));
+        }
+        Ok(name)
+    }
+
+    /// The earlier name that the name at `pos` repeats, when the name is
+    /// only a pointer to where that one started and following it stays
+    /// within [`MAX_JUMPS`].
+    fn shared_name(&self, pos: usize) -> Option<Name> {
+        let (&hi, &lo) = (self.bytes.get(pos)?, self.bytes.get(pos + 1)?);
+        if hi & 0xC0 != 0xC0 {
+            return None;
+        }
+        let target = usize::from(hi & 0x3f) << 8 | usize::from(lo);
+        let i = self
+            .names
+            .binary_search_by_key(&target, |&(at, _, _)| at)
+            .ok()?;
+        let (_, jumps, name) = &self.names[i];
+        (*jumps < MAX_JUMPS).then(|| name.clone())
     }
 }
 
@@ -958,6 +1013,70 @@ mod tests {
         raw.extend_from_slice(&1u16.to_be_bytes());
         raw.extend_from_slice(&1u16.to_be_bytes());
         assert_eq!(Message::decode(&raw), Err(WireError::BadPointer));
+    }
+
+    #[test]
+    fn wire_labels_are_folded_and_validated() {
+        // A one-question message whose name is `labels` on the wire.
+        let question = |labels: &[&[u8]]| {
+            let mut raw = vec![0u8; 12];
+            raw[4..6].copy_from_slice(&1u16.to_be_bytes());
+            for label in labels {
+                raw.push(label.len() as u8);
+                raw.extend_from_slice(label);
+            }
+            raw.extend_from_slice(&[0, 0, 1, 0, 1]);
+            Message::decode(&raw).map(|m| m.question[0].name.clone())
+        };
+        assert_eq!(
+            question(&[b"Pool", b"NTP", b"org"]),
+            Ok(name("pool.ntp.org"))
+        );
+        assert_eq!(question(&[b"p\xf6ol", b"org"]), Err(WireError::BadName));
+        // 3*64 + (1+61) + 1 = 255 bytes decode; one byte more does not.
+        let long = [b'x'; 63];
+        let at_limit = question(&[&long, &long, &long, &long[..61]]).unwrap();
+        assert_eq!(at_limit.encoded_len(), 255);
+        assert_eq!(
+            question(&[&long, &long, &long, &long[..62]]),
+            Err(WireError::BadName)
+        );
+    }
+
+    #[test]
+    fn shared_pointer_names_keep_the_jump_bound() {
+        // Question `a` at 12; an unknown-type answer whose rdata chains
+        // `links` pointers, each to the one before and the first to 12; an
+        // A record owned by `b` plus a pointer to the chain's end; and an A
+        // record owned by a pointer to that owner.
+        let message = |links: usize| {
+            let mut raw = vec![0u8; 12];
+            raw[4..6].copy_from_slice(&1u16.to_be_bytes());
+            raw[6..8].copy_from_slice(&3u16.to_be_bytes());
+            raw.extend_from_slice(&[1, b'a', 0, 0, 1, 0, 1]);
+            let rdata_at = raw.len() + 12;
+            raw.extend_from_slice(&[0xC0, 12, 0, 99, 0, 1, 0, 0, 0, 0]);
+            raw.extend_from_slice(&((2 * links) as u16).to_be_bytes());
+            let mut target = 12;
+            for i in 0..links {
+                raw.extend_from_slice(&[0xC0, target as u8]);
+                target = rdata_at + 2 * i;
+            }
+            let owner = raw.len();
+            raw.extend_from_slice(&[1, b'b', 0xC0, target as u8]);
+            raw.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 0, 0, 4, 10, 0, 0, 1]);
+            raw.extend_from_slice(&[0xC0, owner as u8]);
+            raw.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 0, 0, 4, 10, 0, 0, 2]);
+            raw
+        };
+        // The owner takes links + 1 jumps, the pointer to it one more.
+        let shared = Message::decode(&message(30)).unwrap();
+        assert_eq!(shared.answers[1].name, name("b.a"));
+        assert_eq!(shared.answers[2].name, shared.answers[1].name);
+        let mut over = message(31);
+        assert_eq!(Message::decode(&over), Err(WireError::BadPointer));
+        over[7] = 2; // drop the third answer: 32 jumps still decode
+        assert_eq!(Message::decode(&over).unwrap().answers[1].name, name("b.a"));
     }
 
     #[test]
