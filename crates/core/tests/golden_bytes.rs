@@ -5,7 +5,10 @@
 //! constants pin the bytes themselves:
 //!
 //! * one fleet per decision lane, hashed through its CHR1 checkpoint at
-//!   the horizon (every client column and aggregate is in it);
+//!   the horizon (every client column and aggregate is in it), plus two
+//!   fleets that pin draw orders the lane fleets cannot see: the
+//!   whole-pool order of panic rounds over mixed pools, the NTS re-key
+//!   retry key, and the slot order of mixed Roughtime sources;
 //! * one pooled packet-level sweep over two config shapes on two
 //!   threads, hashed per trial through the `Debug` text of what the
 //!   trial observed.
@@ -65,6 +68,33 @@ fn lanes() -> Vec<Lane> {
         }
     }
 
+    // Poison after every pool is complete: each panic round draws from
+    // a pool that mixes the farm with benign servers, so the whole-pool
+    // visiting order shows.
+    let mixed_panics = e14_config(
+        21,
+        CLIENTS,
+        Some(FleetAttack::paper_default(
+            SimTime::from_secs(2_000),
+            SimDuration::from_millis(500),
+        )),
+    );
+
+    // SERVFAILs (no serve-stale, no outages) make NTS re-keys after boot
+    // retry, which pins the `boundary · max_attempts + attempt` retry
+    // key; M = 3 Roughtime sources behind two poisoned caches mix
+    // captured and honest slots, which pins the ascending source order.
+    let mut rekey_retries = e18_config(23, CLIENTS, 4, 1.0, 2);
+    rekey_retries.faults.all_tiers.ntp_loss = 0.05;
+    rekey_retries.faults.all_tiers.dns_servfail = 0.2;
+    for tier in &mut rekey_retries.tiers {
+        match tier.kind {
+            ClientKind::Nts => tier.rekey_interval = Some(SimDuration::from_secs(1_000)),
+            ClientKind::Roughtime => tier.sources = Some(3),
+            _ => {}
+        }
+    }
+
     vec![
         (
             "e14 poison at 400 s",
@@ -91,15 +121,25 @@ fn lanes() -> Vec<Lane> {
         ("e18 secure tiers", secure, |r| {
             r.secure.rekeys > (CLIENTS / 2) as u64 && r.faults.total() > 0
         }),
+        ("e14 mixed panic pools", mixed_panics, |r| {
+            r.poisoned_clients > 0 && r.totals.panics > 0
+        }),
+        ("e18 re-key retries with M = 3", rekey_retries, |r| {
+            r.faults.boot_retries > 0
+                && r.secure.rekeys > CLIENTS as u64
+                && r.secure.detected_inconsistencies > 0
+        }),
     ]
 }
 
-const FLEET_GOLDENS: [u64; 5] = [
+const FLEET_GOLDENS: [u64; 7] = [
     0x1bed_eb23_42d9_7060,
     0x8d8f_241d_29c4_6fdd,
     0x78b4_8a4f_6bba_fb50,
     0xd2d6_c6aa_8230_fa72,
     0xd374_2868_70f4_ad21,
+    0x638e_c458_6876_d674,
+    0xd5a6_71f6_09a6_d823,
 ];
 
 #[test]

@@ -70,12 +70,27 @@
 //! # Batched request/response rounds
 //!
 //! A poll round is **batched request/response**: instead of exchanging
-//! packets, the engine draws the round's sample composition directly from
-//! the client's pool (malicious vs benign, without replacement), produces
-//! per-sample observed offsets (server offset − client offset + path
-//! jitter), and concludes the round through the *real* decision machinery
-//! in [`chronos::core`] — the same code the packet-level clients run.
-//! Corrections land on real [`ntplab::clock::LocalClock`]s.
+//! packets, the engine draws the round's samples directly from the
+//! client's servers, produces per-sample observed offsets (server offset
+//! − client offset + path jitter), and concludes the round through the
+//! *real* decision machinery in [`chronos::core`] — the same code the
+//! packet-level clients run. Corrections land on real
+//! [`ntplab::clock::LocalClock`]s.
+//!
+//! Every poll lane draws through one sampling kernel, which visits the
+//! servers in one of three orders:
+//!
+//! * `Subsample { m }` — Chronos and NTS polls: m picks without
+//!   replacement, malicious block first;
+//! * `Whole` — plain-NTP polls and panic rounds: every server, malicious
+//!   block first;
+//! * `Sources` — Roughtime fetches: the resolved sources in ascending
+//!   slot order.
+//!
+//! A lying server (the attacker's farm, or a captured source) draws only
+//! its noise; an honest one draws its benign offset and then its noise.
+//! Losses then drop samples on the lane's own [`FaultLane`]. Each lane
+//! keeps its own conclude call and scheduling.
 //!
 //! # Examples
 //!
@@ -345,6 +360,20 @@ impl CompactSecure {
 enum DnsView<'a> {
     Shared(&'a [ResolverTimeline]),
     Independent(&'a [ResolverModel]),
+}
+
+/// The order in which the poll lanes' sampling kernel
+/// ([`Shard::draw_samples`]) visits a client's servers.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    /// `m` picks without replacement, malicious block first: Chronos and
+    /// NTS polls.
+    Subsample { m: usize },
+    /// Every server, malicious block first: plain-NTP polls and panic
+    /// rounds.
+    Whole,
+    /// Roughtime's resolved sources, in ascending slot order.
+    Sources,
 }
 
 /// One contiguous slab of the fleet: a private copy of every per-client
@@ -731,29 +760,6 @@ impl Shard {
         answer
     }
 
-    /// Drops each gathered NTP sample independently with probability `p`,
-    /// compacting `offsets_buf` in place. Draws come from the client's
-    /// fault substream keyed by `(lane, round, slot)` — the slot is the
-    /// sample's position in the buffer — so loss patterns are
-    /// byte-identical across thread counts and shard sizes. With `p <= 0`
-    /// this takes no draws.
-    fn apply_sample_loss(&mut self, i: usize, p: f64, lane: FaultLane, round: u64, seed: u64) {
-        if p <= 0.0 {
-            return;
-        }
-        let global = self.first_global + i as u64;
-        let mut kept = 0;
-        for slot in 0..self.offsets_buf.len() {
-            if fault_f64(seed, global, lane, round, slot as u64) < p {
-                self.faults[i].ntp_losses += 1;
-            } else {
-                self.offsets_buf[kept] = self.offsets_buf[slot];
-                kept += 1;
-            }
-        }
-        self.offsets_buf.truncate(kept);
-    }
-
     // --- DNS pool generation (Chronos tiers) ---
 
     fn pool_round(
@@ -869,9 +875,9 @@ impl Shard {
     /// resolver serves *is* the pool — the paper's one poisoning
     /// opportunity, against Chronos' 24. No §V mitigations apply (they
     /// are Chronos pool-generation knobs). Under a fault plan a failed
-    /// resolution retries with capped exponential backoff (jitter drawn
-    /// from the fault substream) up to `retry.max_attempts` attempts; a
-    /// client that exhausts its attempts boots with an empty pool.
+    /// resolution retries at [`retry_at`] (boundary 0) up to
+    /// `retry.max_attempts` attempts; a client that exhausts its attempts
+    /// boots with an empty pool.
     fn plain_pool_round(
         &mut self,
         i: usize,
@@ -895,14 +901,8 @@ impl Shard {
                 if attempt + 1 < config.faults.retry.max_attempts {
                     self.retries[i] = attempt + 1;
                     self.faults[i].boot_retries += 1;
-                    let unit = fault_f64(
-                        config.seed,
-                        self.first_global + i as u64,
-                        FaultLane::RetryJitter,
-                        u64::from(attempt),
-                        0,
-                    );
-                    self.schedule(i, at_ns + config.faults.retry.delay_ns(attempt, unit));
+                    let global = self.first_global + i as u64;
+                    self.schedule(i, retry_at(config, global, 0, attempt, at_ns));
                     return;
                 }
                 // Out of attempts: boot with an empty pool (every poll is
@@ -916,59 +916,26 @@ impl Shard {
         self.schedule(i, at_ns);
     }
 
-    /// One plain-NTP poll: every server in the (4-entry) pool is sampled
-    /// and the round concludes through
-    /// [`chronos::core::conclude_plain_round`] — `ntplab`'s
-    /// intersection → cluster → combine, the same pipeline the
+    /// One plain-NTP poll: the pool *is* the sample, so every server in
+    /// the (4-entry) pool is drawn ([`Draw::Whole`]) and the round
+    /// concludes through [`chronos::core::conclude_plain_round`] —
+    /// `ntplab`'s intersection → cluster → combine, the same pipeline the
     /// packet-level [`ntplab::plain::PlainNtpClient`] runs.
     fn plain_poll_round(&mut self, i: usize, at_ns: u64, config: &FleetConfig, tier: &TierParams) {
-        let benign = self.benign_count(i, config, tier);
-        let malicious = self.malicious[i] as usize;
-        let total = benign + malicious;
-        let poll_ns = tier.chronos.poll_interval.as_nanos();
-        if total == 0 {
-            self.schedule(i, at_ns + poll_ns);
+        let servers = self.benign_count(i, config, tier) + self.malicious[i] as usize;
+        let Some(poll_index) = self.open_poll(i, at_ns, servers, config, tier) else {
             return;
-        }
-        let poll_index = u64::from(self.stats[i].polls);
-        self.stats[i].polls += 1;
-        let mut rng = FleetRng::from_seed(self.rng[i]);
-        let shift_ns = config.attack.map_or(0, |a| a.shift_ns);
-        let benign_bound = config.benign_offset_ms as i64 * 1_000_000;
-        let jitter = config.jitter_std.as_nanos() as f64;
-        let client_off = self.clocks[i].offset_from_true(SimTime::from_nanos(at_ns));
-        // Fixed draw order (malicious block, then benign): the pool *is*
-        // the sample — plain NTP polls all of its servers every round.
-        self.offsets_buf.clear();
-        for _ in 0..malicious {
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(shift_ns - client_off + noise);
-        }
-        for _ in 0..benign {
-            let server_off = Self::draw_benign_offset(&mut rng, benign_bound);
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(server_off - client_off + noise);
-        }
-        // Losses apply after the draws: a dropped sample still consumed
-        // its noise draws, so the surviving subset is exactly what a
-        // lossless run would have handed the same slots.
-        self.apply_sample_loss(
+        };
+        self.draw_samples(
             i,
-            tier.faults.ntp_loss,
+            at_ns,
+            Draw::Whole,
             FaultLane::NtpSample,
             poll_index,
-            config.seed,
+            config,
+            tier,
         );
-        let collect_ns = at_ns + tier.chronos.response_window.as_nanos();
-        let collect = SimTime::from_nanos(collect_ns);
+        let collect = SimTime::from_nanos(at_ns + tier.chronos.response_window.as_nanos());
         let mut stats = self.stats[i].widen();
         let outcome = core::conclude_plain_round(
             &mut stats,
@@ -981,10 +948,9 @@ impl Shard {
             self.clocks[i].apply_correction(collect, correction_ns);
         }
         self.observe(i, collect, config);
-        self.rng[i] = rng.state();
         // Mirror the packet client's cadence: polls start every
         // `poll_interval` exactly (collect + interval − window).
-        self.schedule(i, at_ns + poll_ns);
+        self.schedule(i, at_ns + tier.chronos.poll_interval.as_nanos());
     }
 
     // --- NTS lanes ---
@@ -995,11 +961,11 @@ impl Shard {
     /// key lifetime. This is the *only* DNS-dependent step of the NTS
     /// lane: polls are authenticated and cannot be spoofed, so the tier's
     /// entire attack surface is an association falling inside the poison
-    /// window. Failed resolutions retry on the plain-NTP backoff policy
-    /// (jitter and SERVFAIL draws keyed `boundary · max_attempts +
-    /// attempt` on their own lanes); a boundary that exhausts its
-    /// attempts is abandoned — the old keys serve until expiry, the next
-    /// boundary tries again.
+    /// window. Failed resolutions retry at [`retry_at`] (SERVFAIL and
+    /// jitter draws both keyed `boundary · max_attempts + attempt`, on
+    /// their own lanes); a boundary that exhausts its attempts is
+    /// abandoned — the old keys serve until expiry, the next boundary
+    /// tries again.
     fn nts_associate_round(
         &mut self,
         i: usize,
@@ -1038,14 +1004,8 @@ impl Shard {
                 if attempt + 1 < config.faults.retry.max_attempts {
                     self.retries[i] = attempt + 1;
                     self.faults[i].boot_retries += 1;
-                    let unit = fault_f64(
-                        config.seed,
-                        self.first_global + i as u64,
-                        FaultLane::RetryJitter,
-                        round,
-                        0,
-                    );
-                    self.schedule(i, at_ns + config.faults.retry.delay_ns(attempt, unit));
+                    let global = self.first_global + i as u64;
+                    self.schedule(i, retry_at(config, global, k, attempt, at_ns));
                     return;
                 }
                 // Boundary abandoned: keep whatever association (possibly
@@ -1113,7 +1073,7 @@ impl Shard {
     }
 
     /// One Roughtime fetch round: every resolved source returns a signed
-    /// midpoint, and the round concludes through
+    /// midpoint ([`Draw::Sources`]), and the round concludes through
     /// [`chronos::core::conclude_roughtime_round`]'s strict
     /// majority-of-midpoints cross-check. Captured sources lie by the
     /// attack shift; with M ≥ 2·captured+1 the honest majority wins, an
@@ -1127,52 +1087,22 @@ impl Shard {
         config: &FleetConfig,
         tier: &TierParams,
     ) {
-        let packed = self.assoc_sources[i];
-        let resolved = packed & 0xffff;
-        let poisoned = packed >> 16;
-        let poll_ns = tier.chronos.poll_interval.as_nanos();
-        if resolved == 0 {
-            self.schedule(i, at_ns + poll_ns);
+        let sources = (self.assoc_sources[i] & 0xffff).count_ones() as usize;
+        let Some(poll_index) = self.open_poll(i, at_ns, sources, config, tier) else {
             return;
-        }
-        let poll_index = u64::from(self.stats[i].polls);
-        self.stats[i].polls += 1;
-        let mut rng = FleetRng::from_seed(self.rng[i]);
-        let shift_ns = config.attack.map_or(0, |a| a.shift_ns);
-        let benign_bound = config.benign_offset_ms as i64 * 1_000_000;
-        let jitter = config.jitter_std.as_nanos() as f64;
-        let client_off = self.clocks[i].offset_from_true(SimTime::from_nanos(at_ns));
-        // Fixed draw order: sources ascending by their boot slot, each
-        // drawing exactly one midpoint (captured sources serve the
-        // attacker's clock, honest ones their own benign offset).
-        self.offsets_buf.clear();
-        for j in 0..16 {
-            if resolved & (1 << j) == 0 {
-                continue;
-            }
-            let server_off = if poisoned & (1 << j) != 0 {
-                shift_ns
-            } else {
-                Self::draw_benign_offset(&mut rng, benign_bound)
-            };
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(server_off - client_off + noise);
-        }
+        };
         // Per-source fetch losses ride their own lane so Roughtime tiers
         // in a fault plan leave every other substream untouched.
-        self.apply_sample_loss(
+        self.draw_samples(
             i,
-            tier.faults.ntp_loss,
+            at_ns,
+            Draw::Sources,
             FaultLane::RoughtimeFetch,
             poll_index,
-            config.seed,
+            config,
+            tier,
         );
-        let collect_ns = at_ns + tier.chronos.response_window.as_nanos();
-        let collect = SimTime::from_nanos(collect_ns);
+        let collect = SimTime::from_nanos(at_ns + tier.chronos.response_window.as_nanos());
         let mut stats = self.stats[i].widen();
         let outcome = core::conclude_roughtime_round(
             &mut stats,
@@ -1188,22 +1118,14 @@ impl Shard {
             RoughtimeOutcome::NoSamples => {}
         }
         self.observe(i, collect, config);
-        self.rng[i] = rng.state();
         // On-grid cadence like plain NTP: fetches start every interval.
-        self.schedule(i, at_ns + poll_ns);
+        self.schedule(i, at_ns + tier.chronos.poll_interval.as_nanos());
     }
 
     // --- Chronos poll rounds ---
 
-    fn draw_benign_offset(rng: &mut FleetRng, bound_ns: i64) -> i64 {
-        if bound_ns > 0 {
-            rng.range_i64(-bound_ns, bound_ns)
-        } else {
-            0
-        }
-    }
-
-    /// One Chronos-shaped poll round. NTS clients share this lane — their
+    /// One Chronos-shaped poll round: `sample_size` picks from the pool
+    /// ([`Draw::Subsample`]). NTS clients share this lane — their
     /// association pool feeds the same sampling and decision machinery —
     /// with two twists: an expired association yields no samples (keys
     /// outlived their lifetime and every re-key since failed), and the
@@ -1211,54 +1133,28 @@ impl Shard {
     /// scheduled re-key ([`Shard::schedule_poll`]).
     fn poll_round(&mut self, i: usize, at_ns: u64, config: &FleetConfig, tier: &TierParams) {
         let expired = tier.kind == ClientKind::Nts && self.assoc_expiry_ns[i] <= at_ns;
-        let benign = self.benign_count(i, config, tier);
-        let malicious = self.malicious[i] as usize;
-        let total = if expired { 0 } else { benign + malicious };
-        let poll_ns = tier.chronos.poll_interval.as_nanos();
-        if total == 0 {
-            // Nothing to sample; try again next interval (as the packet
-            // client does, without counting a poll).
-            self.schedule_poll(i, at_ns + poll_ns, config, tier);
+        let servers = if expired {
+            0
+        } else {
+            self.benign_count(i, config, tier) + self.malicious[i] as usize
+        };
+        let Some(poll_index) = self.open_poll(i, at_ns, servers, config, tier) else {
             return;
-        }
-        let poll_index = u64::from(self.stats[i].polls);
-        self.stats[i].polls += 1;
-        let mut rng = FleetRng::from_seed(self.rng[i]);
-        let m = tier.chronos.sample_size.min(total);
-        let shift_ns = config.attack.map_or(0, |a| a.shift_ns);
-        let benign_bound = config.benign_offset_ms as i64 * 1_000_000;
-        let jitter = config.jitter_std.as_nanos() as f64;
-        let client_off = self.clocks[i].offset_from_true(SimTime::from_nanos(at_ns));
-        // Sample m of the pool without replacement (malicious block first),
-        // drawing each picked server's observed offset in pick order.
-        let mut mal_rem = malicious as u64;
-        let mut ben_rem = benign as u64;
-        self.offsets_buf.clear();
-        for _ in 0..m {
-            let u = rng.range_u64(mal_rem + ben_rem);
-            let server_off = if u < mal_rem {
-                mal_rem -= 1;
-                shift_ns
-            } else {
-                ben_rem -= 1;
-                Self::draw_benign_offset(&mut rng, benign_bound)
-            };
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(server_off - client_off + noise);
-        }
+        };
         // The surviving subset feeds the real decision core: enough drops
         // turn the round into a TooFewSamples reject, and K of those into
         // a genuine panic episode.
-        self.apply_sample_loss(
+        let draw = Draw::Subsample {
+            m: tier.chronos.sample_size.min(servers),
+        };
+        self.draw_samples(
             i,
-            tier.faults.ntp_loss,
+            at_ns,
+            draw,
             FaultLane::NtpSample,
             poll_index,
-            config.seed,
+            config,
+            tier,
         );
         let collect_ns = at_ns + tier.chronos.response_window.as_nanos();
         let collect = SimTime::from_nanos(collect_ns);
@@ -1278,23 +1174,17 @@ impl Shard {
         );
         self.stats[i] = CompactStats::narrow(&stats);
         self.last_update_ns[i] = pack_update(last_update);
+        if let RoundOutcome::Accept { correction_ns, .. } = outcome {
+            self.clocks[i].apply_correction(collect, correction_ns);
+        }
+        self.observe(i, collect, config);
         match outcome {
-            RoundOutcome::Accept { correction_ns, .. } => {
-                self.clocks[i].apply_correction(collect, correction_ns);
-                self.observe(i, collect, config);
-                self.rng[i] = rng.state();
-                self.schedule_poll(i, collect_ns + poll_ns, config, tier);
+            RoundOutcome::Accept { .. } => {
+                let next_ns = collect_ns + tier.chronos.poll_interval.as_nanos();
+                self.schedule_poll(i, next_ns, config, tier);
             }
-            RoundOutcome::Resample => {
-                self.observe(i, collect, config);
-                self.rng[i] = rng.state();
-                self.schedule_poll(i, collect_ns, config, tier);
-            }
-            RoundOutcome::EnterPanic => {
-                self.observe(i, collect, config);
-                self.panic_round(i, collect_ns, &mut rng, benign, malicious, config, tier);
-                self.rng[i] = rng.state();
-            }
+            RoundOutcome::Resample => self.schedule_poll(i, collect_ns, config, tier),
+            RoundOutcome::EnterPanic => self.panic_round(i, collect_ns, config, tier),
         }
     }
 
@@ -1328,51 +1218,22 @@ impl Shard {
         }
     }
 
-    /// Panic mode: one batched round over the *whole* pool, concluding a
-    /// response window later (as the packet client's panic collect does).
-    #[allow(clippy::too_many_arguments)]
-    fn panic_round(
-        &mut self,
-        i: usize,
-        collect_ns: u64,
-        rng: &mut FleetRng,
-        benign: usize,
-        malicious: usize,
-        config: &FleetConfig,
-        tier: &TierParams,
-    ) {
-        let shift_ns = config.attack.map_or(0, |a| a.shift_ns);
-        let benign_bound = config.benign_offset_ms as i64 * 1_000_000;
-        let jitter = config.jitter_std.as_nanos() as f64;
-        let client_off = self.clocks[i].offset_from_true(SimTime::from_nanos(collect_ns));
-        self.offsets_buf.clear();
-        for _ in 0..malicious {
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(shift_ns - client_off + noise);
-        }
-        for _ in 0..benign {
-            let server_off = Self::draw_benign_offset(rng, benign_bound);
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(server_off - client_off + noise);
-        }
+    /// Panic mode: one batched round over the *whole* pool
+    /// ([`Draw::Whole`]), concluding a response window later (as the
+    /// packet client's panic collect does).
+    fn panic_round(&mut self, i: usize, collect_ns: u64, config: &FleetConfig, tier: &TierParams) {
         // Panic rounds ride their own lane keyed by the panic-episode
         // index (conclude_sample_round already counted this episode), so
         // panic losses never collide with regular poll losses.
         let episode = u64::from(self.stats[i].panics);
-        self.apply_sample_loss(
+        self.draw_samples(
             i,
-            tier.faults.ntp_loss,
+            collect_ns,
+            Draw::Whole,
             FaultLane::PanicSample,
             episode,
-            config.seed,
+            config,
+            tier,
         );
         let panic_ns = collect_ns + tier.chronos.response_window.as_nanos();
         let panic_at = SimTime::from_nanos(panic_ns);
@@ -1403,6 +1264,123 @@ impl Shard {
         );
     }
 
+    // --- the poll lanes' prologue and sampling kernel ---
+
+    /// The poll lanes' shared prologue. A client with no `servers` to
+    /// sample tries again one interval on without counting a poll (as
+    /// the packet clients do) and gets `None`; otherwise the poll is
+    /// counted and its index, the key of the round's loss draws, returned.
+    fn open_poll(
+        &mut self,
+        i: usize,
+        at_ns: u64,
+        servers: usize,
+        config: &FleetConfig,
+        tier: &TierParams,
+    ) -> Option<u64> {
+        if servers == 0 {
+            let next_ns = at_ns + tier.chronos.poll_interval.as_nanos();
+            self.schedule_poll(i, next_ns, config, tier);
+            return None;
+        }
+        let poll_index = u64::from(self.stats[i].polls);
+        self.stats[i].polls += 1;
+        Some(poll_index)
+    }
+
+    /// The sampling kernel every poll lane runs: fills `offsets_buf` with
+    /// the observed offsets (server offset − client offset at `at_ns` +
+    /// path jitter) of the servers `draw` visits, in its order, from the
+    /// client's stream. One sample site serves every order: a lying
+    /// server (the attacker's farm, or a captured source) draws only its
+    /// noise, an honest one its benign offset and then its noise.
+    ///
+    /// Losses then drop each sample independently with the tier's
+    /// `ntp_loss`, compacting the buffer in place. The draws are keyed
+    /// `(lane, round, slot)`, the slot being the sample's position in the
+    /// buffer, so loss patterns are byte-identical across thread counts
+    /// and shard sizes, and a dropped sample still consumed its draws:
+    /// the survivors are exactly what a lossless run hands the same
+    /// slots. A zero loss rate takes no draws.
+    #[allow(clippy::too_many_arguments)]
+    fn draw_samples(
+        &mut self,
+        i: usize,
+        at_ns: u64,
+        draw: Draw,
+        lane: FaultLane,
+        round: u64,
+        config: &FleetConfig,
+        tier: &TierParams,
+    ) {
+        let malicious = self.malicious[i] as usize;
+        let mut mal_rem = malicious as u64;
+        let mut ben_rem = self.benign_count(i, config, tier) as u64;
+        let (picks, mut slots, captured) = match draw {
+            Draw::Subsample { m } => (m, 0, 0),
+            Draw::Whole => (malicious + ben_rem as usize, 0, 0),
+            Draw::Sources => {
+                let packed = self.assoc_sources[i];
+                let resolved = packed & 0xffff;
+                (resolved.count_ones() as usize, resolved, packed >> 16)
+            }
+        };
+        let shift_ns = config.attack.map_or(0, |a| a.shift_ns);
+        let benign_bound = config.benign_offset_ms as i64 * 1_000_000;
+        let jitter = config.jitter_std.as_nanos() as f64;
+        let client_off = self.clocks[i].offset_from_true(SimTime::from_nanos(at_ns));
+        let mut rng = FleetRng::from_seed(self.rng[i]);
+        self.offsets_buf.clear();
+        for k in 0..picks {
+            let lying = match draw {
+                Draw::Subsample { .. } => {
+                    if rng.range_u64(mal_rem + ben_rem) < mal_rem {
+                        mal_rem -= 1;
+                        true
+                    } else {
+                        ben_rem -= 1;
+                        false
+                    }
+                }
+                Draw::Whole => k < malicious,
+                Draw::Sources => {
+                    let slot = slots.trailing_zeros();
+                    slots &= slots - 1;
+                    captured & (1 << slot) != 0
+                }
+            };
+            let server_off = if lying {
+                shift_ns
+            } else if benign_bound > 0 {
+                rng.range_i64(-benign_bound, benign_bound)
+            } else {
+                0
+            };
+            let noise = if jitter > 0.0 {
+                rng.normal(0.0, jitter) as i64
+            } else {
+                0
+            };
+            self.offsets_buf.push(server_off - client_off + noise);
+        }
+        self.rng[i] = rng.state();
+        let p = tier.faults.ntp_loss;
+        if p <= 0.0 {
+            return;
+        }
+        let global = self.first_global + i as u64;
+        let mut kept = 0;
+        for slot in 0..self.offsets_buf.len() {
+            if fault_f64(config.seed, global, lane, round, slot as u64) < p {
+                self.faults[i].ntp_losses += 1;
+            } else {
+                self.offsets_buf[kept] = self.offsets_buf[slot];
+                kept += 1;
+            }
+        }
+        self.offsets_buf.truncate(kept);
+    }
+
     /// Streams one concluded round's clock error into the aggregates (and
     /// the client's trajectory when recording).
     fn observe(&mut self, i: usize, now: SimTime, config: &FleetConfig) {
@@ -1419,39 +1397,25 @@ impl Shard {
 
     // --- sampling ---
 
+    /// Appends one per-tier chunk of shifted-client counts to the
+    /// sample-major `shifted_counts` column for every sample instant up to
+    /// `up_to_ns` inside the current run window.
     fn emit_samples_until(&mut self, up_to_ns: u64, config: &FleetConfig, tier_count: usize) {
         while self.next_sample_ns <= up_to_ns && self.next_sample_ns <= self.boundary_ns {
             let at = SimTime::from_nanos(self.next_sample_ns);
-            self.push_shifted_sample(at, config, tier_count);
+            let mut counts = std::mem::take(&mut self.shifted_counts);
+            let base = counts.len();
+            counts.resize(base + tier_count, 0);
+            self.shifted_count_by_tier(at, config, &mut counts[base..]);
+            self.shifted_counts = counts;
             self.next_sample_ns += config.sample_every.as_nanos();
         }
     }
 
-    /// Appends one per-tier chunk of shifted-client counts at `now` to
-    /// the sample-major `shifted_counts` column.
-    fn push_shifted_sample(&mut self, now: SimTime, config: &FleetConfig, tier_count: usize) {
-        let bound = config.safety_bound.as_nanos() as i64;
-        let base = self.shifted_counts.len();
-        self.shifted_counts.resize(base + tier_count, 0);
-        for (i, clock) in self.clocks.iter().enumerate() {
-            if clock.offset_from_true(now).abs() > bound {
-                self.shifted_counts[base + self.tier[i] as usize] += 1;
-            }
-        }
-    }
-
-    /// Clients of this shard whose |clock error| exceeds the safety bound
-    /// at `now`.
-    fn shifted_count(&self, now: SimTime, config: &FleetConfig) -> u64 {
-        let bound = config.safety_bound.as_nanos() as i64;
-        self.clocks
-            .iter()
-            .filter(|c| c.offset_from_true(now).abs() > bound)
-            .count() as u64
-    }
-
-    /// Per-tier shifted-client counts at `now` (accumulated into `out`,
-    /// which must hold one slot per tier).
+    /// Per-tier counts of the shard's clients whose |clock error| exceeds
+    /// the safety bound at `now` (accumulated into `out`, which must hold
+    /// one slot per tier) — the one safety-bound count behind the shifted
+    /// series, the final fractions and [`Fleet::shifted_fraction`].
     fn shifted_count_by_tier(&self, now: SimTime, config: &FleetConfig, out: &mut [u64]) {
         let bound = config.safety_bound.as_nanos() as i64;
         for (i, clock) in self.clocks.iter().enumerate() {
@@ -1574,7 +1538,19 @@ impl Shard {
     /// shard held (slot-list order inside the wheel may differ, which is
     /// invisible: batches are re-sorted by `(deadline, client)` on
     /// expiry).
-    fn decode(&mut self, r: &mut Reader<'_>, config: &FleetConfig) -> Result<(), CheckpointError> {
+    ///
+    /// Anyone can recompute the checksum of a crafted blob, so the columns
+    /// that index or size the engine's work are checked against what this
+    /// fleet can hold: `tier` and `resolver` must equal the values
+    /// `rebuild` derived for the client, and `malicious` must not exceed
+    /// what the client's lane can write (the farm, capped at the tier's
+    /// servers for plain NTP and NTS, or the source count for Roughtime).
+    fn decode(
+        &mut self,
+        r: &mut Reader<'_>,
+        config: &FleetConfig,
+        tiers: &[TierParams],
+    ) -> Result<(), CheckpointError> {
         if r.u64()? != self.first_global {
             return Err(CheckpointError::Corrupt("shard first_global mismatch"));
         }
@@ -1582,6 +1558,7 @@ impl Shard {
         if len != self.clocks.len() {
             return Err(CheckpointError::Corrupt("shard length mismatch"));
         }
+        let farm = config.attack.map_or(0, |a| a.farm_size);
         for i in 0..len {
             let raw = (r.i64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?);
             self.clocks[i] = LocalClock::from_raw(raw);
@@ -1591,8 +1568,12 @@ impl Shard {
                 2 => Phase::Panic,
                 _ => return Err(CheckpointError::Corrupt("phase tag out of range")),
             };
-            self.tier[i] = r.u8()?;
-            self.resolver[i] = r.u16()?;
+            if r.u8()? != self.tier[i] {
+                return Err(CheckpointError::Corrupt("tier column mismatch"));
+            }
+            if r.u16()? != self.resolver[i] {
+                return Err(CheckpointError::Corrupt("resolver column mismatch"));
+            }
             self.retries[i] = r.u32()?;
             self.last_update_ns[i] = r.u64()?;
             self.rng[i] = r.u64()?;
@@ -1613,7 +1594,17 @@ impl Shard {
             };
             self.pool_rounds[i] = r.u16()?;
             self.benign_batches[i] = r.u64()?;
+            let tier = &tiers[self.tier[i] as usize];
+            let cap = match tier.kind {
+                ClientKind::Chronos => farm,
+                ClientKind::PlainNtp | ClientKind::Nts => farm.min(tier.plain_servers),
+                // A captured source counts once, whatever the farm's size.
+                ClientKind::Roughtime => config.attack.map_or(0, |_| tier.sources),
+            };
             self.malicious[i] = r.u32()?;
+            if self.malicious[i] as usize > cap {
+                return Err(CheckpointError::Corrupt("malicious count out of range"));
+            }
             self.deadline_ns[i] = r.u64()?;
             self.assoc_expiry_ns[i] = r.u64()?;
             self.assoc_sources[i] = r.u32()?;
@@ -1753,6 +1744,20 @@ fn client_boot(config: &FleetConfig, global_id: u64) -> (u64, f64, u64) {
         0.0
     };
     (start_ns, drift, rng.state())
+}
+
+/// When a failed bootstrap resolution retries: `at_ns` plus the retry
+/// policy's backoff after `attempt`, jittered by one
+/// [`FaultLane::RetryJitter`] draw keyed `boundary · max_attempts +
+/// attempt`. `boundary` is the NTS re-key boundary (boot is 0); plain NTP
+/// resolves once, at boundary 0. The engine and the cache pre-pass both
+/// call this, so every real retry time is one of the pre-pass's phantom
+/// query times by construction.
+fn retry_at(config: &FleetConfig, global: u64, boundary: u64, attempt: u32, at_ns: u64) -> u64 {
+    let retry = &config.faults.retry;
+    let key = boundary * u64::from(retry.max_attempts.max(1)) + u64::from(attempt);
+    let unit = fault_f64(config.seed, global, FaultLane::RetryJitter, key, 0);
+    at_ns + retry.delay_ns(attempt, unit)
 }
 
 /// A population of lightweight time clients in one shared world — mixed
@@ -1910,106 +1915,63 @@ impl Fleet {
             // static, so each resolver's whole answer timeline resolves
             // before any client steps.
             let mut schedules: Vec<Vec<QuerySchedule>> = vec![Vec::new(); self.config.resolvers];
+            let horizon = self.config.horizon.as_nanos();
+            let once = |start_ns| QuerySchedule {
+                start_ns,
+                interval_ns: 0,
+                rounds: 1,
+            };
             for g in 0..n as u64 {
                 let global = self.config.first_client_id + g;
                 let (start_ns, _, _) = client_boot(&self.config, global);
                 let tier_index = self.assignment.tier_of(global) as usize;
                 let tier = &self.tiers[tier_index];
-                let r = resolver_of(self.config.seed, global, self.config.resolvers);
+                let r = resolver_of(self.config.seed, global, self.config.resolvers) as usize;
+                let rekey = tier.rekey_interval_ns;
                 match tier.kind {
-                    ClientKind::Chronos => schedules[r as usize].push(QuerySchedule {
+                    ClientKind::Chronos => schedules[r].push(QuerySchedule {
                         start_ns,
                         interval_ns: tier.chronos.pool.query_interval.as_nanos(),
                         rounds: tier.chronos.pool.queries as u64,
                     }),
-                    ClientKind::PlainNtp
-                        if self.config.faults.dns_can_fail(tier_index, r as usize) =>
+                    // Plain NTP resolves once, at boot; NTS resolves its KE
+                    // server name at boot and at every re-key boundary
+                    // inside the horizon. When a resolution can fail, the
+                    // client *may* retry each boundary on its backoff
+                    // schedule. The pre-pass cannot know which attempts
+                    // fail, so the cache timeline is defined as the replay
+                    // of the full phantom attempt multiset, timed by the
+                    // engine's own `retry_at`, so every real query time is
+                    // one of these. Phantom attempts after a success may
+                    // advance batch rotation — a documented model
+                    // semantic, not an approximation.
+                    ClientKind::PlainNtp | ClientKind::Nts
+                        if self.config.faults.dns_can_fail(tier_index, r) =>
                     {
-                        // Boot resolution can fail, so the client *may*
-                        // retry on its backoff schedule. The pre-pass
-                        // cannot know which attempts fail, so the cache
-                        // timeline is defined as the replay of the full
-                        // phantom attempt multiset (computed with the same
-                        // jitter recurrence the engine uses, so every real
-                        // query time is one of these). Phantom attempts
-                        // after a success may advance batch rotation — a
-                        // documented model semantic, not an approximation.
-                        let retry = &self.config.faults.retry;
-                        let mut at = start_ns;
-                        for attempt in 0..retry.max_attempts {
-                            schedules[r as usize].push(QuerySchedule {
-                                start_ns: at,
-                                interval_ns: 0,
-                                rounds: 1,
-                            });
-                            let unit = fault_f64(
-                                self.config.seed,
-                                global,
-                                FaultLane::RetryJitter,
-                                u64::from(attempt),
-                                0,
-                            );
-                            at += retry.delay_ns(attempt, unit);
-                        }
-                    }
-                    // Plain NTP resolves exactly once, at boot.
-                    ClientKind::PlainNtp => schedules[r as usize].push(QuerySchedule {
-                        start_ns,
-                        interval_ns: 0,
-                        rounds: 1,
-                    }),
-                    // NTS resolves its KE server name at boot and at
-                    // every re-key boundary inside the horizon.
-                    ClientKind::Nts => {
-                        let rekey = tier.rekey_interval_ns;
-                        let horizon = self.config.horizon.as_nanos();
-                        if self.config.faults.dns_can_fail(tier_index, r as usize) {
-                            // Each boundary may retry on backoff — the
-                            // same phantom-attempt replay as plain NTP,
-                            // with the jitter recurrence keyed
-                            // `boundary · max_attempts + attempt`.
-                            let retry = &self.config.faults.retry;
-                            let ma = u64::from(retry.max_attempts.max(1));
-                            let mut boundary = start_ns;
-                            let mut k = 0u64;
-                            while boundary <= horizon {
-                                let mut at = boundary;
-                                for attempt in 0..retry.max_attempts {
-                                    schedules[r as usize].push(QuerySchedule {
-                                        start_ns: at,
-                                        interval_ns: 0,
-                                        rounds: 1,
-                                    });
-                                    let unit = fault_f64(
-                                        self.config.seed,
-                                        global,
-                                        FaultLane::RetryJitter,
-                                        k * ma + u64::from(attempt),
-                                        0,
-                                    );
-                                    at += retry.delay_ns(attempt, unit);
-                                }
-                                k += 1;
-                                boundary = start_ns + k * rekey;
+                        let boundaries = match tier.kind {
+                            ClientKind::PlainNtp => 1,
+                            _ if start_ns <= horizon => 1 + (horizon - start_ns) / rekey,
+                            _ => 0,
+                        };
+                        for k in 0..boundaries {
+                            let mut at = start_ns + k * rekey;
+                            for attempt in 0..self.config.faults.retry.max_attempts {
+                                schedules[r].push(once(at));
+                                at = retry_at(&self.config, global, k, attempt, at);
                             }
-                        } else {
-                            schedules[r as usize].push(QuerySchedule {
-                                start_ns,
-                                interval_ns: rekey,
-                                rounds: 1 + (horizon.saturating_sub(start_ns)) / rekey,
-                            });
                         }
                     }
+                    ClientKind::PlainNtp => schedules[r].push(once(start_ns)),
+                    ClientKind::Nts => schedules[r].push(QuerySchedule {
+                        start_ns,
+                        interval_ns: rekey,
+                        rounds: 1 + horizon.saturating_sub(start_ns) / rekey,
+                    }),
                     // Roughtime resolves each of its M sources once at
                     // boot, through M distinct resolvers.
                     ClientKind::Roughtime => {
                         for j in 0..tier.sources {
-                            let src = (r as usize + j) % self.config.resolvers;
-                            schedules[src].push(QuerySchedule {
-                                start_ns,
-                                interval_ns: 0,
-                                rounds: 1,
-                            });
+                            schedules[(r + j) % self.config.resolvers].push(once(start_ns));
                         }
                     }
                 }
@@ -2078,12 +2040,11 @@ impl Fleet {
     /// Fraction of the fleet whose |clock error| exceeds the safety bound
     /// at `now`.
     pub fn shifted_fraction(&self, now: SimTime) -> f64 {
-        let shifted: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.shifted_count(now, &self.config))
-            .sum();
-        shifted as f64 / self.config.clients as f64
+        let mut counts = vec![0u64; self.tiers.len()];
+        for shard in &self.shards {
+            shard.shifted_count_by_tier(now, &self.config, &mut counts);
+        }
+        counts.iter().sum::<u64>() as f64 / self.config.clients as f64
     }
 
     /// Bytes of per-client column state — the struct-of-arrays entries
@@ -2460,10 +2421,11 @@ impl Fleet {
         let Fleet {
             ref mut shards,
             ref config,
+            ref tiers,
             ..
         } = fleet;
         for shard in shards.iter_mut() {
-            shard.decode(&mut r, config)?;
+            shard.decode(&mut r, config, tiers)?;
         }
         fleet.now_ns = now_ns;
         if r.remaining() != 0 {
@@ -2702,6 +2664,65 @@ mod tests {
         assert_eq!(fleet.client_tier(0), 0);
         assert_eq!(fleet.client_kind(0), ClientKind::Chronos);
         assert_eq!(fleet.client_resolver(0), 0, "R = 1: everyone on resolver 0");
+    }
+
+    /// A crafted `resume` blob can carry a valid checksum, so restore
+    /// refuses the columns a fleet can never hold — a tier or resolver
+    /// other than the one derived for the client, or more malicious
+    /// servers than its lane can write — instead of panicking or
+    /// allocating without bound on the next step.
+    #[test]
+    fn restore_refuses_columns_a_fleet_can_never_hold() {
+        let mut config = small_config();
+        config.resolvers = 3;
+        config.tiers = vec![
+            CohortTier::chronos("chronos", 1),
+            CohortTier::plain_ntp("plain", 1),
+            CohortTier::nts("nts", 1),
+            CohortTier::roughtime("roughtime", 1),
+        ];
+        config.attack = Some(FleetAttack::paper_default(
+            SimTime::ZERO,
+            SimDuration::from_millis(500),
+        ));
+        let mut fleet = Fleet::new(config);
+        fleet.run_until(SimTime::from_secs(600));
+        let client = |kind| (0..64).find(|&i| fleet.client_kind(i) == kind).unwrap();
+        let (chronos, plain) = (client(ClientKind::Chronos), client(ClientKind::PlainNtp));
+        let (nts, roughtime) = (client(ClientKind::Nts), client(ClientKind::Roughtime));
+        // The honest snapshot holds every lane at its cap (the farm, four
+        // plain servers, an NTS list of `sample_size`, three sources), and
+        // restores.
+        let caps = [(chronos, 89), (plain, 4), (nts, 9), (roughtime, 3)];
+        for (i, cap) in caps {
+            assert_eq!(fleet.client_pool(i).1, cap, "client {i} at its cap");
+        }
+        let snapshot = fleet.checkpoint();
+        assert!(Fleet::restore(&snapshot).is_ok());
+        type Tamper = fn(&mut Shard, usize);
+        let cases: [(&str, usize, Tamper); 8] = [
+            ("tier", plain, |s, i| s.tier[i] = 200),
+            ("tier", plain, |s, i| s.tier[i] = 0),
+            ("resolver", chronos, |s, i| s.resolver[i] = 3),
+            ("resolver", chronos, |s, i| {
+                s.resolver[i] = (s.resolver[i] + 1) % 3
+            }),
+            ("malicious", chronos, |s, i| s.malicious[i] = 90),
+            ("malicious", plain, |s, i| s.malicious[i] = 100_000),
+            ("malicious", nts, |s, i| s.malicious[i] = 10),
+            ("malicious", roughtime, |s, i| s.malicious[i] = 4),
+        ];
+        for (column, i, tamper) in cases {
+            let mut tampered = Fleet::restore(&snapshot).unwrap();
+            tamper(&mut tampered.shards[0], i);
+            assert!(
+                matches!(
+                    Fleet::restore(&tampered.checkpoint()),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "{column} column accepted"
+            );
+        }
     }
 
     /// The satellite footprint budget: per-client column state must sit

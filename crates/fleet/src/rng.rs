@@ -64,11 +64,11 @@ pub enum FaultLane {
     /// One NTP sample's loss draw in a panic round (`round` = the
     /// client's panic-episode index, `slot` = position).
     PanicSample = 3,
-    /// The backoff-jitter draw of one plain-NTP boot retry (`round` = the
-    /// failed attempt index, `slot` = 0). NTS re-key retries share the
-    /// lane with `round` = `boundary · max_attempts + attempt`, which
-    /// never collides with the plain encoding on the same client because
-    /// a client runs exactly one kind.
+    /// The backoff-jitter draw of one bootstrap retry (`round` =
+    /// `boundary · max_attempts + attempt`, `slot` = 0): an NTS-KE
+    /// association at re-key `boundary` (boot is boundary 0), or a
+    /// plain-NTP boot, which is boundary 0 of the same key — `round` is
+    /// then the failed attempt index.
     RetryJitter = 4,
     /// One NTS-KE association query's SERVFAIL draw (`round` = the
     /// re-key boundary index × `max_attempts` + the retry attempt,
