@@ -19,7 +19,6 @@ use netsim::node::{Context, Node};
 use netsim::stack::IpStack;
 use netsim::udp::UdpDatagram;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// Configuration of a [`BgpHijackAttacker`].
@@ -153,14 +152,6 @@ impl Node for BgpHijackAttacker {
             None,
         );
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -199,12 +190,6 @@ mod tests {
                     self.ttl = resp.message.answers.first().map(|r| r.ttl).unwrap_or(0);
                 }
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

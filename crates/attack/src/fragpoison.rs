@@ -35,7 +35,6 @@ use netsim::time::SimDuration;
 use netsim::udp::{fold_checksum, ones_complement_sum, UDP_HEADER_LEN};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::error::Error;
 use std::net::Ipv4Addr;
 
@@ -394,14 +393,6 @@ impl Node for FragPoisoner {
         self.send_icmp_mtu_force(ctx);
         self.send_probe(ctx);
         ctx.set_timer(self.config.replant_interval, TAG_REPLANT);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

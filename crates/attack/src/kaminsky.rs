@@ -19,7 +19,6 @@ use netsim::stack::IpStack;
 use netsim::time::SimDuration;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 const TAG_ATTEMPT: u64 = 1;
@@ -182,14 +181,6 @@ impl Node for BlindSpoofAttacker {
             self.attempt(ctx);
             ctx.set_timer(self.config.attempt_interval, TAG_ATTEMPT);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -22,10 +22,8 @@ pub enum PoisonStrategy {
         /// Hijack withdrawal.
         until: SimTime,
     },
-    /// Blind (Kaminsky-style) spoofing from `start`.
+    /// Blind (Kaminsky-style) spoofing, flooding from the first event.
     BlindSpoof {
-        /// When flooding begins.
-        start: SimTime,
         /// Forged responses per attempt.
         burst: usize,
     },

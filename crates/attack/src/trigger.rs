@@ -26,7 +26,6 @@ use netsim::stack::{IpStack, StackEvent};
 use netsim::time::SimDuration;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// The (abstracted) SMTP port.
@@ -123,14 +122,6 @@ impl Node for SmtpServer {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Sends a "mail" for `domain` to an [`SmtpServer`] — the attacker's
@@ -210,14 +201,6 @@ impl Node for BackgroundQuerier {
             self.fire(ctx);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -241,12 +224,6 @@ mod tests {
             send_mail(ctx, &mut self.stack, self.smtp, &self.domain);
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Ipv4Packet) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -342,12 +319,6 @@ mod tests {
                 );
             }
             fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Ipv4Packet) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         world.add_node(
             "garbage",

@@ -143,7 +143,8 @@ impl fmt::Display for RatioCheck {
 }
 
 /// Evaluates [`RATIO_GUARDS`] against one fresh run's entries. Guards whose
-/// targets are absent (bench not run) are skipped. Each side contributes
+/// targets are absent (bench not run) are skipped here and surface in
+/// [`guard_gaps`] instead. Each side contributes
 /// its fastest recorded sample (`min_secs_per_iter`, mean as fallback) —
 /// see the [`RATIO_GUARDS`] docs for why the minimum is the right
 /// statistic here.
@@ -166,7 +167,7 @@ pub fn ratio_checks(fresh: &[BenchEntry]) -> Vec<RatioCheck> {
 
 /// Evaluates [`RATE_RATIO_GUARDS`] against one fresh run's entries: both
 /// sides must have run *and* declared an element throughput, otherwise the
-/// guard is skipped.
+/// guard is skipped here and its unrated sides surface in [`guard_gaps`].
 pub fn rate_ratio_checks(fresh: &[BenchEntry]) -> Vec<RatioCheck> {
     RATE_RATIO_GUARDS
         .iter()
@@ -183,24 +184,32 @@ pub fn rate_ratio_checks(fresh: &[BenchEntry]) -> Vec<RatioCheck> {
         .collect()
 }
 
-/// The sides of [`RATE_RATIO_GUARDS`] that could not be evaluated (absent
-/// from the fresh run, or present without a declared element throughput).
-/// A skipped rate guard must not pass silently — these names feed the
-/// missing-guard backstop, so a renamed or de-throughput-ed reference
-/// bench fails the gate instead of un-gating the floor.
-pub fn rate_guard_gaps(fresh: &[BenchEntry], evaluated: &[RatioCheck]) -> Vec<&'static str> {
+/// Every guard the fresh run cannot evaluate, once each, in table order:
+/// the [`GUARDED`] names and [`RATIO_GUARDS`] sides it has no entry for,
+/// and the [`RATE_RATIO_GUARDS`] sides it has no rated entry for (absent,
+/// or present without a declared element throughput). A skipped guard
+/// must not pass silently, so a renamed bench, or a reference bench that
+/// lost its throughput, fails the gate instead of un-gating its floor.
+pub fn guard_gaps(fresh: &[BenchEntry]) -> Vec<&'static str> {
+    let ran = |name: &str| fresh.iter().any(|e| e.name == name);
+    let rated = |name: &str| {
+        fresh
+            .iter()
+            .any(|e| e.name == name && e.elements_per_sec.is_some())
+    };
+    let sides = |guards: &'static [(&'static str, &'static str, f64)]| {
+        guards.iter().flat_map(|&(fast, slow, _)| [fast, slow])
+    };
     let mut gaps = Vec::new();
-    for &(fast, slow, _) in RATE_RATIO_GUARDS {
-        if evaluated.iter().any(|c| c.fast == fast && c.slow == slow) {
-            continue;
-        }
-        for side in [fast, slow] {
-            let rated = fresh
-                .iter()
-                .any(|e| e.name == side && e.elements_per_sec.is_some());
-            if !rated && !gaps.contains(&side) {
-                gaps.push(side);
-            }
+    let unmet = GUARDED
+        .iter()
+        .copied()
+        .filter(|name| !ran(name))
+        .chain(sides(RATIO_GUARDS).filter(|name| !ran(name)))
+        .chain(sides(RATE_RATIO_GUARDS).filter(|name| !rated(name)));
+    for name in unmet {
+        if !gaps.contains(&name) {
+            gaps.push(name);
         }
     }
     gaps
@@ -336,9 +345,9 @@ pub struct DiffReport {
     pub ratios: Vec<RatioCheck>,
     /// Within-run *rate* ratio guards (elements/sec, cross-workload-size).
     pub rate_ratios: Vec<RatioCheck>,
-    /// [`GUARDED`] names with no entry in the fresh run at all — a renamed
-    /// or dropped guarded bench, which would otherwise silently un-gate
-    /// that hot path.
+    /// The guards the fresh run cannot evaluate ([`guard_gaps`]) — a
+    /// renamed or dropped guarded bench or ratio-guard side, which would
+    /// otherwise silently un-gate that hot path or floor.
     pub missing_guards: Vec<&'static str>,
 }
 
@@ -408,16 +417,7 @@ pub fn diff_dirs(base_dir: &Path, fresh_dir: &Path) -> Result<DiffReport, String
     }
     report.ratios = ratio_checks(&all_fresh);
     report.rate_ratios = rate_ratio_checks(&all_fresh);
-    report.missing_guards = GUARDED
-        .iter()
-        .filter(|g| !all_fresh.iter().any(|e| e.name == **g))
-        .copied()
-        .collect();
-    for side in rate_guard_gaps(&all_fresh, &report.rate_ratios) {
-        if !report.missing_guards.contains(&side) {
-            report.missing_guards.push(side);
-        }
-    }
+    report.missing_guards = guard_gaps(&all_fresh);
     Ok(report)
 }
 
@@ -645,7 +645,8 @@ mod tests {
         let rated = parse_artifact(&artifact_with_eps(&all_rated));
         let checks = rate_ratio_checks(&rated);
         assert_eq!(checks.len(), RATE_RATIO_GUARDS.len());
-        assert!(rate_guard_gaps(&rated, &checks).is_empty());
+        let gaps = guard_gaps(&rated);
+        assert!(gaps.iter().all(|gap| !rate_guard_sides().contains(gap)));
         // A reference bench dropped its Throughput declaration: its guard
         // is skipped — the rate-less side must surface instead of silently
         // un-gating the floor (alongside any wholly absent guard sides).
@@ -661,11 +662,44 @@ mod tests {
             checks.is_empty(),
             "guard cannot evaluate without both rates"
         );
-        let gaps = rate_guard_gaps(&entries, &checks);
+        let gaps = guard_gaps(&entries);
         assert!(gaps.contains(&slow), "the rate-less side surfaces");
         assert!(!gaps.contains(&fast), "the rated side does not");
-        // Nothing benched at all: every guard side surfaces.
-        assert_eq!(rate_guard_gaps(&[], &[]), rate_guard_sides());
+        // Nothing benched at all: every guard name and side surfaces, once.
+        let gaps = guard_gaps(&[]);
+        let sides = RATIO_GUARDS.iter().chain(RATE_RATIO_GUARDS);
+        for name in GUARDED
+            .iter()
+            .chain(sides.flat_map(|(fast, slow, _)| [fast, slow]))
+        {
+            assert_eq!(gaps.iter().filter(|gap| *gap == name).count(), 1, "{name}");
+        }
+    }
+
+    /// A fresh run that lacks one side of a time ratio guard fails the
+    /// gate: the committed snapshot minus `insecure_9k` must name it, and
+    /// nothing else, as a missing guard.
+    #[test]
+    fn dropped_ratio_guard_side_is_a_missing_guard() {
+        let dropped = "e18_secure_deployment/insecure_9k";
+        let perf = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../perf");
+        let snapshot = newest_snapshot(&perf).expect("a committed snapshot");
+        let fresh = std::env::temp_dir().join(format!("benchdiff-drop-{}", std::process::id()));
+        std::fs::create_dir_all(&fresh).unwrap();
+        for file in std::fs::read_dir(&snapshot).unwrap().flatten() {
+            let mut doc = Json::parse(&std::fs::read_to_string(file.path()).unwrap()).unwrap();
+            if let Json::Obj(fields) = &mut doc {
+                for (key, value) in fields {
+                    if let ("results", Json::Arr(entries)) = (key.as_str(), value) {
+                        entries.retain(|e| e.get("name").and_then(Json::as_str) != Some(dropped));
+                    }
+                }
+            }
+            std::fs::write(fresh.join(file.file_name()), doc.render()).unwrap();
+        }
+        let report = diff_dirs(&snapshot, &fresh).unwrap();
+        std::fs::remove_dir_all(&fresh).unwrap();
+        assert_eq!(report.missing_guards, vec![dropped]);
     }
 
     #[test]
@@ -784,10 +818,10 @@ mod tests {
         assert_eq!(report.unmatched_fresh, vec!["BENCH_new.json".to_string()]);
         let regs = report.regressions(DEFAULT_THRESHOLD_PCT);
         assert_eq!(regs.len(), 1, "a 2x-slower guarded target fails the job");
-        // GUARDED names absent from the fresh run, plus the rate guard's
-        // reference side (absent here), are all called out.
+        // GUARDED names absent from the fresh run, plus every ratio and
+        // rate guard side (absent or unrated here), are all called out.
         let mut expected_missing = GUARDED[1..].to_vec();
-        for &(fast, slow, _) in RATE_RATIO_GUARDS {
+        for &(fast, slow, _) in RATIO_GUARDS.iter().chain(RATE_RATIO_GUARDS) {
             for side in [fast, slow] {
                 if !expected_missing.contains(&side) && !GUARDED[..1].contains(&side) {
                     expected_missing.push(side);

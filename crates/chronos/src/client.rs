@@ -15,7 +15,6 @@ use netsim::time::SimTime;
 use ntplab::assoc::NtpExchanger;
 use ntplab::clock::LocalClock;
 use ntplab::select::PeerSample;
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 pub use crate::core::{ChronosStats, Phase};
@@ -51,12 +50,8 @@ pub struct ChronosClient {
 }
 
 impl ChronosClient {
-    /// Creates a client at `addr` using `resolver`, with the given clock.
-    pub fn new(addr: Ipv4Addr, resolver: Ipv4Addr, clock: LocalClock) -> Self {
-        ChronosClient::with_config(addr, resolver, clock, ChronosConfig::default())
-    }
-
-    /// Creates a client with explicit configuration.
+    /// Creates a client at `addr` using `resolver`, with the given clock
+    /// and configuration.
     ///
     /// # Panics
     ///
@@ -313,14 +308,6 @@ impl Node for ChronosClient {
             (TAG_PANIC_COLLECT, Phase::Panic) => self.collect_panic_round(ctx),
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -18,7 +18,6 @@ use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackEvent};
 use netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
@@ -201,14 +200,6 @@ impl Node for ConsensusPoolClient {
         }
         self.finalize_round(ctx.now());
         self.start_round(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -464,19 +464,7 @@ fn require_job(table: &JobTable, request: &Json) -> Result<Arc<Job>, Json> {
 /// The `ping` payload: identity, uptime, and job counts by state.
 fn ping_fields(ctx: &ServerCtx) -> Vec<(String, Json)> {
     let jobs = ctx.table.list();
-    let mut by_state = [0usize; 6];
-    for job in &jobs {
-        let idx = match job.snapshot().state {
-            JobState::Queued => 0,
-            JobState::Running => 1,
-            JobState::Paused => 2,
-            JobState::Done => 3,
-            JobState::Stopped => 4,
-            JobState::Failed => 5,
-        };
-        by_state[idx] += 1;
-    }
-    let states = ["queued", "running", "paused", "done", "stopped", "failed"];
+    let states: Vec<JobState> = jobs.iter().map(|job| job.snapshot().state).collect();
     vec![
         ("service".into(), Json::str("chronosd")),
         ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
@@ -489,10 +477,12 @@ fn ping_fields(ctx: &ServerCtx) -> Vec<(String, Json)> {
         (
             "job_states".into(),
             Json::Obj(
-                states
-                    .iter()
-                    .zip(by_state)
-                    .map(|(state, n)| (state.to_string(), Json::usize(n)))
+                JobState::ALL
+                    .into_iter()
+                    .map(|state| {
+                        let n = states.iter().filter(|&&s| s == state).count();
+                        (state.as_str().to_string(), Json::usize(n))
+                    })
                     .collect(),
             ),
         ),

@@ -255,6 +255,16 @@ pub enum JobState {
 }
 
 impl JobState {
+    /// Every state, in lifecycle order (the order `ping` counts them in).
+    pub(crate) const ALL: [JobState; 6] = [
+        JobState::Queued,
+        JobState::Running,
+        JobState::Paused,
+        JobState::Done,
+        JobState::Stopped,
+        JobState::Failed,
+    ];
+
     /// Wire label (`"running"`, `"paused"`, ...).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -269,15 +279,9 @@ impl JobState {
 
     /// Parse a wire label back into a state (manifest loading).
     pub fn parse(label: &str) -> Option<JobState> {
-        Some(match label {
-            "queued" => JobState::Queued,
-            "running" => JobState::Running,
-            "paused" => JobState::Paused,
-            "done" => JobState::Done,
-            "stopped" => JobState::Stopped,
-            "failed" => JobState::Failed,
-            _ => return None,
-        })
+        JobState::ALL
+            .into_iter()
+            .find(|state| state.as_str() == label)
     }
 
     /// Whether the job will never be stepped again.

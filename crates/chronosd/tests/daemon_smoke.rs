@@ -276,6 +276,15 @@ fn protocol_errors_are_reported_not_fatal() {
     let states = pong.get("job_states").expect("job_states object");
     assert_eq!(states.get("running").and_then(Json::as_u64), Some(0));
     assert_eq!(states.get("failed").and_then(Json::as_u64), Some(0));
+    let Json::Obj(counts) = states else {
+        panic!("job_states is not an object");
+    };
+    let labels: Vec<&str> = counts.iter().map(|(label, _)| label.as_str()).collect();
+    assert_eq!(
+        labels,
+        ["queued", "running", "paused", "done", "stopped", "failed"],
+        "ping counts states in lifecycle order"
+    );
 
     // The unknown command was counted as a protocol error.
     let scraped = client.request("metrics", Vec::new()).expect("metrics");

@@ -1,5 +1,6 @@
-//! Experiment runners E1–E9: one per table/figure of the reproduction
-//! (see EXPERIMENTS.md for the index and DESIGN.md §4 for the mapping).
+//! Experiment runners E1–E18: one per table/figure of the reproduction
+//! (the README's "Experiments index" maps each to its paper artifact,
+//! bench target and example).
 //!
 //! Every runner returns typed rows plus a rendered [`Table`] (or
 //! [`crate::report::Series`]), so

@@ -13,7 +13,7 @@
 //! * [`successmodel`] — the 1-vs-12-opportunities amplification;
 //! * [`study`] — the §II fragmentation measurement study, re-created;
 //! * [`shift`] — plain-vs-Chronos clock-error traces under attack;
-//! * [`experiments`] — runners E1–E16, one per reproduced table/figure
+//! * [`experiments`] — runners E1–E18, one per reproduced table/figure
 //!   (E14 is the population-scale fleet experiment, E16 the heterogeneous
 //!   fleet under partial resolver poisoning);
 //! * [`report`] — table/series rendering shared by benches and examples.

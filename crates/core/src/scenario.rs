@@ -156,8 +156,8 @@ impl ScenarioConfig {
     }
 }
 
-/// Draws one benign server's clock imperfection. Shared by `build` and
-/// `reset` so both consume the labelled RNG stream identically.
+/// Draws one benign server's clock imperfection from the labelled
+/// `"benign-clocks"` stream.
 fn benign_clock(rng: &mut netsim::rng::SimRng, config: &ScenarioConfig) -> LocalClock {
     let offset_bound = config.benign_offset_ms as i64 * 1_000_000;
     let offset = if offset_bound > 0 {
@@ -210,7 +210,6 @@ impl Scenario {
     /// Panics if the Chronos configuration is inconsistent.
     pub fn build(config: ScenarioConfig) -> Scenario {
         let mut world = World::new(config.seed);
-        world.trace_mut().set_enabled(false); // experiments re-enable as needed
 
         // --- pool.ntp.org authoritative servers (one node, many addrs) ---
         let ns_addrs: Vec<Ipv4Addr> = (0..config.ns_count as u32)
@@ -261,18 +260,17 @@ impl Scenario {
         resolver_node.allow_client(addrs::PLAIN);
         let resolver = world.add_node("resolver", Box::new(resolver_node), &[addrs::RESOLVER]);
 
-        // --- benign NTP universe with slightly imperfect clocks ---
-        let mut clock_rng = world.rng_mut().fork_labeled("benign-clocks");
-        let mut benign = Vec::with_capacity(config.benign_universe);
-        for i in 0..config.benign_universe as u32 {
-            let addr = Ipv4Addr::from(u32::from(addrs::NTP_BASE) + i);
-            let clock = benign_clock(&mut clock_rng, &config);
-            benign.push(world.add_node(
-                format!("ntp{i}"),
-                Box::new(NtpServer::new(addr, clock)),
-                &[addr],
-            ));
-        }
+        // --- benign NTP universe (`wire` gives each its imperfect clock) ---
+        let benign = (0..config.benign_universe as u32)
+            .map(|i| {
+                let addr = Ipv4Addr::from(u32::from(addrs::NTP_BASE) + i);
+                world.add_node(
+                    format!("ntp{i}"),
+                    Box::new(NtpServer::new(addr, LocalClock::perfect())),
+                    &[addr],
+                )
+            })
+            .collect();
 
         // --- victims ---
         let chronos = world.add_node(
@@ -320,31 +318,20 @@ impl Scenario {
                 &[fake_ns_addr()],
             ));
             match &plan.strategy {
-                PoisonStrategy::Fragmentation { start } => {
+                PoisonStrategy::Fragmentation { .. } => {
                     let mut frag_config =
                         FragPoisonConfig::new(addrs::RESOLVER, ns_addrs[0], fake_ns_addr())
                             .with_spoof_sources(ns_addrs.clone());
                     if let Some(mtu) = config.frag_forced_mtu {
                         frag_config.forced_mtu = mtu;
                     }
-                    let mut poisoner = FragPoisoner::new(addrs::FRAG_ATTACKER, frag_config);
-                    let delayed = start.as_nanos() > 0;
-                    poisoner.set_enabled(!delayed);
-                    let id = world.add_node(
+                    frag_attacker = Some(world.add_node(
                         "frag-attacker",
-                        Box::new(poisoner),
+                        Box::new(FragPoisoner::new(addrs::FRAG_ATTACKER, frag_config)),
                         &[addrs::FRAG_ATTACKER],
-                    );
-                    if delayed {
-                        world.schedule_timer(
-                            id,
-                            start.duration_since(SimTime::ZERO),
-                            attacklab::fragpoison::BEGIN_TAG,
-                        );
-                    }
-                    frag_attacker = Some(id);
+                    ));
                 }
-                PoisonStrategy::BgpHijack { from, until } => {
+                PoisonStrategy::BgpHijack { .. } => {
                     let bgp_config = match config.bgp_low_profile {
                         Some(lp) => BgpHijackConfig {
                             qname: "pool.ntp.org".parse().expect("static name"),
@@ -361,15 +348,13 @@ impl Scenario {
                             farm_size: plan.farm_size,
                         },
                     };
-                    let attacker = world.add_node(
+                    world.add_node(
                         "bgp-attacker",
                         Box::new(BgpHijackAttacker::new(addrs::BGP_ATTACKER, bgp_config)),
                         &[addrs::BGP_ATTACKER],
                     );
-                    world.add_hijack(Ipv4Net::new(addrs::NS_BASE, 24), attacker, *from, *until);
                 }
-                PoisonStrategy::BlindSpoof { start, burst } => {
-                    let _ = start;
+                PoisonStrategy::BlindSpoof { burst } => {
                     world.add_node(
                         "spoofer",
                         Box::new(BlindSpoofAttacker::new(
@@ -398,7 +383,7 @@ impl Scenario {
             }
         }
 
-        Scenario {
+        let mut scenario = Scenario {
             world,
             nodes: ScenarioNodes {
                 auth,
@@ -412,7 +397,9 @@ impl Scenario {
             benign,
             config,
             oracle_done: false,
-        }
+        };
+        scenario.wire();
+        scenario
     }
 
     /// Rewinds a built scenario to time zero under a new seed, reusing the
@@ -420,63 +407,64 @@ impl Scenario {
     ///
     /// After `reset`, running the scenario is byte-identical to running
     /// `Scenario::build` with the same config and seed: the world is
-    /// drained and reseeded, every node's run state is cleared, the benign
-    /// servers' clock imperfections are re-derived from the new seed (same
-    /// labelled RNG stream the builder uses), and the attack wiring that
-    /// lives outside nodes — the delayed-start fragmentation timer and the
-    /// BGP hijack window — is re-applied.
+    /// drained and reseeded, every node's run state is cleared, and the
+    /// same per-seed wiring that ends `build` runs again.
     pub fn reset(&mut self, seed: u64) {
         self.config.seed = seed;
         self.world.reset(seed);
-        // `World::reset` keeps the trace's enabled flag; `build` starts
-        // disabled, so mirror it — otherwise a trial that enabled tracing
-        // would leak recording into every later trial on this world.
+        self.wire();
+    }
+
+    /// The per-seed wiring that ends both [`Scenario::build`] and
+    /// [`Scenario::reset`]: the trace starts disabled, the benign servers'
+    /// clock imperfections are drawn for the world's seed, and the attack
+    /// wiring that lives outside nodes is applied — the fragmentation
+    /// attacker's delayed start and the BGP hijack window.
+    fn wire(&mut self) {
+        // Experiments re-enable tracing as needed. `World::reset` keeps the
+        // flag, so a trial that enabled it would otherwise leak recording
+        // into every later trial on this world.
         self.world.trace_mut().set_enabled(false);
         self.oracle_done = false;
 
-        // Re-derive the benign clock lottery exactly as `build` does: the
-        // labelled fork does not advance the parent stream, and nothing
-        // else draws from the world RNG before this point in `build`.
+        // The labelled fork does not advance the world stream, and nothing
+        // draws from that stream before the first event runs.
         let mut clock_rng = self.world.rng_mut().fork_labeled("benign-clocks");
         for &id in &self.benign {
             let clock = benign_clock(&mut clock_rng, &self.config);
             self.world.node_mut::<NtpServer>(id).set_clock(clock);
         }
 
-        // Re-apply attack wiring cleared by the world reset.
-        if let Some(plan) = &self.config.attack {
-            match &plan.strategy {
-                PoisonStrategy::Fragmentation { start } => {
-                    let id = self
-                        .nodes
-                        .frag_attacker
-                        .expect("fragmentation plan built a frag attacker");
-                    let delayed = start.as_nanos() > 0;
-                    self.world
-                        .node_mut::<FragPoisoner>(id)
-                        .set_enabled(!delayed);
-                    if delayed {
-                        self.world.schedule_timer(
-                            id,
-                            start.duration_since(SimTime::ZERO),
-                            attacklab::fragpoison::BEGIN_TAG,
-                        );
-                    }
-                }
-                PoisonStrategy::BgpHijack { from, until } => {
-                    let attacker = self
-                        .world
-                        .find_node("bgp-attacker")
-                        .expect("bgp plan built a bgp attacker");
-                    self.world.add_hijack(
-                        Ipv4Net::new(addrs::NS_BASE, 24),
-                        attacker,
-                        *from,
-                        *until,
+        let Some(plan) = &self.config.attack else {
+            return;
+        };
+        match plan.strategy {
+            PoisonStrategy::Fragmentation { start } => {
+                let id = self
+                    .nodes
+                    .frag_attacker
+                    .expect("fragmentation plan built a frag attacker");
+                let delayed = start.as_nanos() > 0;
+                self.world
+                    .node_mut::<FragPoisoner>(id)
+                    .set_enabled(!delayed);
+                if delayed {
+                    self.world.schedule_timer(
+                        id,
+                        start.duration_since(SimTime::ZERO),
+                        attacklab::fragpoison::BEGIN_TAG,
                     );
                 }
-                PoisonStrategy::BlindSpoof { .. } | PoisonStrategy::Oracle { .. } => {}
             }
+            PoisonStrategy::BgpHijack { from, until } => {
+                let attacker = self
+                    .world
+                    .find_node("bgp-attacker")
+                    .expect("bgp plan built a bgp attacker");
+                self.world
+                    .add_hijack(Ipv4Net::new(addrs::NS_BASE, 24), attacker, from, until);
+            }
+            PoisonStrategy::BlindSpoof { .. } | PoisonStrategy::Oracle { .. } => {}
         }
     }
 

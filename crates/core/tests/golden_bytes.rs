@@ -11,7 +11,10 @@
 //!   retry key, and the slot order of mixed Roughtime sources;
 //! * one pooled packet-level sweep over two config shapes on two
 //!   threads, hashed per trial through the `Debug` text of what the
-//!   trial observed.
+//!   trial observed;
+//! * one packet-level scenario per attack arm that a scenario's per-seed
+//!   wiring or a node's `reset` touches, three trials each on one
+//!   thread, so the second and third trials run on a rewound world.
 //!
 //! The constants are regenerated only in a commit that changes random
 //! streams on purpose, and that commit says so. Any other change that
@@ -23,7 +26,7 @@ use chronos_pitfalls::experiments::{
     compressed_chronos, e14_config, e16_config, e17_config, e18_config,
 };
 use chronos_pitfalls::montecarlo::run_scenarios_detailed;
-use chronos_pitfalls::scenario::{Scenario, ScenarioConfig};
+use chronos_pitfalls::scenario::{LowProfileBgp, Scenario, ScenarioConfig};
 use fleet::{ClientKind, Fleet, FleetAttack, FleetConfig, FleetReport};
 use netsim::time::{SimDuration, SimTime};
 
@@ -201,18 +204,133 @@ fn pooled_sweep_trials_match_the_goldens() {
         sweep_config(300, false),
         sweep_config(400, true),
     ];
-    let (trials, stats) = run_scenarios_detailed(&grid, 2, 3, |s: &mut Scenario, _, _| {
-        s.run_pool_generation(SimDuration::from_secs(500));
-        s.run_for(SimDuration::from_secs(100));
-        let observed = (
-            s.world.stats(),
-            s.chronos().pool().servers().to_vec(),
-            s.chronos().stats(),
-            s.chronos().offset_from_true(s.world.now()),
-        );
-        fnv1a(format!("{observed:?}").as_bytes())
-    });
+    let (trials, stats) = run_scenarios_detailed(&grid, 2, 3, |s, _, _| trial_hash(s));
     assert_eq!(stats.config_groups, 2);
     let got: Vec<u64> = trials.into_iter().flatten().collect();
     assert_eq!(got, SWEEP_GOLDENS, "pooled sweep trial hashes moved");
+}
+
+/// Runs one packet-level trial through pool generation and 100 s of
+/// syncing, and hashes what it observed.
+fn trial_hash(s: &mut Scenario) -> u64 {
+    s.run_pool_generation(SimDuration::from_secs(500));
+    s.run_for(SimDuration::from_secs(100));
+    let observed = (
+        s.world.stats(),
+        s.chronos().pool().servers().to_vec(),
+        s.chronos().stats(),
+        s.chronos().offset_from_true(s.world.now()),
+    );
+    fnv1a(format!("{observed:?}").as_bytes())
+}
+
+/// A named scenario config and a check that its arm really ran.
+type Arm = (&'static str, ScenarioConfig, fn(&Scenario) -> bool);
+
+/// One scenario per arm of the per-seed wiring and of the attacker and
+/// client nodes' `reset`. Round 2's pool query leaves at 200 s; the
+/// delayed fragmentation start and the hijack window both open before
+/// it, after round 1.
+fn wiring_arms() -> Vec<Arm> {
+    use attacklab::fragpoison::FragPoisoner;
+    use attacklab::kaminsky::BlindSpoofAttacker;
+    use attacklab::plan::{AttackPlan, PoisonStrategy};
+    use attacklab::trigger::BackgroundQuerier;
+    use ntplab::plain::PlainNtpConfig;
+
+    let attack = |seed, strategy| ScenarioConfig {
+        attack: Some(AttackPlan {
+            strategy,
+            ..AttackPlan::paper_default(SimDuration::from_millis(500))
+        }),
+        ..sweep_config(seed, false)
+    };
+    let hijack = PoisonStrategy::BgpHijack {
+        from: SimTime::from_secs(150),
+        until: SimTime::from_secs(250),
+    };
+    let mut low_profile = attack(503, hijack.clone());
+    low_profile.bgp_low_profile = Some(LowProfileBgp::default());
+    let mut blind = attack(504, PoisonStrategy::BlindSpoof { burst: 32 });
+    blind.resolver.open = true;
+    let mut plain = sweep_config(506, false);
+    plain.plain = Some(PlainNtpConfig::default());
+    plain.noise_query_interval = Some(SimDuration::from_secs(20));
+
+    vec![
+        (
+            "fragmentation from 100 s",
+            attack(
+                501,
+                PoisonStrategy::Fragmentation {
+                    start: SimTime::from_secs(100),
+                },
+            ),
+            |s| {
+                let id = s.nodes.frag_attacker.expect("a frag attacker");
+                s.world.node::<FragPoisoner>(id).stats().probes > 0
+            },
+        ),
+        ("bgp hijack window", attack(502, hijack), |s| {
+            s.world.stats().hijack_delivered > 0
+        }),
+        ("low-profile bgp hijack", low_profile, |s| {
+            s.world.stats().hijack_delivered > 0
+        }),
+        ("blind spoof at an open resolver", blind, |s| {
+            let id = s.world.find_node("spoofer").expect("a spoofer");
+            s.world.node::<BlindSpoofAttacker>(id).stats().attempts > 0
+        }),
+        (
+            "oracle at round 2",
+            attack(505, PoisonStrategy::Oracle { round: 2 }),
+            |s| s.chronos_pool_composition().1 > 0,
+        ),
+        ("plain client and background querier", plain, |s| {
+            let noise = s.world.find_node("noise").expect("a querier");
+            s.plain().stats().polls > 0 && s.world.node::<BackgroundQuerier>(noise).sent() > 0
+        }),
+    ]
+}
+
+/// Trial hashes, arm-major: six arms of three trials each.
+const WIRING_GOLDENS: [u64; 18] = [
+    0xd0a7_30f3_272d_3efd,
+    0x7ff1_8842_fab3_deae,
+    0x3d7d_fda2_44c1_f7b6,
+    0x0035_c6f9_0762_352e,
+    0x7453_6a3c_6a9c_371b,
+    0xddd1_f4bf_1e12_e7d7,
+    0x70ad_cc93_65bf_0edd,
+    0x33b6_411d_84d3_328b,
+    0x2884_96a2_970d_d86b,
+    0x7a72_1c16_2ce4_2647,
+    0xb0eb_e84d_6054_6557,
+    0xc8eb_c28e_3eaa_53d5,
+    0xe309_7038_9658_65c0,
+    0x88cc_3e24_a1c0_7020,
+    0xbf46_adab_bd57_5071,
+    0xbd7d_35eb_f4df_3d97,
+    0x0e12_fbe1_1f26_b131,
+    0xd916_9f0f_552a_a48b,
+];
+
+/// One worker runs every arm's three trials in order, so trial 1 runs on
+/// a freshly built world and trials 2 and 3 on that world rewound by
+/// `Scenario::reset`.
+#[test]
+fn scenario_wiring_trials_match_the_goldens() {
+    let arms = wiring_arms();
+    let grid: Vec<ScenarioConfig> = arms.iter().map(|(_, config, _)| config.clone()).collect();
+    let (trials, stats) =
+        run_scenarios_detailed(&grid, 1, 3, |s, arm, _| (trial_hash(s), (arms[arm].2)(s)));
+    assert_eq!(stats.worlds_built, arms.len() as u64, "one build per arm");
+    let mut got = Vec::new();
+    for ((name, _, _), arm_trials) in arms.iter().zip(trials) {
+        for (trial, (hash, ran)) in arm_trials.into_iter().enumerate() {
+            assert!(ran, "{name}: the arm did not run in trial {trial}");
+            got.push(hash);
+        }
+    }
+    assert_eq!(got, WIRING_GOLDENS, "scenario wiring trial hashes moved");
 }

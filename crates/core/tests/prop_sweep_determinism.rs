@@ -38,24 +38,57 @@ fn fingerprint(s: &mut Scenario) -> TrialFingerprint {
     }
 }
 
-fn config(seed: u64, universe: usize, rounds: usize, with_attack: bool) -> ScenarioConfig {
+/// Attack arms drawn by the properties: none, fragmentation from t = 0,
+/// and one per arm of the scenario-wiring goldens in `golden_bytes.rs`.
+const ARMS: usize = 8;
+
+fn config(seed: u64, universe: usize, rounds: usize, arm: usize) -> ScenarioConfig {
     use attacklab::plan::{AttackPlan, PoisonStrategy};
+    use chronos_pitfalls::scenario::LowProfileBgp;
+    use ntplab::plain::PlainNtpConfig;
     let mut chronos = compressed_chronos(rounds, SimDuration::from_secs(200));
     chronos.sample_size = 6;
     chronos.trim = 2;
-    ScenarioConfig {
+    let mut config = ScenarioConfig {
         seed,
         benign_universe: universe,
         ns_count: 2,
         chronos,
-        attack: with_attack.then(|| AttackPlan {
-            strategy: PoisonStrategy::Fragmentation {
-                start: SimTime::ZERO,
-            },
-            ..AttackPlan::paper_default(SimDuration::from_millis(500))
-        }),
         ..ScenarioConfig::default()
-    }
+    };
+    let hijack = PoisonStrategy::BgpHijack {
+        from: SimTime::from_secs(150),
+        until: SimTime::from_secs(250),
+    };
+    let strategy = match arm {
+        0 => None,
+        1 => Some(PoisonStrategy::Fragmentation {
+            start: SimTime::ZERO,
+        }),
+        2 => Some(PoisonStrategy::Fragmentation {
+            start: SimTime::from_secs(100),
+        }),
+        3 => Some(hijack),
+        4 => {
+            config.bgp_low_profile = Some(LowProfileBgp::default());
+            Some(hijack)
+        }
+        5 => {
+            config.resolver.open = true;
+            Some(PoisonStrategy::BlindSpoof { burst: 32 })
+        }
+        6 => Some(PoisonStrategy::Oracle { round: 2 }),
+        _ => {
+            config.plain = Some(PlainNtpConfig::default());
+            config.noise_query_interval = Some(SimDuration::from_secs(20));
+            None
+        }
+    };
+    config.attack = strategy.map(|strategy| AttackPlan {
+        strategy,
+        ..AttackPlan::paper_default(SimDuration::from_millis(500))
+    });
+    config
 }
 
 proptest! {
@@ -69,10 +102,10 @@ proptest! {
         rounds in 1usize..3,
         configs in 1usize..4,
         trials in 1u32..4,
-        with_attack in any::<bool>(),
+        arm in 0..ARMS,
     ) {
         let grid: Vec<ScenarioConfig> = (0..configs as u64)
-            .map(|i| config(base_seed + 17 * i, universe, rounds, with_attack))
+            .map(|i| config(base_seed + 17 * i, universe, rounds, arm))
             .collect();
         let (pooled, stats) =
             run_scenarios_detailed(&grid, 2, trials, |s, _, _| fingerprint(s));
@@ -105,9 +138,10 @@ proptest! {
     #[test]
     fn reset_chain_matches_fresh_builds(
         seeds in proptest::collection::vec(0u64..1_000_000, 2..5),
-        with_attack in any::<bool>(),
+        rounds in 1usize..3,
+        arm in 0..ARMS,
     ) {
-        let cfg = config(seeds[0], 20, 1, with_attack);
+        let cfg = config(seeds[0], 20, rounds, arm);
         let mut reused = Scenario::build(cfg.clone());
         for &seed in &seeds {
             reused.reset(seed);

@@ -25,7 +25,6 @@ use netsim::stack::{IpStack, StackConfig, StackEvent};
 use netsim::time::SimDuration;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -538,14 +537,6 @@ impl Node for RecursiveResolver {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -599,12 +590,6 @@ mod tests {
             if let Some(d) = self.repeat_every {
                 ctx.set_timer(d, 1);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

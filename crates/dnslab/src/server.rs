@@ -12,7 +12,6 @@ use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackConfig, StackEvent};
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// The well-known DNS port.
@@ -63,7 +62,7 @@ pub struct AuthServer {
 impl AuthServer {
     /// Creates a server at `addr` serving `zones`.
     pub fn new(addr: Ipv4Addr, zones: Vec<Zone>) -> Self {
-        AuthServer::with_stack_config(addr, zones, StackConfig::default())
+        AuthServer::with_addrs(vec![addr], zones)
     }
 
     /// Creates a server answering on several addresses (e.g. one node
@@ -89,17 +88,6 @@ impl AuthServer {
     ) -> Self {
         AuthServer {
             stack: IpStack::with_config(addrs, stack),
-            zones,
-            config: AuthServerConfig::default(),
-            stats: AuthServerStats::default(),
-        }
-    }
-
-    /// Creates a server with an explicit stack configuration (IP-ID policy,
-    /// PMTU acceptance — the attack-surface knobs).
-    pub fn with_stack_config(addr: Ipv4Addr, zones: Vec<Zone>, stack: StackConfig) -> Self {
-        AuthServer {
-            stack: IpStack::with_config(vec![addr], stack),
             zones,
             config: AuthServerConfig::default(),
             stats: AuthServerStats::default(),
@@ -239,14 +227,6 @@ impl Node for AuthServer {
             );
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -287,12 +267,6 @@ mod tests {
             if let Some(StackEvent::Udp { datagram, .. }) = self.stack.handle(ctx, pkt) {
                 self.response = Message::decode(&datagram.payload).ok();
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

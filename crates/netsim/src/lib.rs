@@ -21,7 +21,6 @@
 //!
 //! ```
 //! use netsim::prelude::*;
-//! use std::any::Any;
 //! use bytes::Bytes;
 //!
 //! struct Hello {
@@ -41,8 +40,6 @@
 //!             self.heard += 1;
 //!         }
 //!     }
-//!     fn as_any(&self) -> &dyn Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn Any { self }
 //! }
 //!
 //! let mut world = World::new(7);

@@ -100,8 +100,9 @@ impl<'a> Context<'a> {
 
 /// A protocol endpoint attached to the simulated network.
 ///
-/// Implementors also provide [`Node::as_any`] / [`Node::as_any_mut`] so
-/// experiment code can downcast back to the concrete type after the run.
+/// The [`Any`] supertrait lets [`crate::world::World::node`] and
+/// [`crate::world::World::node_mut`] downcast a node back to its concrete
+/// type after (or during) a run; implementors write nothing for it.
 ///
 /// Nodes are `Send` so whole worlds can migrate between Monte-Carlo worker
 /// threads (see [`crate::pool::ObjectPool`]).
@@ -132,12 +133,6 @@ pub trait Node: Any + Send {
     /// newly constructed node. The default is a no-op, which is only correct
     /// for stateless nodes.
     fn reset(&mut self) {}
-
-    /// Upcast for downcasting in experiment code.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable upcast for downcasting in experiment code.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A standalone harness for driving [`Node`]s and stack components outside

@@ -25,6 +25,7 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceOutcome};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 
@@ -286,11 +287,10 @@ impl World {
     ///
     /// Panics if the node is of a different type.
     pub fn node<T: Node>(&self, id: NodeId) -> &T {
-        self.nodes[id.index()]
-            .as_ref()
-            .expect("node is being dispatched")
-            .as_any()
-            .downcast_ref::<T>()
+        let node: &dyn Any = self.nodes[id.index()]
+            .as_deref()
+            .expect("node is being dispatched");
+        node.downcast_ref::<T>()
             .unwrap_or_else(|| panic!("node {id} is not a {}", core::any::type_name::<T>()))
     }
 
@@ -300,11 +300,10 @@ impl World {
     ///
     /// Panics if the node is of a different type.
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> &mut T {
-        self.nodes[id.index()]
-            .as_mut()
-            .expect("node is being dispatched")
-            .as_any_mut()
-            .downcast_mut::<T>()
+        let node: &mut dyn Any = self.nodes[id.index()]
+            .as_deref_mut()
+            .expect("node is being dispatched");
+        node.downcast_mut::<T>()
             .unwrap_or_else(|| panic!("node {id} is not a {}", core::any::type_name::<T>()))
     }
 
@@ -513,7 +512,6 @@ mod tests {
     use crate::ip::IpProto;
     use crate::stack::{IpStack, StackEvent};
     use bytes::Bytes;
-    use std::any::Any;
 
     /// Echoes every UDP payload back to its sender and counts deliveries.
     struct Echo {
@@ -549,12 +547,6 @@ mod tests {
         fn on_timer(&mut self, _ctx: &mut Context<'_>, _tag: u64) {
             self.timer_fired += 1;
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Absorbs packets without replying (hijackers cannot reply from the
@@ -580,12 +572,6 @@ mod tests {
             if self.stack.handle(ctx, pkt).is_some() {
                 self.received += 1;
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -613,12 +599,6 @@ mod tests {
             if let Some(StackEvent::Udp { .. }) = self.stack.handle(ctx, pkt) {
                 self.replies += 1;
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -810,12 +790,6 @@ mod tests {
                 {
                     self.got_frag_needed = Some(mtu);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 

@@ -18,7 +18,6 @@ use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackEvent};
 use netsim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 const TAG_DNS_RETRY: u64 = 1;
@@ -226,14 +225,6 @@ impl Node for PlainNtpClient {
             TAG_COLLECT => self.finish_poll(ctx),
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

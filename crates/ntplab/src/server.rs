@@ -12,7 +12,6 @@ use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackEvent};
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// Counters describing server activity.
@@ -141,14 +140,6 @@ impl Node for NtpServer {
             datagram.src_port,
             Bytes::from(response.encode().to_vec()),
         );
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

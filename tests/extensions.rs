@@ -6,7 +6,7 @@ use attacklab::plan::{AttackPlan, PoisonStrategy};
 use chronos::consensus::ConsensusRule;
 use chronos_pitfalls::experiments::{compressed_chronos, run_e10, run_e11, run_e9_mtu};
 use chronos_pitfalls::scenario::{Scenario, ScenarioConfig};
-use netsim::time::{SimDuration, SimTime};
+use netsim::time::SimDuration;
 
 #[test]
 fn e10_consensus_sweep_shape() {
@@ -66,10 +66,7 @@ fn blind_spoof_scenario_wiring() {
         benign_universe: 64,
         chronos: compressed_chronos(4, SimDuration::from_secs(200)),
         attack: Some(AttackPlan {
-            strategy: PoisonStrategy::BlindSpoof {
-                start: SimTime::ZERO,
-                burst: 32,
-            },
+            strategy: PoisonStrategy::BlindSpoof { burst: 32 },
             ..AttackPlan::paper_default(SimDuration::from_millis(500))
         }),
         ..ScenarioConfig::default()

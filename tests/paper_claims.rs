@@ -1,6 +1,6 @@
-//! The paper's quantitative claims (C1–C10, DESIGN.md §1), each asserted
-//! against this reproduction. This file is the checklist EXPERIMENTS.md
-//! reports on.
+//! The paper's quantitative claims (C1–C10), each asserted against this
+//! reproduction. The README's "Experiments index" maps the experiments
+//! behind them to runners, bench targets and examples.
 
 use chronos_ntp_repro::*;
 
