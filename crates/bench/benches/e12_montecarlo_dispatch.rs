@@ -2,7 +2,8 @@
 //! runner vs the retained mutex-per-result baseline, on a 10 000-trial
 //! cheap-closure workload (the regime where dispatch overhead dominates),
 //! plus the allocation-free Chronos selection hot path vs its sort-based
-//! reference.
+//! reference, on one 133-sample round and on 10 000 poll rounds shaped
+//! like the fleet's under attack.
 //!
 //! `lockfree_batch1_10k_cheap` (unguarded) drives the same claim loop with
 //! one atomic claim per trial — `for_each_mut` over a preallocated slot
@@ -12,6 +13,7 @@ use bench::banner;
 use chronos::select::{chronos_select_with, reference, SelectScratch};
 use chronos_pitfalls::montecarlo::{baseline_run_trials, run_trials};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use fleet::rng::FleetRng;
 use netsim::par::for_each_mut;
 
 const TRIALS: u32 = 10_000;
@@ -57,10 +59,44 @@ fn bench_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_selection(c: &mut Criterion) {
-    banner("E12b — Chronos selection hot path (scratch+partial vs sort reference)");
+/// Samples in one poll round and rounds in the fleet-shaped stream.
+const ROUND: usize = 15;
+const ROUNDS: usize = 10_000;
+
+/// [`ROUNDS`] poll rounds shaped like the fleet's once its pools are
+/// captured: in each, one to three benign samples (within ±2 ms) at random
+/// slots among the attacker's samples at the 500 ms shift, every sample
+/// with 0.5 ms of path noise. Shuffled like this, the order of the samples
+/// gives a branch predictor nothing to learn.
+fn attacked_rounds(seed: u64) -> Vec<i64> {
     const MS: i64 = 1_000_000;
-    // A plausible panic-mode-sized round: 133 samples, 1/3 shifted.
+    let mut rng = FleetRng::from_seed(seed);
+    let mut offsets = Vec::with_capacity(ROUNDS * ROUND);
+    for _ in 0..ROUNDS {
+        let benign = 1 + rng.range_u64(3) as usize;
+        let mut round: [i64; ROUND] = std::array::from_fn(|k| {
+            let server = if k < benign {
+                rng.range_i64(-2 * MS, 2 * MS)
+            } else {
+                500 * MS
+            };
+            server + rng.normal(0.0, 0.5e6) as i64
+        });
+        // Fisher–Yates: the benign samples land at random slots.
+        for k in (1..ROUND).rev() {
+            round.swap(k, rng.range_u64(k as u64 + 1) as usize);
+        }
+        offsets.extend_from_slice(&round);
+    }
+    offsets
+}
+
+fn bench_selection(c: &mut Criterion) {
+    banner("E12b — Chronos selection hot path (production paths vs sort reference)");
+    const MS: i64 = 1_000_000;
+    // A whole pool's worth of samples (133), one third shifted by ~80 ms,
+    // selected at the poll trim d = 5: a round this long takes the
+    // single-pass tracker, not panic selection.
     let offsets: Vec<i64> = (0..133)
         .map(|i| {
             if i % 3 == 0 {
@@ -75,6 +111,13 @@ fn bench_selection(c: &mut Criterion) {
         chronos_select_with(&mut scratch, &offsets, 5, 25 * MS, 100 * MS),
         reference::chronos_select_sorted(&offsets, 5, 25 * MS, 100 * MS),
     );
+    let rounds = attacked_rounds(20);
+    for round in rounds.chunks_exact(ROUND) {
+        assert_eq!(
+            chronos_select_with(&mut scratch, round, 5, 25 * MS, 1000 * MS),
+            reference::chronos_select_sorted(round, 5, 25 * MS, 1000 * MS),
+        );
+    }
 
     let mut group = c.benchmark_group("e12_chronos_select");
     group.sample_size(30);
@@ -98,6 +141,32 @@ fn bench_selection(c: &mut Criterion) {
             for _ in 0..10_000 {
                 if let chronos::select::ChronosDecision::Accept { correction_ns, .. } =
                     reference::chronos_select_sorted(black_box(&offsets), 5, 25 * MS, 500 * MS)
+                {
+                    acc = acc.wrapping_add(correction_ns);
+                }
+            }
+            acc
+        })
+    });
+    group.bench_function("network_15x10k", |bch| {
+        bch.iter(|| {
+            let mut acc = 0i64;
+            for round in black_box(&rounds).chunks_exact(ROUND) {
+                if let chronos::select::ChronosDecision::Accept { correction_ns, .. } =
+                    chronos_select_with(&mut scratch, round, 5, 25 * MS, 1000 * MS)
+                {
+                    acc = acc.wrapping_add(correction_ns);
+                }
+            }
+            acc
+        })
+    });
+    group.bench_function("reference_sort_15x10k", |bch| {
+        bch.iter(|| {
+            let mut acc = 0i64;
+            for round in black_box(&rounds).chunks_exact(ROUND) {
+                if let chronos::select::ChronosDecision::Accept { correction_ns, .. } =
+                    reference::chronos_select_sorted(round, 5, 25 * MS, 1000 * MS)
                 {
                     acc = acc.wrapping_add(correction_ns);
                 }

@@ -61,6 +61,13 @@ pub const RATIO_GUARDS: &[(&str, &str, f64)] = &[
         2.0, // recorded: 2.75x
     ),
     (
+        // Chronos selection on the fleet's shuffled 15-sample poll rounds
+        // vs the allocating sort: the sorting network's branch-free win.
+        "e12_chronos_select/network_15x10k",
+        "e12_chronos_select/reference_sort_15x10k",
+        2.0, // recorded: 3.68x
+    ),
+    (
         "e13_scenario_sweep/pooled_32x256",
         "e13_scenario_sweep/rebuild_32x256",
         1.5, // recorded: 2.96x

@@ -14,18 +14,28 @@
 //! # Hot path
 //!
 //! Selection runs once per poll round per simulated client, which makes it
-//! (with the trial dispatcher) the inner loop of every Monte-Carlo sweep.
-//! [`chronos_select_with`] / [`panic_select_with`] therefore:
+//! (with the trial dispatcher) the inner loop of every Monte-Carlo sweep
+//! and of the fleet. The decision only needs the trimmed set's min, max and
+//! sum, all of which are order-free, so [`chronos_select_with`] picks one of
+//! three ways to find them by round size:
 //!
-//! * take a caller-owned [`SelectScratch`] reused across rounds, so the
-//!   steady state performs **zero heap allocations**;
-//! * replace the full `sort_unstable` with two `select_nth_unstable`
-//!   partitions (O(n) instead of O(n log n)) — the decision only needs the
-//!   trimmed set's min, max and sum, all of which are order-free;
-//! * accumulate the survivor sum in one pass interleaved with min/max.
+//! * **at most 16 samples** (every poll round: Chronos polls m ≈ 15): copy
+//!   the round into a stack array padded with `i64::MAX`, sort it with a
+//!   fixed 60-comparator network of straight-line `min`/`max`, and read the
+//!   survivors off the sorted array. No comparison steers a branch, so
+//!   shuffled attacker and benign samples cost what sorted ones do;
+//! * **more samples, trim ≤ 16**: one pass over the round tracking the d+1
+//!   smallest and largest in stack arrays (`trim_scan`), with no copy; on
+//!   a 133-sample round at d = 5 it takes about half the partition's time;
+//! * **larger trims**, where the trackers' insertions grow with d: two
+//!   `select_nth_unstable` partitions of a copy in the caller's
+//!   [`SelectScratch`], O(n) where a full sort is O(n log n).
+//!   [`panic_select_with`] always takes this path, since its trim is a
+//!   third of the whole pool.
 //!
-//! The original sort-based implementation is retained in [`mod@reference`] and
-//! property-tested to produce byte-identical decisions.
+//! No path allocates once the scratch has grown to the largest round seen.
+//! The original sort-based implementation is retained in [`mod@reference`]
+//! and property-tested to produce byte-identical decisions.
 
 use serde::{Deserialize, Serialize};
 
@@ -142,10 +152,9 @@ pub fn chronos_select_with(
         });
     }
     let survivors = offsets_ns.len() - 2 * trim;
-    let (min, max, sum) = if trim <= TRIM_SCAN_MAX {
-        // Small trim (the Chronos configuration, d ≈ m/3 of a 15-sample
-        // round): one pass tracking the d+1 smallest and largest in stack
-        // arrays — no copy, no permutation, no allocation ever.
+    let (min, max, sum) = if offsets_ns.len() <= NETWORK_MAX {
+        network_trim(offsets_ns, trim)
+    } else if trim <= TRIM_SCAN_MAX {
         trim_scan(offsets_ns, trim)
     } else {
         let buf = scratch.load(offsets_ns);
@@ -164,6 +173,53 @@ pub fn chronos_select_with(
         correction_ns: avg,
         survivors,
     }
+}
+
+/// Largest round handled by the sorting network in [`network_trim`].
+const NETWORK_MAX: usize = 16;
+
+/// Sorts `xs` through [`sort16`] and returns the min, max and sum of
+/// `sorted[d..n - d]`, the survivors of trimming `d` from each end.
+fn network_trim(xs: &[i64], d: usize) -> (i64, i64, i128) {
+    let n = xs.len();
+    debug_assert!(n <= NETWORK_MAX && n > 2 * d);
+    // Padding sorts behind every sample, so `a[..n]` ends up as `xs`
+    // sorted: a sample equal to `i64::MAX` is indistinguishable from it.
+    let mut a = [i64::MAX; NETWORK_MAX];
+    a[..n].copy_from_slice(xs);
+    sort16(&mut a);
+    let survivors = &a[d..n - d];
+    let sum = survivors.iter().map(|&v| i128::from(v)).sum();
+    (survivors[0], survivors[survivors.len() - 1], sum)
+}
+
+/// One compare-exchange per `(i, j)` pair, in order: afterwards
+/// `a[i] <= a[j]`. Literal indices let the compiler keep the elements in
+/// registers, where a loop over a pair table indexes memory.
+macro_rules! compare_exchange {
+    ($a:ident: $(($i:literal, $j:literal))*) => {
+        $(
+            let (lo, hi) = ($a[$i].min($a[$j]), $a[$i].max($a[$j]));
+            $a[$i] = lo;
+            $a[$j] = hi;
+        )*
+    };
+}
+
+/// Sorts `a` ascending with the 60-comparator, 10-layer network for 16
+/// inputs from Bert Dobbelaere's list of smallest known sorting networks,
+/// one layer per line.
+fn sort16(a: &mut [i64; NETWORK_MAX]) {
+    compare_exchange!(a: (0, 13) (1, 12) (2, 15) (3, 14) (4, 8) (5, 6) (7, 11) (9, 10));
+    compare_exchange!(a: (0, 5) (1, 7) (2, 9) (3, 4) (6, 13) (8, 14) (10, 15) (11, 12));
+    compare_exchange!(a: (0, 1) (2, 3) (4, 5) (6, 8) (7, 9) (10, 11) (12, 13) (14, 15));
+    compare_exchange!(a: (0, 2) (1, 3) (4, 10) (5, 11) (6, 7) (8, 9) (12, 14) (13, 15));
+    compare_exchange!(a: (1, 2) (3, 12) (4, 6) (5, 7) (8, 10) (9, 11) (13, 14));
+    compare_exchange!(a: (1, 4) (2, 6) (5, 8) (7, 10) (9, 13) (11, 14));
+    compare_exchange!(a: (2, 4) (3, 6) (9, 12) (11, 13));
+    compare_exchange!(a: (3, 5) (6, 8) (7, 9) (10, 12));
+    compare_exchange!(a: (3, 4) (5, 6) (7, 8) (9, 10) (11, 12));
+    compare_exchange!(a: (6, 7) (8, 9));
 }
 
 /// Largest trim handled by the single-pass [`trim_scan`] tracker; beyond
@@ -491,6 +547,17 @@ mod tests {
             panic_select_with(&mut scratch, &samples),
             panic_select(&samples),
         );
+    }
+
+    #[test]
+    fn sort16_sorts_every_zero_one_input() {
+        // The 0-1 principle: a comparator network that sorts all 2^16
+        // inputs of zeros and ones sorts every input.
+        for bits in 0u32..1 << 16 {
+            let mut a: [i64; 16] = std::array::from_fn(|k| i64::from((bits >> k) & 1));
+            sort16(&mut a);
+            assert!(a.is_sorted(), "input {bits:#06x} left unsorted: {a:?}");
+        }
     }
 
     #[test]

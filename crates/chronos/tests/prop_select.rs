@@ -130,22 +130,48 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Equivalence of the optimized hot path (caller-provided SelectScratch +
-// select_nth_unstable partial selection) with the retained sort-based
-// reference implementation: decisions must be byte-identical for every
-// input, trim, and bound — including scratch reuse across rounds.
+// Equivalence of the optimized hot path (caller-provided SelectScratch;
+// sorting network, single-pass tracker or select_nth_unstable partial
+// selection by round size) with the retained sort-based reference
+// implementation: decisions must be byte-identical for every input, trim,
+// and bound — including scratch reuse across rounds.
 // ---------------------------------------------------------------------
 
 use chronos::select::{chronos_select_with, panic_select_with, reference, SelectScratch};
+
+/// Compares `chronos_select_with` with the sort-based reference on every
+/// prefix of `values` (lengths 0..=16) at every trim 0..=8: the whole
+/// range the sorting network serves, plus the rounds too short to trim.
+fn network_range_matches_reference(
+    values: &[i64],
+    omega_ns: i64,
+    envelope_ns: i64,
+) -> Result<(), TestCaseError> {
+    let mut scratch = SelectScratch::new();
+    for len in 0..=values.len() {
+        let round = &values[..len];
+        for trim in 0..=8 {
+            prop_assert_eq!(
+                chronos_select_with(&mut scratch, round, trim, omega_ns, envelope_ns),
+                reference::chronos_select_sorted(round, trim, omega_ns, envelope_ns),
+                "diverged on {:?} trim {}",
+                round,
+                trim
+            );
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     /// `chronos_select_with` ≡ the naive sort-based reference, across
     /// random sample vectors, trims, and bounds.
     #[test]
     fn scratch_select_matches_sorted_reference(
+        // Lengths cross the sorting network's 16 samples and trims cross
+        // TRIM_SCAN_MAX (16): exercises the network, the single-pass
+        // tracker and the select_nth_unstable partial-selection path.
         offsets in proptest::collection::vec(-2_000_000_000i64..2_000_000_000, 1..120),
-        // Crosses TRIM_SCAN_MAX (16): exercises both the single-pass tracker
-        // and the select_nth_unstable partial-selection path.
         trim in 0usize..40,
         omega_ms in 0i64..2000,
         envelope_ms in 0i64..3000,
@@ -165,6 +191,34 @@ proptest! {
             envelope_ms * 1_000_000,
         );
         prop_assert_eq!(fast, slow, "diverged on {:?} trim {}", offsets, trim);
+    }
+
+    /// Every round the sorting network serves ≡ the reference. Samples
+    /// take five values a millisecond apart, so ties are common and a
+    /// compare-exchange the network lacks shows up as a wrong survivor;
+    /// the bounds straddle the spreads and averages those values make.
+    #[test]
+    fn network_rounds_match_sorted_reference(
+        values in proptest::collection::vec((-2i64..=2).prop_map(|v| v * 1_000_000), 16),
+        omega_ms in 0i64..=4,
+        envelope_ms in 0i64..=2,
+    ) {
+        network_range_matches_reference(&values, omega_ms * 1_000_000, envelope_ms * 1_000_000)?;
+    }
+
+    /// The same with `i64::MAX`, the network's padding value, among the
+    /// samples. The other samples are non-negative, so the reference's
+    /// `max - min` cannot overflow.
+    #[test]
+    fn network_rounds_with_padding_value_match_sorted_reference(
+        values in proptest::collection::vec(
+            prop_oneof![Just(0i64), Just(1_000_000), Just(i64::MAX)],
+            16,
+        ),
+        omega_ns in prop_oneof![Just(0i64), Just(1_000_000), Just(i64::MAX)],
+        envelope_ns in prop_oneof![Just(0i64), Just(1_000_000), Just(i64::MAX)],
+    ) {
+        network_range_matches_reference(&values, omega_ns, envelope_ns)?;
     }
 
     /// `panic_select_with` ≡ the sort-based reference.

@@ -1,23 +1,25 @@
 //! Property tests for the pooled scenario-sweep engine: a world reused via
 //! `World::reset` must be observationally indistinguishable from a freshly
-//! built one — byte-identical `WorldStats`, pool contents, selection
-//! decisions and clock trajectories — for any small config grid.
+//! built one — byte-identical `WorldStats`, packet headers, pool contents,
+//! selection decisions and clock trajectories — for any small config grid.
 
 use chronos_pitfalls::experiments::compressed_chronos;
 use chronos_pitfalls::montecarlo::{run_scenarios_detailed, trial_seed};
 use chronos_pitfalls::scenario::{Scenario, ScenarioConfig};
 use netsim::time::{SimDuration, SimTime};
+use netsim::trace::Trace;
 use netsim::world::WorldStats;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-/// Everything observable a trial produces: world activity counters, the
-/// generated pool (selection input), the client's decision counters, and
-/// the final clock offset.
+/// Everything observable a trial produces: world activity counters, every
+/// packet's headers, the generated pool (selection input), the client's
+/// decision counters, and the final clock offset.
 #[derive(Debug, Clone, PartialEq)]
 struct TrialFingerprint {
     world: WorldStats,
     trace_recorded: u64,
+    packet_headers: u64,
     pool: Vec<Ipv4Addr>,
     accepts: u64,
     rejects: u64,
@@ -25,17 +27,49 @@ struct TrialFingerprint {
 }
 
 fn fingerprint(s: &mut Scenario) -> TrialFingerprint {
+    // The per-seed wiring leaves the trace off; record this trial's packets.
+    s.world.trace_mut().set_enabled(true);
     s.run_pool_generation(SimDuration::from_secs(500));
     // A slice of the syncing phase too, so selection decisions are covered.
     s.run_for(SimDuration::from_secs(100));
+    let trace = s.world.trace();
+    assert_eq!(
+        trace.entries().count() as u64,
+        trace.total_recorded(),
+        "the trace ring dropped packets of one trial"
+    );
     TrialFingerprint {
         world: s.world.stats(),
-        trace_recorded: s.world.trace().total_recorded(),
+        trace_recorded: trace.total_recorded(),
+        packet_headers: header_hash(trace),
         pool: s.chronos().pool().servers().to_vec(),
         accepts: s.chronos().stats().accepts,
         rejects: s.chronos().stats().rejects,
         clock_offset_ns: s.chronos().offset_from_true(s.world.now()),
     }
+}
+
+/// FNV-1a over every retained packet's time, addresses, length, IP ID,
+/// fragment fields and outcome, oldest first: a pooled world whose IP-ID
+/// counters or timers drifted from a fresh build's changes it.
+fn header_hash(trace: &Trace) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for e in trace.entries() {
+        fold(e.time.as_nanos());
+        fold(u64::from(u32::from(e.src)));
+        fold(u64::from(u32::from(e.dst)));
+        fold(e.len as u64);
+        fold(u64::from(e.id));
+        fold(e.frag_offset as u64);
+        fold(u64::from(e.more_fragments));
+        fold(e.outcome as u64);
+    }
+    hash
 }
 
 /// Attack arms drawn by the properties: none, fragmentation from t = 0,
