@@ -19,6 +19,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::jobs::{default_workers, load, Job, JobSnapshot, JobState, JobTable, Params};
@@ -210,6 +211,7 @@ impl Daemon {
             }
             let stream = stream?;
             self.obs.connections.inc();
+            reap(&mut handlers, false, &self.obs.logger);
             let ctx = Arc::clone(&ctx);
             handlers.push(std::thread::spawn(move || {
                 handle_connection(stream, &ctx);
@@ -238,16 +240,25 @@ impl Daemon {
         if let Some(dir) = &self.state {
             write_snapshot(&self.table, dir, &self.obs, &resume_states);
         }
-        for handler in handlers {
-            if handler.join().is_err() {
-                self.obs
-                    .logger
-                    .error("chronosd::daemon", "connection handler panicked", &[]);
-            }
-        }
+        reap(&mut handlers, true, &self.obs.logger);
         let _ = std::fs::remove_file(&self.path);
         self.obs.logger.info("chronosd::daemon", "shut down", &[]);
         Ok(())
+    }
+}
+
+/// Join the connection handlers that have finished (every one when
+/// `all`), logging any that panicked, and keep the rest: the accept loop
+/// holds handles only for live connections.
+fn reap(handlers: &mut Vec<JoinHandle<()>>, all: bool, logger: &obs::Logger) {
+    let (finished, live): (Vec<_>, Vec<_>) = std::mem::take(handlers)
+        .into_iter()
+        .partition(|handler| all || handler.is_finished());
+    *handlers = live;
+    for handler in finished {
+        if handler.join().is_err() {
+            logger.error("chronosd::daemon", "connection handler panicked", &[]);
+        }
     }
 }
 
@@ -283,7 +294,7 @@ fn write_snapshot(
 /// any layer — the manifest itself, a job file's checksum, the engine's
 /// structural revalidation — quarantines the offending file and adopts
 /// the job as `failed` with the decode error; nothing here aborts boot.
-fn boot_from_state(
+pub(crate) fn boot_from_state(
     table: &JobTable,
     dir: &StateDir,
     obs: &DaemonObs,
@@ -344,11 +355,14 @@ fn adopt_entry(
     }
     let Some(file) = &entry.file else {
         // No simulation bytes: a still-queued job is resubmitted from its
-        // spec; a terminal one has nothing left to serve.
+        // spec with the manifest's params; a terminal one has nothing
+        // left to serve.
         if entry.state.is_terminal() {
             return failed("no state bytes survived the last shutdown".to_string());
         }
-        return table.submit(&entry.name, &entry.spec).map(drop);
+        return table
+            .resubmit(&entry.name, &entry.spec, Some(params))
+            .map(drop);
     };
     let bytes = match dir.read_job_file(file) {
         Ok(bytes) => bytes,
@@ -641,7 +655,7 @@ fn dispatch(request: &Json, ctx: &ServerCtx, out: &mut impl Write) -> std::io::R
         }
         "unpause" => match require_job(table, request) {
             Ok(job) => {
-                job.request_unpause();
+                table.unpause(&job);
                 ok(vec![("job".into(), Json::str(job.name.clone()))])
             }
             Err(response) => response,
@@ -800,5 +814,55 @@ fn handle_connection(stream: UnixStream, ctx: &ServerCtx) {
             let _ = UnixStream::connect(&ctx.path);
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{mpsc, Mutex};
+
+    /// A log sink the test reads back.
+    #[derive(Clone, Default)]
+    struct Captured(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Captured {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn reap_joins_finished_handlers_and_keeps_blocked_ones() {
+        let captured = Captured::default();
+        let logger = obs::Logger::to_sink(obs::Level::Error, Box::new(captured.clone()));
+        let (release, blocked) = mpsc::channel::<()>();
+        let mut handlers = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(|| panic!("deliberate handler panic")),
+            std::thread::spawn(move || {
+                let _ = blocked.recv();
+            }),
+        ];
+        while !(handlers[0].is_finished() && handlers[1].is_finished()) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reap(&mut handlers, false, &logger);
+        assert_eq!(handlers.len(), 1, "only the blocked handler remains");
+        assert!(!handlers[0].is_finished());
+        let log = String::from_utf8(captured.0.lock().unwrap().clone()).unwrap();
+        assert_eq!(
+            log.matches("connection handler panicked").count(),
+            1,
+            "log: {log}"
+        );
+        release.send(()).unwrap();
+        reap(&mut handlers, true, &logger);
+        assert!(handlers.is_empty(), "the drain joins every handler");
     }
 }

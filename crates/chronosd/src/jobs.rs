@@ -11,27 +11,37 @@
 //! [`JobState::Failed`] with the panic message in its status while the
 //! pool keeps serving every other job.
 //!
-//! Between slices the [`fleet::Fleet`] is *parked* in a shared slot,
-//! which is the whole concurrency story:
+//! **One lock per job.** Everything about a job that changes — its status
+//! snapshot, the parked [`fleet::Fleet`], the spec no worker has built
+//! yet, its [`Params`], the sweep row book and a stop request — sits
+//! behind one mutex with one condvar, and every transition is one
+//! critical section: submit, a worker taking the job for a turn,
+//! park-and-publish, pause, unpause, stop, forget, adoption from the
+//! state dir, and a durable read. Building, stepping, a row's final
+//! checkpoint and decoding run outside the lock: the worker takes the
+//! fleet out, steps one slice, then parks it and publishes its
+//! [`FleetProgress`] in one section. Observers that need the live state
+//! (`report`, `checkpoint`, a state-dir snapshot) wait on the condvar
+//! only while a worker holds the fleet, so every observation and every
+//! checkpoint lands exactly on a `run_until` boundary, which the engine's
+//! property tests prove is invisible to the simulation
+//! (`piecewise_runs_equal_one_continuous_run`,
+//! `resume_equals_uninterrupted_run`).
 //!
-//! * the worker takes the fleet out, steps one slice without holding any
-//!   lock, publishes a fresh [`FleetProgress`] snapshot, and puts the
-//!   fleet back;
-//! * server threads that need the live state (`status`, `report`,
-//!   `checkpoint`) wait on the slot condvar until the fleet is parked —
-//!   so every observation and every checkpoint lands exactly on a
-//!   `run_until` boundary, which the engine's property tests prove is
-//!   invisible to the simulation (`piecewise_runs_equal_one_continuous_run`,
-//!   `resume_equals_uninterrupted_run`).
+//! The worker body is `Scheduler::run_one`: pop a job, step it once,
+//! requeue it while it is still `running`. Pool threads call it in a
+//! loop; the tests call it on a table no thread serves, interleaved with
+//! operator commands. Any real-thread interleaving is some order of whole
+//! transitions, so one thread can replay it.
 //!
 //! A job runs one of four [`JobSpec`]s: a fleet, a sweep over grid
 //! points, a resume from durable bytes, or a panic probe. A sweep is not a
 //! monolithic batch unit: the worker steps the current row's fleet in
 //! slices like any fleet job and, when a row reaches its horizon, records
-//! the row's final checkpoint and report and immediately builds (and
-//! parks) the next row's fleet from the next point. The slot therefore
-//! always holds the *current row*, so a sweep is observable, pausable at
-//! row boundaries (`pause_at_row`), and checkpointable — its durable
+//! the row's final checkpoint and report and builds the next row's fleet
+//! from the next point, parking both in one section. The parked fleet is
+//! therefore always the *current row*, so a sweep is observable, pausable
+//! at row boundaries (`pause_at_row`), and checkpointable — its durable
 //! state is a `SWP1` cursor (see [`crate::sweep`]). The daemon never
 //! knows which experiment a grid came from: the points carry everything.
 //!
@@ -42,8 +52,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use chronos_pitfalls::experiments::{
@@ -337,9 +346,9 @@ impl Params {
 }
 
 /// Sweep bookkeeping: the grid and the per-row cursor that `SWP1`
-/// persists. The worker mutates it only while the slot is empty (between
-/// `take_parked` and `park`), so any observer holding the slot with a
-/// parked fleet sees a cursor consistent with that fleet.
+/// persists. It shares the job's lock with the parked fleet, and a row's
+/// end updates both in one section, so every observer sees a cursor
+/// consistent with the fleet.
 #[derive(Debug, Default)]
 pub(crate) struct SweepBook {
     /// The grid, in row order (empty for fleet jobs).
@@ -407,34 +416,181 @@ fn new_fleet(config: FleetConfig, metrics: &Arc<FleetMetrics>) -> Fleet {
     fleet
 }
 
-/// What the worker knows about a job between steps. Guarded by a mutex
-/// that is only ever locked by the worker currently holding the job (the
-/// queue hands a job to one worker at a time), for paused jobs by
-/// `request_unpause`/adoption, and briefly by `durable_bytes` reading a
-/// pending resume's bytes — so it is never held for long.
-#[derive(Debug)]
-enum WorkerState {
-    /// Not yet built; the first step builds the simulation.
-    Pending(JobSpec),
-    /// A fleet job stepping toward its configured horizon.
-    FleetRun,
-    /// A sweep stepping its current row (cursor in the [`SweepBook`]).
-    SweepRun,
-    /// Terminal: nothing left to step.
-    Finished,
+/// Build a job's simulation from its spec (a worker does this outside
+/// the job's lock).
+fn build(spec: JobSpec, metrics: &Arc<FleetMetrics>) -> Result<Loaded, String> {
+    match spec {
+        // The probe exists to exercise the pool's catch_unwind path end
+        // to end; the panic is caught in `Scheduler::run_one`.
+        JobSpec::PanicProbe { message } => panic!("{message}"),
+        JobSpec::Fleet { config } => Ok(Loaded::Fleet(new_fleet(*config, metrics))),
+        JobSpec::Sweep { points } => {
+            let first = points.first().map(|p| new_fleet(p.config.clone(), metrics));
+            let book = SweepBook {
+                points,
+                ..SweepBook::default()
+            };
+            Ok(Loaded::Sweep(book, first))
+        }
+        JobSpec::Resume { bytes } => load(&bytes, metrics),
+    }
 }
 
-/// What one scheduling step did, and therefore what the worker does next.
-enum StepOutcome {
-    /// Made progress; re-enqueue at the back of the run queue.
-    Again,
-    /// Parked in `paused`; `unpause` re-enqueues it.
-    Idle,
-    /// Terminal; never enqueued again.
-    Terminal,
+/// A worker's turn on a job: decided under the job's lock, done outside
+/// it.
+enum Work {
+    /// Build the simulation from the job's spec.
+    Build(JobSpec),
+    /// Step the fleet to the given time.
+    Slice(Fleet, SimTime),
+    /// Record a sweep row that reached its horizon, then build the next
+    /// row from its config (`None` past the last row).
+    NextRow(Fleet, Option<Box<FleetConfig>>),
 }
 
-/// One hosted job: identity, live status, and the parked simulation.
+/// Everything about a job that changes, behind the job's one lock.
+struct JobInner {
+    /// What `status` answers.
+    snap: JobSnapshot,
+    /// The simulation between turns: `None` while a worker holds it,
+    /// before the build, once a sweep's last row is done, and after a
+    /// failure.
+    fleet: Option<Fleet>,
+    /// The spec of a job no worker has built yet.
+    pending: Option<JobSpec>,
+    /// Scheduling parameters; `unpause` clears the pause anchors.
+    params: Params,
+    /// The grid and row cursor of a sweep (empty for fleet jobs).
+    book: SweepBook,
+    /// A `stop` that arrived while a worker held the simulation; the
+    /// worker's park honours it.
+    stop: bool,
+}
+
+impl JobInner {
+    fn new(params: Params, pending: Option<JobSpec>) -> JobInner {
+        JobInner {
+            snap: JobSnapshot {
+                state: JobState::Queued,
+                progress: None,
+                slices: 0,
+                sweep_rows: None,
+                error: None,
+            },
+            fleet: None,
+            pending,
+            params,
+            book: SweepBook::default(),
+            stop: false,
+        }
+    }
+
+    /// Whether a worker holds the simulation right now: the only time an
+    /// observer has to wait.
+    fn in_flight(&self) -> bool {
+        self.fleet.is_none() && self.pending.is_none() && !self.snap.state.is_terminal()
+    }
+
+    /// Take the job for a worker's turn at this `run_until` boundary: the
+    /// spec to build, or the parked fleet to step or to close a row with.
+    /// `None` when the job is not runnable, or pauses or finishes here.
+    fn take(&mut self, sweep: bool) -> Option<Work> {
+        if !matches!(self.snap.state, JobState::Queued | JobState::Running) {
+            return None;
+        }
+        if let Some(spec) = self.pending.take() {
+            return Some(Work::Build(spec));
+        }
+        let fleet = self.fleet.as_ref()?;
+        let (now, horizon) = (fleet.now(), SimTime::ZERO + fleet.config().horizon);
+        let row = self.book.done_blobs.len();
+        // A fleet pauses at its time anchor, a sweep when its anchor row's
+        // fleet is about to start; each ignores the other anchor.
+        let pause_at = self
+            .params
+            .pause_at_s
+            .filter(|_| !sweep)
+            .map(SimTime::from_secs);
+        let pause = if sweep {
+            self.params.pause_at_row == Some(row) && now == SimTime::ZERO
+        } else {
+            pause_at.is_some_and(|p| now >= p)
+        };
+        if pause {
+            self.snap.state = JobState::Paused;
+            return None;
+        }
+        if now < horizon {
+            let target = (now + SimDuration::from_secs(self.params.slice_s)).min(horizon);
+            let target = pause_at.map_or(target, |p| target.min(p));
+            return Some(Work::Slice(self.fleet.take()?, target));
+        }
+        if !sweep {
+            self.snap.state = JobState::Done;
+            return None;
+        }
+        let next = self
+            .book
+            .points
+            .get(row + 1)
+            .map(|p| Box::new(p.config.clone()));
+        Some(Work::NextRow(self.fleet.take()?, next))
+    }
+
+    /// Park-and-publish: the worker's fleet back in place (`None` once a
+    /// sweep's last row is done) with its progress, and the state that
+    /// follows. Returns whether the job is still running.
+    fn park(&mut self, fleet: Option<Fleet>, progress: Option<FleetProgress>, sweep: bool) -> bool {
+        if sweep {
+            self.snap.sweep_rows = Some((self.book.done_blobs.len(), self.book.points.len()));
+        }
+        if progress.is_some() {
+            self.snap.progress = progress;
+            self.snap.slices += 1;
+        }
+        self.snap.state = match fleet {
+            None => JobState::Done,
+            Some(_) if self.stop => JobState::Stopped,
+            Some(_) => JobState::Running,
+        };
+        self.fleet = fleet.map(|mut fleet| {
+            fleet.set_threads(self.params.threads);
+            fleet
+        });
+        self.snap.state == JobState::Running
+    }
+
+    /// The durable bytes of a job no worker holds: the pending bytes of
+    /// an unbuilt resume, a sweep's `SWP1` cursor (complete once every
+    /// row is done), or the parked fleet's `CHR1` checkpoint.
+    fn bytes(&self, name: &str, sweep: bool) -> Result<Vec<u8>, String> {
+        let book = &self.book;
+        let cursor =
+            |current: Option<&[u8]>| crate::sweep::encode(&book.points, &book.done_blobs, current);
+        match (&self.pending, &self.fleet) {
+            (Some(JobSpec::Resume { bytes }), _) => Ok(bytes.clone()),
+            (Some(_), _) => Err(format!("job {name:?} has not been built yet")),
+            (None, Some(fleet)) if sweep => Ok(cursor(Some(&fleet.checkpoint()))),
+            (None, Some(fleet)) => Ok(fleet.checkpoint()),
+            (None, None) if sweep && book.done_blobs.len() == book.points.len() => Ok(cursor(None)),
+            (None, None) => Err(format!("job {name:?} holds no fleet state")),
+        }
+    }
+}
+
+/// A job's durable record, read in one critical section: what a
+/// state-dir snapshot writes as one manifest entry, and what `checkpoint`
+/// writes to a file.
+pub(crate) struct Durable {
+    /// Lifecycle state, slice count and failure message.
+    pub(crate) snap: JobSnapshot,
+    /// Scheduling parameters, without any anchor `unpause` cancelled.
+    pub(crate) params: Params,
+    /// The job's durable bytes, or why it has none.
+    pub(crate) bytes: Result<Vec<u8>, String>,
+}
+
+/// One hosted job: identity, and its state behind one lock.
 pub struct Job {
     /// Unique job name (operator-chosen at submit time).
     pub name: String,
@@ -444,17 +600,9 @@ pub struct Job {
     pub kind: String,
     /// Whether the job walks a grid (reports per row and as a sweep).
     sweep: bool,
-    me: Weak<Job>,
-    sched: Weak<Scheduler>,
-    status: Mutex<JobSnapshot>,
-    status_cv: Condvar,
-    slot: Mutex<Option<Fleet>>,
-    slot_cv: Condvar,
-    stop: AtomicBool,
-    unpause: AtomicBool,
-    worker: Mutex<WorkerState>,
-    params: Mutex<Params>,
-    book: Mutex<SweepBook>,
+    inner: Mutex<JobInner>,
+    /// Notified after every transition.
+    changed: Condvar,
     spec_json: Json,
     /// Per-job gauges.
     metrics: JobMetrics,
@@ -481,12 +629,7 @@ impl Job {
 
     /// The current status snapshot.
     pub fn snapshot(&self) -> JobSnapshot {
-        lock(&self.status).clone()
-    }
-
-    /// The job's scheduling parameters (persisted in the manifest).
-    pub fn params(&self) -> Params {
-        *lock(&self.params)
+        lock(&self.inner).snap.clone()
     }
 
     /// The spec the job was created from, exactly as received (for a
@@ -503,54 +646,55 @@ impl Job {
         self.sweep
     }
 
-    /// Ask the pool to stop the job at the next slice boundary
-    /// (idempotent). A paused job has no worker, so it transitions to
-    /// `stopped` right here.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let mut status = lock(&self.status);
-        let was_paused = status.state == JobState::Paused;
-        if was_paused {
-            status.state = JobState::Stopped;
+    /// Run one transition: `f` under the job's lock, then wake every
+    /// waiter and, with the lock released, log a lifecycle change.
+    fn transition<R>(&self, f: impl FnOnce(&mut JobInner) -> R) -> R {
+        let mut inner = lock(&self.inner);
+        let before = inner.snap.state;
+        let out = f(&mut inner);
+        let (state, error) = (inner.snap.state, inner.snap.error.clone());
+        drop(inner);
+        self.changed.notify_all();
+        if state != before {
+            self.log_state(state, error.as_deref());
         }
-        drop(status);
-        if was_paused {
-            // No worker owns a paused job (it is not in the queue), so
-            // retiring its worker state here cannot race a step.
-            *lock(&self.worker) = WorkerState::Finished;
-            self.log_state(JobState::Stopped, None);
-        }
-        self.status_cv.notify_all();
-        self.slot_cv.notify_all();
+        out
     }
 
-    /// Release a [`JobState::Paused`] job back into the run queue. On a
-    /// job that has not paused yet, cancels its upcoming pause anchor
-    /// instead (the old fire-and-forget semantics).
-    pub fn request_unpause(&self) {
-        let mut status = lock(&self.status);
-        if status.state != JobState::Paused {
-            drop(status);
-            self.unpause.store(true, Ordering::SeqCst);
-            self.status_cv.notify_all();
-            return;
-        }
-        status.state = JobState::Running;
-        drop(status);
-        // Safe for the same reason as in `request_stop`: between the
-        // Paused→Running transition above and the enqueue below, no
-        // worker can own this job.
-        {
-            let mut params = lock(&self.params);
-            params.pause_at_s = None;
-            params.pause_at_row = None;
-        }
-        self.unpause.store(false, Ordering::SeqCst);
-        self.log_state(JobState::Running, None);
-        self.status_cv.notify_all();
-        if let (Some(sched), Some(me)) = (self.sched.upgrade(), self.me.upgrade()) {
-            sched.enqueue(me);
-        }
+    /// Stop the job (idempotent; a terminal job stays as it is). A job no
+    /// worker holds stops at once with its state kept; one a worker holds
+    /// stops when the worker parks it.
+    pub fn request_stop(&self) {
+        self.transition(|inner| {
+            if inner.in_flight() {
+                inner.stop = true;
+            } else if !inner.snap.state.is_terminal() {
+                inner.snap.state = JobState::Stopped;
+            }
+        });
+    }
+
+    /// Cancel the job's pause anchors and release it if it is paused;
+    /// returns whether it was (the caller then re-enqueues it). On a job
+    /// that has not paused yet, the cleared anchors are what make the
+    /// unpause durable: the next snapshot records them.
+    fn request_unpause(&self) -> bool {
+        self.transition(|inner| {
+            inner.params.pause_at_s = None;
+            inner.params.pause_at_row = None;
+            let paused = inner.snap.state == JobState::Paused;
+            if paused {
+                inner.snap.state = JobState::Running;
+            }
+            paused
+        })
+    }
+
+    fn fail(&self, message: String) {
+        self.transition(|inner| {
+            inner.snap.state = JobState::Failed;
+            inner.snap.error = Some(message);
+        });
     }
 
     /// Block until the job moves past the `(seen_slices, seen_state)`
@@ -563,99 +707,85 @@ impl Job {
         seen_state: JobState,
         timeout: Duration,
     ) -> Option<JobSnapshot> {
-        let deadline = Instant::now() + timeout;
-        let mut status = lock(&self.status);
-        loop {
-            if status.slices != seen_slices
-                || status.state != seen_state
-                || status.state.is_terminal()
-            {
-                return Some(status.clone());
-            }
-            let left = deadline.checked_duration_since(Instant::now())?;
-            let (guard, _) = self
-                .status_cv
-                .wait_timeout(status, left)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            status = guard;
-        }
+        let unchanged = |inner: &mut JobInner| {
+            inner.snap.slices == seen_slices
+                && inner.snap.state == seen_state
+                && !seen_state.is_terminal()
+        };
+        let (mut inner, _) = self
+            .changed
+            .wait_timeout_while(lock(&self.inner), timeout, unchanged)
+            .unwrap_or_else(PoisonError::into_inner);
+        (!unchanged(&mut inner)).then(|| inner.snap.clone())
+    }
+
+    /// Lock the job once no worker holds its simulation, waiting at most
+    /// `timeout`; the guard comes back either way (`in_flight` tells).
+    fn parked(&self, timeout: Duration) -> MutexGuard<'_, JobInner> {
+        self.changed
+            .wait_timeout_while(lock(&self.inner), timeout, |inner| inner.in_flight())
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
+    }
+
+    fn park_timeout(&self) -> String {
+        format!("timed out waiting for job {:?} to park", self.name)
     }
 
     /// Run `f` against the parked fleet, waiting (bounded by `timeout`)
-    /// for the worker to finish its current slice. Errors for jobs that
-    /// hold no simulation state (failed jobs, finished sweeps).
+    /// for a worker to finish its current turn. Errors for jobs that
+    /// hold no fleet (unbuilt or failed jobs, finished sweeps).
     pub fn with_fleet<R>(
         &self,
         timeout: Duration,
         f: impl FnOnce(&Fleet) -> R,
     ) -> Result<R, String> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = lock(&self.slot);
-        loop {
-            if let Some(fleet) = slot.as_ref() {
-                return Ok(f(fleet));
-            }
-            if self.snapshot().state.is_terminal() {
-                return Err(format!("job {:?} holds no fleet state", self.name));
-            }
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| format!("timed out waiting for job {:?} to park", self.name))?;
-            let (guard, _) = self
-                .slot_cv
-                .wait_timeout(slot, left)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            slot = guard;
+        let inner = self.parked(timeout);
+        match &inner.fleet {
+            Some(fleet) => Ok(f(fleet)),
+            None if inner.in_flight() => Err(self.park_timeout()),
+            None => Err(format!("job {:?} holds no fleet state", self.name)),
         }
     }
 
-    /// The job's durable bytes — what `checkpoint` writes to a file and a
-    /// state-dir snapshot to `jobs/`: the `SWP1` cursor of a sweep, the
-    /// pending bytes of a resume that has not been built yet, and the
-    /// `CHR1` checkpoint of the parked fleet otherwise. Captures land on
-    /// `run_until` boundaries; `resume` accepts every form.
-    pub fn durable_bytes(&self, timeout: Duration) -> Result<Vec<u8>, String> {
+    /// The job's durable record: its state, params and slice count with
+    /// its durable bytes, all from one critical section on a `run_until`
+    /// boundary. The bytes are the `SWP1` cursor of a sweep, the pending
+    /// bytes of a resume that has not been built yet, and the `CHR1`
+    /// checkpoint of the parked fleet otherwise; `resume` accepts every
+    /// form.
+    pub(crate) fn durable(&self, timeout: Duration) -> Durable {
         let start = Instant::now();
-        let pending = match &*lock(&self.worker) {
-            WorkerState::Pending(JobSpec::Resume { bytes }) => Some(bytes.clone()),
-            _ => None,
+        let inner = self.parked(timeout);
+        let bytes = if inner.in_flight() {
+            Err(self.park_timeout())
+        } else {
+            inner.bytes(&self.name, self.sweep)
         };
-        let bytes = match pending {
-            Some(bytes) => bytes,
-            None if self.sweep => self.sweep_cursor(timeout)?,
-            None => self.with_fleet(timeout, Fleet::checkpoint)?,
+        let durable = Durable {
+            snap: inner.snap.clone(),
+            params: inner.params,
+            bytes,
         };
-        self.metrics
-            .checkpoint_wall
-            .set(start.elapsed().as_secs_f64());
-        self.metrics.checkpoint_bytes.set(bytes.len() as f64);
-        self.logger.debug(
-            "chronosd::jobs",
-            "checkpoint taken",
-            &[("job", &self.name), ("bytes", &bytes.len())],
-        );
-        Ok(bytes)
+        drop(inner);
+        if let Ok(bytes) = &durable.bytes {
+            self.metrics
+                .checkpoint_wall
+                .set(start.elapsed().as_secs_f64());
+            self.metrics.checkpoint_bytes.set(bytes.len() as f64);
+            self.logger.debug(
+                "chronosd::jobs",
+                "checkpoint taken",
+                &[("job", &self.name), ("bytes", &bytes.len())],
+            );
+        }
+        durable
     }
 
-    /// The `SWP1` cursor: every completed row's final checkpoint plus,
-    /// mid-grid, the current row's live one (taken with the fleet parked,
-    /// so the book cannot move under it).
-    fn sweep_cursor(&self, timeout: Duration) -> Result<Vec<u8>, String> {
-        let encode = |current: Option<&[u8]>| {
-            let book = lock(&self.book);
-            crate::sweep::encode(&book.points, &book.done_blobs, current)
-        };
-        {
-            let book = lock(&self.book);
-            if book.points.is_empty() {
-                return Err(format!("job {:?} has no sweep cursor yet", self.name));
-            }
-            if book.done_blobs.len() == book.points.len() {
-                drop(book);
-                return Ok(encode(None));
-            }
-        }
-        self.with_fleet(timeout, |fleet| encode(Some(&fleet.checkpoint())))
+    /// The job's durable bytes — what `checkpoint` writes to a file (see
+    /// `durable` for the forms).
+    pub fn durable_bytes(&self, timeout: Duration) -> Result<Vec<u8>, String> {
+        self.durable(timeout).bytes
     }
 
     /// The live (or final) aggregate report of a fleet job (for sweeps:
@@ -668,7 +798,8 @@ impl Job {
     /// order (`None` until the last row completes). Series and stats stay
     /// empty — the daemon runs no reducer, and the wire format omits them.
     pub fn sweep_result(&self) -> Option<SweepResult> {
-        let book = lock(&self.book);
+        let inner = lock(&self.inner);
+        let book = &inner.book;
         let first = book.points.first()?;
         if book.done_reports.len() < book.points.len() {
             return None;
@@ -693,7 +824,7 @@ impl Job {
     /// The report of completed sweep row `row` (rows complete in order,
     /// so this serves partial results while the sweep is still running).
     pub fn sweep_row_report(&self, row: usize) -> Option<FleetReport> {
-        lock(&self.book).done_reports.get(row).cloned()
+        lock(&self.inner).book.done_reports.get(row).cloned()
     }
 
     fn log_state(&self, state: JobState, error: Option<&str>) {
@@ -711,328 +842,114 @@ impl Job {
         }
     }
 
-    fn set_state(&self, state: JobState, error: Option<String>) {
-        self.log_state(state, error.as_deref());
-        let mut status = lock(&self.status);
-        status.state = state;
-        if error.is_some() {
-            status.error = error;
-        }
-        drop(status);
-        self.status_cv.notify_all();
-        // Terminal transitions also release `with_fleet` waiters.
-        self.slot_cv.notify_all();
-    }
-
-    /// Publish a slice's progress, together with `state` when the job
-    /// enters it at this slice: one lock section and one notify, so a
-    /// watcher never sees the new state without its first progress.
-    fn publish_slice(&self, progress: FleetProgress, state: Option<JobState>) {
-        if let Some(state) = state {
-            self.log_state(state, None);
-        }
-        if let Some(t) = progress.throughput {
+    /// One worker turn: take the job under its lock, build or step the
+    /// simulation outside it, then park and publish in one section.
+    /// Returns whether the job is still running (the worker requeues it
+    /// exactly then).
+    fn step(&self, fleet_metrics: &Arc<FleetMetrics>) -> bool {
+        let Some(work) = self.transition(|inner| inner.take(self.sweep)) else {
+            return false;
+        };
+        let (mut book, mut row) = (None, None);
+        let fleet = match work {
+            Work::Build(spec) => match build(spec, fleet_metrics) {
+                Ok(Loaded::Fleet(fleet)) => Some(fleet),
+                Ok(Loaded::Sweep(loaded, current)) => {
+                    book = Some(loaded);
+                    current
+                }
+                Err(message) => {
+                    self.fail(message);
+                    return false;
+                }
+            },
+            Work::Slice(mut fleet, target) => {
+                fleet.run_until(target);
+                Some(fleet)
+            }
+            Work::NextRow(fleet, next) => {
+                row = Some((fleet.checkpoint(), fleet.report()));
+                drop(fleet);
+                next.map(|config| new_fleet(*config, fleet_metrics))
+            }
+        };
+        let progress = fleet.as_ref().map(Fleet::progress);
+        if let Some(t) = progress.as_ref().and_then(|p| p.throughput) {
             self.metrics.slice_wall.set(t.wall_secs);
             self.metrics.sim_per_wall.set(t.sim_per_wall);
             self.metrics.events_per_sec.set(t.events_per_sec);
         }
-        let sweep_rows = {
-            let book = lock(&self.book);
-            (!book.points.is_empty()).then_some((book.done_blobs.len(), book.points.len()))
-        };
-        let mut status = lock(&self.status);
-        if let Some(state) = state {
-            status.state = state;
-        }
-        status.progress = Some(progress);
-        status.slices += 1;
-        if sweep_rows.is_some() {
-            status.sweep_rows = sweep_rows;
-        }
-        drop(status);
-        self.status_cv.notify_all();
-    }
-
-    fn park(&self, fleet: Fleet) {
-        *lock(&self.slot) = Some(fleet);
-        self.slot_cv.notify_all();
-    }
-
-    /// Take the parked fleet. `None` only if the state was lost to an
-    /// earlier panic mid-slice — the caller fails the job instead of
-    /// unwrapping.
-    fn take_parked(&self) -> Option<Fleet> {
-        lock(&self.slot).take()
-    }
-
-    /// The parked fleet's clock and configured horizon.
-    fn parked_clock(&self) -> Option<(SimTime, SimTime)> {
-        lock(&self.slot)
-            .as_ref()
-            .map(|fleet| (fleet.now(), SimTime::ZERO + fleet.config().horizon))
-    }
-
-    /// Retire the job as stopped (worker-side or shutdown drain).
-    fn finish_stopped(&self) {
-        *lock(&self.worker) = WorkerState::Finished;
-        self.set_state(JobState::Stopped, None);
-    }
-
-    fn finish_failed(&self, message: String) {
-        *lock(&self.worker) = WorkerState::Finished;
-        self.set_state(JobState::Failed, Some(message));
-    }
-
-    /// One cooperative scheduling step: build the simulation or advance
-    /// it by one slice. Called by pool workers with exclusive ownership
-    /// of the job (it is out of the queue while stepping).
-    fn step(&self, fleet_metrics: &Arc<FleetMetrics>) -> StepOutcome {
-        if self.snapshot().state.is_terminal() {
-            return StepOutcome::Terminal;
-        }
-        if self.stop.load(Ordering::SeqCst) {
-            self.finish_stopped();
-            return StepOutcome::Terminal;
-        }
-        let worker = lock(&self.worker);
-        match &*worker {
-            WorkerState::Pending(spec) => {
-                let spec = spec.clone();
-                // The job is out of the queue while stepping, so no
-                // other thread changes the worker state: safe to release
-                // the guard and let build() relock it.
-                drop(worker);
-                self.build(spec, fleet_metrics)
+        self.transition(|inner| {
+            if let Some(book) = book {
+                inner.book = book;
             }
-            WorkerState::FleetRun => {
-                drop(worker);
-                self.step_fleet()
+            if let Some((blob, report)) = row {
+                inner.book.done_blobs.push(blob);
+                inner.book.done_reports.push(report);
             }
-            WorkerState::SweepRun => {
-                drop(worker);
-                self.step_sweep(fleet_metrics)
-            }
-            WorkerState::Finished => StepOutcome::Terminal,
-        }
-    }
-
-    /// First step: build the simulation from the spec.
-    fn build(&self, spec: JobSpec, fleet_metrics: &Arc<FleetMetrics>) -> StepOutcome {
-        let loaded = match spec {
-            // The probe exists to exercise the pool's catch_unwind path
-            // end to end; the panic is caught one frame up.
-            JobSpec::PanicProbe { message } => panic!("{message}"),
-            JobSpec::Fleet { config } => Ok(Loaded::Fleet(new_fleet(*config, fleet_metrics))),
-            JobSpec::Sweep { points } => {
-                let first = points
-                    .first()
-                    .map(|p| new_fleet(p.config.clone(), fleet_metrics));
-                let book = SweepBook {
-                    points,
-                    ..SweepBook::default()
-                };
-                Ok(Loaded::Sweep(book, first))
-            }
-            JobSpec::Resume { bytes } => load(&bytes, fleet_metrics),
-        };
-        match loaded.map(|loaded| self.install(loaded)) {
-            Ok(true) => StepOutcome::Again,
-            Ok(false) => StepOutcome::Terminal,
-            Err(message) => {
-                self.finish_failed(message);
-                StepOutcome::Terminal
-            }
-        }
-    }
-
-    /// Install decoded state as the job's simulation: park the fleet (on
-    /// the job's thread count) and mark the job running. A sweep whose
-    /// rows are all done finishes instead; returns whether the job has
-    /// anything left to step.
-    fn install(&self, loaded: Loaded) -> bool {
-        let (mut fleet, worker) = match loaded {
-            Loaded::Fleet(fleet) => (fleet, WorkerState::FleetRun),
-            Loaded::Sweep(book, current) => {
-                *lock(&self.book) = book;
-                match current {
-                    Some(fleet) => (fleet, WorkerState::SweepRun),
-                    None => {
-                        self.finish_sweep();
-                        return false;
-                    }
-                }
-            }
-        };
-        fleet.set_threads(self.params().threads);
-        let progress = fleet.progress();
-        self.park(fleet);
-        *lock(&self.worker) = worker;
-        self.publish_slice(progress, Some(JobState::Running));
-        true
-    }
-
-    /// Decide whether to pause at the current boundary. Returns `true`
-    /// when the job was parked in `paused` (caller returns `Idle`).
-    fn pause_here(&self) -> bool {
-        if self.unpause.swap(false, Ordering::SeqCst) {
-            let mut params = lock(&self.params);
-            params.pause_at_s = None;
-            params.pause_at_row = None;
-            return false;
-        }
-        let mut status = lock(&self.status);
-        if self.stop.load(Ordering::SeqCst) {
-            // Raced with request_stop: prefer stopped over a pause that
-            // nobody will ever release.
-            drop(status);
-            self.finish_stopped();
-            return true;
-        }
-        status.state = JobState::Paused;
-        drop(status);
-        self.log_state(JobState::Paused, None);
-        self.status_cv.notify_all();
-        true
-    }
-
-    fn step_fleet(&self) -> StepOutcome {
-        let params = self.params();
-        let Some((now, horizon)) = self.parked_clock() else {
-            self.finish_failed("fleet state lost (earlier panic mid-slice)".to_string());
-            return StepOutcome::Terminal;
-        };
-        let pause_at = params.pause_at_s.map(SimTime::from_secs);
-        if let Some(p) = pause_at {
-            if now >= p && self.pause_here() {
-                return StepOutcome::Idle;
-            }
-        }
-        if now >= horizon {
-            *lock(&self.worker) = WorkerState::Finished;
-            self.set_state(JobState::Done, None);
-            return StepOutcome::Terminal;
-        }
-        let mut target = (now + SimDuration::from_secs(params.slice_s)).min(horizon);
-        // Re-read: pause_here() may have just cleared the anchor.
-        if let Some(p) = self.params().pause_at_s.map(SimTime::from_secs) {
-            if p > now {
-                target = target.min(p);
-            }
-        }
-        let Some(mut fleet) = self.take_parked() else {
-            self.finish_failed("fleet state lost (earlier panic mid-slice)".to_string());
-            return StepOutcome::Terminal;
-        };
-        fleet.run_until(target);
-        let progress = fleet.progress();
-        self.park(fleet);
-        self.publish_slice(progress, None);
-        StepOutcome::Again
-    }
-
-    fn step_sweep(&self, fleet_metrics: &Arc<FleetMetrics>) -> StepOutcome {
-        let params = self.params();
-        let Some((now, horizon)) = self.parked_clock() else {
-            self.finish_failed("sweep state lost (earlier panic mid-slice)".to_string());
-            return StepOutcome::Terminal;
-        };
-        let row = lock(&self.book).done_blobs.len();
-        // Row-boundary pause: about to start row `pause_at_row`, its
-        // fleet freshly built and untouched.
-        if params.pause_at_row == Some(row) && now == SimTime::ZERO && self.pause_here() {
-            return StepOutcome::Idle;
-        }
-        let Some(mut fleet) = self.take_parked() else {
-            self.finish_failed("sweep state lost (earlier panic mid-slice)".to_string());
-            return StepOutcome::Terminal;
-        };
-        if now < horizon {
-            let target = (now + SimDuration::from_secs(params.slice_s)).min(horizon);
-            fleet.run_until(target);
-            let progress = fleet.progress();
-            self.park(fleet);
-            self.publish_slice(progress, None);
-            return StepOutcome::Again;
-        }
-        // Row complete: record its final checkpoint + report, then build
-        // the next row (the slot stays empty only inside this window,
-        // which is what keeps cursor observations consistent).
-        let blob = fleet.checkpoint();
-        let report = fleet.report();
-        drop(fleet);
-        let next_config = {
-            let mut book = lock(&self.book);
-            book.done_blobs.push(blob);
-            book.done_reports.push(report);
-            book.points
-                .get(book.done_blobs.len())
-                .map(|p| p.config.clone())
-        };
-        let Some(config) = next_config else {
-            self.finish_sweep();
-            return StepOutcome::Terminal;
-        };
-        let mut next = new_fleet(config, fleet_metrics);
-        next.set_threads(params.threads);
-        let progress = next.progress();
-        self.park(next);
-        self.publish_slice(progress, None);
-        StepOutcome::Again
-    }
-
-    /// Retire a sweep whose rows are all done; [`Job::sweep_result`]
-    /// serves it from the book.
-    fn finish_sweep(&self) {
-        *lock(&self.worker) = WorkerState::Finished;
-        {
-            let book = lock(&self.book);
-            let mut status = lock(&self.status);
-            status.sweep_rows = Some((book.done_blobs.len(), book.points.len()));
-        }
-        self.set_state(JobState::Done, None);
+            inner.park(fleet, progress, self.sweep)
+        })
     }
 }
 
-/// The run queue shared by the pool workers. Jobs enter at submit (and
-/// unpause) time and cycle `pop → step one slice → push` until they park
-/// in `paused` or reach a terminal state.
+/// The run queue shared by the pool workers and its shutdown flag, under
+/// one lock. Jobs enter at submit, resume, unpause and adoption, and
+/// cycle `pop → one turn → push` while they are `running`.
 #[derive(Debug)]
 struct Scheduler {
-    queue: Mutex<VecDeque<Arc<Job>>>,
-    cv: Condvar,
-    shutdown: AtomicBool,
+    queue: Mutex<RunQueue>,
+    ready: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct RunQueue {
+    jobs: VecDeque<Arc<Job>>,
+    shutdown: bool,
 }
 
 impl Scheduler {
-    fn new() -> Scheduler {
-        Scheduler {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        }
-    }
-
     fn enqueue(&self, job: Arc<Job>) {
-        lock(&self.queue).push_back(job);
-        self.cv.notify_one();
+        lock(&self.queue).jobs.push_back(job);
+        self.ready.notify_one();
     }
 
-    /// Pop the next runnable job; blocks until one arrives or shutdown.
-    fn next(&self) -> Option<Arc<Job>> {
+    /// Stop handing out jobs, and wake every idle worker so it exits.
+    fn shut_down(&self) {
         let mut queue = lock(&self.queue);
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            if let Some(job) = queue.pop_front() {
-                return Some(job);
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(queue, Duration::from_millis(100))
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            queue = guard;
+        queue.shutdown = true;
+        queue.jobs.clear();
+        drop(queue);
+        self.ready.notify_all();
+    }
+
+    /// Block until a job is queued or the pool shuts down; `false` once
+    /// it has.
+    fn wait_for_work(&self) -> bool {
+        let queue = self
+            .ready
+            .wait_while(lock(&self.queue), |q| q.jobs.is_empty() && !q.shutdown)
+            .unwrap_or_else(PoisonError::into_inner);
+        !queue.shutdown
+    }
+
+    /// The worker body: pop the next job, give it one turn inside a panic
+    /// boundary, and requeue it while it is still `running`. Never
+    /// blocks: returns `false` when the queue is empty.
+    fn run_one(&self, obs: &DaemonObs) -> bool {
+        let Some(job) = lock(&self.queue).jobs.pop_front() else {
+            return false;
+        };
+        let running = std::panic::catch_unwind(AssertUnwindSafe(|| job.step(&obs.fleet)))
+            .unwrap_or_else(|payload| {
+                obs.job_panics.inc();
+                job.fail(format!("job panicked: {}", panic_message(payload)));
+                false
+            });
+        if running {
+            obs.slices_scheduled.inc();
+            self.enqueue(job);
         }
+        true
     }
 }
 
@@ -1047,22 +964,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One pool worker: step jobs round-robin until shutdown.
+/// One pool worker: run jobs round-robin until shutdown.
 fn worker_loop(sched: Arc<Scheduler>, obs: Arc<DaemonObs>) {
-    while let Some(job) = sched.next() {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| job.step(&obs.fleet)));
-        match outcome {
-            Ok(StepOutcome::Again) => {
-                obs.slices_scheduled.inc();
-                sched.enqueue(job);
-            }
-            Ok(StepOutcome::Idle) | Ok(StepOutcome::Terminal) => {}
-            Err(payload) => {
-                let message = format!("job panicked: {}", panic_message(payload));
-                obs.job_panics.inc();
-                job.finish_failed(message);
-            }
-        }
+    while sched.wait_for_work() {
+        sched.run_one(&obs);
     }
 }
 
@@ -1090,8 +995,14 @@ impl JobTable {
     /// daemon-wide [`FleetMetrics`] to their fleets, and log lifecycle
     /// transitions through the daemon logger.
     pub fn new(workers: usize, obs: Arc<DaemonObs>) -> JobTable {
-        let sched = Arc::new(Scheduler::new());
-        let workers = workers.max(1);
+        JobTable::with_workers(workers.max(1), obs)
+    }
+
+    fn with_workers(workers: usize, obs: Arc<DaemonObs>) -> JobTable {
+        let sched = Arc::new(Scheduler {
+            queue: Mutex::new(RunQueue::default()),
+            ready: Condvar::new(),
+        });
         let handles = (0..workers)
             .map(|i| {
                 let sched = Arc::clone(&sched);
@@ -1116,84 +1027,77 @@ impl JobTable {
     /// already taken (stale terminal jobs keep their name — pick a new
     /// one, or `forget` the old job).
     pub fn submit(&self, name: &str, spec: &Json) -> Result<Arc<Job>, String> {
-        let (job_spec, params) = JobSpec::parse(spec)?;
+        self.resubmit(name, spec, None)
+    }
+
+    /// [`JobTable::submit`], scheduled with `params` instead of the
+    /// spec's own when given: boot adoption re-creates a job recorded
+    /// before any worker built it with the manifest's params, so an
+    /// anchor an early `unpause` cancelled stays cancelled.
+    pub(crate) fn resubmit(
+        &self,
+        name: &str,
+        spec: &Json,
+        params: Option<Params>,
+    ) -> Result<Arc<Job>, String> {
+        let (job_spec, parsed) = JobSpec::parse(spec)?;
         let kind = spec.get("kind").and_then(Json::as_str).unwrap_or_default();
         let sweep = matches!(job_spec, JobSpec::Sweep { .. });
-        let worker = WorkerState::Pending(job_spec);
-        let job = self.register(name, kind, spec.clone(), params, sweep, worker)?;
-        self.sched.enqueue(Arc::clone(&job));
-        Ok(job)
+        let inner = JobInner::new(params.unwrap_or(parsed), Some(job_spec));
+        self.admit(name, kind, spec.clone(), sweep, inner)
     }
 
     /// Register a job continuing from durable bytes — an `SWP1` sweep
     /// cursor (kind `resume-sweep`) or a `CHR1` fleet checkpoint (kind
     /// `resume`), told apart by magic — and enqueue it. The bytes are
-    /// decoded by the first worker step; a rejected file fails the job.
+    /// decoded by the first worker turn; a rejected file fails the job.
     pub fn resume(&self, name: &str, bytes: Vec<u8>, params: Params) -> Result<Arc<Job>, String> {
         let sweep = bytes.starts_with(&crate::sweep::MAGIC);
         let kind = if sweep { "resume-sweep" } else { "resume" };
         let spec = Json::Obj(vec![("kind".into(), Json::str(kind))]);
-        let worker = WorkerState::Pending(JobSpec::Resume { bytes });
-        let job = self.register(name, kind, spec, params, sweep, worker)?;
-        self.sched.enqueue(Arc::clone(&job));
-        Ok(job)
+        let inner = JobInner::new(params, Some(JobSpec::Resume { bytes }));
+        self.admit(name, kind, spec, sweep, inner)
     }
 
-    /// Create and register a job without enqueueing it (adoption installs
-    /// restored state first).
-    fn register(
+    /// Register a job whose state is already complete, and enqueue it if
+    /// it is runnable: the job is published whole, in one section.
+    fn admit(
         &self,
         name: &str,
         kind: &str,
         spec_json: Json,
-        params: Params,
         sweep: bool,
-        worker: WorkerState,
+        inner: JobInner,
     ) -> Result<Arc<Job>, String> {
         if name.is_empty() {
             return Err("job name must not be empty".to_string());
         }
-        let metrics = self.obs.job_metrics(name);
-        let logger = Arc::clone(&self.obs.logger);
-        let sched = Arc::downgrade(&self.sched);
-        let job = {
+        let runnable = matches!(inner.snap.state, JobState::Queued | JobState::Running);
+        let job = Arc::new(Job {
+            name: name.to_string(),
+            kind: kind.to_string(),
+            sweep,
+            inner: Mutex::new(inner),
+            changed: Condvar::new(),
+            spec_json,
+            metrics: self.obs.job_metrics(name),
+            logger: Arc::clone(&self.obs.logger),
+        });
+        {
             let mut jobs = lock(&self.jobs);
             if jobs.contains_key(name) {
                 return Err(format!("job {name:?} already exists"));
             }
-            let job = Arc::new_cyclic(|me| Job {
-                name: name.to_string(),
-                kind: kind.to_string(),
-                sweep,
-                me: me.clone(),
-                sched,
-                status: Mutex::new(JobSnapshot {
-                    state: JobState::Queued,
-                    progress: None,
-                    slices: 0,
-                    sweep_rows: None,
-                    error: None,
-                }),
-                status_cv: Condvar::new(),
-                slot: Mutex::new(None),
-                slot_cv: Condvar::new(),
-                stop: AtomicBool::new(false),
-                unpause: AtomicBool::new(false),
-                worker: Mutex::new(worker),
-                params: Mutex::new(params),
-                book: Mutex::new(SweepBook::default()),
-                spec_json,
-                metrics,
-                logger,
-            });
             jobs.insert(name.to_string(), Arc::clone(&job));
-            job
-        };
+        }
         self.obs.logger.info(
             "chronosd::jobs",
             "job submitted",
             &[("job", &name), ("kind", &kind)],
         );
+        if runnable {
+            self.sched.enqueue(Arc::clone(&job));
+        }
         Ok(job)
     }
 
@@ -1202,11 +1106,11 @@ impl JobTable {
         &self.obs.fleet
     }
 
-    /// Adopt a job restored from the state dir: register it under the
-    /// manifest's name, kind and spec, install its decoded state (see
-    /// [`load`]), and restore the manifest's lifecycle state — a running
-    /// job re-enters the pool, a paused one waits for `unpause`, a
-    /// terminal one stays observable. `params` are the scheduling knobs
+    /// Adopt a job restored from the state dir under the manifest's name,
+    /// kind and spec, its decoded state (see [`load`]) installed and the
+    /// manifest's lifecycle state restored before the job is published: a
+    /// running job re-enters the pool, a paused one waits for `unpause`,
+    /// a terminal one stays observable. `params` are the scheduling knobs
     /// to resume with; `entry.slices` restores the watch cursor.
     pub(crate) fn adopt(
         &self,
@@ -1214,36 +1118,24 @@ impl JobTable {
         params: Params,
         loaded: Loaded,
     ) -> Result<Arc<Job>, String> {
-        let sweep = matches!(loaded, Loaded::Sweep(..));
-        let finished = WorkerState::Finished; // install() sets the real state
-        let job = self.register(
-            &entry.name,
-            &entry.kind,
-            entry.spec.clone(),
-            params,
-            sweep,
-            finished,
-        )?;
-        let still_running = job.install(loaded);
-        let run = matches!(entry.state, JobState::Running | JobState::Queued);
+        let mut inner = JobInner::new(params, None);
+        let (sweep, fleet) = match loaded {
+            Loaded::Fleet(fleet) => (false, Some(fleet)),
+            Loaded::Sweep(book, current) => {
+                inner.book = book;
+                (true, current)
+            }
+        };
+        let progress = fleet.as_ref().map(Fleet::progress);
+        // Parked live state runs unless the manifest says paused, stopped
+        // or done; a sweep whose rows are all done is done.
+        if inner.park(fleet, progress, sweep)
+            && !matches!(entry.state, JobState::Queued | JobState::Running)
         {
-            let mut status = lock(&job.status);
-            status.slices = status.slices.max(entry.slices);
-            // install() set Running (live state) or Done (complete
-            // sweep); the manifest wins for paused/stopped/done jobs.
-            if still_running && !run {
-                status.state = entry.state;
-            }
+            inner.snap.state = entry.state;
         }
-        job.status_cv.notify_all();
-        if still_running {
-            if entry.state.is_terminal() {
-                *lock(&job.worker) = WorkerState::Finished;
-            } else if run {
-                self.sched.enqueue(Arc::clone(&job));
-            }
-        }
-        Ok(job)
+        inner.snap.slices = inner.snap.slices.max(entry.slices);
+        self.admit(&entry.name, &entry.kind, entry.spec.clone(), sweep, inner)
     }
 
     /// Adopt a job as failed without any simulation state (corrupt or
@@ -1253,22 +1145,11 @@ impl JobTable {
         entry: &ManifestEntry,
         error: String,
     ) -> Result<Arc<Job>, String> {
-        let params = Params {
-            threads: 1,
-            slice_s: DEFAULT_SLICE_S,
-            pause_at_s: None,
-            pause_at_row: None,
-        };
-        let finished = WorkerState::Finished;
-        let job = self.register(
-            &entry.name,
-            &entry.kind,
-            entry.spec.clone(),
-            params,
-            false,
-            finished,
-        )?;
-        job.set_state(JobState::Failed, Some(error));
+        let mut inner = JobInner::new(entry.params, None);
+        inner.snap.state = JobState::Failed;
+        inner.snap.error = Some(error.clone());
+        let job = self.admit(&entry.name, &entry.kind, entry.spec.clone(), false, inner)?;
+        job.log_state(JobState::Failed, Some(&error));
         Ok(job)
     }
 
@@ -1280,6 +1161,15 @@ impl JobTable {
     /// All jobs, in name order.
     pub fn list(&self) -> Vec<Arc<Job>> {
         lock(&self.jobs).values().cloned().collect()
+    }
+
+    /// Unpause `job`: a paused job re-enters the run queue; on any other
+    /// job the pause anchors are cancelled, durably (see
+    /// `Job::request_unpause`).
+    pub fn unpause(&self, job: &Arc<Job>) {
+        if job.request_unpause() {
+            self.sched.enqueue(Arc::clone(job));
+        }
     }
 
     /// Drop a terminal job from the table, freeing its name for reuse.
@@ -1306,25 +1196,34 @@ impl JobTable {
         Ok(())
     }
 
-    /// Stop every job and join the worker pool (daemon shutdown). Any
-    /// job still non-terminal after the pool drains (it never got a
-    /// final step) is retired as `stopped` directly.
+    /// Shut the pool down and stop every job (daemon shutdown). Each
+    /// worker finishes its current turn and exits; then no worker holds
+    /// any simulation, so every job not yet terminal stops at once with
+    /// its state parked.
     pub fn stop_all_and_join(&self) {
-        for job in self.list() {
-            job.request_stop();
-        }
-        self.sched.shutdown.store(true, Ordering::SeqCst);
-        self.sched.cv.notify_all();
+        self.sched.shut_down();
         let workers: Vec<_> = std::mem::take(&mut *lock(&self.workers));
         for handle in workers {
             let _ = handle.join();
         }
-        lock(&self.sched.queue).clear();
         for job in self.list() {
-            if !job.snapshot().state.is_terminal() {
-                job.finish_stopped();
-            }
+            job.request_stop();
         }
+    }
+}
+
+#[cfg(test)]
+impl JobTable {
+    /// A table no thread serves: a test gives its jobs their turns with
+    /// [`JobTable::run_one`], interleaved with commands.
+    pub(crate) fn threadless(obs: Arc<DaemonObs>) -> JobTable {
+        JobTable::with_workers(0, obs)
+    }
+
+    /// One worker turn on the calling thread; `false` when no job is
+    /// queued.
+    pub(crate) fn run_one(&self) -> bool {
+        self.sched.run_one(&self.obs)
     }
 }
 
@@ -1474,22 +1373,14 @@ mod tests {
 
     #[test]
     fn an_unbuilt_resume_is_durable_as_its_own_bytes() {
-        // Registered but never stepped: a snapshot (or `checkpoint`) must
-        // still capture the job, as the bytes it will start from.
-        let table = quiet_table(1);
+        // Registered but never stepped (no thread serves the table): a
+        // snapshot (or `checkpoint`) must still capture the job, as the
+        // bytes it will start from.
+        let logger = obs::Logger::to_sink(obs::Level::Error, Box::new(std::io::sink()));
+        let table = JobTable::threadless(Arc::new(DaemonObs::new(logger)));
         let bytes = b"CHR1 not yet decoded".to_vec();
-        let pending = WorkerState::Pending(JobSpec::Resume {
-            bytes: bytes.clone(),
-        });
         let job = table
-            .register(
-                "pending",
-                "resume",
-                Json::Null,
-                params(1, 60),
-                false,
-                pending,
-            )
+            .resume("pending", bytes.clone(), params(1, 60))
             .unwrap();
         assert_eq!(job.durable_bytes(Duration::from_secs(1)), Ok(bytes));
         table.stop_all_and_join();
@@ -1646,7 +1537,7 @@ mod tests {
         let table = quiet_table(1);
         let job = table.submit("pausing", &small_spec(Some(1_000))).unwrap();
         wait_for(&job, JobState::Paused);
-        job.request_unpause();
+        table.unpause(&job);
         wait_for(&job, JobState::Done);
         let report = job.report(Duration::from_secs(5)).unwrap();
         assert_eq!(report, Fleet::new(e16_config(7, 24, 2, 1)).run());

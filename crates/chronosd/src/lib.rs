@@ -26,8 +26,11 @@
 //! [`Json`]; one generic renderer for every sweep), [`jobs`] (the
 //! four-variant job model — a fleet, a sweep over grid points, a resume
 //! from durable bytes, a panic probe — the one parse function mapping
-//! wire kinds onto experiment configs and grids, the job table and the
-//! fair-slicing worker pool),
+//! wire kinds onto experiment configs and grids, the job table, and the
+//! fair-slicing worker pool whose body is one `run_one` turn; each job
+//! keeps its changing state behind one lock, so every transition is one
+//! critical section, and a test-only harness replays command
+//! interleavings from one thread),
 //! [`daemon`] (the socket server), [`client`] (the client used by
 //! `chronosctl`, the `service_mode` example and the smoke tests),
 //! [`metrics`] (the chronoscope layer: the metric registry behind the
@@ -42,6 +45,8 @@
 
 pub mod client;
 pub mod daemon;
+#[cfg(test)]
+mod interleavings;
 pub mod jobs;
 pub mod metrics;
 pub mod render;

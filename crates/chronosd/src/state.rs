@@ -363,16 +363,12 @@ pub fn snapshot(
 ) -> io::Result<usize> {
     let mut entries = Vec::new();
     for job in table.list() {
-        let snap = job.snapshot();
-        let state = state_overrides
-            .get(&job.name)
-            .copied()
-            .unwrap_or(snap.state);
-        // The job's durable bytes (Job::durable_bytes): no file for a job
-        // holding no simulation state (a queued grid, a failed job, a
-        // probe), which the manifest resubmits from its spec or keeps as
-        // failed.
-        let file = match job.durable_bytes(PARK_TIMEOUT) {
+        // One durable read gives the entry's state, params, slices and
+        // bytes together. No file for a job holding no simulation state
+        // (an unbuilt grid, a failed job, a probe), which the manifest
+        // resubmits from its spec or keeps as failed.
+        let durable = job.durable(PARK_TIMEOUT);
+        let file = match durable.bytes {
             Ok(bytes) => {
                 let file = StateDir::job_file_name(&job.name);
                 dir.write_job_file(&file, &bytes)?;
@@ -383,10 +379,13 @@ pub fn snapshot(
         entries.push(ManifestEntry {
             name: job.name.clone(),
             kind: job.kind.clone(),
-            state,
-            error: snap.error.clone(),
-            params: job.params(),
-            slices: snap.slices,
+            state: state_overrides
+                .get(&job.name)
+                .copied()
+                .unwrap_or(durable.snap.state),
+            error: durable.snap.error,
+            params: durable.params,
+            slices: durable.snap.slices,
             file,
             spec: job.spec_json(),
         });

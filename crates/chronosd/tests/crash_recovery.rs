@@ -7,7 +7,9 @@
 //! test covers the clean-shutdown path: jobs still running when the
 //! daemon exits are recorded as running and auto-resume on the next
 //! boot with no operator involvement. A fourth pins that a resumed job's
-//! checkpoint bytes live in its `jobs/` file, never in the manifest.
+//! checkpoint bytes live in its `jobs/` file, never in the manifest. A
+//! fifth pins that an `unpause` sent before a job reaches its pause
+//! anchor survives a reboot: the rebooted job runs through the anchor.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -15,7 +17,7 @@ use std::time::Duration;
 use chronos_pitfalls::experiments::e16_config;
 use chronosd::render::{report_json, sweep_json};
 use chronosd::Json;
-use chronosd::{Client, Daemon, DaemonConfig, DaemonObs};
+use chronosd::{Client, Daemon, DaemonConfig, DaemonObs, StateDir};
 use fleet::Fleet;
 use netsim::time::SimTime;
 
@@ -345,4 +347,108 @@ fn running_jobs_auto_resume_after_a_clean_shutdown() {
     assert_eq!(daemon_line, report_json(&row.report).render());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Poll `status` until the job rests: done, paused, stopped or failed.
+fn settle(client: &mut Client, name: &str, timeout: Duration) -> Json {
+    let deadline = std::time::Instant::now() + timeout;
+    loop {
+        let status = client
+            .request("status", vec![("name".into(), Json::str(name))])
+            .expect("status");
+        let state = status.get("state").and_then(Json::as_str).unwrap_or("");
+        if matches!(state, "done" | "paused" | "stopped" | "failed") {
+            return status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job {name} never came to rest: {}",
+            status.render()
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+#[test]
+fn an_early_unpause_survives_a_reboot() {
+    let socket_a = scratch("early-a.sock");
+    let socket_b = scratch("early-b.sock");
+    let dir = scratch("early-state");
+    let frozen = scratch("early-frozen");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // One worker and 10 s slices: the job is nowhere near its 5000 s
+    // anchor when the unpause cancels it. The snapshot right after must
+    // record the cancellation, whether or not a worker has built the job.
+    let config = DaemonConfig {
+        state_dir: Some(dir.clone()),
+        workers: Some(1),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::bind_with_config(&socket_a, DaemonObs::from_env(), config)
+        .expect("bind state daemon");
+    let first = std::thread::spawn(move || daemon.serve().expect("serve"));
+    let mut client =
+        Client::connect_with_retry(&socket_a, Duration::from_secs(10)).expect("connect");
+    submit(
+        &mut client,
+        "early",
+        &format!(
+            r#"{{"kind":"e16-fleet","seed":{SEED},"clients":3000,"resolvers":{RESOLVERS},"poisoned_resolvers":{POISONED},"threads":1,"slice_s":10,"pause_at_s":5000}}"#
+        ),
+    );
+    client
+        .request("unpause", vec![("name".into(), Json::str("early"))])
+        .expect("unpause");
+    client.request("sync", Vec::new()).expect("sync");
+    freeze(&dir, &frozen);
+    let entries = StateDir::open(&frozen)
+        .expect("open the crash image")
+        .read_manifest()
+        .expect("manifest readable")
+        .expect("manifest written")
+        .expect("manifest decodes");
+    assert_eq!(entries.len(), 1);
+    assert_eq!(
+        entries[0].params.pause_at_s, None,
+        "the snapshot kept the anchor the unpause cancelled"
+    );
+
+    // Leg one runs on through the cancelled anchor to the horizon.
+    let live = settle(&mut client, "early", Duration::from_secs(600));
+    assert_eq!(
+        live.get("state").and_then(Json::as_str),
+        Some("done"),
+        "live job: {}",
+        live.render()
+    );
+    let live_report = client
+        .request("report", vec![("name".into(), Json::str("early"))])
+        .expect("live report");
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    first.join().expect("first daemon exits");
+
+    // Leg two: the crash image as of the sync. The rebooted job must not
+    // pause at the anchor the operator cancelled before the crash.
+    let (second, mut client) = boot(&socket_b, &frozen, None);
+    let rebooted = settle(&mut client, "early", Duration::from_secs(600));
+    assert_eq!(
+        rebooted.get("state").and_then(Json::as_str),
+        Some("done"),
+        "rebooted job: {}",
+        rebooted.render()
+    );
+    let rebooted_report = client
+        .request("report", vec![("name".into(), Json::str("early"))])
+        .expect("rebooted report");
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    second.join().expect("second daemon exits");
+    assert_eq!(
+        rebooted_report.get("report").map(Json::render),
+        live_report.get("report").map(Json::render),
+        "the rebooted job finished with other bytes"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&frozen);
 }

@@ -510,14 +510,20 @@ impl Message {
             recursion_available: b3 & 0x80 != 0,
             rcode: RcodeField(Rcode::from(b3 & 0x0f)),
         };
-        let mut question = Vec::with_capacity(qd);
+        // Reserve from the header counts only as far as the bytes left
+        // could hold: a question takes at least 5 bytes (root name, type,
+        // class) and a record at least 11, so a bare header claiming
+        // 65 535 answers cannot buy a multi-megabyte allocation. A valid
+        // message reserves exactly its counts.
+        let mut question = Vec::with_capacity(qd.min(cur.remaining() / 5));
         for _ in 0..qd {
             let name = cur.name()?;
             let qtype = RecordType::from(cur.u16()?);
             let _class = cur.u16()?;
             question.push(Question { name, qtype });
         }
-        let mut sections = [Vec::with_capacity(an), Vec::new(), Vec::new()];
+        let answers = Vec::with_capacity(an.min(cur.remaining() / 11));
+        let mut sections = [answers, Vec::new(), Vec::new()];
         for (idx, count) in [an, ns, ar].into_iter().enumerate() {
             for _ in 0..count {
                 sections[idx].push(decode_record(&mut cur)?);
@@ -753,6 +759,11 @@ impl<'a> Cursor<'a> {
             pos: 0,
             names: Vec::new(),
         }
+    }
+
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {

@@ -7,6 +7,10 @@
 //! decodes it. Names are shared, reference-counted wire encodings, so
 //! none of the three calls may allocate per record.
 //!
+//! A hostile header gets a budget too: a message whose header claims
+//! 65 535 questions or answers but carries next to no body must fail to
+//! decode without any single allocation above 64 × its length.
+//!
 //! Lives in its own integration-test binary because a `#[global_allocator]`
 //! is process-wide, and everything runs inside ONE `#[test]` function so
 //! that no sibling test allocates between a window's before/after reads.
@@ -26,10 +30,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// The largest single allocation (or reallocation target) since the last
+/// reset, in bytes.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -39,6 +47,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -59,6 +68,31 @@ fn min_allocations<R>(mut f: impl FnMut() -> R) -> (u64, R) {
         result = Some(r);
     }
     (min, result.expect("at least one window"))
+}
+
+/// The minimum over several windows of the largest single allocation
+/// `f` makes, plus the last result.
+fn min_largest_allocation<R>(mut f: impl FnMut() -> R) -> (u64, R) {
+    let mut min = u64::MAX;
+    let mut result = None;
+    for _ in 0..5 {
+        LARGEST.store(0, Ordering::Relaxed);
+        let r = black_box(f());
+        min = min.min(LARGEST.load(Ordering::Relaxed));
+        result = Some(r);
+    }
+    (min, result.expect("at least one window"))
+}
+
+/// A 12-byte header (id 0x2b1d, a response) with the given question and
+/// answer counts, followed by `body`.
+fn hostile(questions: u16, answers: u16, body: &[u8]) -> Vec<u8> {
+    let mut bytes = vec![0x2b, 0x1d, 0x80, 0x00];
+    bytes.extend_from_slice(&questions.to_be_bytes());
+    bytes.extend_from_slice(&answers.to_be_bytes());
+    bytes.extend_from_slice(&[0, 0, 0, 0]);
+    bytes.extend_from_slice(body);
+    bytes
 }
 
 /// The resolver's cache-hit reply carrying `records`.
@@ -116,4 +150,30 @@ fn poisoned_pool_answer_stays_within_its_allocation_budget() {
         "decoding the 89-answer reply allocated {decode_allocs} times, \
          more than the {small_decode_allocs} of a 4-answer reply"
     );
+
+    // Headers claiming 65 535 questions or answers over 0 to 11 body
+    // bytes: a root-name question (5 bytes) or a root-owner record with
+    // empty RDATA (11 bytes) parses, then the input runs out.
+    let question = [0, 0, 1, 0, 1];
+    let record = [0, 0, 1, 0, 1, 0, 0, 0, 60, 0, 0];
+    let bodies: [&[u8]; 4] = [&[], &[0], &question, &record];
+    for (questions, answers) in [(u16::MAX, 0), (0, u16::MAX), (u16::MAX, u16::MAX)] {
+        for body in bodies {
+            let bytes = hostile(questions, answers, body);
+            let (largest, decoded) = min_largest_allocation(|| Message::decode(&bytes));
+            assert!(
+                decoded.is_err(),
+                "a header claiming {questions} questions and {answers} answers \
+                 over {} body bytes decoded",
+                body.len()
+            );
+            let budget = 64 * bytes.len() as u64;
+            assert!(
+                largest <= budget,
+                "decoding {} bytes claiming {questions} questions and {answers} answers \
+                 made a {largest} B allocation (budget {budget} B)",
+                bytes.len()
+            );
+        }
+    }
 }
