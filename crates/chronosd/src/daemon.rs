@@ -354,14 +354,19 @@ fn adopt_entry(
         return failed(error);
     }
     let Some(file) = &entry.file else {
-        // No simulation bytes: a still-queued job is resubmitted from its
-        // spec with the manifest's params; a terminal one has nothing
-        // left to serve.
-        if entry.state.is_terminal() {
-            return failed("no state bytes survived the last shutdown".to_string());
-        }
+        // No simulation bytes: no worker built the job. A still-queued
+        // job is resubmitted from its spec with the manifest's params and
+        // a stopped one is re-created stopped; any other terminal one has
+        // nothing left to serve.
+        let state = match entry.state {
+            JobState::Stopped => JobState::Stopped,
+            state if state.is_terminal() => {
+                return failed("no state bytes survived the last shutdown".to_string());
+            }
+            _ => JobState::Queued,
+        };
         return table
-            .resubmit(&entry.name, &entry.spec, Some(params))
+            .resubmit(&entry.name, &entry.spec, Some(params), state)
             .map(drop);
     };
     let bytes = match dir.read_job_file(file) {

@@ -177,9 +177,6 @@ struct Model {
     resumed: bool,
     /// A `stop` landed while the job was not terminal.
     stopped: bool,
-    /// Must come back `failed`: stopped before any worker built it, then
-    /// rebooted (no bytes survive).
-    failed: bool,
     /// Its `done` report has been compared with the batch runner's.
     verified: bool,
 }
@@ -192,7 +189,6 @@ impl Model {
             start,
             resumed,
             stopped: false,
-            failed: false,
             verified: false,
         }
     }
@@ -227,9 +223,6 @@ impl Model {
     fn allows(&self, snap: &JobSnapshot) -> bool {
         let pos = Pos::of(snap);
         let pause = self.pause_point();
-        if self.failed {
-            return snap.state == JobState::Failed;
-        }
         if self.stopped {
             return snap.state == JobState::Stopped;
         }
@@ -404,10 +397,9 @@ impl World {
             Ok(Some(Ok(entries))) => entries,
             other => return Err(format!("manifest unreadable: {other:?}")),
         };
-        let mut saved = self.jobs.clone();
+        let saved = self.jobs.clone();
         for entry in &entries {
-            let (Some(model), Some(job)) =
-                (saved.get_mut(&entry.name), self.table.get(&entry.name))
+            let (Some(model), Some(job)) = (saved.get(&entry.name), self.table.get(&entry.name))
             else {
                 return Err(format!("manifest names unknown job {:?}", entry.name));
             };
@@ -422,11 +414,6 @@ impl World {
                     "manifest entry {:?} records {:?} with anchor {anchor:?}; the job is {:?}, model {model:?}",
                     entry.name, entry.state, snap.state
                 ));
-            }
-            // Stopped before any worker built it: no bytes survive, so the
-            // reboot adopts it as failed.
-            if model.stopped && !built(&snap) && !model.resumed {
-                model.failed = true;
             }
         }
         if entries.len() != saved.len() {

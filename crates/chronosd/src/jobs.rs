@@ -1027,23 +1027,28 @@ impl JobTable {
     /// already taken (stale terminal jobs keep their name — pick a new
     /// one, or `forget` the old job).
     pub fn submit(&self, name: &str, spec: &Json) -> Result<Arc<Job>, String> {
-        self.resubmit(name, spec, None)
+        self.resubmit(name, spec, None, JobState::Queued)
     }
 
     /// [`JobTable::submit`], scheduled with `params` instead of the
-    /// spec's own when given: boot adoption re-creates a job recorded
-    /// before any worker built it with the manifest's params, so an
-    /// anchor an early `unpause` cancelled stays cancelled.
+    /// spec's own when given, in `state`: boot adoption re-creates a job
+    /// recorded before any worker built it with the manifest's params, so
+    /// an anchor an early `unpause` cancelled stays cancelled. A queued
+    /// job is enqueued; a stopped one stays stopped holding only its
+    /// spec, as it did before the reboot, so `report` and `checkpoint`
+    /// answer what they answered then.
     pub(crate) fn resubmit(
         &self,
         name: &str,
         spec: &Json,
         params: Option<Params>,
+        state: JobState,
     ) -> Result<Arc<Job>, String> {
         let (job_spec, parsed) = JobSpec::parse(spec)?;
         let kind = spec.get("kind").and_then(Json::as_str).unwrap_or_default();
         let sweep = matches!(job_spec, JobSpec::Sweep { .. });
-        let inner = JobInner::new(params.unwrap_or(parsed), Some(job_spec));
+        let mut inner = JobInner::new(params.unwrap_or(parsed), Some(job_spec));
+        inner.snap.state = state;
         self.admit(name, kind, spec.clone(), sweep, inner)
     }
 

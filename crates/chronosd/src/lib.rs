@@ -16,10 +16,7 @@
 //! checkpoint/resume cuts (`fleet::Fleet::checkpoint` /
 //! `fleet::Fleet::restore`) are all invisible — CI literally diffs the
 //! JSON report of a checkpointed-resumed daemon job against the batch
-//! runner's bytes. The one documented caveat: P² quantile estimates
-//! depend on `shard_size` (they are exact per shard, merged across
-//! shards), so comparisons must hold `shard_size` fixed — see
-//! `docs/OPERATIONS.md`.
+//! runner's bytes.
 //!
 //! Module map: [`render`] (canonical report/progress JSON through
 //! [`obs::json`], the workspace's one JSON codec, re-exported here as

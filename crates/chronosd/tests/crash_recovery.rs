@@ -9,7 +9,9 @@
 //! boot with no operator involvement. A fourth pins that a resumed job's
 //! checkpoint bytes live in its `jobs/` file, never in the manifest. A
 //! fifth pins that an `unpause` sent before a job reaches its pause
-//! anchor survives a reboot: the rebooted job runs through the anchor.
+//! anchor survives a reboot: the rebooted job runs through the anchor. A
+//! sixth pins that a job stopped before any worker built it comes back
+//! `stopped`, answering `report` and `checkpoint` as it did before.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -447,6 +449,93 @@ fn an_early_unpause_survives_a_reboot() {
         rebooted_report.get("report").map(Json::render),
         live_report.get("report").map(Json::render),
         "the rebooted job finished with other bytes"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&frozen);
+}
+
+/// A job's status state and its `report` and `checkpoint` answers.
+fn answers(client: &mut Client, name: &str, checkpoint_path: &Path) -> (String, String, String) {
+    let job = || vec![("name".into(), Json::str(name))];
+    let status = client.request("status", job()).expect("status");
+    let state = status.get("state").and_then(Json::as_str).unwrap_or("");
+    let answer = |reply: Result<Json, chronosd::ClientError>| match reply {
+        Ok(reply) => reply.render(),
+        Err(error) => error.to_string(),
+    };
+    let report = answer(client.request("report", job()));
+    let mut checkpoint = job();
+    checkpoint.push(("path".into(), Json::str(checkpoint_path.to_string_lossy())));
+    let checkpoint = answer(client.request("checkpoint", checkpoint));
+    (state.to_string(), report, checkpoint)
+}
+
+#[test]
+fn a_stopped_unbuilt_job_survives_a_reboot_as_stopped() {
+    let socket_a = scratch("unbuilt-a.sock");
+    let socket_b = scratch("unbuilt-b.sock");
+    let dir = scratch("unbuilt-state");
+    let frozen = scratch("unbuilt-frozen");
+    let checkpoint_path = scratch("unbuilt.ckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The one worker takes `busy` first and builds its 20 000 clients, so
+    // `waiting` queues behind it and is stopped before any worker builds
+    // it: it holds no simulation bytes.
+    let config = DaemonConfig {
+        state_dir: Some(dir.clone()),
+        workers: Some(1),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::bind_with_config(&socket_a, DaemonObs::from_env(), config)
+        .expect("bind state daemon");
+    let first = std::thread::spawn(move || daemon.serve().expect("serve"));
+    let mut client =
+        Client::connect_with_retry(&socket_a, Duration::from_secs(10)).expect("connect");
+    let spec = |clients: usize| {
+        format!(
+            r#"{{"kind":"e16-fleet","seed":{SEED},"clients":{clients},"resolvers":{RESOLVERS},"poisoned_resolvers":{POISONED},"threads":1,"slice_s":100000}}"#
+        )
+    };
+    submit(&mut client, "busy", &spec(20_000));
+    submit(&mut client, "waiting", &spec(CLIENTS));
+    client
+        .request("stop", vec![("name".into(), Json::str("waiting"))])
+        .expect("stop");
+    let live = answers(&mut client, "waiting", &checkpoint_path);
+    assert_eq!(live.0, "stopped", "live: {live:?}");
+    assert!(
+        live.1.contains("holds no fleet state") && live.2.contains("not been built"),
+        "live: {live:?}"
+    );
+    client
+        .request("stop", vec![("name".into(), Json::str("busy"))])
+        .expect("stop");
+    client.request("sync", Vec::new()).expect("sync");
+    freeze(&dir, &frozen);
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    first.join().expect("first daemon exits");
+    let entries = StateDir::open(&frozen)
+        .expect("open the crash image")
+        .read_manifest()
+        .expect("manifest readable")
+        .expect("manifest written")
+        .expect("manifest decodes");
+    let file = |name: &str| {
+        let entry = entries.iter().find(|e| e.name == name);
+        entry.expect("the manifest records every job").file.clone()
+    };
+    assert!(file("busy").is_some(), "the worker built `busy` first");
+    assert_eq!(file("waiting"), None, "an unbuilt job has no state bytes");
+
+    let (second, mut client) = boot(&socket_b, &frozen, None);
+    let rebooted = answers(&mut client, "waiting", &checkpoint_path);
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    second.join().expect("second daemon exits");
+    assert_eq!(
+        rebooted, live,
+        "the reboot changed what the stopped job answers"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -64,6 +64,9 @@ pub struct Measurement {
     pub min: Duration,
     /// Declared per-iteration workload, if any.
     pub throughput: Option<Throughput>,
+    /// For both entries of a [`BenchmarkGroup::bench_pair`]: the median
+    /// over its rounds of the first target's time over the second's.
+    pub median_pair_ratio: Option<f64>,
 }
 
 impl Measurement {
@@ -193,6 +196,7 @@ impl Criterion {
             total: b.total,
             min: b.min,
             throughput,
+            median_pair_ratio: None,
         });
     }
 
@@ -255,7 +259,9 @@ impl BenchmarkGroup<'_> {
     /// wall time, and host drift over that span — CPU burst credits,
     /// noisy neighbours — routinely exceeds a few percent, drowning the
     /// signal. Alternating the samples puts both variants under the same
-    /// drift, so their ratio measures only the code difference.
+    /// drift, so their ratio measures only the code difference. Both
+    /// entries record the median over rounds of `name_a`'s time over
+    /// `name_b`'s: one slow round moves a minimum but not that median.
     pub fn bench_pair<O, F: FnMut(bool) -> O>(
         &mut self,
         name_a: &str,
@@ -269,15 +275,19 @@ impl BenchmarkGroup<'_> {
         black_box(f(true));
         let mut totals = [Duration::ZERO; 2];
         let mut mins = [Duration::MAX; 2];
+        let mut ratios = Vec::new();
         for _ in 0..iters {
+            let mut round = [Duration::ZERO; 2];
             for (i, variant) in [false, true].into_iter().enumerate() {
                 let start = Instant::now();
                 black_box(f(variant));
-                let dt = start.elapsed();
-                totals[i] += dt;
-                mins[i] = mins[i].min(dt);
+                round[i] = start.elapsed();
+                totals[i] += round[i];
+                mins[i] = mins[i].min(round[i]);
             }
+            ratios.push(round[0].as_secs_f64() / round[1].as_secs_f64().max(f64::MIN_POSITIVE));
         }
+        let median_pair_ratio = median(&mut ratios);
         for (i, name) in [name_a, name_b].into_iter().enumerate() {
             self.criterion.push(Measurement {
                 name: format!("{}/{}", self.name, name),
@@ -285,6 +295,7 @@ impl BenchmarkGroup<'_> {
                 total: totals[i],
                 min: mins[i],
                 throughput: self.throughput,
+                median_pair_ratio,
             });
         }
         self
@@ -292,6 +303,18 @@ impl BenchmarkGroup<'_> {
 
     /// Ends the group (kept for API compatibility).
     pub fn finish(&mut self) {}
+}
+
+/// The median of `values` (the mean of the middle two for an even count),
+/// or `None` when there are none.
+fn median(values: &mut [f64]) -> Option<f64> {
+    values.sort_unstable_by(f64::total_cmp);
+    let n = values.len();
+    match n {
+        0 => None,
+        _ if n % 2 == 1 => Some(values[n / 2]),
+        _ => Some((values[n / 2 - 1] + values[n / 2]) / 2.0),
+    }
 }
 
 /// Peak resident set size in bytes, when the platform exposes it.
@@ -322,10 +345,14 @@ pub fn render_json(target: &str, measurements: &[Measurement], stages: &[StageTi
             r.map(|v| format!("{v:.3}"))
                 .unwrap_or_else(|| "null".to_string())
         };
+        let pair = m
+            .median_pair_ratio
+            .map(|r| format!(", \"median_pair_ratio\": {r:.6}"))
+            .unwrap_or_default();
         out.push_str(&format!(
             "    {{\"name\": {}, \"iters\": {}, \"wall_time_secs\": {:.9}, \
              \"mean_secs_per_iter\": {:.9}, \"min_secs_per_iter\": {:.9}, \
-             \"elements_per_sec\": {}, \"bytes_per_sec\": {}}}{}\n",
+             \"elements_per_sec\": {}, \"bytes_per_sec\": {}{pair}}}{}\n",
             Json::str(&m.name).render(),
             m.iters,
             m.total.as_secs_f64(),
@@ -475,6 +502,23 @@ mod tests {
             assert_eq!(m.iters, 3);
             assert!(m.elements_per_sec().unwrap() > 0.0);
         }
+        // Both entries carry the one median of the per-round ratios.
+        let ratios: Vec<Option<f64>> = c
+            .measurements()
+            .iter()
+            .map(|m| m.median_pair_ratio)
+            .collect();
+        assert!(ratios[0].is_some_and(|r| r > 0.0));
+        assert_eq!(ratios[0], ratios[1]);
+        let json = render_json("t", c.measurements(), c.stage_timings());
+        assert_eq!(json.matches("\"median_pair_ratio\": ").count(), 2);
+    }
+
+    #[test]
+    fn median_takes_the_middle_value() {
+        assert_eq!(median(&mut []), None);
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), Some(2.0));
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), Some(2.5));
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!   fleets that pin draw orders the lane fleets cannot see: the
 //!   whole-pool order of panic rounds over mixed pools, the NTS re-key
 //!   retry key, and the slot order of mixed Roughtime sources;
+//! * the same fleets hashed without any codec layout: what they report
+//!   (quantiles aside), every client's end state, and a mid-run report
+//!   and progress under 37 s slices;
 //! * one pooled packet-level sweep over two config shapes on two
 //!   threads, hashed per trial through the `Debug` text of what the
 //!   trial observed;
@@ -17,10 +20,16 @@
 //!   thread, so the second and third trials run on a rewound world.
 //!
 //! The constants are regenerated only in a commit that changes random
-//! streams on purpose, and that commit says so. Any other change that
-//! moves them is a regression. They were last regenerated by "One
-//! ziggurat normal sampler for fleet and packet worlds", which replaced
-//! both Box-Muller normal samplers with `netsim::rng::standard_normal_from`.
+//! streams or the CHR1 layout on purpose, and that commit says so. Any
+//! other change that moves them is a regression. The random streams last
+//! moved with "One ziggurat normal sampler for fleet and packet worlds",
+//! which replaced both Box-Muller normal samplers with
+//! `netsim::rng::standard_normal_from`. `FLEET_GOLDENS` were last
+//! regenerated by the change that replaced the P² quantile estimators
+//! with one mergeable histogram and bumped CHR1 to version 3: the
+//! checkpoint lost the timer wheel, the due list and the P² markers and
+//! gained the histogram's fine bins, while `OUTCOME_GOLDENS`, recorded
+//! before that change, held.
 
 use chronos_pitfalls::experiments::{
     compressed_chronos, e14_config, e16_config, e17_config, e18_config,
@@ -136,13 +145,13 @@ fn lanes() -> Vec<Lane> {
 }
 
 const FLEET_GOLDENS: [u64; 7] = [
-    0x1bed_eb23_42d9_7060,
-    0x8d8f_241d_29c4_6fdd,
-    0x78b4_8a4f_6bba_fb50,
-    0xd2d6_c6aa_8230_fa72,
-    0xd374_2868_70f4_ad21,
-    0x638e_c458_6876_d674,
-    0xd5a6_71f6_09a6_d823,
+    0xf1d0_d4c3_3cc6_64ce,
+    0x959c_1956_6f56_4fe5,
+    0x50e3_df94_6d8c_185f,
+    0x745e_b241_5e52_5d98,
+    0xfeee_d751_10c2_4fb9,
+    0xde7c_e05c_3922_17c5,
+    0xf2e3_f8f8_a16c_a28d,
 ];
 
 #[test]
@@ -155,6 +164,67 @@ fn fleet_checkpoints_match_the_goldens() {
         got.push(fnv1a(&fleet.checkpoint()));
     }
     assert_eq!(got, FLEET_GOLDENS, "fleet checkpoint hashes moved");
+}
+
+/// What a lane fleet computes, hashed without any codec layout: the
+/// horizon report with its quantiles cleared, every client's end state,
+/// and the masked report and progress at the first boundary past 2000 s
+/// of the same run stepped in 37 s slices.
+fn outcome_hash(config: FleetConfig) -> u64 {
+    let masked = |mut report: FleetReport| {
+        report.quantiles.clear();
+        format!("{report:?}")
+    };
+    let mut text = String::new();
+    let mut whole = Fleet::new(config.clone());
+    text += &masked(whole.run());
+    let end = whole.now();
+    for i in 0..config.clients {
+        let client = (
+            whole.client_offset_ns(i, end),
+            whole.client_stats(i),
+            whole.client_faults(i),
+            whole.client_secure(i),
+            whole.client_pool(i),
+            whole.client_phase(i),
+        );
+        text += &format!("{client:?}");
+    }
+    let mut sliced = Fleet::new(config);
+    while sliced.now() <= SimTime::from_secs(2_000) {
+        sliced.run_for(SimDuration::from_secs(37));
+    }
+    text += &masked(sliced.report());
+    let progress = sliced.progress();
+    let position = (
+        progress.events,
+        progress.synced_clients,
+        progress.shifted_fraction.to_bits(),
+    );
+    text += &format!("{position:?}");
+    fnv1a(text.as_bytes())
+}
+
+/// [`outcome_hash`] per lane. Recorded before quantiles moved to one
+/// mergeable histogram and the engine stopped ordering events across
+/// clients; only that change's quantiles may differ, so these stay put.
+const OUTCOME_GOLDENS: [u64; 7] = [
+    0x02cd_a76d_a4dc_832e,
+    0xb215_8646_1799_0454,
+    0x96a9_f439_4505_22cc,
+    0x442e_c8d8_b29f_c9ce,
+    0x0f4c_8c4a_2a45_c7ea,
+    0x6ac7_409d_cc42_2ed9,
+    0xb0c2_5628_62a6_fa64,
+];
+
+#[test]
+fn fleet_outcomes_match_the_goldens() {
+    let got: Vec<u64> = lanes()
+        .into_iter()
+        .map(|(_, config, _)| outcome_hash(config))
+        .collect();
+    assert_eq!(got, OUTCOME_GOLDENS, "fleet outcome hashes moved");
 }
 
 fn sweep_config(seed: u64, with_attack: bool) -> ScenarioConfig {

@@ -3,9 +3,8 @@
 //! A long fleet run (`chronosd`'s reason to exist) must survive process
 //! restarts: [`Fleet::checkpoint`](crate::engine::Fleet::checkpoint)
 //! serializes the complete simulation state — the full [`FleetConfig`],
-//! every struct-of-arrays client column, each shard's timer-wheel clock,
-//! streaming aggregates (histogram bins, P² marker state) and sampling
-//! cursor — and [`Fleet::restore`](crate::engine::Fleet::restore) rebuilds
+//! every struct-of-arrays client column, each shard's streaming
+//! aggregates (the offset histogram's bins) and sampling cursor — and [`Fleet::restore`](crate::engine::Fleet::restore) rebuilds
 //! a fleet that continues **byte-identically** to one that never stopped
 //! (pinned by `tests/prop_checkpoint_resume.rs`).
 //!
@@ -21,10 +20,10 @@
 //!
 //! ```text
 //! magic  b"CHR1"            4 bytes
-//! version u32               currently 2
+//! version u32               currently 3
 //! config  FleetConfig       self-delimiting field sequence
 //! now_ns  u64               fleet clock at the snapshot
-//! shards  u32 + per-shard   columns, wheel tick, aggregates
+//! shards  u32 + per-shard   columns, sampling cursor, aggregates
 //! trailer u64               XOR-fold checksum of everything above
 //! ```
 //!
@@ -50,8 +49,10 @@ pub const MAGIC: [u8; 4] = *b"CHR1";
 /// rejected (a simulation checkpoint is a cache, not an archive format).
 /// Version 2 added the E18 secure-tier state: NTS/Roughtime kind tags,
 /// per-tier key-lifetime/re-key/sources knobs, and the per-client
-/// association columns.
-pub const VERSION: u32 = 2;
+/// association columns. Version 3 dropped the timer-wheel tick, the due
+/// list, the shard clock and run boundary, and the P² marker state, and
+/// carries the 577 bins of the 64-per-decade offset histogram.
+pub const VERSION: u32 = 3;
 
 /// Why a checkpoint failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -359,19 +359,19 @@ pub struct FleetConfig {
     /// core. A pure wall-clock knob — results are byte-identical for every
     /// value, which the determinism proptests pin.
     pub threads: usize,
-    /// Clients per shard, the unit of intra-fleet parallelism. Per-client
-    /// outcomes and the counting aggregates (histogram bins, shifted
-    /// series, totals) are shard-layout-invariant; only the streaming P²
-    /// quantile *estimates* depend on the decomposition (each shard feeds
-    /// its own estimator and the report merges them in shard order), so
-    /// quantiles are comparable across runs at equal `shard_size` only.
+    /// Clients per shard, the unit of intra-fleet parallelism. Like
+    /// `threads` it never changes a result: every per-client outcome and
+    /// the whole report, quantiles included, are byte-identical for every
+    /// value, which the determinism proptests pin. It still shapes the
+    /// column layout a reused pooled fleet keeps, so
+    /// [`FleetConfig::structural_fingerprint`] covers it.
     pub shard_size: usize,
 }
 
 /// Default clients per shard: small enough that a 100k-client fleet yields
 /// ~25 stealable work units for a handful of cores, large enough that the
-/// fixed per-shard machinery (a timer wheel's slot arrays, scratch
-/// buffers) stays well under 1 % of the column footprint.
+/// fixed per-shard machinery (the offset histogram's bins, scratch
+/// buffers) stays well under 2 % of the column footprint.
 pub const DEFAULT_SHARD_SIZE: usize = 4096;
 
 impl Default for FleetConfig {
@@ -581,7 +581,7 @@ mod tests {
         assert_ne!(
             a.structural_fingerprint(),
             d.structural_fingerprint(),
-            "shard size shapes the quantile stream, so it is structural"
+            "shard size shapes the layout a reused pooled fleet keeps, so it is structural"
         );
         // The cohort knobs are structural too: a different tier mix or
         // resolver count is a different simulation.

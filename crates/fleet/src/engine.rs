@@ -1,21 +1,20 @@
 //! The fleet engine: struct-of-arrays client state, sharded into
-//! independently-steppable slabs, scheduled by per-shard timer wheels.
+//! independently-steppable slabs, each client stepped straight through a
+//! slice.
 //!
 //! # Event model
 //!
 //! Every client owns exactly one pending deadline — its next pool-
-//! generation round or its next poll — filed in its shard's
-//! [`TimerWheel`]. The wheel batches deadlines by tick, the engine
-//! re-orders each batch by exact `(nanosecond, client)` and steps clients
-//! one lane at a time, so a run's outcome is a pure function of the
-//! configuration: independent of wheel internals and thread count.
-//! Per-client state — trajectories, pools, clocks — and the counting
-//! aggregates (histogram, shifted series) are additionally independent of
-//! the tick size, which only batches; the one tick-shaped edge is that a
-//! same-instant follow-up appended mid-drain (a completed pool's first
-//! poll) runs at the end of its batch, so the *order* of the observation
-//! stream feeding the order-sensitive P² quantile estimators is defined
-//! at the fixed 1 ms tick grain (`TICK_NS`).
+//! generation round or its next poll — in its shard's `deadline_ns`
+//! column. A slice visits the shard's clients in index order and runs each
+//! one through every event with a deadline at or before the slice end
+//! before moving to the next. No output depends on the order in which
+//! clients run: an event reads and writes only its own client's columns
+//! and the immutable DNS view; the offset histogram adds integer counts;
+//! and sample instant s counts each client's clock after exactly its own
+//! events with a deadline before s. So a run's outcome is a pure function
+//! of the configuration, independent of thread count, shard size and
+//! slicing.
 //!
 //! # Cohorts: heterogeneous tiers across multiple resolvers
 //!
@@ -51,8 +50,8 @@
 //!
 //! A fleet's clients are partitioned into contiguous shards of
 //! [`FleetConfig::shard_size`] clients. Each shard owns its slice of
-//! every state column *plus* a private timer wheel, selection scratch and
-//! streaming aggregates, so stepping one shard touches no other shard's
+//! every state column *plus* its own selection scratch and streaming
+//! aggregates, so stepping one shard touches no other shard's
 //! memory. The only cross-client coupling — the shared resolver caches —
 //! is resolved before stepping by a deterministic pre-pass
 //! ([`ResolverModel::timeline`], one per resolver): pool-query times are
@@ -62,10 +61,9 @@
 //! parallel: [`Fleet::run_until`] fans them over
 //! [`netsim::par::for_each_mut`] (the same lock-free claim-cursor
 //! dispatcher Monte-Carlo trials use) and the report merges shard
-//! aggregates **in shard order** — integer counters merge exactly, P²
-//! estimators merge deterministically — so a run is byte-identical for
-//! every [`FleetConfig::threads`] value, which the determinism proptests
-//! pin.
+//! aggregates by integer addition, so a run is byte-identical for every
+//! [`FleetConfig::threads`] and [`FleetConfig::shard_size`] value, which
+//! the determinism proptests pin.
 //!
 //! # Batched request/response rounds
 //!
@@ -128,8 +126,7 @@ use crate::config::FleetConfig;
 use crate::metrics::FleetMetrics;
 use crate::resolver::{DnsAnswer, QuerySchedule, ResolverModel, ResolverTimeline, STALE_TTL_SECS};
 use crate::rng::{client_seed, fault_f64, FaultLane, FleetRng};
-use crate::stats::{FaultCounters, OffsetHistogram, P2Quantile, SecureCounters};
-use crate::wheel::TimerWheel;
+use crate::stats::{FaultCounters, OffsetHistogram, SecureCounters};
 use chronos::core::{
     self, ChronosStats, CoreState, Phase, PlainRoundOutcome, RoughtimeOutcome, RoundOutcome,
 };
@@ -139,16 +136,17 @@ use ntplab::clock::LocalClock;
 use ntplab::select::PeerSample;
 use serde::{Deserialize, Serialize};
 
-/// Quantiles tracked by the streaming estimators.
+/// Quantiles the report reads off the offset histogram.
 const TRACKED_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
 
-/// Histogram resolution (bins per decade of |offset|).
+/// The report's histogram resolution (bins per decade of |offset|).
 const HISTOGRAM_BINS_PER_DECADE: usize = 8;
 
-/// Wheel tick: 1 ms. A batching grain, not a quantization: events are
-/// re-ordered and timestamped by exact nanosecond (see the module docs
-/// for the one place the grain shows — P² observation order).
-const TICK_NS: u64 = 1_000_000;
+/// The resolution each shard records at (bins per decade of |offset|).
+/// Every report edge is also one of these edges, so the report's
+/// histogram is a sum of runs of fine bins, and the fine bins bound each
+/// quantile within 10^(1/64) − 1 ≈ 3.7 %.
+const FINE_BINS_PER_DECADE: usize = 64;
 
 /// Sentinel in the packed `last_update` column meaning "no accepted
 /// correction yet" (a real update at `u64::MAX` ns is unreachable — that
@@ -173,10 +171,17 @@ pub struct FleetReport {
     pub synced_clients: u64,
     /// Element-wise sum of every client's [`ChronosStats`].
     pub totals: ChronosStats,
-    /// Online `(p, |offset| ns)` quantile estimates over every concluded
-    /// round's clock error (per-shard estimators merged in shard order).
+    /// `(p, |offset| ns)` for p = 0.5, 0.9 and 0.99 over every concluded
+    /// round's clock error, read off a 64-bins-per-decade histogram of
+    /// that stream: each value is the upper edge of the bin holding the
+    /// nearest-rank ⌈p·n⌉-th observation ([`OffsetHistogram::quantile`]),
+    /// an upper bound at most one bin width (≈ 3.7 %) above the exact
+    /// quantile. Two rules cover the ends: with no observation every
+    /// value is 0.0, and a rank in the open-ended overflow bin (|offset| ≥
+    /// 10¹² ns) reports the last edge, 10¹² ns. Like every other field,
+    /// the values are independent of threads, shard size and slicing.
     pub quantiles: Vec<(f64, f64)>,
-    /// Fixed-bin histogram of the same stream.
+    /// Fixed-bin histogram of the same stream, 8 bins per decade.
     pub histogram: OffsetHistogram,
     /// Client events stepped (pool rounds + polls), for throughput
     /// accounting.
@@ -377,9 +382,9 @@ enum Draw {
 }
 
 /// One contiguous slab of the fleet: a private copy of every per-client
-/// column plus its own timer wheel, scratch buffers and streaming
-/// aggregates. Shards never touch each other's state, so a fleet run can
-/// step them concurrently and merge the aggregates afterwards.
+/// column plus its own scratch buffers and streaming aggregates. Shards
+/// never touch each other's state, so a fleet run can step them
+/// concurrently and merge the aggregates afterwards.
 #[derive(Debug)]
 struct Shard {
     /// Global id of this shard's first client.
@@ -406,6 +411,7 @@ struct Shard {
     benign_batches: Vec<u64>,
     /// Malicious servers admitted to the pool (post-mitigation).
     malicious: Vec<u32>,
+    /// The client's one pending event: its next pool round or poll, ns.
     deadline_ns: Vec<u64>,
     /// NTS lanes: ns the current association's keys expire at (0 = no
     /// usable association — pre-boot, or every re-key so far failed).
@@ -418,25 +424,19 @@ struct Shard {
     /// Lazily sized: empty unless trajectory capture is opted in.
     traces: Vec<Vec<(SimTime, i64)>>,
     // --- machinery ---
-    wheel: TimerWheel,
     scratch: SelectScratch,
     offsets_buf: Vec<i64>,
     /// Scratch for the plain-NTP pipeline's [`PeerSample`]s.
     plain_samples: Vec<PeerSample>,
-    due: Vec<u32>,
-    expired: Vec<u32>,
-    /// Events popped off the wheel but beyond the current run boundary.
-    carry: Vec<u32>,
-    now_ns: u64,
-    boundary_ns: u64,
+    /// The first sample instant no slice has counted yet.
     next_sample_ns: u64,
     /// Clients beyond the safety bound at each emitted sample, broken
     /// down by tier: sample-major with stride `tier_count` (the sample
     /// schedule is fleet-global, so chunk k is the per-tier counts at
     /// `k · sample_every` for every shard).
     shifted_counts: Vec<u64>,
+    /// |offset| of every concluded round, [`FINE_BINS_PER_DECADE`].
     histogram: OffsetHistogram,
-    quantiles: [P2Quantile; 3],
     events: u64,
 }
 
@@ -462,19 +462,12 @@ impl Shard {
             assoc_sources: Vec::new(),
             secure: Vec::new(),
             traces: Vec::new(),
-            wheel: TimerWheel::new(0, TICK_NS),
             scratch: SelectScratch::new(),
             offsets_buf: Vec::new(),
             plain_samples: Vec::new(),
-            due: Vec::new(),
-            expired: Vec::new(),
-            carry: Vec::new(),
-            now_ns: 0,
-            boundary_ns: 0,
             next_sample_ns: 0,
             shifted_counts: Vec::new(),
-            histogram: OffsetHistogram::log_scale(HISTOGRAM_BINS_PER_DECADE),
-            quantiles: TRACKED_QUANTILES.map(P2Quantile::new),
+            histogram: OffsetHistogram::log_scale(FINE_BINS_PER_DECADE),
             events: 0,
         }
     }
@@ -517,22 +510,10 @@ impl Shard {
         } else {
             self.traces = Vec::new();
         }
-        if self.wheel.capacity() != len {
-            self.wheel.resize(len);
-        }
         // -- rewind the machinery --
-        self.wheel.reset();
-        self.due.clear();
-        self.expired.clear();
-        self.carry.clear();
-        self.now_ns = 0;
-        self.boundary_ns = 0;
         self.next_sample_ns = 0;
         self.shifted_counts.clear();
         self.histogram.reset();
-        for q in &mut self.quantiles {
-            q.reset();
-        }
         self.events = 0;
         // -- reseed every client --
         for i in 0..len {
@@ -558,12 +539,17 @@ impl Shard {
     }
 
     /// Runs the shard up to and including every event with a deadline at
-    /// or before `target` ns.
+    /// or before `target` ns: each client in index order, straight
+    /// through its events. Before an event at deadline d the client is
+    /// counted into every sample instant s ≤ d of the slice it has not yet
+    /// been counted into, and after its last event into the remaining
+    /// instants ≤ `target`, so instant s sees its clock after exactly its
+    /// own events with a deadline before s (see the module docs).
     ///
     /// `obs` is a pure wall-clock side channel: when attached it records
-    /// the shard's slice wall time and wheel/batch activity into `obs`
-    /// atomics, and nothing in this method reads it back — simulation
-    /// state is byte-identical with and without it.
+    /// the shard's slice wall time and event count into `obs` atomics,
+    /// and nothing in this method reads it back — simulation state is
+    /// byte-identical with and without it.
     fn run_until(
         &mut self,
         target: u64,
@@ -574,114 +560,94 @@ impl Shard {
     ) {
         let slice_start = obs.map(|_| std::time::Instant::now());
         let events_before = self.events;
-        let mut advances = 0u64;
-        let mut ticks_skipped = 0u64;
-        let mut batches = 0u64;
-        self.boundary_ns = target;
-        // Carried events (popped past an earlier boundary) may be due now.
-        if !self.carry.is_empty() {
-            let carry = std::mem::take(&mut self.carry);
-            for id in carry {
-                if self.deadline_ns[id as usize] <= target {
-                    self.due.push(id);
-                } else {
-                    self.carry.push(id);
+        // The slice's sample instants, first + k·every for k < samples,
+        // each one a chunk of per-tier counts appended to the column.
+        let every = config.sample_every.as_nanos();
+        let first = self.next_sample_ns;
+        let samples = if first <= target {
+            (target - first) / every + 1
+        } else {
+            0
+        };
+        let base = self.shifted_counts.len();
+        self.shifted_counts
+            .resize(base + samples as usize * tiers.len(), 0);
+        let chunk = |k: u64| base + k as usize * tiers.len();
+        let bound = config.safety_bound.as_nanos() as i64;
+        let mut i = 0;
+        while i < self.deadline_ns.len() {
+            if samples == 0 {
+                // Nothing to count: go straight to the next client with an
+                // event by `target`, so one with none costs a load and a
+                // compare.
+                match self.deadline_ns[i..].iter().position(|&d| d <= target) {
+                    Some(skip) => i += skip,
+                    None => break,
                 }
             }
-        }
-        batches += u64::from(!self.due.is_empty());
-        self.process_due(config, tiers, dns);
-        let limit_tick = self.wheel.tick_of(target);
-        while self.wheel.now_ns() < target && (self.wheel.armed() > 0 || !self.due.is_empty()) {
-            // Jump over the empty stretch to the next tick that can expire
-            // or cascade anything — per-shard wheels would otherwise walk
-            // the full horizon tick by tick, once per shard.
-            let tick_before = self.wheel.now_tick();
-            self.wheel.fast_forward(limit_tick);
-            ticks_skipped += self.wheel.now_tick() - tick_before;
-            self.wheel.advance(&mut self.expired);
-            advances += 1;
-            while let Some(id) = self.expired.pop() {
-                if self.deadline_ns[id as usize] <= target {
-                    self.due.push(id);
-                } else {
-                    self.carry.push(id);
+            let mut counted = 0;
+            while self.deadline_ns[i] <= target {
+                let at_ns = self.deadline_ns[i];
+                while counted < samples && first + counted * every <= at_ns {
+                    self.count_shifted(i, first + counted * every, bound, chunk(counted));
+                    counted += 1;
                 }
+                self.events += 1;
+                self.step(i, at_ns, config, tiers, dns);
             }
-            batches += u64::from(!self.due.is_empty());
-            self.process_due(config, tiers, dns);
+            for k in counted..samples {
+                self.count_shifted(i, first + k * every, bound, chunk(k));
+            }
+            i += 1;
         }
-        self.emit_samples_until(target, config, tiers.len());
-        self.now_ns = target;
+        self.next_sample_ns = first + samples * every;
         if let (Some(m), Some(start)) = (obs, slice_start) {
             m.shard_slice.record(start.elapsed());
             m.events.add(self.events - events_before);
-            m.wheel_advances.add(advances);
-            m.wheel_ticks_skipped.add(ticks_skipped);
-            m.round_batches.add(batches);
         }
     }
 
-    fn process_due(&mut self, config: &FleetConfig, tiers: &[TierParams], dns: DnsView<'_>) {
-        if self.due.is_empty() {
-            return;
-        }
-        // Batches come off the wheel tick-grained; the engine's semantics
-        // are (deadline, client)-ordered. Appended same-instant follow-ups
-        // run at batch end (see the module docs on P² observation order).
-        self.due
-            .sort_unstable_by_key(|&id| (self.deadline_ns[id as usize], id));
-        // Handlers may append same-instant follow-ups (a completed pool
-        // schedules its first poll at the same nanosecond); the index loop
-        // picks them up within this drain.
-        let mut i = 0;
-        while i < self.due.len() {
-            let id = self.due[i] as usize;
-            i += 1;
-            let at_ns = self.deadline_ns[id];
-            self.emit_samples_until(at_ns, config, tiers.len());
-            self.events += 1;
-            let tier = &tiers[self.tier[id] as usize];
-            // A client's one pending event is a pool round exactly while
-            // it is generating its pool, a poll afterwards — the phase
-            // column *is* the event kind; the tier column picks the
-            // decision machinery.
-            match (tier.kind, self.phase[id]) {
-                (ClientKind::Chronos, Phase::PoolGeneration) => {
-                    self.pool_round(id, at_ns, config, tier, dns)
-                }
-                (ClientKind::Chronos, _) => self.poll_round(id, at_ns, config, tier),
-                (ClientKind::PlainNtp, Phase::PoolGeneration) => {
-                    self.plain_pool_round(id, at_ns, config, tier, dns)
-                }
-                (ClientKind::PlainNtp, _) => self.plain_poll_round(id, at_ns, config, tier),
-                // NTS: PoolGeneration marks a pending NTS-KE association
-                // (boot or re-key) — the one DNS-dependent step; polls
-                // are Chronos-shaped over the authenticated association.
-                (ClientKind::Nts, Phase::PoolGeneration) => {
-                    self.nts_associate_round(id, at_ns, config, tier, dns)
-                }
-                (ClientKind::Nts, _) => self.poll_round(id, at_ns, config, tier),
-                (ClientKind::Roughtime, Phase::PoolGeneration) => {
-                    self.roughtime_boot_round(id, at_ns, config, tier, dns)
-                }
-                (ClientKind::Roughtime, _) => self.roughtime_poll_round(id, at_ns, config, tier),
+    /// Runs client `i`'s pending event at `at_ns`. A client's one pending
+    /// event is a pool round exactly while it is generating its pool, a
+    /// poll afterwards — the phase column *is* the event kind; the tier
+    /// column picks the decision machinery.
+    fn step(
+        &mut self,
+        i: usize,
+        at_ns: u64,
+        config: &FleetConfig,
+        tiers: &[TierParams],
+        dns: DnsView<'_>,
+    ) {
+        let tier = &tiers[self.tier[i] as usize];
+        match (tier.kind, self.phase[i]) {
+            (ClientKind::Chronos, Phase::PoolGeneration) => {
+                self.pool_round(i, at_ns, config, tier, dns)
             }
+            (ClientKind::Chronos, _) => self.poll_round(i, at_ns, config, tier),
+            (ClientKind::PlainNtp, Phase::PoolGeneration) => {
+                self.plain_pool_round(i, at_ns, config, tier, dns)
+            }
+            (ClientKind::PlainNtp, _) => self.plain_poll_round(i, at_ns, config, tier),
+            // NTS: PoolGeneration marks a pending NTS-KE association (boot
+            // or re-key) — the one DNS-dependent step; polls are
+            // Chronos-shaped over the authenticated association.
+            (ClientKind::Nts, Phase::PoolGeneration) => {
+                self.nts_associate_round(i, at_ns, config, tier, dns)
+            }
+            (ClientKind::Nts, _) => self.poll_round(i, at_ns, config, tier),
+            (ClientKind::Roughtime, Phase::PoolGeneration) => {
+                self.roughtime_boot_round(i, at_ns, config, tier, dns)
+            }
+            (ClientKind::Roughtime, _) => self.roughtime_poll_round(i, at_ns, config, tier),
         }
-        self.due.clear();
     }
 
+    /// Sets client `i`'s one pending event. A deadline at the current
+    /// event's instant (a completed pool's zero-delay first poll) runs
+    /// next, in the same slice.
     fn schedule(&mut self, i: usize, at_ns: u64) {
         self.deadline_ns[i] = at_ns;
-        if !self.wheel.schedule(i as u32, at_ns) {
-            // The wheel clock already passed this tick: run it within the
-            // current window, or carry it into the next one.
-            if at_ns <= self.boundary_ns {
-                self.due.push(i as u32);
-            } else {
-                self.carry.push(i as u32);
-            }
-        }
     }
 
     /// The DNS answer resolver `r` serves at `at_ns` (`round` is the
@@ -1127,13 +1093,13 @@ impl Shard {
     /// One Chronos-shaped poll round: `sample_size` picks from the pool
     /// ([`Draw::Subsample`]). NTS clients share this lane — their
     /// association pool feeds the same sampling and decision machinery —
-    /// with two twists: an expired association yields no samples (keys
+    /// with two twists: a lapsed association yields no samples (keys
     /// outlived their lifetime and every re-key since failed), and the
     /// next deadline is the earlier of the next poll and the next
     /// scheduled re-key ([`Shard::schedule_poll`]).
     fn poll_round(&mut self, i: usize, at_ns: u64, config: &FleetConfig, tier: &TierParams) {
-        let expired = tier.kind == ClientKind::Nts && self.assoc_expiry_ns[i] <= at_ns;
-        let servers = if expired {
+        let lapsed = tier.kind == ClientKind::Nts && self.assoc_expiry_ns[i] <= at_ns;
+        let servers = if lapsed {
             0
         } else {
             self.benign_count(i, config, tier) + self.malicious[i] as usize
@@ -1388,38 +1354,25 @@ impl Shard {
         if config.record_trajectories {
             self.traces[i].push((now, off));
         }
-        let abs = off.unsigned_abs();
-        self.histogram.record(abs);
-        for q in &mut self.quantiles {
-            q.observe(abs as f64);
-        }
+        self.histogram.record(off.unsigned_abs());
     }
 
     // --- sampling ---
 
-    /// Appends one per-tier chunk of shifted-client counts to the
-    /// sample-major `shifted_counts` column for every sample instant up to
-    /// `up_to_ns` inside the current run window.
-    fn emit_samples_until(&mut self, up_to_ns: u64, config: &FleetConfig, tier_count: usize) {
-        while self.next_sample_ns <= up_to_ns && self.next_sample_ns <= self.boundary_ns {
-            let at = SimTime::from_nanos(self.next_sample_ns);
-            let mut counts = std::mem::take(&mut self.shifted_counts);
-            let base = counts.len();
-            counts.resize(base + tier_count, 0);
-            self.shifted_count_by_tier(at, config, &mut counts[base..]);
-            self.shifted_counts = counts;
-            self.next_sample_ns += config.sample_every.as_nanos();
+    /// Counts client `i` into the per-tier sample chunk that starts at
+    /// `chunk` of `shifted_counts` when it is shifted at `at_ns`.
+    fn count_shifted(&mut self, i: usize, at_ns: u64, bound: i64, chunk: usize) {
+        if is_shifted(&self.clocks[i], SimTime::from_nanos(at_ns), bound) {
+            self.shifted_counts[chunk + self.tier[i] as usize] += 1;
         }
     }
 
-    /// Per-tier counts of the shard's clients whose |clock error| exceeds
-    /// the safety bound at `now` (accumulated into `out`, which must hold
-    /// one slot per tier) — the one safety-bound count behind the shifted
-    /// series, the final fractions and [`Fleet::shifted_fraction`].
+    /// Per-tier counts of the shard's clients shifted at `now`
+    /// (accumulated into `out`, which must hold one slot per tier).
     fn shifted_count_by_tier(&self, now: SimTime, config: &FleetConfig, out: &mut [u64]) {
         let bound = config.safety_bound.as_nanos() as i64;
         for (i, clock) in self.clocks.iter().enumerate() {
-            if clock.offset_from_true(now).abs() > bound {
+            if is_shifted(clock, now, bound) {
                 out[self.tier[i] as usize] += 1;
             }
         }
@@ -1428,11 +1381,9 @@ impl Shard {
     // --- checkpoint codec (see crate::checkpoint for the format) ---
 
     /// Serializes the shard's complete state. The scratch buffers
-    /// (`scratch`, `offsets_buf`, `plain_samples`, `expired`) are
-    /// per-event temporaries and carry nothing across events; `carry`
-    /// membership is re-derivable from the deadlines and the wheel clock,
-    /// so only `due` (the one pending list whose membership is not) is
-    /// written explicitly.
+    /// (`scratch`, `offsets_buf`, `plain_samples`) are per-event
+    /// temporaries and hold nothing across events, and each client's
+    /// pending event is its `deadline_ns` entry.
     fn encode(&self, w: &mut Writer) {
         w.u64(self.first_global);
         w.len(self.clocks.len());
@@ -1493,19 +1444,7 @@ impl Shard {
                 w.i64(off);
             }
         }
-        // Pending-event bookkeeping. `due` is sorted before writing: its
-        // order is semantically irrelevant (process_due re-sorts every
-        // batch), and a canonical order keeps equal states byte-equal.
-        let mut due = self.due.clone();
-        due.sort_unstable();
-        w.len(due.len());
-        for id in due {
-            w.u32(id);
-        }
-        w.u64(self.now_ns);
-        w.u64(self.boundary_ns);
         w.u64(self.next_sample_ns);
-        w.u64(self.wheel.now_tick());
         w.len(self.shifted_counts.len());
         for &c in &self.shifted_counts {
             w.u64(c);
@@ -1516,28 +1455,12 @@ impl Shard {
             w.u64(c);
         }
         w.u64(total);
-        for q in &self.quantiles {
-            let (p, qh, n, np, dn, count) = q.to_raw_parts();
-            w.f64(p);
-            for arr in [qh, n, np, dn] {
-                for v in arr {
-                    w.f64(v);
-                }
-            }
-            w.u64(count);
-        }
         w.u64(self.events);
     }
 
     /// Restores the shard from [`Shard::encode`] output. The shard must
     /// already be [`Shard::rebuild`]-sized for the same config (columns
-    /// allocated, `first_global` set); the timer wheel is reconstructed by
-    /// jumping its clock to the snapshot tick and re-filing every pending
-    /// deadline — clients whose deadline tick the wheel clock already
-    /// passed fall back into `carry`, exactly the partition the running
-    /// shard held (slot-list order inside the wheel may differ, which is
-    /// invisible: batches are re-sorted by `(deadline, client)` on
-    /// expiry).
+    /// allocated, `first_global` set).
     ///
     /// Anyone can recompute the checksum of a crafted blob, so the columns
     /// that index or size the engine's work are checked against what this
@@ -1628,38 +1551,7 @@ impl Shard {
                 self.traces[t].push((at, r.i64()?));
             }
         }
-        let due_count = r.count(4)?;
-        let mut due = Vec::with_capacity(due_count);
-        for _ in 0..due_count {
-            let id = r.u32()?;
-            if id as usize >= len {
-                return Err(CheckpointError::Corrupt("due id out of range"));
-            }
-            due.push(id);
-        }
-        due.sort_unstable();
-        self.now_ns = r.u64()?;
-        self.boundary_ns = r.u64()?;
         self.next_sample_ns = r.u64()?;
-        let wheel_tick = r.u64()?;
-        // Rebuild the wheel: reset, jump to the snapshot tick, re-file
-        // every pending deadline. A client in `due` is about to run and
-        // is not re-armed; a refused schedule (deadline tick at or before
-        // the wheel clock) is a carried event by definition.
-        self.wheel.reset();
-        self.wheel.jump_to_tick(wheel_tick);
-        self.due.clear();
-        self.expired.clear();
-        self.carry.clear();
-        for i in 0..len {
-            if due.binary_search(&(i as u32)).is_ok() {
-                continue;
-            }
-            if !self.wheel.schedule(i as u32, self.deadline_ns[i]) {
-                self.carry.push(i as u32);
-            }
-        }
-        self.due = due;
         let sc = r.count(8)?;
         self.shifted_counts.clear();
         self.shifted_counts.reserve(sc);
@@ -1677,23 +1569,16 @@ impl Shard {
             return Err(CheckpointError::Corrupt("histogram bin count mismatch"));
         }
         self.histogram.restore_counts(counts, total);
-        for q in &mut self.quantiles {
-            let p = r.f64()?;
-            let mut arrays = [[0.0f64; 5]; 4];
-            for arr in &mut arrays {
-                for v in arr.iter_mut() {
-                    *v = r.f64()?;
-                }
-            }
-            let count = r.u64()?;
-            if p != q.p() {
-                return Err(CheckpointError::Corrupt("quantile p mismatch"));
-            }
-            *q = P2Quantile::from_raw_parts((p, arrays[0], arrays[1], arrays[2], arrays[3], count));
-        }
         self.events = r.u64()?;
         Ok(())
     }
+}
+
+/// Whether a clock's |error| exceeds the safety `bound` at `now`: the one
+/// safety-bound test behind the shifted series, the final fractions and
+/// [`Fleet::shifted_fraction`].
+fn is_shifted(clock: &LocalClock, now: SimTime, bound: i64) -> bool {
+    clock.offset_from_true(now).abs() > bound
 }
 
 fn pack_update(last_update: Option<SimTime>) -> u64 {
@@ -1910,6 +1795,9 @@ impl Fleet {
         self.now_ns = 0;
         self.last_slice = None;
         let prepass_start = self.metrics.as_ref().map(|_| std::time::Instant::now());
+        // Free the old timelines first, so a reset does not hold them
+        // beside the pre-pass's query schedules.
+        drop(std::mem::take(&mut self.timelines));
         self.timelines = if self.config.shared_cache {
             // The deterministic cache pre-pass: every pool-query time is
             // static, so each resolver's whole answer timeline resolves
@@ -2048,10 +1936,10 @@ impl Fleet {
     }
 
     /// Bytes of per-client column state — the struct-of-arrays entries
-    /// across the shard slabs plus the timer wheel's intrusive per-timer
-    /// columns. Excludes opt-in trajectory capture and the fixed per-shard
-    /// machinery (wheel slot arrays, scratch buffers), which amortize to
-    /// under 2 bytes/client at the default shard size.
+    /// across the shard slabs. Excludes opt-in trajectory capture and the
+    /// fixed per-shard machinery (the 577-bin offset histogram, scratch
+    /// buffers), which amortizes to under 3 bytes/client at the default
+    /// shard size.
     pub const fn per_client_footprint_bytes() -> usize {
         std::mem::size_of::<LocalClock>()               // clocks
             + std::mem::size_of::<Phase>()              // phase (also the event kind)
@@ -2068,8 +1956,7 @@ impl Fleet {
             + std::mem::size_of::<u64>()                // deadline_ns
             + std::mem::size_of::<u64>()                // assoc_expiry_ns
             + std::mem::size_of::<u32>()                // assoc_sources
-            + std::mem::size_of::<CompactSecure>()      // secure counters
-            + TimerWheel::PER_TIMER_BYTES // wheel next + deadline_tick
+            + std::mem::size_of::<CompactSecure>() // secure counters
     }
 
     fn locate(&self, i: usize) -> (&Shard, usize) {
@@ -2169,9 +2056,7 @@ impl Fleet {
     }
 
     /// Builds the aggregate report at the current time by merging shard
-    /// aggregates in shard order (fixed order keeps the P² merge — the
-    /// one float-sensitive combine — bit-reproducible; everything else is
-    /// integer arithmetic and merge-order-free).
+    /// aggregates: integer additions, so the merge order does not matter.
     pub fn report(&self) -> FleetReport {
         let merge_start = self.metrics.as_ref().map(|_| std::time::Instant::now());
         let now = self.now();
@@ -2183,8 +2068,7 @@ impl Fleet {
         let mut tier_secure = vec![SecureCounters::default(); t_count];
         let mut tier_synced = vec![0u64; t_count];
         let mut tier_final_shifted = vec![0u64; t_count];
-        let mut histogram = OffsetHistogram::log_scale(HISTOGRAM_BINS_PER_DECADE);
-        let mut quantiles = TRACKED_QUANTILES.map(P2Quantile::new);
+        let mut histogram = OffsetHistogram::log_scale(FINE_BINS_PER_DECADE);
         // Sample-major per-tier counts, stride `t_count`.
         let mut shifted_counts: Vec<u64> = Vec::new();
         for shard in &self.shards {
@@ -2203,9 +2087,6 @@ impl Fleet {
             }
             shard.shifted_count_by_tier(now, &self.config, &mut tier_final_shifted);
             histogram.merge_from(&shard.histogram);
-            for (q, sq) in quantiles.iter_mut().zip(&shard.quantiles) {
-                q.merge_from(sq);
-            }
             debug_assert!(
                 shifted_counts.is_empty() || shifted_counts.len() == shard.shifted_counts.len(),
                 "shards share one sample schedule"
@@ -2274,8 +2155,11 @@ impl Fleet {
             poisoned_clients: tier_poisoned.iter().sum(),
             synced_clients: tier_synced.iter().sum(),
             totals,
-            quantiles: quantiles.iter().map(|q| (q.p(), q.estimate())).collect(),
-            histogram,
+            quantiles: TRACKED_QUANTILES
+                .iter()
+                .map(|&p| (p, histogram.quantile(p)))
+                .collect(),
+            histogram: histogram.coarsened(HISTOGRAM_BINS_PER_DECADE),
             events: self.events(),
             faults,
             secure,
@@ -2321,8 +2205,7 @@ impl Fleet {
     }
 
     /// Serializes the fleet's complete simulation state — configuration,
-    /// every client column, per-shard timer-wheel clocks, streaming
-    /// aggregates and sampling cursors — into the versioned binary format
+    /// every client column, streaming aggregates and sampling cursors — into the versioned binary format
     /// of [`crate::checkpoint`]. A fleet restored from this snapshot
     /// ([`Fleet::restore`]) continues **byte-identically** to one that
     /// never stopped, for every thread count (the checkpoint/resume
@@ -2378,8 +2261,8 @@ impl Fleet {
     /// Rebuilds a fleet from a [`Fleet::checkpoint`] snapshot. Structural
     /// state (tier parameters, resolver models, cache timelines) is
     /// re-derived from the embedded configuration through the same
-    /// `rebuild` path a fresh fleet uses; the client columns, wheel
-    /// clocks and aggregates are then overwritten with the snapshot.
+    /// `rebuild` path a fresh fleet uses; the client columns and
+    /// aggregates are then overwritten with the snapshot.
     ///
     /// # Errors
     ///
@@ -2666,7 +2549,7 @@ mod tests {
         assert_eq!(fleet.client_resolver(0), 0, "R = 1: everyone on resolver 0");
     }
 
-    /// A crafted `resume` blob can carry a valid checksum, so restore
+    /// A crafted `resume` blob can hold a valid checksum, so restore
     /// refuses the columns a fleet can never hold — a tier or resolver
     /// other than the one derived for the client, or more malicious
     /// servers than its lane can write — instead of panicking or
@@ -2737,11 +2620,11 @@ mod tests {
         );
         // Document the breakdown this asserts over: 40 B clock, 24 B
         // compact stats, 20 B compact fault counters, 8 B each for
-        // last_update/rng/benign-bitmap/deadline, 12 B wheel columns, 3 B
-        // tier + resolver (the cohort columns PR 5 added), small counters,
-        // and the E18 secure-tier columns: 8 B association expiry, 4 B
-        // source bitmasks, 12 B compact secure counters.
-        assert_eq!(footprint, 166, "update the breakdown when columns change");
+        // last_update/rng/benign-bitmap/deadline, 3 B tier + resolver
+        // (the cohort columns), small counters, and the E18 secure-tier
+        // columns: 8 B association expiry, 4 B source bitmasks, 12 B
+        // compact secure counters.
+        assert_eq!(footprint, 154, "update the breakdown when columns change");
         // Trajectory capture is lazy: no per-client Vec headers unless
         // opted in.
         let fleet = Fleet::new(small_config());
@@ -2758,9 +2641,8 @@ mod tests {
             .all(|s| s.traces.len() == s.clocks.len()));
     }
 
-    /// Sharding is an internal decomposition: per-client outcomes and the
-    /// counting aggregates must not depend on it (only the P² quantile
-    /// *estimates* may differ across layouts, by construction).
+    /// Sharding is an internal decomposition: neither per-client outcomes
+    /// nor any part of the report may depend on it.
     #[test]
     fn shard_layout_does_not_change_outcomes() {
         let mut config = small_config();
@@ -2777,11 +2659,7 @@ mod tests {
         let mut sharded = Fleet::new(config);
         let fine = sharded.run();
         assert_eq!(sharded.shard_count(), 7);
-        assert_eq!(coarse.shifted, fine.shifted, "series is layout-free");
-        assert_eq!(coarse.histogram, fine.histogram);
-        assert_eq!(coarse.totals, fine.totals);
-        assert_eq!(coarse.events, fine.events);
-        assert_eq!(coarse.tiers, fine.tiers, "breakdown is layout-free too");
+        assert_eq!(coarse, fine, "the whole report is layout-free");
         for i in 0..64 {
             assert_eq!(one_shard.trace(i), sharded.trace(i), "client {i}");
             assert_eq!(one_shard.client_pool(i), sharded.client_pool(i));
@@ -3015,7 +2893,7 @@ mod tests {
     }
 
     /// RFC 8767 serve-stale bridges a mid-window outage for Chronos
-    /// pools: expired benign entries are re-served as stale answers, so
+    /// pools: benign entries past their TTL are re-served as stale answers, so
     /// no round fails outright and the fleet stays synced.
     #[test]
     fn serve_stale_bridges_an_outage_for_chronos_pools() {
@@ -3095,8 +2973,8 @@ mod tests {
     }
 
     /// RFC 8767 serve-stale as a poison launderer: the attack's cache
-    /// entry expired long before the NTS re-key boundary, but an outage
-    /// at the boundary makes the resolver re-serve the *expired poisoned*
+    /// entry lapsed long before the NTS re-key boundary, but an outage
+    /// at the boundary makes the resolver re-serve the *lapsed poisoned*
     /// record (it is the latest cache write), so the re-key associates to
     /// the attacker after the poison window already closed — stale
     /// service extends the attacker's reach beyond the record's TTL.

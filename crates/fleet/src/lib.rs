@@ -26,20 +26,20 @@
 //!   construction.
 //! * **Sharded parallel stepping**: the columns are partitioned into
 //!   contiguous shards ([`FleetConfig::shard_size`] clients each), every
-//!   shard owning a private timer wheel, scratch buffers and streaming
-//!   aggregates. The only cross-client coupling — the shared resolver
-//!   cache — is resolved by a deterministic pre-pass
-//!   ([`resolver::ResolverTimeline`]; pool-query times are static), after
-//!   which shards step embarrassingly parallel on
-//!   [`FleetConfig::threads`] workers and merge in fixed shard order:
-//!   runs are **byte-identical for every thread count**.
+//!   shard owning its scratch buffers and streaming aggregates. The only
+//!   cross-client coupling — the shared resolver cache — is resolved by
+//!   a deterministic pre-pass ([`resolver::ResolverTimeline`]; pool-query
+//!   times are static), after which shards step embarrassingly parallel
+//!   on [`FleetConfig::threads`] workers and merge by integer addition:
+//!   runs are **byte-identical for every thread count and shard size**.
 //! * **The decision logic is the real one**: every round concludes through
 //!   [`chronos::core`] — the same borrowed-state stepping API the
 //!   packet-level [`chronos::client::ChronosClient`] delegates to — so the
 //!   fleet cannot drift from the reference client's accept/reject/panic
 //!   behaviour.
-//! * **A hierarchical timer wheel** ([`wheel::TimerWheel`]) schedules
-//!   millions of staggered poll deadlines in O(1) per operation, instead of
+//! * **No global event order**: a client's events touch only its own
+//!   columns, so each slice runs every client straight through its events
+//!   off one `deadline_ns` column, with no event queue at all, instead of
 //!   pushing every client through netsim's per-node event heap.
 //! * **Batched request/response rounds**: DNS pool generation consults a
 //!   shared resolver-cache model ([`resolver::ResolverModel`]) that mirrors
@@ -47,10 +47,10 @@
 //!   per response, a poisoned entry frozen for its high TTL); NTP sample
 //!   rounds draw server offsets directly from the benign/malicious pool
 //!   composition instead of exchanging packets.
-//! * **Streaming aggregates** ([`stats`]): fixed-bin offset histograms and
-//!   online (P²) quantiles, so a million-client run's memory stays bounded
-//!   by the fleet state itself — no per-client trajectories unless
-//!   explicitly requested.
+//! * **Streaming aggregates** ([`stats`]): fixed-bin offset histograms,
+//!   with the quantiles read off their bins, so a million-client run's
+//!   memory stays bounded by the fleet state itself — no per-client
+//!   trajectories unless explicitly requested.
 //!
 //! ## Deterministic fault injection (E17)
 //!
@@ -103,7 +103,7 @@ pub use config::{
 };
 pub use engine::{Fleet, FleetProgress, FleetReport, FleetThroughput, TierBreakdown};
 pub use metrics::{FleetMetrics, StageSummary};
-pub use stats::{FaultCounters, OffsetHistogram, P2Quantile, SecureCounters};
+pub use stats::{FaultCounters, OffsetHistogram, SecureCounters};
 
 /// Convenient glob-import of the commonly used types.
 pub mod prelude {
@@ -115,5 +115,5 @@ pub mod prelude {
     };
     pub use crate::engine::{Fleet, FleetProgress, FleetReport, FleetThroughput, TierBreakdown};
     pub use crate::metrics::{FleetMetrics, StageSummary};
-    pub use crate::stats::{FaultCounters, OffsetHistogram, P2Quantile, SecureCounters};
+    pub use crate::stats::{FaultCounters, OffsetHistogram, SecureCounters};
 }

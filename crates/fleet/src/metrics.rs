@@ -57,14 +57,6 @@ pub struct FleetMetrics {
     pub checkpoint_bytes: Arc<Counter>,
     /// Client events stepped (`fleet_events_total`).
     pub events: Arc<Counter>,
-    /// Non-empty due-batch drains (`fleet_round_batches_total`): each is
-    /// one sorted batch of same-window NTP rounds/polls.
-    pub round_batches: Arc<Counter>,
-    /// Timer-wheel `advance` calls (`fleet_wheel_advances_total`).
-    pub wheel_advances: Arc<Counter>,
-    /// Ticks jumped over by wheel fast-forward
-    /// (`fleet_wheel_ticks_skipped_total`).
-    pub wheel_ticks_skipped: Arc<Counter>,
 }
 
 /// One row of [`FleetMetrics::stage_summaries`]: how often a stage ran
@@ -106,18 +98,6 @@ impl FleetMetrics {
                 "Total checkpoint bytes encoded.",
             ),
             events: counter("fleet_events_total", "Client events stepped."),
-            round_batches: counter(
-                "fleet_round_batches_total",
-                "Non-empty due-batch drains (sorted NTP round batches).",
-            ),
-            wheel_advances: counter(
-                "fleet_wheel_advances_total",
-                "Timer-wheel advance calls across all shards.",
-            ),
-            wheel_ticks_skipped: counter(
-                "fleet_wheel_ticks_skipped_total",
-                "Empty ticks jumped over by wheel fast-forward.",
-            ),
         }
     }
 

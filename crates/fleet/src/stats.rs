@@ -1,17 +1,21 @@
-//! Streaming aggregates: fixed-bin histograms and online quantiles.
+//! Streaming aggregates: fixed-bin histograms and the quantiles read off
+//! them.
 //!
 //! A million-client fleet cannot afford per-client trajectories (that is
-//! the whole point of the aggregate outputs): everything here is O(bins)
-//! or O(markers) memory regardless of how many observations stream
-//! through, which keeps a fleet run's peak RSS bounded by the state
-//! columns alone.
+//! the whole point of the aggregate outputs): a histogram is O(bins)
+//! memory regardless of how many observations stream through, which
+//! keeps a fleet run's peak RSS bounded by the state columns alone.
 //!
-//! Both aggregates are **mergeable** (`merge_from`), which is what lets
-//! the sharded fleet engine keep one private instance per shard and
-//! combine them after parallel stepping: histograms merge exactly
-//! (integer bin adds, any order), P² estimators merge deterministically
-//! (count-weighted markers) and are folded in fixed shard order so the
-//! merged estimate reproduces bit for bit across thread counts.
+//! Histograms are **mergeable** (`merge_from`) by integer bin addition,
+//! exactly and in any order, which is what lets the sharded fleet engine
+//! keep one private instance per shard and combine them after parallel
+//! stepping. The fleet's quantiles come from the merged bins
+//! ([`OffsetHistogram::quantile`]), so they too are independent of how
+//! the fleet is sharded.
+//!
+//! [`P2Quantile`] is an online estimator the engine no longer uses; it
+//! stays only for the repository benchmark's `stats.p2_observe_ns`
+//! kernel.
 
 use serde::{Deserialize, Serialize};
 
@@ -189,6 +193,53 @@ impl OffsetHistogram {
         self.total = total;
     }
 
+    /// The upper edge of the bin holding the nearest-rank ⌈p·n⌉-th
+    /// smallest of the n observations: an upper bound on the exact
+    /// p-quantile, at most one bin width above it. With no observations
+    /// it is 0.0; a rank in the open-ended overflow bin reports the last
+    /// edge, a lower bound there.
+    pub fn quantile(&self, p: f64) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let rank = ((p * self.total as f64).ceil() as u64).clamp(1, self.total);
+        let mut seen = 0;
+        for (bin, &count) in self.counts.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                let last = self.edges_ns.len() - 1;
+                return self.edges_ns[bin.min(last)] as f64;
+            }
+        }
+        unreachable!("the bins hold all {} observations", self.total)
+    }
+
+    /// The same observations in the [`OffsetHistogram::log_scale`]
+    /// layout with `bins_per_decade` bins: each of its bins sums the bins
+    /// of this one that it spans.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every edge of the coarser layout is also an edge of
+    /// this one, e.g. 8 bins per decade from 64.
+    pub fn coarsened(&self, bins_per_decade: usize) -> OffsetHistogram {
+        let mut coarse = OffsetHistogram::log_scale(bins_per_decade);
+        assert!(
+            coarse
+                .edges_ns
+                .iter()
+                .all(|e| self.edges_ns.binary_search(e).is_ok()),
+            "the coarser layout's edges must be edges of this one"
+        );
+        // A bin lands where its lower edge does.
+        for (bin, &count) in self.counts.iter().enumerate() {
+            let lower = if bin == 0 { 0 } else { self.edges_ns[bin - 1] };
+            coarse.counts[coarse.edges_ns.partition_point(|&e| e <= lower)] += count;
+        }
+        coarse.total = self.total;
+        coarse
+    }
+
     /// Iterates `(upper_edge_ns, count)` over non-empty bins; the overflow
     /// bin reports `u64::MAX` as its edge.
     pub fn nonzero_bins(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
@@ -203,6 +254,12 @@ impl OffsetHistogram {
 /// Online quantile estimation by the P² algorithm (Jain & Chlamtac 1985):
 /// five markers track one quantile of an unbounded stream in O(1) memory
 /// and O(1) per observation, without storing samples.
+///
+/// The fleet engine no longer uses it: its estimates depend on the order
+/// of the stream, so they could not be independent of the shard layout,
+/// and the engine reads quantiles off its histogram instead. It stays
+/// only because the repository benchmark's `stats.p2_observe_ns` kernel
+/// imports it; the benchmark change that retires that kernel deletes it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct P2Quantile {
     p: f64,
@@ -377,27 +434,6 @@ impl P2Quantile {
         self.n[3] = self.np[3].round().clamp(self.n[2] + 1.0, n - 1.0);
     }
 
-    /// Dumps the full estimator state for checkpoint serialization:
-    /// `(p, q, n, np, dn, count)`. Bit-exact round-trip through
-    /// [`P2Quantile::from_raw_parts`].
-    pub(crate) fn to_raw_parts(&self) -> (f64, [f64; 5], [f64; 5], [f64; 5], [f64; 5], u64) {
-        (self.p, self.q, self.n, self.np, self.dn, self.count)
-    }
-
-    /// Rebuilds an estimator from [`P2Quantile::to_raw_parts`] output.
-    pub(crate) fn from_raw_parts(
-        (p, q, n, np, dn, count): (f64, [f64; 5], [f64; 5], [f64; 5], [f64; 5], u64),
-    ) -> Self {
-        P2Quantile {
-            p,
-            q,
-            n,
-            np,
-            dn,
-            count,
-        }
-    }
-
     fn parabolic(&self, i: usize, d: f64) -> f64 {
         let (qm, q, qp) = (self.q[i - 1], self.q[i], self.q[i + 1]);
         let (nm, n, np) = (self.n[i - 1], self.n[i], self.n[i + 1]);
@@ -557,6 +593,50 @@ mod tests {
         ]);
         assert_eq!(left, union, "merge equals the union stream");
         assert_eq!(left.total(), 8);
+    }
+
+    #[test]
+    fn coarsened_fine_bins_equal_recording_coarse() {
+        // Values on, just below and just above every 8-per-decade edge,
+        // plus both open-ended bins.
+        let mut values = vec![0, 1, u64::MAX];
+        for e in obs::metrics::log_edges_ns(8) {
+            values.extend([e - 1, e, e + 1]);
+        }
+        let feed = |bins_per_decade| {
+            let mut h = OffsetHistogram::log_scale(bins_per_decade);
+            for &v in &values {
+                h.record(v);
+            }
+            h
+        };
+        assert_eq!(feed(64).coarsened(8), feed(8));
+        assert_eq!(feed(64).coarsened(64), feed(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "edges must be edges")]
+    fn coarsened_rejects_layouts_that_do_not_nest() {
+        OffsetHistogram::log_scale(64).coarsened(3);
+    }
+
+    #[test]
+    fn quantile_is_the_upper_edge_of_the_nearest_rank_bin() {
+        let mut h = OffsetHistogram::log_scale(64);
+        assert_eq!(h.quantile(0.5), 0.0, "no observations");
+        let edges = obs::metrics::log_edges_ns(64);
+        // Ranks 1..=10: one value below the first edge, eight on edge 300,
+        // one in the overflow bin.
+        h.record(10);
+        for _ in 0..8 {
+            h.record(edges[300]);
+        }
+        h.record(u64::MAX);
+        assert_eq!(h.quantile(0.1), edges[0] as f64, "rank 1: bin 0");
+        assert_eq!(h.quantile(0.11), edges[301] as f64, "rank 2");
+        assert_eq!(h.quantile(0.9), edges[301] as f64, "rank 9");
+        assert_eq!(h.quantile(0.99), 1e12, "rank 10: the last edge");
+        assert_eq!(*edges.last().unwrap(), 1_000_000_000_000);
     }
 
     #[test]

@@ -17,10 +17,13 @@
 //!   the matching upper slot *cascades* down, re-filing its timers by
 //!   their exact deadline tick.
 //!
-//! The wheel orders by **tick**; ties within a tick carry no order. The
-//! fleet engine stores exact nanosecond deadlines beside the wheel and
-//! sorts each expired batch by `(deadline, client)` so semantics never
-//! depend on list internals.
+//! The wheel orders by **tick**; ties within a tick carry no order.
+//!
+//! The fleet engine no longer uses it: no fleet output depends on the
+//! order in which clients run, so each client steps straight through its
+//! slice off its `deadline_ns` column. The wheel stays only because the
+//! repository benchmark's `wheel.op_ns` kernel imports it; the benchmark
+//! change that retires that kernel deletes this module.
 
 /// Slot-index bits per level.
 const SLOT_BITS: u32 = 6;

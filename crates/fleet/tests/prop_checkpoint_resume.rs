@@ -2,13 +2,13 @@
 //! snapshotted at an arbitrary `run_until` boundary and restored from the
 //! serialized bytes ([`Fleet::checkpoint`] / [`Fleet::restore`]) finishes
 //! the run **byte-identically** to one that never stopped — the whole
-//! report (shifted series, histogram bins, P² quantile estimates, totals,
-//! fault counters, per-tier breakdowns) and every per-client end state
+//! report (shifted series, histogram bins, quantiles, totals, fault
+//! counters, per-tier breakdowns) and every per-client end state
 //! (trajectory, pool composition, counters, phase, final offset) — across
 //! thread counts {1, 4} and shard sizes. The restore path re-derives
 //! structural state (tier params, resolver timelines) from the embedded
-//! config and rebuilds the timer wheels by re-filing every pending
-//! deadline, so these tests are what make that reconstruction trustworthy.
+//! config and overwrites the columns, sampling cursors and histogram bins,
+//! so these tests are what make that reconstruction trustworthy.
 
 use fleet::cohort::CohortTier;
 use fleet::config::{FaultPlan, FleetAttack, FleetConfig, TierFaults};

@@ -2,7 +2,7 @@
 //! `Fleet::run` is **byte-identical** for every thread count. Shards are
 //! fixed by `shard_size` (never by `threads`), the shared-cache coupling
 //! is resolved by the deterministic resolver pre-pass, and per-shard
-//! aggregates merge in fixed shard order — so stepping shards serially
+//! aggregates merge by integer addition — so stepping shards serially
 //! (`threads = 1`, the sequential engine) and stepping them concurrently
 //! on any worker count must produce the same report (shifted series,
 //! histogram bins, quantiles, totals) and the same per-client end states

@@ -3,12 +3,13 @@
 //! The packet-level examples show one Chronos victim losing its pool to a
 //! poisoned resolver cache. This example runs the same story for a whole
 //! client *population* behind that resolver: 50 000 lightweight Chronos
-//! clients (struct-of-arrays fleet engine, timer-wheel scheduling, the
-//! real `chronos::core` decision machinery) boot staggered, gather their
-//! pools through one shared cache, and the attacker's single poisoning
-//! lands on every one of them. The fleet steps its shards on every
-//! available core (`FleetConfig::threads`, plumbed through `run_e14`) —
-//! byte-identical to a single-threaded run, just faster.
+//! clients (struct-of-arrays fleet engine, each client stepped straight
+//! through a slice, the real `chronos::core` decision machinery) boot
+//! staggered, gather their pools through one shared cache, and the
+//! attacker's single poisoning lands on every one of them. The fleet
+//! steps its shards on every available core (`FleetConfig::threads`,
+//! plumbed through `run_e14`) — byte-identical to a single-threaded run,
+//! just faster.
 //!
 //! Output: the E14 table (per-variant population outcome), the
 //! fraction-of-fleet-shifted-vs-time figure, the offset histogram of
