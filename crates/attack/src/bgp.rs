@@ -148,7 +148,7 @@ impl Node for BgpHijackAttacker {
             DNS_PORT,
             pkt.src,
             datagram.src_port,
-            response.encode(),
+            &response.encode(),
             None,
         );
     }

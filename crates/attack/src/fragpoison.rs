@@ -303,7 +303,7 @@ impl FragPoisoner {
             33_333,
             self.config.nameserver,
             DNS_PORT,
-            query.encode(),
+            &query.encode(),
         );
     }
 
@@ -451,7 +451,7 @@ mod tests {
 
         let server = Ipv4Addr::new(203, 0, 113, 1);
         let resolver = Ipv4Addr::new(198, 51, 100, 53);
-        let dgram = UdpDatagram::decode(server, resolver, &spliced, true)
+        let dgram = UdpDatagram::decode(server, resolver, &Bytes::from(spliced), true)
             .expect("checksum must still verify");
         let poisoned = Message::decode(&dgram.payload).unwrap();
         // Answer section untouched (it lives in the authentic head).
@@ -524,6 +524,6 @@ mod tests {
         spliced.extend_from_slice(&tail.payload);
         let server = Ipv4Addr::new(203, 0, 113, 1);
         let resolver = Ipv4Addr::new(198, 51, 100, 53);
-        assert!(UdpDatagram::decode(server, resolver, &spliced, true).is_ok());
+        assert!(UdpDatagram::decode(server, resolver, &Bytes::from(spliced), true).is_ok());
     }
 }

@@ -120,7 +120,7 @@ impl BlindSpoofAttacker {
             4444,
             self.config.resolver,
             DNS_PORT,
-            trigger.encode(),
+            &trigger.encode(),
         );
         // 2. Race: flood forged responses at guessed (txid, port) pairs.
         let query_template =
@@ -152,7 +152,7 @@ impl BlindSpoofAttacker {
                 DNS_PORT,
                 self.config.resolver,
                 port,
-                forged.encode(),
+                &forged.encode(),
                 None,
             );
             self.stats.forged_sent += 1;

@@ -15,7 +15,6 @@
 //! degrading the IP-ID prediction of the fragmentation attack (E9's sweep
 //! variable).
 
-use bytes::Bytes;
 use dnslab::client::StubResolver;
 use dnslab::name::Name;
 use dnslab::server::DNS_PORT;
@@ -134,7 +133,7 @@ pub fn send_mail(ctx: &mut Context<'_>, stack: &mut IpStack, smtp: Ipv4Addr, dom
         2525,
         smtp,
         SMTP_PORT,
-        Bytes::from(domain.to_string().into_bytes()),
+        domain.to_string().as_bytes(),
     );
 }
 
@@ -175,7 +174,7 @@ impl BackgroundQuerier {
         let query = Message::query(txid, Question::a(self.qname.clone())).with_edns(4096);
         let me = self.stack.addr();
         self.stack
-            .send_udp(ctx, me, 5355, self.target, DNS_PORT, query.encode());
+            .send_udp(ctx, me, 5355, self.target, DNS_PORT, &query.encode());
         self.sent += 1;
         let jitter = ctx.rng().gen_range(50..=150) as f64 / 100.0;
         ctx.set_timer(self.mean_interval.mul_f64(jitter), TAG_NOISE);
@@ -309,14 +308,8 @@ mod tests {
         impl Node for Garbage {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
                 let me = self.stack.addr();
-                self.stack.send_udp(
-                    ctx,
-                    me,
-                    2525,
-                    self.smtp,
-                    SMTP_PORT,
-                    Bytes::from_static(b"not a domain!!"),
-                );
+                self.stack
+                    .send_udp(ctx, me, 2525, self.smtp, SMTP_PORT, b"not a domain!!");
             }
             fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Ipv4Packet) {}
         }

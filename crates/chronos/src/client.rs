@@ -280,8 +280,8 @@ impl Node for ChronosClient {
         if self.phase == Phase::PoolGeneration {
             if let Some(resp) = self.stub.handle(src, &datagram) {
                 self.dns_outstanding = false;
-                if resp.message.rcode() == Rcode::NoError && !resp.message.answer_addrs().is_empty()
-                {
+                let has_addrs = resp.message.answers.iter().any(|r| r.as_a().is_some());
+                if resp.message.rcode() == Rcode::NoError && has_addrs {
                     self.pool_gen.record_response(ctx.now(), &resp.message);
                 } else {
                     self.stats.pool_failures += 1;

@@ -11,10 +11,10 @@
 //! pool composition per round.
 
 use crate::config::PoolGenConfig;
-use dnslab::wire::Message;
+use dnslab::wire::{Message, Record};
+use netsim::hash::MulHashSet;
 use netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// What one DNS round contributed to the pool.
@@ -43,7 +43,8 @@ pub struct PoolRound {
 pub struct PoolGenerator {
     config: PoolGenConfig,
     servers: Vec<Ipv4Addr>,
-    seen: BTreeSet<Ipv4Addr>,
+    /// `servers` as integers, for the per-response dedup.
+    seen: MulHashSet<u32>,
     rounds: Vec<PoolRound>,
 }
 
@@ -53,7 +54,7 @@ impl PoolGenerator {
         PoolGenerator {
             config,
             servers: Vec::new(),
-            seen: BTreeSet::new(),
+            seen: MulHashSet::default(),
             rounds: Vec::new(),
         }
     }
@@ -109,7 +110,6 @@ impl PoolGenerator {
     /// fresh answer.
     pub fn record_response(&mut self, at: SimTime, response: &Message) -> &PoolRound {
         let round = self.rounds.len() + 1;
-        let addrs = response.answer_addrs();
         let max_ttl = response.answers.iter().map(|r| r.ttl).max().unwrap_or(0);
 
         let mut rejected_high_ttl = false;
@@ -123,14 +123,11 @@ impl PoolGenerator {
             }
         }
         if !rejected_high_ttl {
-            let take = self
-                .config
-                .max_records_per_response
-                .unwrap_or(usize::MAX)
-                .min(addrs.len());
-            capped = addrs.len() - take;
-            for addr in addrs.into_iter().take(take) {
-                if self.seen.insert(addr) {
+            let limit = self.config.max_records_per_response.unwrap_or(usize::MAX);
+            for (i, addr) in response.answers.iter().filter_map(Record::as_a).enumerate() {
+                if i >= limit {
+                    capped += 1;
+                } else if self.seen.insert(u32::from(addr)) {
                     self.servers.push(addr);
                     added.push(addr);
                 } else {

@@ -499,6 +499,22 @@ fn a_stopped_unbuilt_job_survives_a_reboot_as_stopped() {
         )
     };
     submit(&mut client, "busy", &spec(20_000));
+    // Only once the worker has taken `busy` (the build parks it as
+    // `running`) is `waiting` sure to queue behind it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let status = client
+            .request("status", vec![("name".into(), Json::str("busy"))])
+            .expect("status");
+        if status.get("state").and_then(Json::as_str) != Some("queued") {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no worker took `busy`"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     submit(&mut client, "waiting", &spec(CLIENTS));
     client
         .request("stop", vec![("name".into(), Json::str("waiting"))])

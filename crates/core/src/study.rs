@@ -198,14 +198,7 @@ pub fn probe_nameserver_fragments(profile: NameserverProfile, seed: u64) -> bool
     .into_packet(netsim::world::ROUTER_ADDR, server_addr);
     h.with_ctx(|ctx| {
         stack.handle(ctx, icmp);
-        stack.send_udp(
-            ctx,
-            server_addr,
-            53,
-            victim_addr,
-            5300,
-            Bytes::from(vec![0u8; 700]),
-        );
+        stack.send_udp(ctx, server_addr, 53, victim_addr, 5300, &[0u8; 700]);
     });
     let sent = h.take_sent();
     sent.len() > 1 && sent.iter().any(|p| p.is_fragment())

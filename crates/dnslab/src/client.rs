@@ -7,12 +7,12 @@
 
 use crate::server::DNS_PORT;
 use crate::wire::{Message, Question};
+use netsim::hash::MulHashMap;
 use netsim::node::Context;
 use netsim::stack::IpStack;
 use netsim::time::SimTime;
 use netsim::udp::UdpDatagram;
 use rand::Rng;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Default local port stub queries are sent from.
@@ -43,7 +43,7 @@ struct PendingStub {
 pub struct StubResolver {
     resolver: Ipv4Addr,
     port: u16,
-    pending: HashMap<u16, PendingStub>,
+    pending: MulHashMap<u16, PendingStub>,
 }
 
 impl StubResolver {
@@ -52,7 +52,7 @@ impl StubResolver {
         StubResolver {
             resolver,
             port: STUB_PORT,
-            pending: HashMap::new(),
+            pending: MulHashMap::default(),
         }
     }
 
@@ -94,7 +94,7 @@ impl StubResolver {
         );
         let msg = Message::query(txid, question);
         let me = stack.addr();
-        stack.send_udp(ctx, me, self.port, self.resolver, DNS_PORT, msg.encode());
+        stack.send_udp(ctx, me, self.port, self.resolver, DNS_PORT, &msg.encode());
         txid
     }
 

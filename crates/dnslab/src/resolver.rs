@@ -293,7 +293,7 @@ impl RecursiveResolver {
         self.stats.upstream_queries += 1;
         let me = self.stack.addr();
         self.stack
-            .send_udp(ctx, me, sport, ns_addr, DNS_PORT, query.encode());
+            .send_udp(ctx, me, sport, ns_addr, DNS_PORT, &query.encode());
         ctx.set_timer(self.config.query_timeout, key);
     }
 
@@ -471,7 +471,7 @@ impl RecursiveResolver {
     fn respond(&mut self, ctx: &mut Context<'_>, dst: Ipv4Addr, dst_port: u16, resp: Message) {
         let me = self.stack.addr();
         self.stack
-            .send_udp(ctx, me, DNS_PORT, dst, dst_port, resp.encode());
+            .send_udp(ctx, me, DNS_PORT, dst, dst_port, &resp.encode());
     }
 }
 

@@ -223,7 +223,7 @@ impl Node for AuthServer {
                 DNS_PORT,
                 src,
                 datagram.src_port,
-                response.encode(),
+                &response.encode(),
             );
         }
     }
@@ -261,7 +261,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             let me = self.stack.addr();
             self.stack
-                .send_udp(ctx, me, 5301, self.server, DNS_PORT, self.query.encode());
+                .send_udp(ctx, me, 5301, self.server, DNS_PORT, &self.query.encode());
         }
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Ipv4Packet) {
             if let Some(StackEvent::Udp { datagram, .. }) = self.stack.handle(ctx, pkt) {

@@ -429,7 +429,10 @@ impl Message {
     }
 
     fn encode_impl(&self, mut track: Option<&mut Vec<RecordSpan>>) -> Bytes {
-        let mut out = Vec::with_capacity(128);
+        // Header and question fit in 128 bytes and a compressed A record
+        // takes 16, so an A-record answer of any size never regrows this.
+        let records = self.answers.len() + self.authorities.len() + self.additionals.len();
+        let mut out = Vec::with_capacity(128 + 16 * records);
         out.extend_from_slice(&self.id.to_be_bytes());
         let mut b2: u8 = 0;
         if self.flags.response {

@@ -398,11 +398,14 @@ impl ReassemblyCache {
         self.stats = ReassemblyStats::default();
     }
 
+    /// Evicts the queue with the earliest first arrival. Ties go to the
+    /// least `(src, dst, id, proto)`, so the victim never depends on the
+    /// map's iteration order.
     fn evict_oldest(&mut self) -> bool {
         let oldest = self
             .buffers
             .iter()
-            .min_by_key(|(_, buf)| buf.first_arrival)
+            .min_by_key(|(k, buf)| (buf.first_arrival, k.src, k.dst, k.id, k.proto.number()))
             .map(|(k, _)| *k);
         match oldest {
             Some(k) => {
@@ -629,6 +632,32 @@ mod tests {
             cache.insert(t(3), frags[1].clone()),
             ReassemblyOutcome::Pending
         ));
+    }
+
+    /// Queues that arrived at one instant are evicted by key, not by the
+    /// map's (per-process random) iteration order: every fresh cache
+    /// evicts the same one.
+    #[test]
+    fn eviction_ties_break_by_key() {
+        let first_fragment = |id: u16| {
+            let mut p = base_packet(1000);
+            p.id = id;
+            p.fragment(576).unwrap().swap_remove(0)
+        };
+        for _ in 0..200 {
+            let mut cache =
+                ReassemblyCache::with_limits(OverlapPolicy::First, SimDuration::from_secs(30), 4);
+            for id in [0x30, 0x10, 0x40, 0x20] {
+                cache.insert(t(0), first_fragment(id));
+            }
+            cache.insert(t(0), first_fragment(0x50));
+            assert_eq!(cache.stats().evictions, 1);
+            let survivors: Vec<u16> = [0x10, 0x20, 0x30, 0x40]
+                .into_iter()
+                .filter(|&id| cache.purge(&FragKey::of(&first_fragment(id))))
+                .collect();
+            assert_eq!(survivors, vec![0x20, 0x30, 0x40], "id 0x10 is the victim");
+        }
     }
 
     #[test]

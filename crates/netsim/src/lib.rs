@@ -21,7 +21,6 @@
 //!
 //! ```
 //! use netsim::prelude::*;
-//! use bytes::Bytes;
 //!
 //! struct Hello {
 //!     stack: IpStack,
@@ -32,8 +31,7 @@
 //! impl Node for Hello {
 //!     fn on_start(&mut self, ctx: &mut Context<'_>) {
 //!         let me = self.stack.addr();
-//!         self.stack.send_udp(ctx, me, 9000, self.target, 9000,
-//!                             Bytes::from_static(b"hi"));
+//!         self.stack.send_udp(ctx, me, 9000, self.target, 9000, b"hi");
 //!     }
 //!     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Ipv4Packet) {
 //!         if self.stack.handle(ctx, pkt).is_some() {
@@ -60,6 +58,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod frag;
+pub mod hash;
 pub mod icmp;
 pub mod ip;
 pub mod link;

@@ -144,13 +144,12 @@ pub trait Node: Any + Send {
 /// ```
 /// use netsim::node::NodeHarness;
 /// use netsim::stack::IpStack;
-/// use bytes::Bytes;
 ///
 /// let mut h = NodeHarness::new(1);
 /// let mut stack = IpStack::new("10.0.0.1".parse()?);
 /// h.with_ctx(|ctx| {
 ///     stack.send_udp(ctx, "10.0.0.1".parse().unwrap(), 1000,
-///                    "10.0.0.2".parse().unwrap(), 2000, Bytes::from_static(b"x"));
+///                    "10.0.0.2".parse().unwrap(), 2000, b"x");
 /// });
 /// assert_eq!(h.take_sent().len(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())

@@ -9,10 +9,9 @@
 
 use crate::frag::{OverlapPolicy, ReassemblyCache, ReassemblyOutcome};
 use crate::icmp::{IcmpMessage, QuotedPacket};
-use crate::ip::{IpProto, Ipv4Packet, ETHERNET_MTU};
+use crate::ip::{IpProto, Ipv4Packet, ETHERNET_MTU, IPV4_MIN_MTU};
 use crate::node::Context;
-use crate::udp::UdpDatagram;
-use bytes::Bytes;
+use crate::udp::{self, UdpDatagram};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -233,18 +232,43 @@ impl IpStack {
         src_port: u16,
         dst: Ipv4Addr,
         dst_port: u16,
-        payload: Bytes,
+        payload: &[u8],
     ) {
         assert!(
             self.addrs.contains(&src),
             "source address {src} is not owned by this stack"
         );
-        let dgram = UdpDatagram::new(src_port, dst_port, payload);
-        let wire = dgram.encode(src, dst);
-        let mut pkt = Ipv4Packet::new(src, dst, IpProto::Udp, wire);
-        pkt.id = self.next_id(ctx, dst);
+        let id = self.next_id(ctx, dst);
+        self.send_udp_spoofed(ctx, src, src_port, dst, dst_port, payload, Some(id));
+    }
+
+    /// Sends a UDP datagram with an arbitrary (possibly spoofed) source
+    /// address. Off-path attacker nodes use this; honest nodes should call
+    /// [`IpStack::send_udp`], which enforces address ownership.
+    ///
+    /// The IP id is allocated from this stack's policy unless `id` is given.
+    /// Header, payload and checksum go into one wire buffer, sent as it is
+    /// when it fits the PMTU and as fragments of it otherwise.
+    #[allow(clippy::too_many_arguments)] // mirrors the UDP 5-tuple plus attack knobs
+    pub fn send_udp_spoofed(
+        &mut self,
+        ctx: &mut Context<'_>,
+        spoofed_src: Ipv4Addr,
+        src_port: u16,
+        dst: Ipv4Addr,
+        dst_port: u16,
+        payload: &[u8],
+        id: Option<u16>,
+    ) {
+        let wire = udp::encode(spoofed_src, src_port, dst, dst_port, payload);
+        let mut pkt = Ipv4Packet::new(spoofed_src, dst, IpProto::Udp, wire);
+        pkt.id = id.unwrap_or_else(|| self.global_id.wrapping_add(0x8000));
         pkt.ttl = self.config.default_ttl;
         let mtu = self.pmtu(dst);
+        if mtu >= IPV4_MIN_MTU && pkt.total_len() <= usize::from(mtu) {
+            ctx.send(pkt);
+            return;
+        }
         match pkt.fragment(mtu) {
             Ok(frags) => {
                 for f in frags {
@@ -255,37 +279,6 @@ impl IpStack {
                 // PMTU below minimum or overflow: drop (counted as filtered).
                 self.dropped_fragments += 1;
             }
-        }
-    }
-
-    /// Sends a UDP datagram with an arbitrary (possibly spoofed) source
-    /// address. Off-path attacker nodes use this; honest nodes should call
-    /// [`IpStack::send_udp`], which enforces address ownership.
-    ///
-    /// The IP id is allocated from this stack's policy unless `id` is given.
-    #[allow(clippy::too_many_arguments)] // mirrors the UDP 5-tuple plus attack knobs
-    pub fn send_udp_spoofed(
-        &mut self,
-        ctx: &mut Context<'_>,
-        spoofed_src: Ipv4Addr,
-        src_port: u16,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        payload: Bytes,
-        id: Option<u16>,
-    ) {
-        let dgram = UdpDatagram::new(src_port, dst_port, payload);
-        let wire = dgram.encode(spoofed_src, dst);
-        let mut pkt = Ipv4Packet::new(spoofed_src, dst, IpProto::Udp, wire);
-        pkt.id = id.unwrap_or_else(|| self.global_id.wrapping_add(0x8000));
-        pkt.ttl = self.config.default_ttl;
-        match pkt.fragment(self.pmtu(dst)) {
-            Ok(frags) => {
-                for f in frags {
-                    ctx.send(f);
-                }
-            }
-            Err(_) => self.dropped_fragments += 1,
         }
     }
 
@@ -379,6 +372,7 @@ mod tests {
     use crate::node::{Context, NodeId};
     use crate::rng::SimRng;
     use crate::time::SimTime;
+    use bytes::Bytes;
 
     fn with_ctx<R>(f: impl FnOnce(&mut Context<'_>) -> R) -> (R, Vec<Ipv4Packet>) {
         let mut rng = SimRng::seed_from(1);
@@ -403,7 +397,7 @@ mod tests {
     fn send_small_udp_is_single_packet() {
         let mut stack = IpStack::new(a(1));
         let (_, sent) = with_ctx(|ctx| {
-            stack.send_udp(ctx, a(1), 5300, a(2), 53, Bytes::from(vec![0u8; 100]));
+            stack.send_udp(ctx, a(1), 5300, a(2), 53, &[0u8; 100]);
         });
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].proto, IpProto::Udp);
@@ -432,14 +426,7 @@ mod tests {
         assert_eq!(server.pmtu(a(3)), ETHERNET_MTU, "other peers unaffected");
 
         let (_, sent) = with_ctx(|ctx| {
-            server.send_udp(
-                ctx,
-                a(1),
-                53,
-                resolver_addr,
-                5300,
-                Bytes::from(vec![0u8; 900]),
-            );
+            server.send_udp(ctx, a(1), 53, resolver_addr, 5300, &[0u8; 900]);
         });
         assert!(sent.len() > 1, "response must now fragment");
         assert!(sent.iter().all(|p| p.total_len() <= 548));
@@ -508,7 +495,7 @@ mod tests {
         sender.pmtu.insert(a(2), 576);
         let payload = Bytes::from((0..1200u32).map(|i| i as u8).collect::<Vec<_>>());
         let (_, sent) = with_ctx(|ctx| {
-            sender.send_udp(ctx, a(1), 1000, a(2), 2000, payload.clone());
+            sender.send_udp(ctx, a(1), 1000, a(2), 2000, &payload);
         });
         assert!(sent.len() > 1);
         let mut delivered = None;
@@ -539,7 +526,7 @@ mod tests {
         let mut receiver = IpStack::with_config(vec![a(2)], cfg);
         sender.pmtu.insert(a(2), 576);
         let (_, sent) = with_ctx(|ctx| {
-            sender.send_udp(ctx, a(1), 1, a(2), 2, Bytes::from(vec![0u8; 1200]));
+            sender.send_udp(ctx, a(1), 1, a(2), 2, &[0u8; 1200]);
         });
         let mut got = false;
         with_ctx(|ctx| {
@@ -595,7 +582,7 @@ mod tests {
         );
         with_ctx(|ctx| {
             let predicted = g.peek_next_id(a(2));
-            g.send_udp(ctx, a(1), 1, a(2), 2, Bytes::new());
+            g.send_udp(ctx, a(1), 1, a(2), 2, &[]);
             assert_eq!(g.peek_next_id(a(3)), predicted.wrapping_add(1));
         });
 
@@ -607,8 +594,8 @@ mod tests {
             },
         );
         with_ctx(|ctx| {
-            p.send_udp(ctx, a(1), 1, a(2), 2, Bytes::new());
-            p.send_udp(ctx, a(1), 1, a(2), 2, Bytes::new());
+            p.send_udp(ctx, a(1), 1, a(2), 2, &[]);
+            p.send_udp(ctx, a(1), 1, a(2), 2, &[]);
             assert_eq!(p.peek_next_id(a(2)), 3);
             assert_eq!(p.peek_next_id(a(3)), 1, "separate counter per dest");
         });
@@ -619,7 +606,7 @@ mod tests {
         let mut stack = IpStack::new(a(1));
         let (_, sent) = with_ctx(|ctx| {
             for _ in 0..3 {
-                stack.send_udp(ctx, a(1), 1, a(2), 2, Bytes::new());
+                stack.send_udp(ctx, a(1), 1, a(2), 2, &[]);
             }
         });
         let ids: Vec<u16> = sent.iter().map(|p| p.id).collect();
@@ -631,7 +618,7 @@ mod tests {
     fn sending_from_foreign_address_panics() {
         let mut stack = IpStack::new(a(1));
         with_ctx(|ctx| {
-            stack.send_udp(ctx, a(9), 1, a(2), 2, Bytes::new());
+            stack.send_udp(ctx, a(9), 1, a(2), 2, &[]);
         });
     }
 }

@@ -85,18 +85,11 @@ impl UdpDatagram {
     /// Serialises header + payload, computing the checksum over the IPv4
     /// pseudo-header as RFC 768 requires.
     pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Bytes {
-        let mut out = Vec::with_capacity(self.len());
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&(self.len() as u16).to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.payload);
-        let sum = udp_checksum(src, dst, &out);
-        out[6..8].copy_from_slice(&sum.to_be_bytes());
-        Bytes::from(out)
+        encode(src, self.src_port, dst, self.dst_port, &self.payload)
     }
 
-    /// Parses a datagram from wire bytes.
+    /// Parses a datagram from wire bytes. The payload is a zero-copy
+    /// slice of `wire`, and the checksum is verified in place.
     ///
     /// # Errors
     ///
@@ -106,9 +99,10 @@ impl UdpDatagram {
     pub fn decode(
         src: Ipv4Addr,
         dst: Ipv4Addr,
-        bytes: &[u8],
+        wire: &Bytes,
         verify_checksum: bool,
     ) -> Result<UdpDatagram, UdpError> {
+        let bytes: &[u8] = wire;
         if bytes.len() < UDP_HEADER_LEN {
             return Err(UdpError::Truncated);
         }
@@ -118,19 +112,34 @@ impl UdpDatagram {
         }
         let wire_sum = u16::from_be_bytes([bytes[6], bytes[7]]);
         if verify_checksum && wire_sum != 0 {
-            let mut copy = bytes.to_vec();
-            copy[6] = 0;
-            copy[7] = 0;
-            if udp_checksum(src, dst, &copy) != wire_sum {
+            // Sum around the checksum field: it sits at an even offset, so
+            // skipping its two bytes is summing them as zero.
+            let sum = ones_complement_sum(&bytes[..6]) + ones_complement_sum(&bytes[8..]);
+            if pseudo_header_checksum(src, dst, len, sum) != wire_sum {
                 return Err(UdpError::BadChecksum);
             }
         }
         Ok(UdpDatagram {
             src_port: u16::from_be_bytes([bytes[0], bytes[1]]),
             dst_port: u16::from_be_bytes([bytes[2], bytes[3]]),
-            payload: Bytes::from(bytes[UDP_HEADER_LEN..].to_vec()),
+            payload: wire.slice(UDP_HEADER_LEN..),
         })
     }
+}
+
+/// Writes a datagram's header, `payload` and checksum into one buffer,
+/// which the packet, its fragments and the received payload all share.
+pub fn encode(src: Ipv4Addr, src_port: u16, dst: Ipv4Addr, dst_port: u16, payload: &[u8]) -> Bytes {
+    let len = UDP_HEADER_LEN + payload.len();
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&src_port.to_be_bytes());
+    out.extend_from_slice(&dst_port.to_be_bytes());
+    out.extend_from_slice(&(len as u16).to_be_bytes());
+    out.extend_from_slice(&[0, 0]); // checksum placeholder
+    out.extend_from_slice(payload);
+    let sum = udp_checksum(src, dst, &out);
+    out[6..8].copy_from_slice(&sum.to_be_bytes());
+    Bytes::from(out)
 }
 
 /// Ones-complement sum of 16-bit words (the "Internet checksum" kernel).
@@ -161,11 +170,17 @@ pub fn fold_checksum(mut sum: u32) -> u16 {
 /// The checksum field inside `segment` must be zeroed. Per RFC 768 a
 /// computed value of zero is transmitted as `0xffff`.
 pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
-    let mut sum = ones_complement_sum(&src.octets());
-    sum += ones_complement_sum(&dst.octets());
-    sum += 17; // protocol
-    sum += segment.len() as u32;
-    sum += ones_complement_sum(segment);
+    pseudo_header_checksum(src, dst, segment.len(), ones_complement_sum(segment))
+}
+
+/// Adds the IPv4 pseudo-header of a `len`-byte segment to the segment's
+/// ones-complement `sum` and folds the total into the transmitted form.
+fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, len: usize, sum: u32) -> u16 {
+    let sum = sum
+        + ones_complement_sum(&src.octets())
+        + ones_complement_sum(&dst.octets())
+        + 17 // protocol
+        + len as u32;
     let folded = !fold_checksum(sum);
     if folded == 0 {
         0xffff
@@ -234,6 +249,7 @@ mod tests {
         let dgram = UdpDatagram::new(12345, 53, Bytes::from(vec![0u8; 64]));
         let mut wire = dgram.encode(s, d).to_vec();
         wire[20] ^= 0x40;
+        let wire = Bytes::from(wire);
         assert_eq!(
             UdpDatagram::decode(s, d, &wire, true),
             Err(UdpError::BadChecksum)
@@ -260,16 +276,47 @@ mod tests {
     fn truncated_and_bad_length_rejected() {
         let (s, d) = addrs();
         assert_eq!(
-            UdpDatagram::decode(s, d, &[0u8; 4], true),
+            UdpDatagram::decode(s, d, &Bytes::from(vec![0u8; 4]), true),
             Err(UdpError::Truncated)
         );
         let dgram = UdpDatagram::new(1, 2, Bytes::from(vec![0u8; 8]));
         let mut wire = dgram.encode(s, d).to_vec();
         wire[5] = wire[5].wrapping_add(1);
         assert_eq!(
-            UdpDatagram::decode(s, d, &wire, false),
+            UdpDatagram::decode(s, d, &Bytes::from(wire), false),
             Err(UdpError::LengthMismatch)
         );
+    }
+
+    #[test]
+    fn decoded_payload_is_a_slice_of_the_wire_buffer() {
+        let (s, d) = addrs();
+        let wire = UdpDatagram::new(123, 123, Bytes::from(vec![7u8; 48])).encode(s, d);
+        let back = UdpDatagram::decode(s, d, &wire, true).unwrap();
+        assert_eq!(back.payload.as_ptr(), wire[UDP_HEADER_LEN..].as_ptr());
+    }
+
+    /// In-place verification accepts exactly what the checksum of a copy
+    /// with the field zeroed accepts, for even and odd lengths and for
+    /// every single-byte corruption.
+    #[test]
+    fn in_place_verification_matches_the_zeroed_copy() {
+        let (s, d) = addrs();
+        for len in 0..24usize {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+            let wire = encode(s, 40_000, d, 53, &payload).to_vec();
+            for at in 0..wire.len() {
+                let mut bent = wire.clone();
+                bent[at] ^= 0x5a;
+                let mut zeroed = bent.clone();
+                zeroed[6..8].fill(0);
+                let field = u16::from_be_bytes([bent[6], bent[7]]);
+                let length_ok = u16::from_be_bytes([bent[4], bent[5]]) as usize == bent.len();
+                let expect = length_ok && (field == 0 || udp_checksum(s, d, &zeroed) == field);
+                let got = UdpDatagram::decode(s, d, &Bytes::from(bent), true).is_ok();
+                assert_eq!(got, expect, "len {len}, byte {at} flipped");
+            }
+        }
     }
 
     #[test]
@@ -318,7 +365,8 @@ mod tests {
         spliced.extend_from_slice(&forged);
         spliced.extend_from_slice(&comp);
         assert_eq!(spliced.len(), wire.len());
-        let back = UdpDatagram::decode(s, d, &spliced, true).expect("checksum must hold");
+        let back =
+            UdpDatagram::decode(s, d, &Bytes::from(spliced), true).expect("checksum must hold");
         assert_eq!(
             &back.payload[split - UDP_HEADER_LEN..][..forged.len()],
             &forged[..]

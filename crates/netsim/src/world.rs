@@ -17,6 +17,7 @@
 //! assert_eq!(world.now(), SimTime::from_secs(10));
 //! ```
 
+use crate::hash::MulHashMap;
 use crate::icmp::{IcmpMessage, QuotedPacket};
 use crate::ip::{FragmentError, Ipv4Net, Ipv4Packet};
 use crate::link::{AccessLink, Topology};
@@ -26,7 +27,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceOutcome};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
 /// Address used as the source of router-originated ICMP errors.
@@ -106,7 +107,7 @@ pub struct World {
     queue: BinaryHeap<Scheduled>,
     nodes: Vec<Option<Box<dyn Node>>>,
     labels: Vec<String>,
-    addr_owner: HashMap<Ipv4Addr, NodeId>,
+    addr_owner: MulHashMap<Ipv4Addr, NodeId>,
     hijacks: Vec<Hijack>,
     topology: Topology,
     rng: SimRng,
@@ -138,7 +139,7 @@ impl World {
             queue: BinaryHeap::with_capacity(256),
             nodes: Vec::new(),
             labels: Vec::new(),
-            addr_owner: HashMap::new(),
+            addr_owner: MulHashMap::default(),
             hijacks: Vec::new(),
             topology: Topology::default(),
             rng: SimRng::seed_from(seed),
@@ -540,7 +541,7 @@ mod tests {
                     datagram.dst_port,
                     src,
                     datagram.src_port,
-                    datagram.payload,
+                    &datagram.payload,
                 );
             }
         }
@@ -586,14 +587,8 @@ mod tests {
     impl Node for Pinger {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             let addr = self.stack.addr();
-            self.stack.send_udp(
-                ctx,
-                addr,
-                4000,
-                self.target,
-                7,
-                Bytes::from(vec![0x55; self.size]),
-            );
+            self.stack
+                .send_udp(ctx, addr, 4000, self.target, 7, &vec![0x55; self.size]);
         }
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Ipv4Packet) {
             if let Some(StackEvent::Udp { .. }) = self.stack.handle(ctx, pkt) {

@@ -109,7 +109,7 @@ proptest! {
         let mut corrupted = wire.to_vec();
         let idx = flip_byte % corrupted.len();
         corrupted[idx] ^= 1 << flip_bit;
-        prop_assert!(UdpDatagram::decode(src, dst, &corrupted, true).is_err());
+        prop_assert!(UdpDatagram::decode(src, dst, &Bytes::from(corrupted), true).is_err());
     }
 
     /// The attack's checksum compensation works for arbitrary even-length

@@ -16,12 +16,11 @@ use crate::clock::LocalClock;
 use crate::packet::{Mode, NtpPacket, NTP_PORT};
 use crate::select::PeerSample;
 use crate::timestamp::NtpTimestamp;
-use bytes::Bytes;
+use netsim::hash::MulHashMap;
 use netsim::node::Context;
 use netsim::stack::IpStack;
 use netsim::time::SimTime;
 use netsim::udp::UdpDatagram;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Local port client exchanges run from.
@@ -39,7 +38,7 @@ struct PendingExchange {
 /// Client-side exchange state machine (not itself a node).
 #[derive(Debug, Default)]
 pub struct NtpExchanger {
-    pending: HashMap<Ipv4Addr, PendingExchange>,
+    pending: MulHashMap<Ipv4Addr, PendingExchange>,
 }
 
 impl NtpExchanger {
@@ -71,14 +70,7 @@ impl NtpExchanger {
         );
         let req = NtpPacket::client_request(t1);
         let me = stack.addr();
-        stack.send_udp(
-            ctx,
-            me,
-            NTP_CLIENT_PORT,
-            server,
-            NTP_PORT,
-            Bytes::from(req.encode().to_vec()),
-        );
+        stack.send_udp(ctx, me, NTP_CLIENT_PORT, server, NTP_PORT, &req.encode());
     }
 
     /// Offers a received datagram; returns a sample if it answers one of our
@@ -145,6 +137,7 @@ impl NtpExchanger {
 mod tests {
     use super::*;
     use crate::server::NtpServer;
+    use bytes::Bytes;
     use netsim::node::{Node, NodeHarness};
     use netsim::time::SimDuration;
 

@@ -7,7 +7,6 @@
 use crate::clock::LocalClock;
 use crate::packet::{LeapIndicator, Mode, NtpPacket, NTP_PORT};
 use crate::timestamp::{NtpShort, NtpTimestamp};
-use bytes::Bytes;
 use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackEvent};
@@ -138,7 +137,7 @@ impl Node for NtpServer {
             NTP_PORT,
             src,
             datagram.src_port,
-            Bytes::from(response.encode().to_vec()),
+            &response.encode(),
         );
     }
 }
@@ -146,6 +145,7 @@ impl Node for NtpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use netsim::node::NodeHarness;
     use netsim::time::SimTime;
     use netsim::udp::UdpDatagram;

@@ -56,9 +56,11 @@ impl NtpTimestamp {
     /// Converts a simulation instant (a clock *reading*) to NTP format.
     pub fn from_sim(t: SimTime) -> Self {
         let secs = SIM_EPOCH_NTP_SECS + t.as_secs();
+        // sub_ns < 10⁹ < 2³⁰, so the shifted value stays below 2⁶²: the
+        // division fits in u64 and needs no 128-bit routine.
         let sub_ns = t.as_nanos() % 1_000_000_000;
-        let frac = ((sub_ns as u128) << 32) / 1_000_000_000;
-        NtpTimestamp((secs << 32) | frac as u64)
+        let frac = (sub_ns << 32) / 1_000_000_000;
+        NtpTimestamp((secs << 32) | frac)
     }
 
     /// Converts back to the simulation time domain.
@@ -155,6 +157,34 @@ mod tests {
             let back = ntp.to_sim();
             let err = back.signed_nanos_since(t).abs();
             assert!(err <= 1, "round trip error {err}ns at {t}");
+        }
+    }
+
+    /// The u64 division gives bit for bit what the 128-bit formula gives.
+    #[test]
+    fn from_sim_matches_the_128_bit_formula() {
+        let reference = |t: SimTime| {
+            let secs = SIM_EPOCH_NTP_SECS + t.as_secs();
+            let sub_ns = t.as_nanos() % 1_000_000_000;
+            let frac = ((sub_ns as u128) << 32) / 1_000_000_000;
+            (secs << 32) | frac as u64
+        };
+        let mut instants: Vec<SimTime> = [0, 1, 999_999_999, 1_000_000_000, 1_999_999_999]
+            .into_iter()
+            .map(SimTime::from_nanos)
+            .collect();
+        // A splitmix64 sweep over every instant of the NTP era.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let era_ns = MAX_ERA_SIM_SECS * 1_000_000_000;
+        for _ in 0..100_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            instants.push(SimTime::from_nanos((z ^ (z >> 31)) % era_ns));
+        }
+        for t in instants {
+            assert_eq!(NtpTimestamp::from_sim(t).to_bits(), reference(t), "at {t}");
         }
     }
 
