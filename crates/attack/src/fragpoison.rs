@@ -33,8 +33,6 @@ use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackEvent};
 use netsim::time::SimDuration;
 use netsim::udp::{fold_checksum, ones_complement_sum, UDP_HEADER_LEN};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::net::Ipv4Addr;
 
@@ -45,7 +43,7 @@ const TAG_REPLANT: u64 = 1;
 pub const BEGIN_TAG: u64 = 2;
 
 /// Configuration of a [`FragPoisoner`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FragPoisonConfig {
     /// The victim resolver whose reassembly cache is poisoned.
     pub resolver: Ipv4Addr,
@@ -97,7 +95,7 @@ impl FragPoisonConfig {
 }
 
 /// Counters describing attacker activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FragPoisonStats {
     /// Probe queries sent to the nameserver.
     pub probes: u64,
@@ -292,7 +290,7 @@ impl FragPoisoner {
     }
 
     fn send_probe(&mut self, ctx: &mut Context<'_>) {
-        let txid: u16 = ctx.rng().gen();
+        let txid = ctx.rng().gen_u16();
         self.probe_txid = Some(txid);
         self.stats.probes += 1;
         let query = Message::query(txid, Question::a(self.config.qname.clone())).with_edns(4096);
@@ -414,7 +412,7 @@ mod tests {
         msg.authorities = ans.authorities;
         msg.additionals = ans.additionals;
         let msg = msg.with_edns(4096);
-        let dgram = UdpDatagram::new(DNS_PORT, 5300, msg.encode());
+        let dgram = UdpDatagram::new(DNS_PORT, 5300, Bytes::from(msg.encode()));
         let server = Ipv4Addr::new(203, 0, 113, 1);
         let resolver = Ipv4Addr::new(198, 51, 100, 53);
         let segment = dgram.encode(server, resolver).to_vec();

@@ -17,14 +17,12 @@ use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::IpStack;
 use netsim::time::SimDuration;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 const TAG_ATTEMPT: u64 = 1;
 
 /// How the attacker guesses the resolver's query source port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortGuess {
     /// The resolver is known to use one fixed port.
     Known(u16),
@@ -38,7 +36,7 @@ pub enum PortGuess {
 }
 
 /// Configuration of a [`BlindSpoofAttacker`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlindSpoofConfig {
     /// The victim resolver (must be open for direct triggering).
     pub resolver: Ipv4Addr,
@@ -62,7 +60,7 @@ pub struct BlindSpoofConfig {
 }
 
 /// Counters describing attacker activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlindSpoofStats {
     /// Attempts (trigger + burst) launched.
     pub attempts: u64,
@@ -112,7 +110,7 @@ impl BlindSpoofAttacker {
             self.txid_cursor = self.stats.attempts as u16;
         }
         // 1. Trigger: ask the (open) resolver ourselves.
-        let trigger = Message::query(ctx.rng().gen(), Question::a(self.config.qname.clone()));
+        let trigger = Message::query(ctx.rng().gen_u16(), Question::a(self.config.qname.clone()));
         let me = self.stack.addr();
         self.stack.send_udp(
             ctx,
@@ -131,7 +129,7 @@ impl BlindSpoofAttacker {
                 self.txid_cursor = self.txid_cursor.wrapping_add(1);
                 guess
             } else {
-                ctx.rng().gen()
+                ctx.rng().gen_u16()
             };
             let port = match self.config.port_guess {
                 PortGuess::Known(p) => p,

@@ -4,10 +4,9 @@
 
 use crate::payload::POISON_TTL;
 use netsim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// How the DNS cache gets poisoned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PoisonStrategy {
     /// Packet-level defragmentation poisoning (glue rewrite) running
     /// continuously from `start`.
@@ -37,7 +36,7 @@ pub enum PoisonStrategy {
 }
 
 /// A complete attack description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackPlan {
     /// The poisoning mechanism.
     pub strategy: PoisonStrategy,

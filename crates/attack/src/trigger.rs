@@ -23,8 +23,6 @@ use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackEvent};
 use netsim::time::SimDuration;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// The (abstracted) SMTP port.
@@ -34,7 +32,7 @@ const TAG_MX: u64 = 1;
 const TAG_A: u64 = 2;
 
 /// Counters describing SMTP-server activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SmtpStats {
     /// Messages accepted.
     pub mails: u64,
@@ -170,7 +168,7 @@ impl BackgroundQuerier {
     }
 
     fn fire(&mut self, ctx: &mut Context<'_>) {
-        let txid: u16 = ctx.rng().gen();
+        let txid = ctx.rng().gen_u16();
         let query = Message::query(txid, Question::a(self.qname.clone())).with_edns(4096);
         let me = self.stack.addr();
         self.stack

@@ -3,9 +3,9 @@
 //! tension, fanned over the sweep engine.
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion};
 use chronos_pitfalls::experiments::{e10_table, run_e10};
 use chronos_pitfalls::montecarlo::default_threads;
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_e10(c: &mut Criterion) {
     banner("E10 — consensus pool generation vs poisoned resolvers");

@@ -3,8 +3,8 @@
 //! ones, which is why the paper's §II attacks matter at all.
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion};
 use chronos_pitfalls::experiments::{e11_table, run_e11};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_e11(c: &mut Criterion) {
     banner("E11 — blind (Kaminsky) spoofing baseline");

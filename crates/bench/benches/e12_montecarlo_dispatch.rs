@@ -10,11 +10,12 @@
 //! vector — to show what batching saves.
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use chronos::select::{chronos_select_with, reference, SelectScratch};
 use chronos_pitfalls::montecarlo::{baseline_run_trials, run_trials};
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fleet::rng::FleetRng;
 use netsim::par::for_each_mut;
+use std::hint::black_box;
 
 const TRIALS: u32 = 10_000;
 const THREADS: usize = 4;

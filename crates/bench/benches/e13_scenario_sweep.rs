@@ -10,11 +10,12 @@
 //! `rebuild_32x256` (≥ 1.5×).
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use chronos_pitfalls::experiments::compressed_chronos;
 use chronos_pitfalls::montecarlo::{default_threads, run_grid, run_scenarios_detailed, trial_seed};
 use chronos_pitfalls::scenario::{Scenario, ScenarioConfig};
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use netsim::time::SimDuration;
+use std::hint::black_box;
 
 const CONFIGS: usize = 32;
 const TRIALS: u32 = 256;
@@ -80,7 +81,7 @@ fn bench_e13(c: &mut Criterion) {
     group.bench_function("pooled_32x256", |b| {
         b.iter(|| {
             let grid = run_scenarios_detailed(&configs, threads, TRIALS, |s, _, _| trial(s));
-            criterion::black_box(grid.0)
+            black_box(grid.0)
         })
     });
     group.bench_function("rebuild_32x256", |b| {
@@ -92,7 +93,7 @@ fn bench_e13(c: &mut Criterion) {
                 });
                 trial(&mut s)
             });
-            criterion::black_box(grid)
+            black_box(grid)
         })
     });
     group.finish();

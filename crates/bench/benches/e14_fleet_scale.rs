@@ -35,15 +35,16 @@
 use std::sync::Arc;
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion, StageTiming, Throughput};
 use chronos_pitfalls::experiments::{compressed_chronos, e14_config, e14_table, run_e14};
 use chronos_pitfalls::montecarlo::{default_threads, run_scenarios_detailed};
 use chronos_pitfalls::report::Series;
 use chronos_pitfalls::scenario::ScenarioConfig;
-use criterion::{criterion_group, criterion_main, Criterion, StageTiming, Throughput};
 use fleet::config::FleetAttack;
 use fleet::engine::Fleet;
 use fleet::metrics::FleetMetrics;
 use netsim::time::{SimDuration, SimTime};
+use std::hint::black_box;
 
 /// Clients in the guarded fleet target (the acceptance floor is 10⁵).
 const FLEET_CLIENTS: usize = 100_000;
@@ -121,7 +122,7 @@ fn bench_e14(c: &mut Criterion) {
         fleet.set_metrics(metered.then(|| Arc::clone(&metrics)));
         fleet.reset(42);
         fleet.run_until(horizon);
-        criterion::black_box(fleet.shifted_fraction(horizon))
+        black_box(fleet.shifted_fraction(horizon))
     });
     group.sample_size(5);
     let report = {
@@ -166,7 +167,7 @@ fn bench_e14(c: &mut Criterion) {
         b.iter(|| {
             sharded.reset(42);
             sharded.run_until(horizon);
-            criterion::black_box(sharded.shifted_fraction(horizon))
+            black_box(sharded.shifted_fraction(horizon))
         })
     });
     let sharded_report = {
@@ -197,7 +198,7 @@ fn bench_e14(c: &mut Criterion) {
                 s.run_for(SimDuration::from_secs(400));
                 s.attacker_fraction()
             });
-            criterion::black_box(outcomes)
+            black_box(outcomes)
         })
     });
     group.finish();

@@ -7,12 +7,13 @@
 //! is full-`cargo bench` material).
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use chronos_pitfalls::experiments::e14_config;
 use chronos_pitfalls::montecarlo::default_threads;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fleet::config::FleetAttack;
 use fleet::engine::Fleet;
 use netsim::time::{SimDuration, SimTime};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// The headline population size.
@@ -77,7 +78,7 @@ fn bench_e15(c: &mut Criterion) {
         b.iter(|| {
             fleet.reset(42);
             fleet.run_until(horizon);
-            criterion::black_box(fleet.shifted_fraction(horizon))
+            black_box(fleet.shifted_fraction(horizon))
         })
     });
     group.finish();
@@ -94,7 +95,7 @@ fn bench_e15(c: &mut Criterion) {
         report.final_shifted_fraction > 0.9,
         "the poisoning scenario must capture the fleet at 10^6 scale too"
     );
-    if let Some(rss) = criterion::peak_rss_bytes() {
+    if let Some(rss) = bench::harness::peak_rss_bytes() {
         println!(
             "peak RSS: {:.0} MB (client columns alone: {:.0} MB)",
             rss as f64 / 1e6,

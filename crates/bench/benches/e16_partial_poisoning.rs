@@ -13,10 +13,11 @@
 //! [`GUARDED`]: bench::benchdiff::GUARDED
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use chronos_pitfalls::experiments::{e16_table, run_e16};
 use chronos_pitfalls::montecarlo::default_threads;
 use chronos_pitfalls::report::Series;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
 
 /// Clients per fleet in the guarded sweep.
 const CLIENTS: usize = 10_000;
@@ -45,7 +46,7 @@ fn bench_e16(c: &mut Criterion) {
     group.sample_size(5);
     group.throughput(Throughput::Elements(total_clients));
     group.bench_function("mixed_90k_sweep", |b| {
-        b.iter(|| criterion::black_box(run_e16(42, CLIENTS, RESOLVERS, threads)))
+        b.iter(|| black_box(run_e16(42, CLIENTS, RESOLVERS, threads)))
     });
     group.finish();
 

@@ -11,10 +11,11 @@
 //! [`GUARDED`]: bench::benchdiff::GUARDED
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use chronos_pitfalls::experiments::{e17_table, run_e17, E17_LOSSES};
 use chronos_pitfalls::montecarlo::default_threads;
 use chronos_pitfalls::report::Series;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
 
 /// Clients per fleet in the guarded grid.
 const CLIENTS: usize = 9_000;
@@ -42,7 +43,7 @@ fn bench_e17(c: &mut Criterion) {
     group.sample_size(5);
     group.throughput(Throughput::Elements(total_clients));
     group.bench_function("faulty_90k", |b| {
-        b.iter(|| criterion::black_box(run_e17(42, CLIENTS, RESOLVERS, threads)))
+        b.iter(|| black_box(run_e17(42, CLIENTS, RESOLVERS, threads)))
     });
     group.finish();
 

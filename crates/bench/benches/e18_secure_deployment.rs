@@ -16,10 +16,11 @@
 //! [`GUARDED`]: bench::benchdiff::GUARDED
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use chronos_pitfalls::experiments::{e18_config, e18_table, run_e18, E18_DEPLOYMENTS};
 use chronos_pitfalls::montecarlo::default_threads;
 use chronos_pitfalls::report::Series;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
 
 /// Clients per fleet in the guarded grid.
 const CLIENTS: usize = 9_000;
@@ -47,7 +48,7 @@ fn bench_e18(c: &mut Criterion) {
     group.sample_size(5);
     group.throughput(Throughput::Elements(total_clients));
     group.bench_function("secure_grid_90k", |b| {
-        b.iter(|| criterion::black_box(run_e18(42, CLIENTS, RESOLVERS, threads)))
+        b.iter(|| black_box(run_e18(42, CLIENTS, RESOLVERS, threads)))
     });
     group.finish();
 
@@ -64,10 +65,10 @@ fn bench_e18(c: &mut Criterion) {
     pair.sample_size(5);
     pair.throughput(Throughput::Elements(CLIENTS as u64));
     pair.bench_function("insecure_9k", |b| {
-        b.iter(|| criterion::black_box(fleet::Fleet::new(single(0.0)).run()))
+        b.iter(|| black_box(fleet::Fleet::new(single(0.0)).run()))
     });
     pair.bench_function("secure_9k", |b| {
-        b.iter(|| criterion::black_box(fleet::Fleet::new(single(1.0)).run()))
+        b.iter(|| black_box(fleet::Fleet::new(single(1.0)).run()))
     });
     pair.finish();
 

@@ -3,8 +3,8 @@
 //! high-TTL cache entry at 44 benign vs 89 malicious.
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion};
 use chronos_pitfalls::experiments::{run_e1, E1Strategy};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_e1(c: &mut Criterion) {
     banner("E1 / Figure 1 — attack timeline (oracle poisoning at round 12)");

@@ -2,9 +2,9 @@
 //! benign = 4·(p−1), malicious = 89, attacker ≥ 2/3 iff p ≤ 12.
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion};
 use chronos_pitfalls::experiments::run_e2;
 use chronos_pitfalls::poolmodel::PoolModelParams;
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_e2(c: &mut Criterion) {
     banner("E2 — pool composition vs poisoning round");

@@ -2,8 +2,8 @@
 //! measured against the real encoder (paper claim: 89 at MTU 1500).
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion};
 use chronos_pitfalls::experiments::{e3_table, run_e3};
-use criterion::{criterion_group, criterion_main, Criterion};
 use dnslab::capacity::max_a_records;
 use dnslab::name::Name;
 

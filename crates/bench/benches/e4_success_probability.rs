@@ -2,10 +2,10 @@
 //! Chronos (12 winning opportunities of 24): 1 − (1 − q)^12.
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use chronos_pitfalls::experiments::{e4_series_from_rows, e4_table, run_e4};
 use chronos_pitfalls::montecarlo::default_threads;
 use chronos_pitfalls::report::Series;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 const QS: &[f64] = &[0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9];
 

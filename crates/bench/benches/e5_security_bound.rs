@@ -2,10 +2,10 @@
 //! >100 ms vs the attacker's pool fraction, collapsing at 2/3 (89/133).
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion};
 use chronos_pitfalls::experiments::{e5_series_from_rows, e5_table, run_e5};
 use chronos_pitfalls::montecarlo::default_threads;
 use chronos_pitfalls::report::Series;
-use criterion::{criterion_group, criterion_main, Criterion};
 
 const FRACTIONS: &[f64] = &[
     0.05, 0.10, 0.20, 0.25, 0.33, 0.45, 0.55, 0.60, 0.65, 0.669, 0.75,

@@ -2,9 +2,9 @@
 //! attacked and unattacked.
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion};
 use chronos_pitfalls::report::Series;
 use chronos_pitfalls::shift::{run_time_shift, TimeShiftConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_e6(c: &mut Criterion) {
     banner("E6 — time-shift traces (clock error in ms by simulated hour)");

@@ -2,8 +2,8 @@
 //! (16/30 nameservers, 90%/64% fragment acceptance, 14% triggerable).
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion};
 use chronos_pitfalls::experiments::run_e7;
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_e7(c: &mut Criterion) {
     banner("E7 — measurement study, measured vs paper (claims C7–C9)");

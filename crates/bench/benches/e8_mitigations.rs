@@ -2,9 +2,9 @@
 //! hijack that defeats them, run as one pooled scenario sweep.
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion};
 use chronos_pitfalls::experiments::{e8_table, run_e8};
 use chronos_pitfalls::montecarlo::default_threads;
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_e8(c: &mut Criterion) {
     banner("E8 — mitigations vs the attack (claim C10)");

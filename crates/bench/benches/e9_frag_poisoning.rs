@@ -2,8 +2,8 @@
 //! actually matter: IP-ID randomization and cross-traffic noise.
 
 use bench::banner;
+use bench::harness::{criterion_group, criterion_main, Criterion};
 use chronos_pitfalls::experiments::{e9_mtu_table, e9_table, run_e9, run_e9_mtu};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_e9(c: &mut Criterion) {
     banner("E9 — defragmentation poisoning mechanics (§II)");

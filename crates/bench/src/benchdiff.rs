@@ -7,8 +7,8 @@
 //! gate — whole-table regeneration benches drift with host load, while the
 //! guarded hot paths are the ones PRs promise not to regress.
 //!
-//! The JSON is the schema written by the vendored criterion stub
-//! (`render_json`), parsed with [`obs::json`] — the workspace's one JSON
+//! The JSON is the schema written by [`crate::harness::render_json`],
+//! parsed with [`obs::json`] — the workspace's one JSON
 //! codec — so the gate needs no third-party dependency in the offline
 //! container.
 

@@ -1,29 +1,24 @@
-//! Offline mini benchmark harness, API-compatible with the subset of
-//! `criterion` the bench targets use (`bench_function`, `benchmark_group`,
-//! `sample_size`, `throughput`, `criterion_group!`/`criterion_main!`,
-//! [`black_box`]).
+//! The workspace's bench harness: it times the bench targets under
+//! `benches/` and writes one `BENCH_<target>.json` artifact per target,
+//! which [`crate::benchdiff`] reads.
 //!
-//! Differences from upstream: fixed sample counts instead of adaptive
-//! sampling, no statistical analysis beyond min/mean, and — the reason this
-//! stub exists beyond offline builds — every run writes a machine-readable
-//! `BENCH_<target>.json` artifact (wall time, per-iteration mean,
-//! elements/sec when a throughput is declared, peak RSS when
-//! `/proc/self/status` is available) so CI can track the perf trajectory.
-//! Set `BENCH_JSON_DIR` to redirect the artifact directory (default:
-//! `<workspace>/bench-results`).
-//!
-//! *(Workspace map: see `ARCHITECTURE.md` at the repo root — crate-by-crate
-//! architecture, the data-flow diagram, and the determinism contract.)*
+//! The API follows the shape of `criterion`'s (`bench_function`,
+//! `benchmark_group`, `sample_size`, `throughput`,
+//! `criterion_group!`/`criterion_main!`), so a target reads like an
+//! upstream criterion bench, but the behaviour is this crate's own: fixed
+//! sample counts instead of adaptive sampling, min and mean instead of a
+//! statistical analysis, interleaved A/B pairs
+//! ([`BenchmarkGroup::bench_pair`]), per-stage wall times
+//! ([`Criterion::record_stage_timings`]) and the JSON artifact (wall time,
+//! per-iteration mean, elements/sec when a throughput is declared, peak RSS
+//! when `/proc/self/status` is available). Set `BENCH_JSON_DIR` to redirect
+//! the artifact directory (default: `<workspace>/bench-results`).
 
 use obs::json::Json;
-use std::hint;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Opaque value barrier preventing the optimizer from deleting a
-/// computation whose result is otherwise unused.
-pub fn black_box<T>(x: T) -> T {
-    hint::black_box(x)
-}
+pub use crate::{criterion_group, criterion_main};
 
 /// Workload size declaration for throughput reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,7 +302,7 @@ impl BenchmarkGroup<'_> {
 
 /// The median of `values` (the mean of the middle two for an even count),
 /// or `None` when there are none.
-fn median(values: &mut [f64]) -> Option<f64> {
+pub(crate) fn median(values: &mut [f64]) -> Option<f64> {
     values.sort_unstable_by(f64::total_cmp);
     let n = values.len();
     match n {
@@ -405,11 +400,12 @@ pub fn run_main(target: &str, manifest_dir: &str, groups: &[fn(&mut Criterion)])
     }
 }
 
-/// Declares a bench group function compatible with `criterion_group!`.
+/// Declares a bench group: a function running each listed target on one
+/// [`Criterion`].
 #[macro_export]
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
-        pub fn $group(c: &mut $crate::Criterion) {
+        pub fn $group(c: &mut $crate::harness::Criterion) {
             $($target(c);)+
         }
     };
@@ -420,147 +416,11 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            $crate::run_main(
+            $crate::harness::run_main(
                 env!("CARGO_CRATE_NAME"),
                 env!("CARGO_MANIFEST_DIR"),
                 &[$($group),+],
             );
         }
     };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_function_measures_and_records() {
-        let mut c = Criterion::default();
-        c.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
-        assert_eq!(c.measurements().len(), 1);
-        let m = &c.measurements()[0];
-        assert_eq!(m.name, "noop");
-        assert_eq!(m.iters, 10);
-        assert!(m.total >= m.min);
-    }
-
-    #[test]
-    fn group_overrides_and_throughput() {
-        let mut c = Criterion::default();
-        {
-            let mut g = c.benchmark_group("g");
-            g.sample_size(3);
-            g.throughput(Throughput::Elements(1000));
-            g.bench_function("work", |b| b.iter(|| black_box(42)));
-            g.finish();
-        }
-        let m = &c.measurements()[0];
-        assert_eq!(m.name, "g/work");
-        assert_eq!(m.iters, 3);
-        assert!(m.elements_per_sec().unwrap() > 0.0);
-        assert_eq!(m.bytes_per_sec(), None);
-    }
-
-    #[test]
-    fn bytes_throughput_is_not_reported_as_elements() {
-        let mut c = Criterion::default();
-        {
-            let mut g = c.benchmark_group("g");
-            g.sample_size(2);
-            g.throughput(Throughput::Bytes(1500));
-            g.bench_function("pkt", |b| b.iter(|| black_box(0)));
-        }
-        let m = &c.measurements()[0];
-        assert_eq!(m.elements_per_sec(), None);
-        assert!(m.bytes_per_sec().unwrap() > 0.0);
-        let json = render_json("t", c.measurements(), c.stage_timings());
-        assert!(json.contains("\"elements_per_sec\": null"));
-        assert!(!json.contains("\"bytes_per_sec\": null"));
-    }
-
-    #[test]
-    fn bench_pair_interleaves_and_records_both() {
-        let mut c = Criterion::default();
-        let mut order = Vec::new();
-        {
-            let mut g = c.benchmark_group("g");
-            g.sample_size(3);
-            g.throughput(Throughput::Elements(10));
-            g.bench_pair("plain", "metered", |variant| {
-                order.push(variant);
-                black_box(variant)
-            });
-        }
-        // One warm-up of each, then alternating measured pairs.
-        assert_eq!(
-            order,
-            vec![false, true, false, true, false, true, false, true]
-        );
-        let names: Vec<&str> = c.measurements().iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, ["g/plain", "g/metered"]);
-        for m in c.measurements() {
-            assert_eq!(m.iters, 3);
-            assert!(m.elements_per_sec().unwrap() > 0.0);
-        }
-        // Both entries carry the one median of the per-round ratios.
-        let ratios: Vec<Option<f64>> = c
-            .measurements()
-            .iter()
-            .map(|m| m.median_pair_ratio)
-            .collect();
-        assert!(ratios[0].is_some_and(|r| r > 0.0));
-        assert_eq!(ratios[0], ratios[1]);
-        let json = render_json("t", c.measurements(), c.stage_timings());
-        assert_eq!(json.matches("\"median_pair_ratio\": ").count(), 2);
-    }
-
-    #[test]
-    fn median_takes_the_middle_value() {
-        assert_eq!(median(&mut []), None);
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), Some(2.0));
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), Some(2.5));
-    }
-
-    #[test]
-    fn json_schema_is_parseable_shape() {
-        let mut c = Criterion::default();
-        c.bench_function("x\"y", |b| b.iter(|| 0));
-        let json = render_json("unit_test", c.measurements(), c.stage_timings());
-        assert!(json.contains("\"bench\": \"unit_test\""));
-        assert!(json.contains("\\\"")); // escaped quote in name
-        assert!(json.contains("\"wall_time_secs\""));
-        assert!(json.contains("\"stage_timings\": [\n  ]"));
-        assert!(json.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn stage_timings_render_after_results_without_name_keys() {
-        let mut c = Criterion::default();
-        c.bench_function("work", |b| b.iter(|| black_box(3)));
-        c.record_stage_timings([
-            StageTiming {
-                stage: "shard_slice".into(),
-                count: 40,
-                total_secs: 1.25,
-            },
-            StageTiming {
-                stage: "report_merge".into(),
-                count: 10,
-                total_secs: 0.5,
-            },
-        ]);
-        assert_eq!(c.stage_timings().len(), 2);
-        let json = render_json("t", c.measurements(), c.stage_timings());
-        let results_at = json.find("\"results\"").unwrap();
-        let stages_at = json.find("\"stage_timings\"").unwrap();
-        assert!(
-            stages_at > results_at,
-            "stage section must follow the results array"
-        );
-        assert!(json
-            .contains("{\"stage\": \"shard_slice\", \"count\": 40, \"total_secs\": 1.250000000}"));
-        // No `name` key outside the results array: scanners that walk
-        // `"name":` entries after `"results"` must not pick up stages.
-        assert!(!json[stages_at..].contains("\"name\":"));
-    }
 }

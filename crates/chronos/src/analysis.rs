@@ -12,7 +12,6 @@
 
 use netsim::rng::SimRng;
 use netsim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Natural log of `n!` (exact summation; n stays small here).
 pub fn ln_factorial(n: u64) -> f64 {
@@ -68,7 +67,7 @@ pub fn min_attacker_for_panic_control(n: usize) -> usize {
 }
 
 /// The analytic security bound for a shift attack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SecurityBound {
     /// Probability one poll's sample is fully attacker-controlled.
     pub p_per_poll: f64,

@@ -2,10 +2,9 @@
 
 use dnslab::name::Name;
 use netsim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Pool-generation settings (the mechanism the DSN paper attacks).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolGenConfig {
     /// Name queried to gather servers.
     pub pool_name: Name,
@@ -46,7 +45,7 @@ impl PoolGenConfig {
 }
 
 /// Full Chronos client configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChronosConfig {
     /// Servers sampled per poll (m).
     pub sample_size: usize,

@@ -70,11 +70,10 @@ use crate::select::{chronos_select_with, panic_select_with, ChronosDecision, Sel
 use netsim::time::SimTime;
 use ntplab::combine::{ntpd_pipeline, PipelineOutcome};
 use ntplab::select::PeerSample;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Lifecycle phase of a Chronos client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Gathering the server pool via DNS (paper: 24 hourly queries).
     PoolGeneration,
@@ -85,7 +84,7 @@ pub enum Phase {
 }
 
 /// Counters describing client activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChronosStats {
     /// Pool-generation DNS queries sent.
     pub pool_queries: u64,
@@ -128,7 +127,7 @@ pub struct CoreState<'a> {
 }
 
 /// What the caller must do after a concluded sample round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundOutcome {
     /// Apply `correction_ns` to the clock and poll again next interval.
     Accept {
@@ -234,7 +233,7 @@ pub fn conclude_panic_round(
 }
 
 /// What a concluded plain-NTP poll round decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlainRoundOutcome {
     /// The pipeline found a majority clique: apply `correction_ns`.
     Correction {
@@ -298,7 +297,7 @@ pub fn conclude_plain_round(
 }
 
 /// What a concluded Roughtime cross-reference round decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoughtimeOutcome {
     /// A strict majority of source midpoints agreed within the agreement
     /// radius: apply their mean.

@@ -17,14 +17,13 @@ use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackEvent};
 use netsim::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 const TAG_ROUND: u64 = 1;
 
 /// Counters describing client activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConsensusPoolStats {
     /// Rounds completed.
     pub rounds: u64,

@@ -14,11 +14,10 @@ use crate::config::PoolGenConfig;
 use dnslab::wire::{Message, Record};
 use netsim::hash::MulHashSet;
 use netsim::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// What one DNS round contributed to the pool.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolRound {
     /// 1-based round number.
     pub round: usize,

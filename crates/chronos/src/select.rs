@@ -37,10 +37,8 @@
 //! The original sort-based implementation is retained in [`mod@reference`]
 //! and property-tested to produce byte-identical decisions.
 
-use serde::{Deserialize, Serialize};
-
 /// Why a Chronos sample round was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// Fewer than `2d + 1` samples arrived.
     TooFewSamples {
@@ -62,7 +60,7 @@ pub enum RejectReason {
 }
 
 /// Outcome of one Chronos selection round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChronosDecision {
     /// Update the clock by `correction_ns`.
     Accept {

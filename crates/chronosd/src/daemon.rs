@@ -14,7 +14,7 @@
 //! logger (level from `CHRONOSD_LOG`).
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,6 +30,14 @@ use crate::Json;
 
 /// Protocol version reported by `ping` (bump on breaking wire changes).
 pub const PROTOCOL_VERSION: u64 = 1;
+
+/// The longest request line the daemon reads, newline excluded. A
+/// `chronosctl` request is a few hundred bytes plus at most one path of up
+/// to `PATH_MAX` (4 KiB), which JSON escaping grows at most sixfold. A
+/// line that runs past this cap gets a protocol-error reply and its
+/// connection is closed, so a client that never sends a newline cannot
+/// grow the daemon's memory.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// How long observers wait for a stepping worker to park its fleet
 /// before giving up (`status`/`report`/`checkpoint` on a busy job).
@@ -743,15 +751,28 @@ fn handle_connection(stream: UnixStream, ctx: &ServerCtx) {
     // Bounded reads so an idle connection cannot pin the handler past a
     // shutdown: on each timeout the loop re-checks the flag. Partial
     // lines survive timeouts because read_until keeps consumed bytes in
-    // the buffer.
+    // the buffer. Each read stops one byte past MAX_REQUEST_LINE, so the
+    // buffer never holds more than that.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(300)));
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
     loop {
         let mut eof = false;
-        match reader.read_until(b'\n', &mut buf) {
+        let room = (MAX_REQUEST_LINE + 1 - buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) => break,
             Ok(_) if buf.ends_with(b"\n") => {}
+            Ok(_) if buf.len() > MAX_REQUEST_LINE => {
+                ctx.obs.protocol_errors.inc();
+                ctx.obs.logger.warn(
+                    "chronosd::daemon",
+                    "request line over the cap; closing connection",
+                    &[("cap_bytes", &MAX_REQUEST_LINE)],
+                );
+                let response = err(format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
+                let _ = writeln!(writer, "{}", response.render()).and_then(|()| writer.flush());
+                break;
+            }
             Ok(_) => eof = true, // final unterminated line
             Err(e)
                 if matches!(

@@ -40,8 +40,8 @@ pub struct DaemonObs {
     pub fleet: Arc<FleetMetrics>,
     /// Connections accepted (`chronosd_connections_total`).
     pub connections: Arc<Counter>,
-    /// Malformed requests — unparseable JSON, missing or unknown `cmd`
-    /// (`chronosd_protocol_errors_total`).
+    /// Malformed requests — over-long lines, unparseable JSON, missing or
+    /// unknown `cmd` (`chronosd_protocol_errors_total`).
     pub protocol_errors: Arc<Counter>,
     /// `run_until` slices stepped by the worker pool
     /// (`chronosd_slices_total`).
@@ -95,7 +95,7 @@ impl DaemonObs {
         );
         let protocol_errors = registry.counter(
             "chronosd_protocol_errors_total",
-            "Malformed requests: unparseable JSON, missing or unknown cmd.",
+            "Malformed requests: over-long lines, unparseable JSON, missing or unknown cmd.",
             &[],
         );
         let slices_scheduled = registry.counter(

@@ -302,3 +302,56 @@ fn protocol_errors_are_reported_not_fatal() {
     client.request("shutdown", Vec::new()).expect("shutdown");
     handle.join().expect("daemon exits");
 }
+
+#[test]
+fn over_long_request_line_is_refused_and_the_connection_closed() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let socket = scratch("long.sock");
+    let handle = boot(&socket);
+
+    // One byte past the cap and no newline: the daemon must answer
+    // within seconds instead of buffering the line without bound.
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    stream
+        .write_all(&vec![b'x'; chronosd::daemon::MAX_REQUEST_LINE + 1])
+        .expect("write the over-long line");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("a reply before the timeout");
+    let reply = Json::parse(line.trim_end()).expect("the reply is JSON");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{line}");
+    let error = reply.get("error").and_then(Json::as_str).expect("error");
+    assert!(error.contains("exceeds"), "{error}");
+    let mut rest = Vec::new();
+    assert_eq!(
+        reader.read_to_end(&mut rest).expect("the daemon closes"),
+        0,
+        "nothing follows the refusal"
+    );
+
+    // The daemon lives on, and counted exactly one protocol error.
+    let mut client = Client::connect(&socket).expect("reconnect");
+    let pong = client.request("ping", Vec::new()).expect("ping answered");
+    assert_eq!(pong.get("protocol").and_then(Json::as_u64), Some(1));
+    let scraped = client.request("metrics", Vec::new()).expect("metrics");
+    let text = scraped
+        .get("metrics")
+        .and_then(Json::as_str)
+        .expect("metrics payload");
+    let errors = obs::expo::parse(text)
+        .expect("exposition parses")
+        .into_iter()
+        .find(|s| s.name == "chronosd_protocol_errors_total")
+        .expect("protocol-error counter");
+    assert_eq!(errors.value, 1.0, "one over-long line, one protocol error");
+
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    handle.join().expect("daemon exits");
+}

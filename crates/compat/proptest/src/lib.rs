@@ -13,15 +13,17 @@
 //! a deterministic per-test seed so failures reproduce; set
 //! `PROPTEST_CASES` to override the default of 64 cases per property.
 //!
+//! The case generator is a private copy of xoshiro256** seeded through
+//! SplitMix64, with its own range reductions; a unit test pins the first
+//! 64 values of every strategy kind. The upstream crate draws different
+//! cases, so swapping it in changes which cases every property checks.
+//!
 //! *(Workspace map: see `ARCHITECTURE.md` at the repo root — crate-by-crate
 //! architecture, the data-flow diagram, and the determinism contract.)*
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-
-/// Deterministic case generator handed to strategies.
+/// Deterministic case generator handed to strategies: xoshiro256**.
 pub struct TestRng {
-    inner: StdRng,
+    s: [u64; 4],
 }
 
 impl TestRng {
@@ -32,13 +34,39 @@ impl TestRng {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        TestRng {
-            inner: StdRng::seed_from_u64(h ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        }
+        // The state is four successive SplitMix64 outputs from the seed.
+        let mut state = h ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let s = [(); 4].map(|()| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        });
+        TestRng { s }
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// Two words read as one `u128` (the first word high), mod `span`.
+    fn wide_below(&mut self, span: u128) -> u128 {
+        ((u128::from(self.next_u64()) << 64) | u128::from(self.next_u64())) % span
+    }
+
+    /// A uniform `f64` in `[0, 1)` from the top 53 bits of one word.
+    fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     fn usize_below(&mut self, n: usize) -> usize {
@@ -163,23 +191,52 @@ pub fn any<T: Arbitrary>() -> Any<T> {
     }
 }
 
+/// Integer ranges: the span is taken in 64-bit two's-complement words
+/// (`$word`, sign-extended for signed types) and the offset added with
+/// wrap-around, so a signed span wider than `i64::MAX` stays in range. A
+/// half-open range draws as the inclusive range one below its end.
 macro_rules! impl_range_strategy {
-    ($($t:ty),*) => {$(
+    ($($t:ty => $word:ty),*) => {$(
         impl Strategy for core::ops::Range<$t> {
             type Value = $t;
             fn generate(&self, rng: &mut TestRng) -> $t {
-                rng.inner.gen_range(self.clone())
+                assert!(self.start < self.end, "cannot sample empty range");
+                (self.start..=self.end - 1).generate(rng)
             }
         }
         impl Strategy for core::ops::RangeInclusive<$t> {
             type Value = $t;
             fn generate(&self, rng: &mut TestRng) -> $t {
-                rng.inner.gen_range(self.clone())
+                let (lo, hi) = (*self.start(), *self.end());
+                assert!(lo <= hi, "cannot sample empty range");
+                let span = u128::from((hi as $word).wrapping_sub(lo as $word) as u64) + 1;
+                (lo as $word).wrapping_add(rng.wide_below(span) as $word) as $t
             }
         }
     )*};
 }
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
+impl_range_strategy!(
+    u8 => u64, u16 => u64, u32 => u64, u64 => u64, usize => u64,
+    i8 => i64, i16 => i64, i32 => i64, i64 => i64, isize => i64
+);
+
+/// `f64` ranges scale one 53-bit unit onto the range, half-open or not.
+impl Strategy for core::ops::Range<f64> {
+    type Value = f64;
+    fn generate(&self, rng: &mut TestRng) -> f64 {
+        assert!(self.start < self.end, "cannot sample empty range");
+        (self.start..=self.end).generate(rng)
+    }
+}
+
+impl Strategy for core::ops::RangeInclusive<f64> {
+    type Value = f64;
+    fn generate(&self, rng: &mut TestRng) -> f64 {
+        let (lo, hi) = (*self.start(), *self.end());
+        assert!(lo <= hi, "cannot sample empty range");
+        lo + rng.unit() * (hi - lo)
+    }
+}
 
 macro_rules! impl_tuple_strategy {
     ($(($($name:ident : $idx:tt),+))*) => {$(
@@ -606,6 +663,156 @@ mod tests {
             prop_assume!(n % 2 == 0);
             prop_assert!(n % 2 == 0);
         }
+    }
+
+    /// FNV-1a over the `Debug` text of the first 64 values `strategy`
+    /// draws from the case stream `TestRng::deterministic("pins", case)`.
+    fn pin<S: Strategy>(case: u64, strategy: S) -> u64
+    where
+        S::Value: std::fmt::Debug,
+    {
+        let mut rng = crate::TestRng::deterministic("pins", case);
+        (0..64)
+            .flat_map(|_| format!("{:?};", strategy.generate(&mut rng)).into_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn strategies_are_pinned() {
+        // The cases every property draws: a change to the generator or to
+        // a reduction below moves them.
+        let got = [
+            pin(0, 3u8..200),
+            pin(1, 3u8..=200),
+            pin(2, 1000u16..60_000),
+            pin(3, 1000u16..=60_000),
+            pin(4, 7u32..4_000_000_000),
+            pin(5, 7u32..=4_000_000_000),
+            pin(6, 1u64..u64::MAX),
+            pin(7, 0u64..=u64::MAX),
+            pin(8, 2usize..300),
+            pin(9, 2usize..=300),
+            pin(10, -100i8..100),
+            pin(11, i8::MIN..=i8::MAX),
+            pin(12, -30_000i16..30_000),
+            pin(13, -30_000i16..=30_000),
+            pin(14, i32::MIN..0),
+            pin(15, -5i32..=5),
+            pin(16, i64::MIN..i64::MAX),
+            pin(17, -1_000_000_000i64..=1_000_000_000),
+            pin(18, -7isize..9),
+            pin(19, -7isize..=9),
+            pin(20, -2.5f64..7.5),
+            pin(21, 0.0f64..=1.0),
+            pin(22, any::<u8>()),
+            pin(23, any::<u16>()),
+            pin(24, any::<u32>()),
+            pin(25, any::<u64>()),
+            pin(26, any::<usize>()),
+            pin(27, any::<i8>()),
+            pin(28, any::<i16>()),
+            pin(29, any::<i32>()),
+            pin(30, any::<i64>()),
+            pin(31, any::<isize>()),
+            pin(32, any::<bool>()),
+            pin(33, any::<[u8; 4]>()),
+            pin(34, crate::collection::vec(0u16..10, 3)),
+            pin(35, crate::collection::vec(any::<i64>(), 0..9)),
+            pin(36, crate::collection::vec(-1.0f64..1.0, 1..=4)),
+            pin(
+                37,
+                crate::string::string_regex("[a-z][a-z0-9-]{0,14}").unwrap(),
+            ),
+            pin(
+                38,
+                crate::string::string_regex("x[-_0-9]?y*z+[A-Fq]{2}").unwrap(),
+            ),
+            pin(39, "[a-c]{1,3}\\.d"),
+            pin(40, prop_oneof![Just(7u8), 10u8..20, any::<u8>()]),
+            pin(41, (0u8..4, any::<bool>()).prop_map(|(a, b)| (b, a))),
+        ];
+        let want: [u64; 42] = [
+            0xb9d4_84a2_8ca5_5f84,
+            0x23e1_4359_4476_f067,
+            0xb3af_2013_56ad_1154,
+            0x1cb9_a3f7_5db3_17fe,
+            0x2379_3f39_8cde_d6ee,
+            0x823a_0501_e215_8ca4,
+            0x8912_4c8b_8e7c_a782,
+            0x6c1a_ce72_8968_05b3,
+            0x0218_779e_f998_a759,
+            0xbcdb_9bca_0156_475c,
+            0xdfa4_1784_6ff7_0e72,
+            0xf326_ede8_ed71_cde1,
+            0xf467_dd57_0d85_9223,
+            0x68d5_82da_0a55_6479,
+            0xce38_72f3_914a_55fd,
+            0xeccd_7c7e_5af8_a6b3,
+            0xcf55_8344_b6d5_6fb6,
+            0x6de1_ec00_24f0_a221,
+            0xee5a_670c_9216_4cd2,
+            0xf8b2_b9cf_ad7e_0105,
+            0xbb27_a5b5_fd6c_2bd6,
+            0x0785_01d1_1ce6_bc18,
+            0x37a4_9cf2_896e_a2ca,
+            0xe970_b8c1_64f5_536a,
+            0x8407_07ac_a7ff_c94e,
+            0x6657_6eec_14e0_8d7d,
+            0x6233_7605_03d9_b0dc,
+            0xcebe_d9fe_b972_4a40,
+            0xab20_62be_1c8a_1e86,
+            0x387a_3dd0_d0be_bc47,
+            0x02b4_adba_2177_e462,
+            0xed28_3fd0_db2f_b482,
+            0x7591_4e77_9443_d4c1,
+            0x7191_7eb9_bc5d_3399,
+            0xb647_0ec7_1196_8383,
+            0x3c9f_facd_2231_a6d3,
+            0x1c80_ed8c_4940_4b5f,
+            0xc318_221b_9afa_09b9,
+            0x6676_a89f_36e8_b3bc,
+            0xc463_2aba_9829_6d21,
+            0x2900_2449_dad1_a950,
+            0xc89c_7571_3e35_dc7e,
+        ];
+        for (k, (hash, want)) in got.into_iter().zip(want).enumerate() {
+            assert_eq!(hash, want, "strategy {k}: {hash:#018x}");
+        }
+    }
+
+    #[test]
+    fn ranges_stay_in_bounds() {
+        let mut rng = crate::TestRng::deterministic("bounds", 7);
+        for _ in 0..1000 {
+            let x = (10u16..20).generate(&mut rng);
+            assert!((10..20).contains(&x));
+            let y = (-5i64..=5).generate(&mut rng);
+            assert!((-5..=5).contains(&y));
+            let z = (-1.5f64..=1.5).generate(&mut rng);
+            assert!((-1.5..=1.5).contains(&z));
+            let w = (0usize..3).generate(&mut rng);
+            assert!(w < 3);
+        }
+    }
+
+    #[test]
+    fn signed_ranges_wider_than_i64_max_stay_in_bounds() {
+        // The span is the wrapping difference read as unsigned: sign-
+        // extending it would make `% span` a no-op for these ranges.
+        let mut rng = crate::TestRng::deterministic("wide", 1);
+        let mut seen_negative = false;
+        for _ in 0..1000 {
+            let x = (i64::MIN..=0).generate(&mut rng);
+            assert!(x <= 0, "out of range: {x}");
+            seen_negative |= x < 0;
+            let y = (i64::MIN..i64::MAX).generate(&mut rng);
+            assert!(y < i64::MAX);
+        }
+        assert!(seen_negative);
+        // The full u64 range must not panic (span = 2^64).
+        let _ = (0u64..=u64::MAX).generate(&mut rng);
     }
 
     #[test]

@@ -1,307 +1,14 @@
-//! Offline stand-in for the subset of `rand` 0.8 this workspace uses.
+//! An empty crate, kept only for its place in the lock files.
 //!
-//! The simulator needs *deterministic, seedable, decorrelated* streams —
-//! not cryptographic quality — so [`rngs::StdRng`] here is xoshiro256**
-//! seeded via SplitMix64 rather than ChaCha12. All randomness consumed by
-//! the simulation flows through `netsim::rng::SimRng`, which wraps this
-//! type; swapping back to the real crate changes concrete streams but no
-//! API.
-//!
-//! Supported surface: [`RngCore`], [`SeedableRng::seed_from_u64`],
-//! [`Rng::gen`], [`Rng::gen_range`] (integer and float ranges, half-open
-//! and inclusive), [`Rng::gen_bool`], and [`Error`].
+//! The workspace's random streams are its own code: `netsim::rng::SimRng`
+//! (xoshiro256** seeded through SplitMix64, with the integer, `f64` and
+//! probability reductions the simulation draws) and `fleet::rng::FleetRng`
+//! (SplitMix64). The packet-world goldens pin those algorithms, so the
+//! upstream `rand` crate cannot stand in for them without moving every
+//! golden. Nothing depends on this crate's contents; `netsim`, `dnslab`,
+//! `attacklab` and `chronos_pitfalls` still list it because
+//! `perfbench/Cargo.lock` records those edges, and the next change to the
+//! benchmark deletes the crate together with them.
 //!
 //! *(Workspace map: see `ARCHITECTURE.md` at the repo root — crate-by-crate
 //! architecture, the data-flow diagram, and the determinism contract.)*
-
-use core::fmt;
-
-/// Error type for fallible RNG operations (never produced by this stub).
-#[derive(Debug)]
-pub struct Error;
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("rng error")
-    }
-}
-
-impl std::error::Error for Error {}
-
-/// Core random-number-generator interface (mirrors `rand_core::RngCore`).
-pub trait RngCore {
-    /// Next 32 random bits.
-    fn next_u32(&mut self) -> u32;
-    /// Next 64 random bits.
-    fn next_u64(&mut self) -> u64;
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]);
-    /// Fallible [`RngCore::fill_bytes`].
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-/// Seedable construction (mirrors `rand::SeedableRng`).
-pub trait SeedableRng: Sized {
-    /// Builds a generator from a 64-bit seed.
-    fn seed_from_u64(state: u64) -> Self;
-}
-
-/// Types producible uniformly at random by [`Rng::gen`].
-pub trait Random {
-    /// Draws one value from `rng`.
-    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self;
-}
-
-macro_rules! impl_random_int {
-    ($($t:ty),*) => {$(
-        impl Random for $t {
-            fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-                rng.next_u64() as $t
-            }
-        }
-    )*};
-}
-impl_random_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Random for u128 {
-    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64())
-    }
-}
-
-impl Random for bool {
-    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
-impl Random for f64 {
-    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        // 53 random mantissa bits in [0, 1).
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Random for f32 {
-    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-}
-
-/// Ranges samplable by [`Rng::gen_range`] (mirrors `SampleRange`).
-pub trait SampleRange<T> {
-    /// Draws a uniform value from the range.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range is empty.
-    fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
-}
-
-macro_rules! impl_sample_range_int {
-    ($($t:ty => $wide:ty),*) => {$(
-        impl SampleRange<$t> for core::ops::Range<$t> {
-            fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "cannot sample empty range");
-                // Zero-extend the *unsigned reinterpretation* of the
-                // wrapping difference: a signed span wider than
-                // $wide::MAX (e.g. i64::MIN..0) must not sign-extend.
-                let span =
-                    ((self.end as $wide).wrapping_sub(self.start as $wide) as u64) as u128;
-                let off = u128::random(rng) % span;
-                ((self.start as $wide as u128).wrapping_add(off)) as $t
-            }
-        }
-        impl SampleRange<$t> for core::ops::RangeInclusive<$t> {
-            fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "cannot sample empty range");
-                let span = ((hi as $wide).wrapping_sub(lo as $wide) as u64) as u128 + 1;
-                let off = u128::random(rng) % span;
-                ((lo as $wide as u128).wrapping_add(off)) as $t
-            }
-        }
-    )*};
-}
-impl_sample_range_int!(
-    u8 => u64, u16 => u64, u32 => u64, u64 => u64, usize => u64,
-    i8 => i64, i16 => i64, i32 => i64, i64 => i64, isize => i64
-);
-
-impl SampleRange<f64> for core::ops::Range<f64> {
-    fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
-        assert!(self.start < self.end, "cannot sample empty range");
-        self.start + f64::random(rng) * (self.end - self.start)
-    }
-}
-
-impl SampleRange<f64> for core::ops::RangeInclusive<f64> {
-    fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
-        let (lo, hi) = (*self.start(), *self.end());
-        assert!(lo <= hi, "cannot sample empty range");
-        lo + f64::random(rng) * (hi - lo)
-    }
-}
-
-/// Convenience extension trait (mirrors `rand::Rng`); blanket-implemented
-/// for every [`RngCore`].
-pub trait Rng: RngCore {
-    /// Draws a uniform value of type `T`.
-    fn gen<T: Random>(&mut self) -> T {
-        T::random(self)
-    }
-
-    /// Draws a uniform value from `range`.
-    fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
-        range.sample_single(self)
-    }
-
-    /// Draws `true` with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `0.0..=1.0`.
-    fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "p={p} out of range");
-        f64::random(self) < p
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill(&mut self, dest: &mut [u8]) {
-        self.fill_bytes(dest);
-    }
-}
-
-impl<R: RngCore + ?Sized> Rng for R {}
-
-/// Concrete generators.
-pub mod rngs {
-    use super::{Error, RngCore, SeedableRng};
-
-    /// Deterministic xoshiro256** generator (stands in for `rand`'s
-    /// ChaCha12-based `StdRng`; same API, different — but still
-    /// deterministic — stream).
-    #[derive(Debug, Clone)]
-    pub struct StdRng {
-        s: [u64; 4],
-    }
-
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    impl SeedableRng for StdRng {
-        fn seed_from_u64(state: u64) -> Self {
-            let mut sm = state;
-            let s = [
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-            ];
-            StdRng { s }
-        }
-    }
-
-    impl RngCore for StdRng {
-        fn next_u32(&mut self) -> u32 {
-            (self.next_u64() >> 32) as u32
-        }
-
-        fn next_u64(&mut self) -> u64 {
-            let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-            let t = self.s[1] << 17;
-            self.s[2] ^= self.s[0];
-            self.s[3] ^= self.s[1];
-            self.s[1] ^= self.s[2];
-            self.s[0] ^= self.s[3];
-            self.s[2] ^= t;
-            self.s[3] = self.s[3].rotate_left(45);
-            result
-        }
-
-        fn fill_bytes(&mut self, dest: &mut [u8]) {
-            for chunk in dest.chunks_mut(8) {
-                let bytes = self.next_u64().to_le_bytes();
-                chunk.copy_from_slice(&bytes[..chunk.len()]);
-            }
-        }
-
-        fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-            self.fill_bytes(dest);
-            Ok(())
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::rngs::StdRng;
-    use super::{Rng, RngCore, SeedableRng};
-
-    #[test]
-    fn deterministic_under_seed() {
-        let mut a = StdRng::seed_from_u64(42);
-        let mut b = StdRng::seed_from_u64(42);
-        for _ in 0..64 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-        }
-        let mut c = StdRng::seed_from_u64(43);
-        assert_ne!(a.gen::<u64>(), c.gen::<u64>());
-    }
-
-    #[test]
-    fn ranges_stay_in_bounds() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..1000 {
-            let x = rng.gen_range(10u16..20);
-            assert!((10..20).contains(&x));
-            let y = rng.gen_range(-5i64..=5);
-            assert!((-5..=5).contains(&y));
-            let z = rng.gen_range(-1.5f64..=1.5);
-            assert!((-1.5..=1.5).contains(&z));
-            let w = rng.gen_range(0usize..3);
-            assert!(w < 3);
-        }
-    }
-
-    #[test]
-    fn signed_ranges_wider_than_i64_max_stay_in_bounds() {
-        // Regression: the span used to be sign-extended, making `% span` a
-        // no-op for ranges wider than i64::MAX.
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut seen_negative = false;
-        for _ in 0..1000 {
-            let x = rng.gen_range(i64::MIN..=0);
-            assert!(x <= 0, "out of range: {x}");
-            seen_negative |= x < 0;
-            let y = rng.gen_range(i64::MIN..i64::MAX);
-            assert!(y < i64::MAX);
-        }
-        assert!(seen_negative);
-        // Full u64 range must not panic (span = 2^64).
-        let _ = rng.gen_range(0u64..=u64::MAX);
-    }
-
-    #[test]
-    fn gen_bool_extremes_and_rate() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
-        assert!((2000..3000).contains(&hits), "got {hits}");
-    }
-
-    #[test]
-    fn fill_bytes_covers_tail() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-}

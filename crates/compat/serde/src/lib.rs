@@ -1,32 +1,11 @@
-//! Offline stand-in for `serde`.
+//! An empty crate, kept only for its place in the lock files.
 //!
-//! The repository's simulation code derives `Serialize`/`Deserialize` on
-//! its result types so downstream consumers *could* persist them, but
-//! nothing in-tree performs actual serde serialization (report/bench JSON is
-//! emitted by hand). Since the build container has no crates.io access, this
-//! stub provides the two traits as blanket-implemented markers and re-exports
-//! no-op derive macros, keeping every `#[derive(Serialize, Deserialize)]`
-//! and `T: Serialize` bound compiling unchanged.
-//!
-//! If real serialization is ever needed, replace this stub with the genuine
-//! crate in `[workspace.dependencies]` — no call-site changes required.
+//! Nothing in the workspace serializes through serde: reports, bench
+//! artifacts and the daemon protocol are written through `obs::json`, and
+//! checkpoints through `fleet::checkpoint`'s binary codecs. The crates that
+//! still list this dependency do so because `perfbench/Cargo.lock` records
+//! those edges; the next change to the benchmark deletes this crate,
+//! `serde_derive` and the edges together.
 //!
 //! *(Workspace map: see `ARCHITECTURE.md` at the repo root — crate-by-crate
 //! architecture, the data-flow diagram, and the determinism contract.)*
-
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Marker counterpart of `serde::Serialize`; implemented for every type.
-pub trait Serialize {}
-impl<T: ?Sized> Serialize for T {}
-
-/// Marker counterpart of `serde::Deserialize`; implemented for every type.
-pub trait Deserialize {}
-impl<T: ?Sized> Deserialize for T {}
-
-/// Subset of `serde::de` used in bounds.
-pub mod de {
-    /// Marker counterpart of `serde::de::DeserializeOwned`.
-    pub trait DeserializeOwned {}
-    impl<T: ?Sized> DeserializeOwned for T {}
-}

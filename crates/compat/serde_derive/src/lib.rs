@@ -1,22 +1,6 @@
-//! No-op derive macros for the vendored `serde` stub.
-//!
-//! The workspace builds in a network-less container, so `serde` is a local
-//! stub whose `Serialize`/`Deserialize` traits are blanket-implemented for
-//! every type. These derives therefore only need to *exist* (so
-//! `#[derive(Serialize, Deserialize)]` parses) and expand to nothing.
-//! `#[serde(...)]` helper attributes are accepted and ignored.
+//! An empty crate, kept only for its place in the lock files: `serde`
+//! lists it, and `perfbench/Cargo.lock` records that edge. See the `serde`
+//! placeholder's docs.
 //!
 //! *(Workspace map: see `ARCHITECTURE.md` at the repo root — crate-by-crate
 //! architecture, the data-flow diagram, and the determinism contract.)*
-
-use proc_macro::TokenStream;
-
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}

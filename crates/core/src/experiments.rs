@@ -22,7 +22,6 @@ use dnslab::name::Name;
 use netsim::rng::SimRng;
 use netsim::stack::IpIdPolicy;
 use netsim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A compressed Chronos configuration for packet-level experiments: the
 /// full 24-round structure at `interval` spacing (instead of hourly), so
@@ -45,7 +44,7 @@ pub fn compressed_chronos(rounds: usize, interval: SimDuration) -> ChronosConfig
 // ---------------------------------------------------------------------
 
 /// Which poisoning mechanism E1 exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum E1Strategy {
     /// Packet-level defragmentation poisoning (glue rewrite).
     Fragmentation,
@@ -57,7 +56,7 @@ pub enum E1Strategy {
 }
 
 /// One pool-generation round of the timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E1RoundRow {
     /// 1-based round.
     pub round: usize,
@@ -76,7 +75,7 @@ pub struct E1RoundRow {
 }
 
 /// Result of the E1 timeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E1Result {
     /// Per-round timeline (Figure 1's data).
     pub rows: Vec<E1RoundRow>,
@@ -193,7 +192,7 @@ impl E1Result {
 // ---------------------------------------------------------------------
 
 /// Result of the E2 analytic sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E2Result {
     /// One row per poisoning round.
     pub rows: Vec<PoolCompositionRow>,
@@ -240,7 +239,7 @@ impl E2Result {
 // ---------------------------------------------------------------------
 
 /// One capacity measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E3Row {
     /// Path MTU.
     pub mtu: u16,
@@ -300,7 +299,7 @@ pub fn e3_table(rows: &[E3Row]) -> Table {
 // ---------------------------------------------------------------------
 
 /// One E4 row: closed form plus Monte-Carlo cross-check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E4Row {
     /// The analytic comparison.
     pub analytic: SuccessRow,
@@ -358,7 +357,7 @@ pub fn e4_table(rows: &[E4Row]) -> Table {
 // ---------------------------------------------------------------------
 
 /// One E5 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E5Row {
     /// Attacker's pool fraction.
     pub fraction: f64,
@@ -629,7 +628,7 @@ fn poisoning_axes(k: usize, resolvers: usize) -> Vec<(String, f64)> {
 // ---------------------------------------------------------------------
 
 /// One population-attack variant of E14.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E14Row {
     /// Variant label.
     pub label: String,
@@ -638,7 +637,7 @@ pub struct E14Row {
 }
 
 /// Result of the E14 population sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E14Result {
     /// One row per attack variant.
     pub rows: Vec<E14Row>,
@@ -1332,7 +1331,7 @@ pub fn e18_table(result: &SweepResult) -> Table {
 // ---------------------------------------------------------------------
 
 /// Result of the E7 study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E7Result {
     /// What our scan of the synthetic population measured.
     pub measured: StudyFindings,
@@ -1387,7 +1386,7 @@ impl E7Result {
 // ---------------------------------------------------------------------
 
 /// The §V mitigation variants under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum E8Variant {
     /// No attack at all (control).
     NoAttack,
@@ -1431,7 +1430,7 @@ impl E8Variant {
 }
 
 /// One E8 outcome row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E8Row {
     /// The variant.
     pub variant: E8Variant,
@@ -1545,7 +1544,7 @@ pub fn e8_table(rows: &[E8Row]) -> Table {
 // ---------------------------------------------------------------------
 
 /// One E9 configuration and its outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E9Row {
     /// The nameserver's IP-ID allocation policy.
     pub ip_id_policy: IpIdPolicy,
@@ -1632,7 +1631,7 @@ fn policy_tag(p: IpIdPolicy) -> u64 {
 }
 
 /// One forced-MTU ablation row (E9b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E9MtuRow {
     /// The PMTU the attacker forces onto the nameserver.
     pub forced_mtu: u16,
@@ -1721,7 +1720,7 @@ pub fn e9_mtu_table(rows: &[E9MtuRow]) -> Table {
 // ---------------------------------------------------------------------
 
 /// One E10 configuration and outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E10Row {
     /// Consensus rule in force.
     pub rule: chronos::consensus::ConsensusRule,
@@ -1889,7 +1888,7 @@ pub fn e10_table(rows: &[E10Row]) -> Table {
 // ---------------------------------------------------------------------
 
 /// One E11 configuration and outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E11Row {
     /// Human-readable resolver hardening level.
     pub resolver_profile: String,

@@ -18,7 +18,6 @@ use crate::scenario::{Scenario, ScenarioConfig};
 use fleet::config::FleetConfig;
 use fleet::engine::Fleet;
 use netsim::pool::ObjectPool;
-use serde::{Deserialize, Serialize};
 
 #[doc(hidden)]
 pub use netsim::par::baseline_run_trials;
@@ -118,7 +117,7 @@ fn fingerprint_groups(fingerprints: impl Iterator<Item = u64>) -> (Vec<usize>, u
 }
 
 /// Counters describing how much construction a pooled sweep avoided.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Trials executed.
     pub trials: u64,
@@ -354,7 +353,7 @@ pub fn success_rates(outcomes: &[Vec<bool>]) -> Vec<SuccessRate> {
 }
 
 /// Summary statistics over boolean trial outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuccessRate {
     /// Trials run.
     pub trials: u32,

@@ -20,11 +20,10 @@ use netsim::node::NodeHarness;
 use netsim::rng::SimRng;
 use netsim::stack::{FragFilter, IpStack, StackConfig, StackEvent};
 use netsim::udp::UdpDatagram;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// A nameserver's relevant behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NameserverProfile {
     /// Whether the host honours ICMP "fragmentation needed" at all.
     pub accepts_pmtu_updates: bool,
@@ -36,7 +35,7 @@ pub struct NameserverProfile {
 }
 
 /// A resolver's relevant behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolverProfile {
     /// Fragment filtering applied by the host or its middleboxes.
     pub frag_filter: FragFilter,
@@ -54,7 +53,7 @@ impl ResolverProfile {
 }
 
 /// The synthetic population under study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Population {
     /// Nameserver behaviours.
     pub nameservers: Vec<NameserverProfile>,
@@ -63,7 +62,7 @@ pub struct Population {
 }
 
 /// Aggregate findings, in the same shape the paper reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyFindings {
     /// Nameservers probed.
     pub nameservers_total: usize,
@@ -167,7 +166,7 @@ pub fn synthesize_population(seed: u64, resolver_count: usize) -> Population {
 
 fn shuffle<T>(items: &mut [T], rng: &mut SimRng) {
     for i in (1..items.len()).rev() {
-        let j = rng.sample_indices(i + 1, 1)[0];
+        let j = rng.gen_range(0..=i);
         items.swap(i, j);
     }
 }

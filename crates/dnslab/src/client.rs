@@ -12,7 +12,6 @@ use netsim::node::Context;
 use netsim::stack::IpStack;
 use netsim::time::SimTime;
 use netsim::udp::UdpDatagram;
-use rand::Rng;
 use std::net::Ipv4Addr;
 
 /// Default local port stub queries are sent from.
@@ -80,7 +79,7 @@ impl StubResolver {
         question: Question,
         tag: u64,
     ) -> u16 {
-        let mut txid: u16 = ctx.rng().gen();
+        let mut txid = ctx.rng().gen_u16();
         while self.pending.contains_key(&txid) {
             txid = txid.wrapping_add(1);
         }
@@ -167,7 +166,7 @@ mod tests {
         let mut msg = Message::response_to(&Message::query(txid, q.clone()));
         msg.answers
             .push(Record::a(q.name.clone(), Ipv4Addr::new(10, 32, 0, 1), 150));
-        UdpDatagram::new(DNS_PORT, STUB_PORT, msg.encode())
+        UdpDatagram::new(DNS_PORT, STUB_PORT, bytes::Bytes::from(msg.encode()))
     }
 
     #[test]

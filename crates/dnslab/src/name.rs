@@ -30,7 +30,6 @@
 
 use core::cmp::Ordering;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -42,7 +41,7 @@ pub const MAX_LABEL_LEN: usize = 63;
 pub const MAX_NAME_LEN: usize = 255;
 
 /// A validated, case-normalised domain name.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Name {
     /// The lowercase, uncompressed wire encoding, ending in the root byte.
     wire: Arc<[u8]>,

@@ -23,13 +23,11 @@ use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackConfig, StackEvent};
 use netsim::time::SimDuration;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// How the resolver picks source ports for upstream queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourcePortPolicy {
     /// One fixed port (pre-Kaminsky behaviour; trivially guessable).
     Fixed(u16),
@@ -52,7 +50,7 @@ impl Default for SourcePortPolicy {
 }
 
 /// Resolver behaviour knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolverConfig {
     /// Source-port allocation for upstream queries.
     pub source_ports: SourcePortPolicy,
@@ -85,7 +83,7 @@ impl Default for ResolverConfig {
 }
 
 /// A zone the resolver knows how to reach: its delegation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Upstream {
     /// The zone apex.
     pub zone: Name,
@@ -97,7 +95,7 @@ pub struct Upstream {
 }
 
 /// Counters describing resolver activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     /// Client queries received.
     pub client_queries: u64,
@@ -257,7 +255,7 @@ impl RecursiveResolver {
 
     fn alloc_txid(&mut self, ctx: &mut Context<'_>) -> u16 {
         if self.config.random_txid {
-            ctx.rng().gen()
+            ctx.rng().gen_u16()
         } else {
             let id = self.txid_seq;
             self.txid_seq = self.txid_seq.wrapping_add(1);

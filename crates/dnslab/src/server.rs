@@ -11,14 +11,13 @@ use crate::zone::Zone;
 use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackConfig, StackEvent};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// The well-known DNS port.
 pub const DNS_PORT: u16 = 53;
 
 /// Configuration for an [`AuthServer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuthServerConfig {
     /// Whether the server honours EDNS0 buffer sizes from clients.
     pub honor_edns: bool,
@@ -36,7 +35,7 @@ impl Default for AuthServerConfig {
 }
 
 /// Counters describing server activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuthServerStats {
     /// Queries received.
     pub queries: u64,

@@ -34,9 +34,7 @@
 //! ```
 
 use crate::name::{Name, NameBuf};
-use bytes::Bytes;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::net::Ipv4Addr;
 
@@ -47,7 +45,7 @@ pub const DNS_HEADER_LEN: usize = 12;
 pub const CLASSIC_UDP_LIMIT: usize = 512;
 
 /// Record (and query) types modelled by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordType {
     /// IPv4 address record.
     A,
@@ -114,7 +112,7 @@ impl fmt::Display for RecordType {
 }
 
 /// Response codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
     /// No error.
     NoError,
@@ -158,7 +156,7 @@ impl From<u8> for Rcode {
 }
 
 /// Header flag bits (opcode is always QUERY in this model).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Flags {
     /// Response bit.
     pub response: bool,
@@ -175,7 +173,7 @@ pub struct Flags {
 }
 
 /// Newtype so `Flags` can derive `Default` with `NoError`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RcodeField(pub Rcode);
 
 impl Default for RcodeField {
@@ -185,7 +183,7 @@ impl Default for RcodeField {
 }
 
 /// A question section entry (class is always IN).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// Queried name.
     pub name: Name,
@@ -212,7 +210,7 @@ impl Question {
 }
 
 /// Typed record data.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RData {
     /// IPv4 address.
     A(Ipv4Addr),
@@ -272,7 +270,7 @@ impl RData {
 }
 
 /// A resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Owner name.
     pub name: Name,
@@ -307,7 +305,7 @@ impl Record {
 }
 
 /// A complete DNS message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Transaction id.
     pub id: u16,
@@ -417,18 +415,18 @@ impl Message {
     ///
     /// Attack tooling uses the spans to splice forged bytes into a
     /// *predicted* response at exactly the right offsets.
-    pub fn encode_tracked(&self) -> (Bytes, Vec<RecordSpan>) {
+    pub fn encode_tracked(&self) -> (Vec<u8>, Vec<RecordSpan>) {
         let mut spans = Vec::new();
         let bytes = self.encode_impl(Some(&mut spans));
         (bytes, spans)
     }
 
-    /// Serialises the message with name compression.
-    pub fn encode(&self) -> Bytes {
+    /// Serialises the message with name compression into one buffer.
+    pub fn encode(&self) -> Vec<u8> {
         self.encode_impl(None)
     }
 
-    fn encode_impl(&self, mut track: Option<&mut Vec<RecordSpan>>) -> Bytes {
+    fn encode_impl(&self, mut track: Option<&mut Vec<RecordSpan>>) -> Vec<u8> {
         // Header and question fit in 128 bytes and a compressed A record
         // takes 16, so an A-record answer of any size never regrows this.
         let records = self.answers.len() + self.authorities.len() + self.additionals.len();
@@ -482,7 +480,7 @@ impl Message {
                 }
             }
         }
-        Bytes::from(out)
+        out
     }
 
     /// The encoded length in bytes (encodes internally).
@@ -545,7 +543,7 @@ impl Message {
 }
 
 /// Which message section a record was encoded into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Section {
     /// Answer section.
     Answer,
@@ -556,7 +554,7 @@ pub enum Section {
 }
 
 /// Byte positions of one encoded record's fields within the message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FieldSpan {
     /// Offset of the record's first byte (owner name).
     pub start: usize,
@@ -571,7 +569,7 @@ pub struct FieldSpan {
 }
 
 /// A record together with where its bytes landed during encoding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecordSpan {
     /// Section the record was encoded into.
     pub section: Section,
@@ -1096,7 +1094,7 @@ mod tests {
     #[test]
     fn bad_rdlength_is_rejected() {
         let msg = pool_response(1, 150);
-        let mut wire = msg.encode().to_vec();
+        let mut wire = msg.encode();
         // The A record's RDLENGTH sits 2 bytes before the last 4 (address).
         let len = wire.len();
         wire[len - 6..len - 4].copy_from_slice(&3u16.to_be_bytes());

@@ -6,7 +6,6 @@
 
 use crate::name::Name;
 use crate::wire::{Question, RData, Record, RecordType};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// TTL pool.ntp.org uses for its A records.
@@ -16,7 +15,7 @@ pub const POOL_NTP_TTL: u32 = 150;
 pub const POOL_ADDRS_PER_RESPONSE: usize = 4;
 
 /// A rotating answer set (round-robin over a server universe).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rotation {
     /// The full universe of addresses.
     pub addrs: Vec<Ipv4Addr>,

@@ -4,7 +4,6 @@ use crate::cohort::{CohortTier, TierParams};
 use chronos::config::{ChronosConfig, PoolGenConfig};
 use dnslab::zone::{POOL_ADDRS_PER_RESPONSE, POOL_NTP_TTL};
 use netsim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The shared DNS-poisoning attack against the fleet's resolvers.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// that window. With [`FleetConfig::resolvers`] > 1,
 /// [`FleetAttack::poisoned_resolvers`] bounds *which* caches the attacker
 /// reached — the knob behind E16's fraction-of-resolvers-poisoned sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetAttack {
     /// When the poisoned entry lands in the cache(s).
     pub at: SimTime,
@@ -72,7 +71,7 @@ impl FleetAttack {
 /// Per-tier fault probabilities: the network-quality knobs of a
 /// [`FaultPlan`], resolved per tier so a "datacenter" tier can run clean
 /// while a "last mile" tier loses packets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TierFaults {
     /// Probability that any single NTP sample (one server's response in a
     /// poll or panic round) is lost. Drawn per `(client, round, slot)`
@@ -95,7 +94,7 @@ impl TierFaults {
 /// One resolver outage: the resolver answers nothing (neither cached nor
 /// upstream) for `[start_ns, start_ns + duration_ns)` — except stale
 /// serves when the plan's [`ServeStalePolicy`] allows them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutageWindow {
     /// Outage start, nanoseconds of sim time.
     pub start_ns: u64,
@@ -118,7 +117,7 @@ impl OutageWindow {
 /// RFC 8767 serve-stale: when a resolver cannot refresh (outage) or fails
 /// outright (SERVFAIL), it may answer from an *expired* cache entry for up
 /// to `max_stale_secs` past that entry's expiry, instead of failing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStalePolicy {
     /// Maximum staleness budget: an expired entry is served until
     /// `expiry + max_stale_secs` (RFC 8767 suggests 1–3 days; resolvers
@@ -140,7 +139,7 @@ impl Default for ServeStalePolicy {
 /// (0-based) that fails is retried after
 /// `min(base · 2^k, cap) · (1 ± jitter·u)` where `u` is a uniform draw
 /// from the client's [`crate::rng::FaultLane::RetryJitter`] substream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Delay after the first failure.
     pub base: SimDuration,
@@ -182,7 +181,7 @@ impl RetryPolicy {
 /// *inert*: no losses, no SERVFAILs, no outages — and, by the stateless
 /// substream construction in [`crate::rng`], an inert plan reproduces a
 /// fault-free fleet byte for byte.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Fault probabilities applied to every tier without a per-tier
     /// override in `tiers`.
@@ -288,7 +287,7 @@ impl FaultPlan {
 }
 
 /// Configuration of a client population run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Fleet RNG seed; every client stream derives from it and the
     /// client's global id.

@@ -134,7 +134,6 @@ use chronos::select::SelectScratch;
 use netsim::time::{SimDuration, SimTime};
 use ntplab::clock::LocalClock;
 use ntplab::select::PeerSample;
-use serde::{Deserialize, Serialize};
 
 /// Quantiles the report reads off the offset histogram.
 const TRACKED_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
@@ -154,7 +153,7 @@ const FINE_BINS_PER_DECADE: usize = 64;
 const NO_UPDATE: u64 = u64::MAX;
 
 /// Aggregate outcome of a fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Clients simulated.
     pub clients: usize,
@@ -199,7 +198,7 @@ pub struct FleetReport {
 }
 
 /// One tier's slice of a [`FleetReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierBreakdown {
     /// Tier label (from [`crate::cohort::CohortTier::label`]).
     pub label: String,
@@ -229,7 +228,7 @@ pub struct TierBreakdown {
 /// A cheap mid-run snapshot of a fleet's position and health — what a
 /// supervising process (`chronosd`) polls between [`Fleet::run_until`]
 /// slices without paying for a full [`FleetReport`] merge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetProgress {
     /// Current simulated time.
     pub now: SimTime,
@@ -254,7 +253,7 @@ pub struct FleetProgress {
 /// This is observability data, not simulation state: it is measured on
 /// the host's monotonic clock, excluded from checkpoints, and never fed
 /// back into the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetThroughput {
     /// Wall seconds the slice took.
     pub wall_secs: f64,

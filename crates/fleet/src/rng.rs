@@ -3,10 +3,11 @@
 //! A fleet keeps one RNG stream per client so trajectories are a function
 //! of `(fleet seed, global client id)` alone — independent of fleet size,
 //! iteration order and thread count. The generator is SplitMix64: 8 bytes
-//! of state per client, where a [`netsim::rng::SimRng`] carries 40 (the
-//! vendored `rand` stub's 32-byte `xoshiro256**` state plus an 8-byte fork
-//! counter), too heavy for 10⁶ columns. It passes practical statistical
-//! tests, and seeds decorrelate under the finalizer mix.
+//! of state per client, where a [`netsim::rng::SimRng`] carries 40 (its
+//! 32-byte xoshiro256** state plus an 8-byte fork counter), too heavy for
+//! 10⁶ columns. It passes practical statistical tests, and seeds
+//! decorrelate under the finalizer mix, [`splitmix_finalize`], which
+//! `SimRng` seeds through too.
 //!
 //! # Fault substreams
 //!
@@ -22,25 +23,13 @@
 //!   stay byte-identical across thread counts, shard sizes and fleet
 //!   slicings (the draw never depends on stepping order).
 
-use netsim::rng::standard_normal_from;
-use serde::{Deserialize, Serialize};
-
-/// Weyl increment of SplitMix64.
-const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// The SplitMix64 output finalizer: a strong 64-bit mix.
-#[inline]
-fn finalize(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use netsim::rng::{splitmix_finalize, standard_normal_from, SPLITMIX_GAMMA};
 
 /// Derives the RNG seed for one client from the fleet seed and the
 /// client's *global* id, so the same client reproduces its stream in any
 /// fleet slicing (see `FleetConfig::first_client_id`).
 pub fn client_seed(fleet_seed: u64, global_id: u64) -> u64 {
-    finalize(fleet_seed ^ (global_id.wrapping_add(1)).wrapping_mul(GAMMA))
+    splitmix_finalize(fleet_seed ^ (global_id.wrapping_add(1)).wrapping_mul(SPLITMIX_GAMMA))
 }
 
 /// Salt folded into the fleet seed before deriving a client's *fault*
@@ -52,7 +41,7 @@ const FAULT_SALT: u64 = 0xfa17_5eed_0bad_ca11;
 /// Which fault decision a [`fault_f64`] draw feeds. The lane keeps the
 /// independent fault axes (DNS vs NTP vs backoff jitter) on disjoint
 /// substreams even when they share a round index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u64)]
 pub enum FaultLane {
     /// One DNS pool query's SERVFAIL draw (`round` = the client's query
@@ -88,10 +77,10 @@ pub fn fault_seed(fleet_seed: u64, global_id: u64, lane: FaultLane, round: u64, 
     let base = client_seed(fleet_seed ^ FAULT_SALT, global_id);
     // Distinct odd multipliers per coordinate (golden-ratio family), then
     // the finalizer, so adjacent rounds/slots/lanes decorrelate fully.
-    finalize(
+    splitmix_finalize(
         base ^ (lane as u64).wrapping_mul(0xd1b5_4a32_d192_ed03)
             ^ round.wrapping_add(1).wrapping_mul(0xaef1_7502_07c2_5f69)
-            ^ slot.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            ^ slot.wrapping_add(1).wrapping_mul(SPLITMIX_GAMMA),
     )
 }
 
@@ -103,7 +92,7 @@ pub fn fault_f64(fleet_seed: u64, global_id: u64, lane: FaultLane, round: u64, s
 }
 
 /// An 8-byte deterministic RNG stream (SplitMix64).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetRng(u64);
 
 impl FleetRng {
@@ -120,8 +109,8 @@ impl FleetRng {
     /// Next 64 uniform bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(GAMMA);
-        finalize(self.0)
+        self.0 = self.0.wrapping_add(SPLITMIX_GAMMA);
+        splitmix_finalize(self.0)
     }
 
     /// Uniform draw in `[0, 1)` with 53-bit resolution.

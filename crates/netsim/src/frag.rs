@@ -39,12 +39,11 @@
 use crate::ip::{IpProto, Ipv4Packet};
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// How a stack resolves overlapping fragment data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlapPolicy {
     /// Bytes already in the buffer win; later fragments only fill holes.
     /// This is the policy exploited by pre-planting a spoofed fragment.
@@ -100,7 +99,7 @@ pub enum ReassemblyOutcome {
 }
 
 /// Why a fragment was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// Overlapping data conflicted under [`OverlapPolicy::StrictNoOverlap`].
     OverlapConflict,
@@ -254,7 +253,7 @@ fn insert_range(filled: &mut Vec<Hole>, start: usize, end: usize) {
 }
 
 /// Statistics exposed by a [`ReassemblyCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReassemblyStats {
     /// Datagrams successfully reassembled.
     pub completed: u64,

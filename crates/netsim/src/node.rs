@@ -9,11 +9,10 @@ use crate::ip::Ipv4Packet;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Identifies a node within a [`crate::world::World`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(usize);
 
 impl NodeId {

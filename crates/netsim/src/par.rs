@@ -265,7 +265,6 @@ where
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-    use rand::Rng;
 
     #[test]
     fn results_are_in_trial_order() {
@@ -280,7 +279,7 @@ mod tests {
     fn parallel_equals_serial() {
         let f = |i: u32| {
             let mut rng = SimRng::seed_from(1000 + u64::from(i));
-            rng.gen::<u64>()
+            rng.next_u64()
         };
         let serial = run_trials(64, 1, f);
         let parallel = run_trials(64, 8, f);
@@ -291,7 +290,7 @@ mod tests {
     fn parallel_equals_serial_across_budgets() {
         let f = |i: u32| {
             let mut rng = SimRng::seed_from(9000 + u64::from(i));
-            rng.gen::<u64>()
+            rng.next_u64()
         };
         let reference = run_trials(257, 1, f);
         for batch in [1usize, 2, 7, 64, 300] {

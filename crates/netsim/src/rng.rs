@@ -1,49 +1,102 @@
 //! Deterministic simulation randomness.
 //!
 //! Every run of a simulation with the same seed must produce the same event
-//! trace. [`SimRng`] wraps a seedable PRNG and adds [`SimRng::fork`] so that
-//! independent components (each node, each Monte-Carlo trial) can draw from
-//! decorrelated streams without sharing mutable state.
+//! trace. [`SimRng`] is the workspace's seedable generator, xoshiro256**
+//! (Blackman & Vigna) seeded through SplitMix64, and adds
+//! [`SimRng::fork`] so that independent components (each node, each
+//! Monte-Carlo trial) can draw from decorrelated streams without sharing
+//! mutable state. Its reductions ([`SimRng::gen_u16`],
+//! [`SimRng::gen_range`], [`SimRng::chance`]) are part of the stream: the
+//! packet-world goldens pin them along with the generator, and a unit test
+//! pins every draw at fixed seeds.
 //!
 //! Every normal variate in the workspace comes from one sampler,
 //! [`standard_normal_from`], a 256-layer ziggurat over any source of
 //! uniform 64-bit words: [`SimRng::standard_normal`] feeds it the
 //! simulation stream and `fleet::rng::FleetRng::normal` a client's stream.
+//! The fleet's SplitMix64 streams share [`splitmix_finalize`] with the
+//! seeding here.
 //!
 //! # Examples
 //!
 //! ```
 //! use netsim::rng::SimRng;
-//! use rand::Rng;
 //!
 //! let mut a = SimRng::seed_from(42);
 //! let mut b = SimRng::seed_from(42);
-//! assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+//! assert_eq!(a.next_u64(), b.next_u64());
+//! assert!((1024..=65_535).contains(&a.gen_range(1024u16..=65_535)));
 //! ```
 
+use std::ops::RangeInclusive;
 use std::sync::OnceLock;
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+/// The Weyl increment of SplitMix64 (2⁶⁴ / φ, rounded to odd).
+pub const SPLITMIX_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// A deterministic, seedable random number generator for simulations.
-///
-/// Implements [`RngCore`], so all of [`rand`]'s extension traits
-/// (`gen_range`, `shuffle` via `SliceRandom`, ...) are available.
+/// The SplitMix64 output finalizer (Steele, Lea & Flood 2014): a strong
+/// 64-bit mix. It seeds [`SimRng`] and is every output of
+/// `fleet::rng::FleetRng`.
+#[inline]
+pub fn splitmix_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A deterministic, seedable random number generator for simulations:
+/// xoshiro256**, 32 bytes of state, plus a fork counter.
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: StdRng,
+    /// The xoshiro256** state.
+    s: [u64; 4],
     /// Number of forks taken from this generator, mixed into child seeds.
     forks: u64,
 }
 
 impl SimRng {
-    /// Creates a generator from a 64-bit seed.
+    /// Creates a generator from a 64-bit seed: the state is four
+    /// successive SplitMix64 outputs from `seed`.
     pub fn seed_from(seed: u64) -> Self {
-        SimRng {
-            inner: StdRng::seed_from_u64(seed),
-            forks: 0,
-        }
+        let mut state = seed;
+        let s = [(); 4].map(|()| {
+            state = state.wrapping_add(SPLITMIX_GAMMA);
+            splitmix_finalize(state)
+        });
+        SimRng { s, forks: 0 }
+    }
+
+    /// Next 64 uniform bits: one xoshiro256** step.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform `u16`: the low 16 bits of one word.
+    pub fn gen_u16(&mut self) -> u16 {
+        self.next_u64() as u16
+    }
+
+    /// A uniform draw from `range`. Integers read two words as one `u128`
+    /// (the first word high) and reduce it mod the span; an `f64` scales
+    /// one 53-bit unit onto the range.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the range is empty.
+    pub fn gen_range<T: SampleUniform>(&mut self, range: RangeInclusive<T>) -> T {
+        let (lo, hi) = range.into_inner();
+        assert!(lo <= hi, "cannot sample empty range");
+        T::sample(self, lo, hi)
     }
 
     /// Derives an independent child generator.
@@ -53,7 +106,7 @@ impl SimRng {
     /// to seed the child.
     pub fn fork(&mut self) -> SimRng {
         self.forks += 1;
-        let seed = self.inner.gen::<u64>() ^ self.forks.rotate_left(17);
+        let seed = self.next_u64() ^ self.forks.rotate_left(17);
         SimRng::seed_from(seed)
     }
 
@@ -68,13 +121,13 @@ impl SimRng {
             hash ^= u64::from(byte);
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        // Mix with a snapshot of the parent's next output without consuming it:
-        // clone the inner generator so the parent stream is untouched.
-        let mut probe = self.inner.clone();
-        SimRng::seed_from(hash ^ probe.gen::<u64>())
+        // Mix with a snapshot of the parent's next output without consuming
+        // it: draw from a copy so the parent stream is untouched.
+        SimRng::seed_from(hash ^ self.clone().next_u64())
     }
 
-    /// Draws a uniformly random boolean that is `true` with probability `p`.
+    /// Draws a uniformly random boolean that is `true` with probability
+    /// `p`: one 53-bit unit below `p`. The ends 0 and 1 take no draw.
     ///
     /// # Panics
     ///
@@ -86,14 +139,14 @@ impl SimRng {
         } else if p >= 1.0 {
             true
         } else {
-            self.inner.gen_bool(p)
+            unit(self.next_u64()) < p
         }
     }
 
     /// Samples a standard normal variate with [`standard_normal_from`],
     /// which takes one `u64` from this stream on its fast path.
     pub fn standard_normal(&mut self) -> f64 {
-        standard_normal_from(|| self.inner.next_u64())
+        standard_normal_from(|| self.next_u64())
     }
 
     /// Samples a normal variate with the given mean and standard deviation.
@@ -111,11 +164,39 @@ impl SimRng {
         assert!(k <= n, "cannot sample {k} items from a population of {n}");
         let mut pool: Vec<usize> = (0..n).collect();
         for i in 0..k {
-            let j = self.inner.gen_range(i..n);
+            let j = self.gen_range(i..=n - 1);
             pool.swap(i, j);
         }
         pool.truncate(k);
         pool
+    }
+}
+
+/// The types [`SimRng::gen_range`] draws.
+pub trait SampleUniform: Copy + PartialOrd {
+    /// Draws uniformly from `lo..=hi`, where `lo <= hi`.
+    fn sample(rng: &mut SimRng, lo: Self, hi: Self) -> Self;
+}
+
+/// Integers map to 64-bit two's-complement words (`$word`, sign-extended
+/// for signed types), so one reduction serves every width: the span is
+/// taken in words and the offset added with wrap-around.
+macro_rules! sample_integer {
+    ($($t:ty => $word:ty),*) => {$(
+        impl SampleUniform for $t {
+            fn sample(rng: &mut SimRng, lo: $t, hi: $t) -> $t {
+                let span = u128::from((hi as $word).wrapping_sub(lo as $word) as u64) + 1;
+                let wide = (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64());
+                (lo as $word).wrapping_add((wide % span) as $word) as $t
+            }
+        }
+    )*};
+}
+sample_integer!(u16 => u64, u64 => u64, usize => u64, i32 => i64, i64 => i64);
+
+impl SampleUniform for f64 {
+    fn sample(rng: &mut SimRng, lo: f64, hi: f64) -> f64 {
+        lo + unit(rng.next_u64()) * (hi - lo)
     }
 }
 
@@ -187,7 +268,6 @@ fn with_sign(magnitude: f64, bits: u64) -> f64 {
 ///
 /// ```
 /// use netsim::rng::{standard_normal_from, SimRng};
-/// use rand::RngCore;
 ///
 /// let mut rng = SimRng::seed_from(1);
 /// let z = standard_normal_from(|| rng.next_u64());
@@ -237,35 +317,124 @@ fn slow_path(z: &Ziggurat, mut bits: u64, next_u64: &mut impl FnMut() -> u64) ->
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+            word.to_le_bytes().iter().fold(hash, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// The hash of 64 draws of `draw` from the stream seeded with `seed`.
+    fn pin(seed: u64, mut draw: impl FnMut(&mut SimRng) -> u64) -> u64 {
+        let mut rng = SimRng::seed_from(seed);
+        fnv((0..64).map(|_| draw(&mut rng)))
+    }
+
+    #[test]
+    fn streams_are_pinned() {
+        // Every reduction the workspace draws, at the type its call site
+        // uses. These values pin the generator and its reductions: a
+        // change to either moves the packet-world goldens.
+        let mut rng = SimRng::seed_from(0);
+        let raw: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            raw,
+            [
+                0x99ec_5f36_cb75_f2b4,
+                0xbf6e_1f78_4956_452a,
+                0x1a5f_849d_4933_e6e0,
+                0x6aa5_94f1_262d_2d2c,
+            ]
+        );
+        let got = [
+            ("raw words, seed 42", pin(42, |r| r.next_u64())),
+            ("raw words, seed MAX", pin(u64::MAX, |r| r.next_u64())),
+            ("u16", pin(1, |r| u64::from(r.gen_u16()))),
+            (
+                "u16 ports",
+                pin(2, |r| u64::from(r.gen_range(1024u16..=65_535))),
+            ),
+            ("u64 jitter", pin(3, |r| r.gen_range(0u64..=2_000_000))),
+            ("u64 full span", pin(4, |r| r.gen_range(0u64..=u64::MAX))),
+            (
+                "i64 offsets",
+                pin(5, |r| r.gen_range(-50_000_000i64..=50_000_000) as u64),
+            ),
+            ("i64 wide", pin(6, |r| r.gen_range(i64::MIN..=0) as u64)),
+            ("i32 jitter", pin(7, |r| r.gen_range(50i32..=150) as u64)),
+            ("usize", pin(8, |r| r.gen_range(3usize..=17) as u64)),
+            (
+                "sample_indices",
+                fnv(SimRng::seed_from(9)
+                    .sample_indices(100, 40)
+                    .into_iter()
+                    .map(|i| i as u64)),
+            ),
+            (
+                "f64 inclusive",
+                pin(10, |r| r.gen_range(-0.5f64..=0.5).to_bits()),
+            ),
+            ("chance 0.3", pin(11, |r| u64::from(r.chance(0.3)))),
+            ("normal", pin(12, |r| r.standard_normal().to_bits())),
+            (
+                "fork",
+                pin(13, |r| {
+                    let mut child = r.fork();
+                    child.next_u64() ^ r.next_u64()
+                }),
+            ),
+            (
+                "fork_labeled",
+                pin(14, |r| {
+                    let mut child = r.fork_labeled("benign-clocks");
+                    child.next_u64() ^ r.next_u64()
+                }),
+            ),
+        ];
+        let want = [
+            0x3bf4_e799_4e96_b7c8,
+            0xbeb2_c4e4_5cb5_4b65,
+            0x81eb_f097_0e66_23c1,
+            0x0c00_42e5_0da2_a892,
+            0x3ecb_ae19_ae56_da66,
+            0x9a70_7e5d_1946_487b,
+            0x46d3_90aa_ac34_fd99,
+            0xf47a_7ff0_6a46_ea6f,
+            0xcafd_7be7_fdee_e44d,
+            0x7992_240a_72b4_6c30,
+            0xc6d1_6167_39db_1002,
+            0x096b_7dca_71cb_9af6,
+            0x167e_bb26_108c_2885,
+            0x481d_bd75_5e44_e4ed,
+            0xa9c1_a1b8_16d7_58e4,
+            0xf107_1eb5_d819_c022,
+        ];
+        for ((name, hash), want) in got.into_iter().zip(want) {
+            assert_eq!(hash, want, "{name}: {hash:#018x}");
+        }
+    }
+
+    #[test]
+    fn chance_ends_take_no_draw() {
+        let mut rng = SimRng::seed_from(15);
+        let mut twin = rng.clone();
+        assert!(!rng.chance(0.0));
+        assert!(rng.chance(1.0));
+        assert_eq!(rng.next_u64(), twin.next_u64());
+    }
 
     #[test]
     fn same_seed_same_stream() {
         let mut a = SimRng::seed_from(7);
         let mut b = SimRng::seed_from(7);
         for _ in 0..100 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 
@@ -273,7 +442,7 @@ mod tests {
     fn different_seeds_diverge() {
         let mut a = SimRng::seed_from(7);
         let mut b = SimRng::seed_from(8);
-        let same = (0..64).filter(|_| a.gen::<u64>() == b.gen::<u64>()).count();
+        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
     }
 
@@ -284,10 +453,10 @@ mod tests {
         let mut c1a = parent1.fork();
         let mut c1b = parent1.fork();
         let mut c2a = parent2.fork();
-        assert_eq!(c1a.gen::<u64>(), c2a.gen::<u64>(), "fork is deterministic");
+        assert_eq!(c1a.next_u64(), c2a.next_u64(), "fork is deterministic");
         assert_ne!(
-            c1a.gen::<u64>(),
-            c1b.gen::<u64>(),
+            c1a.next_u64(),
+            c1b.next_u64(),
             "sibling forks are distinct streams"
         );
     }
@@ -297,7 +466,7 @@ mod tests {
         let mut a = SimRng::seed_from(1);
         let mut b = SimRng::seed_from(1);
         let _child = a.fork_labeled("dns");
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
@@ -305,7 +474,7 @@ mod tests {
         let a = SimRng::seed_from(1);
         let mut x = a.fork_labeled("x");
         let mut y = a.fork_labeled("y");
-        assert_ne!(x.gen::<u64>(), y.gen::<u64>());
+        assert_ne!(x.next_u64(), y.next_u64());
     }
 
     #[test]
@@ -313,6 +482,34 @@ mod tests {
         let mut rng = SimRng::seed_from(3);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
+    }
+
+    #[test]
+    fn chance_hits_at_rate_p() {
+        let mut rng = SimRng::seed_from(9);
+        let hits = (0..10_000).filter(|_| rng.chance(0.25)).count();
+        assert!((2000..3000).contains(&hits), "got {hits}");
+    }
+
+    #[test]
+    fn gen_range_stays_in_bounds_at_the_extremes() {
+        let mut rng = SimRng::seed_from(1);
+        for _ in 0..1000 {
+            assert!(rng.gen_range(i64::MIN..=0) <= 0);
+            assert!(rng.gen_range(-5i32..=5).abs() <= 5);
+            assert!((10..=20).contains(&rng.gen_range(10u16..=20)));
+            assert!((-1.5..=1.5).contains(&rng.gen_range(-1.5f64..=1.5)));
+        }
+        assert_eq!(rng.gen_range(4usize..=4), 4);
+        // The full u64 range must not panic (span = 2^64).
+        let _ = rng.gen_range(0u64..=u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample empty range")]
+    fn gen_range_rejects_empty() {
+        let (lo, hi) = (3u64, 2);
+        SimRng::seed_from(0).gen_range(lo..=hi);
     }
 
     #[test]

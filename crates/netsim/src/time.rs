@@ -18,19 +18,14 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// An instant on the simulation's true clock, in nanoseconds since the
 /// simulation epoch.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A non-negative span of simulation time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

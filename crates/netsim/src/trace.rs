@@ -7,12 +7,11 @@
 use crate::ip::{IpProto, Ipv4Packet};
 use crate::node::NodeId;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// A compact record of one packet transmission attempt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// When the packet entered the network.
     pub time: SimTime,
@@ -39,7 +38,7 @@ pub struct TraceEntry {
 }
 
 /// Transmission outcome recorded in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOutcome {
     /// Scheduled for delivery.
     Delivered,

@@ -25,7 +25,6 @@ use crate::node::{Action, Context, Node, NodeId};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceOutcome};
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
@@ -48,7 +47,7 @@ pub struct Hijack {
 }
 
 /// Counters describing world activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorldStats {
     /// Events processed.
     pub events: u64,

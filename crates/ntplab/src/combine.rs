@@ -7,10 +7,9 @@
 
 use crate::cluster::{cluster, MIN_CLUSTER_SURVIVORS};
 use crate::select::{intersect, PeerSample};
-use serde::{Deserialize, Serialize};
 
 /// Combined clock estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Combined {
     /// Weighted mean offset in nanoseconds.
     pub offset_ns: i64,
@@ -50,7 +49,7 @@ pub fn combine(samples: &[PeerSample]) -> Option<Combined> {
 }
 
 /// Outcome of the full ntpd pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PipelineOutcome {
     /// A correction was produced.
     Correction(Combined),

@@ -7,7 +7,6 @@
 
 use core::fmt;
 use netsim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// NTP seconds at the simulation epoch (2020-01-01, incl. 29 leap days).
 pub const SIM_EPOCH_NTP_SECS: u64 = 3_786_825_600;
@@ -19,9 +18,7 @@ pub const SIM_EPOCH_NTP_SECS: u64 = 3_786_825_600;
 pub const MAX_ERA_SIM_SECS: u64 = u32::MAX as u64 - SIM_EPOCH_NTP_SECS;
 
 /// A 64-bit NTP timestamp (seconds since 1900 + 32-bit fraction).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NtpTimestamp(u64);
 
 impl NtpTimestamp {
@@ -99,9 +96,7 @@ impl fmt::Display for NtpTimestamp {
 }
 
 /// A 32-bit NTP short (16.16 fixed point), for root delay/dispersion.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NtpShort(u32);
 
 impl NtpShort {
