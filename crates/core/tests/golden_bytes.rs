@@ -12,6 +12,9 @@
 //! * the same fleets hashed without any codec layout: what they report
 //!   (quantiles aside), every client's end state, and a mid-run report
 //!   and progress under 37 s slices;
+//! * three edge fleets hashed both ways, for poll-lane paths the lane
+//!   fleets never take: lapsed NTS keys, a single Roughtime source and
+//!   plain-NTP boots that run out of attempts;
 //! * one pooled packet-level sweep over two config shapes on two
 //!   threads, hashed per trial through the `Debug` text of what the
 //!   trial observed;
@@ -36,7 +39,7 @@ use chronos_pitfalls::experiments::{
 };
 use chronos_pitfalls::montecarlo::run_scenarios_detailed;
 use chronos_pitfalls::scenario::{LowProfileBgp, Scenario, ScenarioConfig};
-use fleet::{ClientKind, Fleet, FleetAttack, FleetConfig, FleetReport};
+use fleet::{ClientKind, Fleet, FleetAttack, FleetConfig, FleetReport, TierBreakdown, TierFaults};
 use netsim::time::{SimDuration, SimTime};
 
 /// FNV-1a 64, kept local so a change to any hash in the code under test
@@ -225,6 +228,93 @@ fn fleet_outcomes_match_the_goldens() {
         .map(|(_, config, _)| outcome_hash(config))
         .collect();
     assert_eq!(got, OUTCOME_GOLDENS, "fleet outcome hashes moved");
+}
+
+/// The tier of kind `kind` in a lane fleet's report.
+fn tier_of(report: &FleetReport, kind: ClientKind) -> &TierBreakdown {
+    report
+        .tiers
+        .iter()
+        .find(|t| t.kind == kind)
+        .expect("the fleet has a tier of this kind")
+}
+
+/// Fleets that reach poll-lane paths the lane fleets miss: an NTS
+/// association whose keys lapse before the next re-key (polls with no
+/// server to sample), Roughtime trusting a single source, and a plain-NTP
+/// tier whose every boot resolution fails (empty pools after the last
+/// retry).
+fn edge_lanes() -> Vec<Lane> {
+    let mut lapsed = e18_config(31, CLIENTS, 4, 1.0, 2);
+    let mut single_source = e18_config(32, CLIENTS, 4, 1.0, 2);
+    for tier in lapsed.tiers.iter_mut().chain(&mut single_source.tiers) {
+        match tier.kind {
+            ClientKind::Nts => {
+                tier.key_lifetime = Some(SimDuration::from_secs(500));
+                tier.rekey_interval = Some(SimDuration::from_secs(1_500));
+            }
+            ClientKind::Roughtime => tier.sources = Some(1),
+            _ => {}
+        }
+    }
+    single_source.faults.all_tiers.ntp_loss = 0.05;
+
+    // SERVFAIL on every plain-NTP query and nothing stale to fall back
+    // on: each plain client spends all its attempts and boots empty.
+    let mut unresolved = e16_config(33, CLIENTS, 4, 2);
+    let plain = unresolved
+        .tiers
+        .iter()
+        .position(|t| t.kind == ClientKind::PlainNtp)
+        .expect("e16 has a plain-NTP tier");
+    unresolved.faults.tiers = vec![TierFaults::default(); plain + 1];
+    unresolved.faults.tiers[plain].dns_servfail = 1.0;
+
+    vec![
+        ("e18 lapsed NTS associations", lapsed, |r| {
+            // Keys last a third of each re-key interval: well under half
+            // the polls a live association would take.
+            let nts = tier_of(r, ClientKind::Nts);
+            let full = nts.clients as u64 * 6_000 / 64;
+            nts.secure.rekeys > nts.clients as u64 && nts.totals.polls * 2 < full
+        }),
+        ("e18 single-source Roughtime", single_source, |r| {
+            let rt = tier_of(r, ClientKind::Roughtime);
+            rt.poisoned_clients > 0
+                && rt.final_shifted_fraction > 0.0
+                && rt.secure.detected_inconsistencies == 0
+                && r.faults.ntp_losses > 0
+        }),
+        ("e16 plain-NTP boots exhausted", unresolved, |r| {
+            let plain = tier_of(r, ClientKind::PlainNtp);
+            let n = plain.clients as u64;
+            n > 0
+                && plain.totals.pool_failures == 8 * n
+                && plain.faults.boot_retries == 7 * n
+                && plain.totals.polls == 0
+                && plain.synced_clients == n
+        }),
+    ]
+}
+
+/// `(checkpoint hash, outcome hash)` per edge fleet, recorded before the
+/// poll lanes merged into one.
+const EDGE_GOLDENS: [(u64, u64); 3] = [
+    (0x071e_e444_7b3d_691f, 0xaea7_2a4b_eb5c_6d57),
+    (0xa70e_c32d_55c7_a7a7, 0x900f_fafd_cd62_750d),
+    (0x85ee_dfda_761c_7708, 0x10ec_c4c4_feb0_792e),
+];
+
+#[test]
+fn edge_lane_fleets_match_the_goldens() {
+    let mut got = Vec::new();
+    for (name, config, lane_ran) in edge_lanes() {
+        let mut fleet = Fleet::new(config.clone());
+        let report = fleet.run();
+        assert!(lane_ran(&report), "{name}: the lane did not run");
+        got.push((fnv1a(&fleet.checkpoint()), outcome_hash(config)));
+    }
+    assert_eq!(got, EDGE_GOLDENS, "edge fleet hashes moved");
 }
 
 fn sweep_config(seed: u64, with_attack: bool) -> ScenarioConfig {

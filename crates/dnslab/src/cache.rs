@@ -11,8 +11,9 @@ use crate::wire::{Record, RecordType};
 use netsim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 
-/// Cache lookup key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Cache lookup key, ordered by name (label by label, most specific
+/// first) and then by type.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey {
     /// Record owner name.
     pub name: Name,
@@ -211,11 +212,13 @@ impl DnsCache {
         self.stats = CacheStats::default();
     }
 
+    /// Evicts the entry that expires first; of entries expiring at the
+    /// same instant (every record set of one response), the smallest key.
     fn evict_soonest_expiring(&mut self) {
         if let Some(key) = self
             .entries
             .iter()
-            .min_by_key(|(_, e)| e.earliest_expiry())
+            .min_by_key(|(k, e)| (e.earliest_expiry(), *k))
             .map(|(k, _)| k.clone())
         {
             self.entries.remove(&key);
@@ -311,6 +314,25 @@ mod tests {
         assert!(cache.get(t(1), &k1).is_none(), "soonest-expiring evicted");
         assert!(cache.get(t(1), &k2).is_some());
         assert!(cache.get(t(1), &k3).is_some());
+    }
+
+    /// Every record set of one response expires at the same instant; of
+    /// such entries the smallest key is evicted, in every cache.
+    #[test]
+    fn same_expiry_evictions_break_ties_by_key() {
+        let first = CacheKey::a("b.example".parse().unwrap());
+        let second = CacheKey::a("a.example".parse().unwrap());
+        let third = CacheKey::a("c.example".parse().unwrap());
+        for _ in 0..200 {
+            let mut cache = DnsCache::new(2);
+            cache.insert(t(0), first.clone(), &recs(100, 1));
+            cache.insert(t(0), second.clone(), &recs(100, 1));
+            cache.insert(t(0), third.clone(), &recs(100, 1));
+            assert_eq!(cache.stats().evictions, 1);
+            assert!(cache.get(t(1), &second).is_none(), "the smaller key goes");
+            assert!(cache.get(t(1), &first).is_some());
+            assert!(cache.get(t(1), &third).is_some());
+        }
     }
 
     #[test]

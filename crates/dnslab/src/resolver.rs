@@ -5,8 +5,11 @@
 //!
 //! * **TXID and source-port randomization** (configurable down to the weak
 //!   fixed-port / sequential-txid modes the Kaminsky baseline needs);
-//! * **response validation**: source address, port, TXID and question must
-//!   all match the in-flight query;
+//! * **response validation**, in a fixed order: the destination port and
+//!   TXID pick the in-flight query (the first in query order that matches
+//!   both), then the source address and the question must match it. A
+//!   response on an in-flight port whose TXID matches no query there
+//!   counts as `rejected_txid`, the blind-spoof signal;
 //! * **bailiwick filtering**: out-of-zone records are discarded;
 //! * **TTL-honouring cache**, including caching of in-bailiwick glue — which
 //!   is exactly what the defragmentation attack overwrites to become the
@@ -23,7 +26,7 @@ use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackConfig, StackEvent};
 use netsim::time::SimDuration;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// How the resolver picks source ports for upstream queries.
@@ -147,7 +150,8 @@ pub struct RecursiveResolver {
     upstreams: Vec<Upstream>,
     cache: DnsCache,
     allowed_clients: Vec<Ipv4Addr>,
-    pending: HashMap<u64, PendingQuery>,
+    /// In-flight upstream queries by key, so in query order.
+    pending: BTreeMap<u64, PendingQuery>,
     next_key: u64,
     txid_seq: u16,
     rr_counter: usize,
@@ -169,7 +173,7 @@ impl RecursiveResolver {
             upstreams,
             cache: DnsCache::default(),
             allowed_clients: Vec::new(),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             next_key: 1,
             txid_seq: 1,
             rr_counter: 0,
@@ -374,20 +378,19 @@ impl RecursiveResolver {
         dst_port: u16,
         msg: Message,
     ) {
-        let Some(key) = self
-            .pending
-            .iter()
-            .find(|(_, p)| p.sport == dst_port)
+        let mut on_port = self.pending.iter().filter(|(_, p)| p.sport == dst_port);
+        let Some(key) = on_port
+            .clone()
+            .find(|(_, p)| p.txid == msg.id)
             .map(|(k, _)| *k)
         else {
-            return; // No query outstanding on this port.
+            if on_port.next().is_some() {
+                self.stats.rejected_txid += 1;
+            }
+            return; // No query outstanding on this port and TXID.
         };
         {
             let p = &self.pending[&key];
-            if msg.id != p.txid {
-                self.stats.rejected_txid += 1;
-                return;
-            }
             if src != p.ns_addr {
                 self.stats.rejected_addr += 1;
                 return;
@@ -407,8 +410,9 @@ impl RecursiveResolver {
         let zone = self.upstreams[p.upstream_idx].zone.clone();
         let now = ctx.now();
 
-        // Bailiwick filter, then cache by (name, type) groups.
-        let mut keep: Vec<&Record> = Vec::new();
+        // Bailiwick filter, then cache by (name, type) groups, each
+        // inserted in the order its first record appears.
+        let mut groups: Vec<(CacheKey, Vec<Record>)> = Vec::new();
         for r in msg
             .answers
             .iter()
@@ -422,17 +426,14 @@ impl RecursiveResolver {
                 self.stats.bailiwick_discards += 1;
                 continue;
             }
-            keep.push(r);
-        }
-        let mut groups: HashMap<CacheKey, Vec<Record>> = HashMap::new();
-        for r in &keep {
-            groups
-                .entry(CacheKey {
-                    name: r.name.clone(),
-                    rtype: r.rtype(),
-                })
-                .or_default()
-                .push((*r).clone());
+            let key = CacheKey {
+                name: r.name.clone(),
+                rtype: r.rtype(),
+            };
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, records)) => records.push(r.clone()),
+                None => groups.push((key, vec![r.clone()])),
+            }
         }
         for (k, records) in groups {
             self.cache.insert(now, k, &records);
@@ -885,5 +886,58 @@ mod tests {
             .trace()
             .count(|e| e.src == resolver_addr && e.dst == ns_addr && e.proto == IpProto::Udp);
         assert!(used_fixed_port >= 1);
+    }
+
+    /// The weak profile with two questions in flight: one fixed port,
+    /// sequential TXIDs. Each genuine answer must find its own query by
+    /// port and TXID, in every seeded world, before the 2 s timeout.
+    #[test]
+    fn fixed_port_answers_match_their_query_by_txid() {
+        let ns_addr = Ipv4Addr::new(203, 0, 113, 1);
+        let resolver_addr = Ipv4Addr::new(198, 51, 100, 53);
+        let clients = [
+            (Ipv4Addr::new(198, 51, 100, 10), "pool.ntp.org"),
+            (Ipv4Addr::new(198, 51, 100, 11), "ns1.pool.ntp.org"),
+        ];
+        for seed in 0..50 {
+            let mut world = World::new(seed);
+            world.add_node(
+                "auth",
+                Box::new(AuthServer::new(ns_addr, vec![pool_ntp_zone(16, 2)])),
+                &[ns_addr],
+            );
+            let mut res = RecursiveResolver::new(resolver_addr, vec![pool_upstream(ns_addr)])
+                .with_config(ResolverConfig {
+                    source_ports: SourcePortPolicy::Fixed(3333),
+                    random_txid: false,
+                    ..ResolverConfig::default()
+                });
+            for (addr, _) in clients {
+                res.allow_client(addr);
+            }
+            let resolver = world.add_node("resolver", Box::new(res), &[resolver_addr]);
+            let ids: Vec<NodeId> = clients
+                .iter()
+                .map(|&(addr, name)| {
+                    let question = Question::a(name.parse().unwrap());
+                    let client = TestClient::new(addr, resolver_addr, question);
+                    world.add_node(name, Box::new(client), &[addr])
+                })
+                .collect();
+            world.run_until(SimTime::from_millis(1_500));
+            let stats = world.node::<RecursiveResolver>(resolver).stats();
+            assert_eq!(
+                stats.rejected_txid, 0,
+                "world {seed} rejected a genuine answer"
+            );
+            assert_eq!(stats.upstream_responses, 2, "world {seed}");
+            for id in ids {
+                assert_eq!(
+                    world.node::<TestClient>(id).responses.len(),
+                    1,
+                    "world {seed}"
+                );
+            }
+        }
     }
 }

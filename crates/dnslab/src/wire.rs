@@ -44,8 +44,9 @@ pub const DNS_HEADER_LEN: usize = 12;
 /// Classic maximum UDP payload without EDNS (RFC 1035).
 pub const CLASSIC_UDP_LIMIT: usize = 512;
 
-/// Record (and query) types modelled by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Record (and query) types modelled by the simulator, ordered by variant
+/// (then by code for `Unknown`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RecordType {
     /// IPv4 address record.
     A,

@@ -75,8 +75,11 @@
 //! packet-level clients run. Corrections land on real
 //! [`ntplab::clock::LocalClock`]s.
 //!
-//! Every poll lane draws through one sampling kernel, which visits the
-//! servers in one of three orders:
+//! Every poll round, whatever the client kind, runs one poll lane. The
+//! kind picks only the servers to sample (a lapsed NTS association has
+//! none, a Roughtime client has its resolved sources), the loss
+//! [`FaultLane`] and the order in which the one sampling kernel visits
+//! the servers:
 //!
 //! * `Subsample { m }` — Chronos and NTS polls: m picks without
 //!   replacement, malicious block first;
@@ -87,8 +90,11 @@
 //!
 //! A lying server (the attacker's farm, or a captured source) draws only
 //! its noise; an honest one draws its benign offset and then its noise.
-//! Losses then drop samples on the lane's own [`FaultLane`]. Each lane
-//! keeps its own conclude call and scheduling.
+//! Losses then drop samples on the kind's lane. The kind's conclude call
+//! returns a correction and the next deadline, and one epilogue, shared
+//! with panic rounds, applies the correction, records the clock error
+//! and schedules the next poll. Only the boot lanes, which bootstrap
+//! through DNS, stay one per kind.
 //!
 //! # Examples
 //!
@@ -366,8 +372,8 @@ enum DnsView<'a> {
     Independent(&'a [ResolverModel]),
 }
 
-/// The order in which the poll lanes' sampling kernel
-/// ([`Shard::draw_samples`]) visits a client's servers.
+/// The order in which the sampling kernel ([`Shard::draw_samples`])
+/// visits a client's servers.
 #[derive(Debug, Clone, Copy)]
 enum Draw {
     /// `m` picks without replacement, malicious block first: Chronos and
@@ -607,9 +613,10 @@ impl Shard {
     }
 
     /// Runs client `i`'s pending event at `at_ns`. A client's one pending
-    /// event is a pool round exactly while it is generating its pool, a
-    /// poll afterwards — the phase column *is* the event kind; the tier
-    /// column picks the decision machinery.
+    /// event is a boot-lane round exactly while it is generating its pool,
+    /// a poll afterwards — the phase column *is* the event kind. Every
+    /// poll runs [`Shard::poll_round`]; the tier's kind picks the boot
+    /// lane.
     fn step(
         &mut self,
         i: usize,
@@ -619,26 +626,16 @@ impl Shard {
         dns: DnsView<'_>,
     ) {
         let tier = &tiers[self.tier[i] as usize];
-        match (tier.kind, self.phase[i]) {
-            (ClientKind::Chronos, Phase::PoolGeneration) => {
-                self.pool_round(i, at_ns, config, tier, dns)
-            }
-            (ClientKind::Chronos, _) => self.poll_round(i, at_ns, config, tier),
-            (ClientKind::PlainNtp, Phase::PoolGeneration) => {
-                self.plain_pool_round(i, at_ns, config, tier, dns)
-            }
-            (ClientKind::PlainNtp, _) => self.plain_poll_round(i, at_ns, config, tier),
+        if self.phase[i] != Phase::PoolGeneration {
+            return self.poll_round(i, at_ns, config, tier);
+        }
+        match tier.kind {
+            ClientKind::Chronos => self.pool_round(i, at_ns, config, tier, dns),
+            ClientKind::PlainNtp => self.plain_pool_round(i, at_ns, config, tier, dns),
             // NTS: PoolGeneration marks a pending NTS-KE association (boot
-            // or re-key) — the one DNS-dependent step; polls are
-            // Chronos-shaped over the authenticated association.
-            (ClientKind::Nts, Phase::PoolGeneration) => {
-                self.nts_associate_round(i, at_ns, config, tier, dns)
-            }
-            (ClientKind::Nts, _) => self.poll_round(i, at_ns, config, tier),
-            (ClientKind::Roughtime, Phase::PoolGeneration) => {
-                self.roughtime_boot_round(i, at_ns, config, tier, dns)
-            }
-            (ClientKind::Roughtime, _) => self.roughtime_poll_round(i, at_ns, config, tier),
+            // or re-key) — the one DNS-dependent step.
+            ClientKind::Nts => self.nts_associate_round(i, at_ns, config, tier, dns),
+            ClientKind::Roughtime => self.roughtime_boot_round(i, at_ns, config, tier, dns),
         }
     }
 
@@ -649,38 +646,15 @@ impl Shard {
         self.deadline_ns[i] = at_ns;
     }
 
-    /// The DNS answer resolver `r` serves at `at_ns` (`round` is the
-    /// client's private rotation position in independent mode).
-    fn dns_answer(&self, r: usize, at_ns: u64, round: u64, dns: DnsView<'_>) -> DnsAnswer {
-        match dns {
-            DnsView::Shared(timelines) => timelines[r].answer(at_ns),
-            DnsView::Independent(models) => models[r].query_independent(at_ns, round),
-        }
-    }
-
-    /// [`Shard::dns_answer`] against the client's own resolver, on the
-    /// [`FaultLane::DnsQuery`] substream — the Chronos/plain-NTP path.
-    fn resolve_dns(
-        &mut self,
-        i: usize,
-        at_ns: u64,
-        round: u64,
-        config: &FleetConfig,
-        tier: &TierParams,
-        dns: DnsView<'_>,
-    ) -> DnsAnswer {
-        let r = self.resolver[i] as usize;
-        self.resolve_dns_via(i, r, at_ns, FaultLane::DnsQuery, round, config, tier, dns)
-    }
-
-    /// [`Shard::dns_answer`] with the client tier's fault plan applied: a
-    /// SERVFAIL draw (keyed on `lane` and the client's query index, so it
-    /// is stepping-order-free) replaces the resolver's answer with
-    /// whatever serve-stale can salvage from the cache, and the fault
-    /// counters record what the client actually experienced. With an
-    /// inert plan this takes no draws and is exactly `dns_answer`.
-    /// `resolver` is explicit because Roughtime clients fan their M
-    /// source resolutions across distinct resolvers.
+    /// The DNS answer `resolver` serves at `at_ns` (`round` is the
+    /// client's private rotation position in independent mode), with the
+    /// client tier's fault plan applied: a SERVFAIL draw (keyed on `lane`
+    /// and the client's query index, so it is stepping-order-free)
+    /// replaces the resolver's answer with whatever serve-stale can
+    /// salvage from the cache, and the fault counters record what the
+    /// client actually experienced. With an inert plan this takes no
+    /// draws. `resolver` is explicit because Roughtime clients fan their
+    /// M source resolutions across distinct resolvers.
     #[allow(clippy::too_many_arguments)]
     fn resolve_dns_via(
         &mut self,
@@ -705,7 +679,10 @@ impl Shard {
                 DnsView::Independent(_) => DnsAnswer::Fail,
             }
         } else {
-            let answer = self.dns_answer(resolver, at_ns, round, dns);
+            let answer = match dns {
+                DnsView::Shared(timelines) => timelines[resolver].answer(at_ns),
+                DnsView::Independent(models) => models[resolver].query_independent(at_ns, round),
+            };
             if matches!(
                 answer,
                 DnsAnswer::StaleBenign { .. } | DnsAnswer::StalePoisoned { .. } | DnsAnswer::Fail
@@ -737,7 +714,9 @@ impl Shard {
     ) {
         self.stats[i].pool_queries += 1;
         let round = u64::from(self.pool_rounds[i]);
-        let answer = self.resolve_dns(i, at_ns, round, config, tier, dns);
+        let r = self.resolver[i] as usize;
+        let answer =
+            self.resolve_dns_via(i, r, at_ns, FaultLane::DnsQuery, round, config, tier, dns);
         if matches!(answer, DnsAnswer::Fail) {
             // The round is consumed — Chronos' pool window does not grow
             // to compensate for failed queries.
@@ -840,9 +819,8 @@ impl Shard {
     /// resolver serves *is* the pool — the paper's one poisoning
     /// opportunity, against Chronos' 24. No §V mitigations apply (they
     /// are Chronos pool-generation knobs). Under a fault plan a failed
-    /// resolution retries at [`retry_at`] (boundary 0) up to
-    /// `retry.max_attempts` attempts; a client that exhausts its attempts
-    /// boots with an empty pool.
+    /// resolution retries ([`Shard::end_bootstrap`], boundary 0); a
+    /// client that exhausts its attempts boots with an empty pool.
     fn plain_pool_round(
         &mut self,
         i: usize,
@@ -852,8 +830,10 @@ impl Shard {
         dns: DnsView<'_>,
     ) {
         self.stats[i].pool_queries += 1;
-        let attempt = self.retries[i];
-        let answer = self.resolve_dns(i, at_ns, u64::from(attempt), config, tier, dns);
+        let attempt = u64::from(self.retries[i]);
+        let r = self.resolver[i] as usize;
+        let answer =
+            self.resolve_dns_via(i, r, at_ns, FaultLane::DnsQuery, attempt, config, tier, dns);
         match answer {
             DnsAnswer::Benign { .. } | DnsAnswer::StaleBenign { .. } => {
                 self.benign_batches[i] = 1; // resolved: servers come from the prefix
@@ -861,61 +841,43 @@ impl Shard {
             DnsAnswer::Poisoned { farm_size, .. } | DnsAnswer::StalePoisoned { farm_size } => {
                 self.malicious[i] = farm_size.min(tier.plain_servers) as u32;
             }
-            DnsAnswer::Fail => {
-                self.stats[i].pool_failures += 1;
-                if attempt + 1 < config.faults.retry.max_attempts {
-                    self.retries[i] = attempt + 1;
-                    self.faults[i].boot_retries += 1;
-                    let global = self.first_global + i as u64;
-                    self.schedule(i, retry_at(config, global, 0, attempt, at_ns));
-                    return;
-                }
-                // Out of attempts: boot with an empty pool (every poll is
-                // a NoSamples no-op — the client free-runs on its drift).
+            // A client out of attempts boots with an empty pool (every
+            // poll is a no-op — it free-runs on its drift).
+            DnsAnswer::Fail => {}
+        }
+        self.end_bootstrap(i, at_ns, 0, answer == DnsAnswer::Fail, config, tier);
+    }
+
+    /// Ends one bootstrap resolution: a plain-NTP boot, an NTS-KE
+    /// association at re-key `boundary`, or a Roughtime boot (which never
+    /// fails as a whole). A failed resolution is counted and, while
+    /// attempts remain, retried at [`retry_at`]. Otherwise the boundary is
+    /// done and the client polls at once, as the packet clients start
+    /// their first poll on resolution.
+    fn end_bootstrap(
+        &mut self,
+        i: usize,
+        at_ns: u64,
+        boundary: u64,
+        failed: bool,
+        config: &FleetConfig,
+        tier: &TierParams,
+    ) {
+        if failed {
+            self.stats[i].pool_failures += 1;
+            let attempt = self.retries[i];
+            if attempt + 1 < config.faults.retry.max_attempts {
+                self.retries[i] = attempt + 1;
+                self.faults[i].boot_retries += 1;
+                let global = self.first_global + i as u64;
+                self.schedule(i, retry_at(config, global, boundary, attempt, at_ns));
+                return;
             }
         }
         self.retries[i] = 0;
-        self.pool_rounds[i] = 1;
+        self.pool_rounds[i] += 1;
         self.phase[i] = Phase::Syncing;
-        // The packet client starts its first poll on resolution.
-        self.schedule(i, at_ns);
-    }
-
-    /// One plain-NTP poll: the pool *is* the sample, so every server in
-    /// the (4-entry) pool is drawn ([`Draw::Whole`]) and the round
-    /// concludes through [`chronos::core::conclude_plain_round`] —
-    /// `ntplab`'s intersection → cluster → combine, the same pipeline the
-    /// packet-level [`ntplab::plain::PlainNtpClient`] runs.
-    fn plain_poll_round(&mut self, i: usize, at_ns: u64, config: &FleetConfig, tier: &TierParams) {
-        let servers = self.benign_count(i, config, tier) + self.malicious[i] as usize;
-        let Some(poll_index) = self.open_poll(i, at_ns, servers, config, tier) else {
-            return;
-        };
-        self.draw_samples(
-            i,
-            at_ns,
-            Draw::Whole,
-            FaultLane::NtpSample,
-            poll_index,
-            config,
-            tier,
-        );
-        let collect = SimTime::from_nanos(at_ns + tier.chronos.response_window.as_nanos());
-        let mut stats = self.stats[i].widen();
-        let outcome = core::conclude_plain_round(
-            &mut stats,
-            &mut self.plain_samples,
-            &self.offsets_buf,
-            plain_root_distance_ns(config),
-        );
-        self.stats[i] = CompactStats::narrow(&stats);
-        if let PlainRoundOutcome::Correction { correction_ns, .. } = outcome {
-            self.clocks[i].apply_correction(collect, correction_ns);
-        }
-        self.observe(i, collect, config);
-        // Mirror the packet client's cadence: polls start every
-        // `poll_interval` exactly (collect + interval − window).
-        self.schedule(i, at_ns + tier.chronos.poll_interval.as_nanos());
+        self.schedule_poll(i, at_ns, config, tier);
     }
 
     // --- NTS lanes ---
@@ -926,8 +888,8 @@ impl Shard {
     /// key lifetime. This is the *only* DNS-dependent step of the NTS
     /// lane: polls are authenticated and cannot be spoofed, so the tier's
     /// entire attack surface is an association falling inside the poison
-    /// window. Failed resolutions retry at [`retry_at`] (SERVFAIL and
-    /// jitter draws both keyed `boundary · max_attempts + attempt`, on
+    /// window. Failed resolutions retry ([`Shard::end_bootstrap`]; SERVFAIL
+    /// and jitter draws both keyed `boundary · max_attempts + attempt`, on
     /// their own lanes); a boundary that exhausts its attempts is
     /// abandoned — the old keys serve until expiry, the next boundary
     /// tries again.
@@ -942,8 +904,7 @@ impl Shard {
         self.stats[i].pool_queries += 1;
         let ma = u64::from(config.faults.retry.max_attempts.max(1));
         let k = u64::from(self.pool_rounds[i]);
-        let attempt = self.retries[i];
-        let round = k * ma + u64::from(attempt);
+        let round = k * ma + u64::from(self.retries[i]);
         let r = self.resolver[i] as usize;
         let answer =
             self.resolve_dns_via(i, r, at_ns, FaultLane::NtsRekey, round, config, tier, dns);
@@ -964,25 +925,12 @@ impl Shard {
                 self.secure[i].captured += 1;
                 self.secure[i].rekeys += 1;
             }
-            DnsAnswer::Fail => {
-                self.stats[i].pool_failures += 1;
-                if attempt + 1 < config.faults.retry.max_attempts {
-                    self.retries[i] = attempt + 1;
-                    self.faults[i].boot_retries += 1;
-                    let global = self.first_global + i as u64;
-                    self.schedule(i, retry_at(config, global, k, attempt, at_ns));
-                    return;
-                }
-                // Boundary abandoned: keep whatever association (possibly
-                // none) is in force and poll on — samples resume only
-                // while the old keys are still inside their lifetime.
-            }
+            // A boundary out of attempts is abandoned: whatever
+            // association (possibly none) is in force serves on, and
+            // samples resume only while its keys are inside their lifetime.
+            DnsAnswer::Fail => {}
         }
-        self.retries[i] = 0;
-        self.pool_rounds[i] += 1;
-        self.phase[i] = Phase::Syncing;
-        // Zero-delay first poll, exactly like a completed Chronos pool.
-        self.schedule_poll(i, at_ns, config, tier);
+        self.end_bootstrap(i, at_ns, k, answer == DnsAnswer::Fail, config, tier);
     }
 
     // --- Roughtime lanes ---
@@ -1031,125 +979,149 @@ impl Shard {
         }
         self.assoc_sources[i] = resolved | (poisoned << 16);
         self.malicious[i] = poisoned.count_ones();
-        self.pool_rounds[i] = 1;
-        self.phase[i] = Phase::Syncing;
-        // Zero-delay first fetch on resolution.
-        self.schedule(i, at_ns);
+        self.end_bootstrap(i, at_ns, 0, false, config, tier);
     }
 
-    /// One Roughtime fetch round: every resolved source returns a signed
-    /// midpoint ([`Draw::Sources`]), and the round concludes through
-    /// [`chronos::core::conclude_roughtime_round`]'s strict
-    /// majority-of-midpoints cross-check. Captured sources lie by the
-    /// attack shift; with M ≥ 2·captured+1 the honest majority wins, an
-    /// even split is a *detected* inconsistency (clock untouched,
-    /// counter ticked), a captured majority steers the clock — and M = 1
-    /// trusts its lone source blindly (Medalla).
-    fn roughtime_poll_round(
-        &mut self,
-        i: usize,
-        at_ns: u64,
-        config: &FleetConfig,
-        tier: &TierParams,
-    ) {
-        let sources = (self.assoc_sources[i] & 0xffff).count_ones() as usize;
-        let Some(poll_index) = self.open_poll(i, at_ns, sources, config, tier) else {
-            return;
-        };
-        // Per-source fetch losses ride their own lane so Roughtime tiers
-        // in a fault plan leave every other substream untouched.
-        self.draw_samples(
-            i,
-            at_ns,
-            Draw::Sources,
-            FaultLane::RoughtimeFetch,
-            poll_index,
-            config,
-            tier,
-        );
-        let collect = SimTime::from_nanos(at_ns + tier.chronos.response_window.as_nanos());
-        let mut stats = self.stats[i].widen();
-        let outcome = core::conclude_roughtime_round(
-            &mut stats,
-            &mut self.offsets_buf,
-            roughtime_agreement_ns(config),
-        );
-        self.stats[i] = CompactStats::narrow(&stats);
-        match outcome {
-            RoughtimeOutcome::Correction { correction_ns, .. } => {
-                self.clocks[i].apply_correction(collect, correction_ns);
-            }
-            RoughtimeOutcome::Inconsistent => self.secure[i].inconsistent += 1,
-            RoughtimeOutcome::NoSamples => {}
-        }
-        self.observe(i, collect, config);
-        // On-grid cadence like plain NTP: fetches start every interval.
-        self.schedule(i, at_ns + tier.chronos.poll_interval.as_nanos());
-    }
+    // --- the poll lane ---
 
-    // --- Chronos poll rounds ---
-
-    /// One Chronos-shaped poll round: `sample_size` picks from the pool
-    /// ([`Draw::Subsample`]). NTS clients share this lane — their
-    /// association pool feeds the same sampling and decision machinery —
-    /// with two twists: a lapsed association yields no samples (keys
-    /// outlived their lifetime and every re-key since failed), and the
-    /// next deadline is the earlier of the next poll and the next
-    /// scheduled re-key ([`Shard::schedule_poll`]).
+    /// One poll round, for every client kind. The kind picks the servers
+    /// to sample, the [`Draw`] order and the loss [`FaultLane`]:
+    ///
+    /// * Chronos and NTS: `sample_size` picks from the pool
+    ///   ([`Draw::Subsample`]). A lapsed NTS association (keys past their
+    ///   lifetime, every re-key since failed) has no server to sample.
+    /// * plain NTP: the pool *is* the sample ([`Draw::Whole`]).
+    /// * Roughtime: every resolved source returns a signed midpoint
+    ///   ([`Draw::Sources`]); fetch losses ride their own lane, so
+    ///   Roughtime tiers in a fault plan leave every other substream
+    ///   untouched.
+    ///
+    /// [`Shard::open_poll`] and [`Shard::draw_samples`] then run the round,
+    /// and the kind's conclude call in [`chronos::core`] — the decision
+    /// code of its packet-level reference client — returns the correction
+    /// and the next deadline to [`Shard::end_round`]:
+    ///
+    /// * Chronos and NTS ([`chronos::core::conclude_sample_round`]): an
+    ///   accept polls again one interval after the collect, a reject
+    ///   resamples at once, and the K-th reject enters a panic round. The
+    ///   surviving subset feeds the decision core, so enough drops turn a
+    ///   round into a TooFewSamples reject, and K of those into a genuine
+    ///   panic episode.
+    /// * plain NTP ([`chronos::core::conclude_plain_round`]): `ntplab`'s
+    ///   intersection → cluster → combine.
+    /// * Roughtime ([`chronos::core::conclude_roughtime_round`]): a strict
+    ///   majority of midpoints. Captured sources lie by the attack shift;
+    ///   with M ≥ 2·captured+1 the honest majority wins, an even split is
+    ///   a *detected* inconsistency (clock untouched, counter ticked), a
+    ///   captured majority steers the clock — and M = 1 trusts its lone
+    ///   source blindly (Medalla).
+    ///
+    /// Plain-NTP and Roughtime rounds mirror their packet clients' on-grid
+    /// cadence: a poll starts every interval exactly (collect + interval −
+    /// window).
     fn poll_round(&mut self, i: usize, at_ns: u64, config: &FleetConfig, tier: &TierParams) {
-        let lapsed = tier.kind == ClientKind::Nts && self.assoc_expiry_ns[i] <= at_ns;
-        let servers = if lapsed {
-            0
-        } else {
-            self.benign_count(i, config, tier) + self.malicious[i] as usize
+        let pool = self.benign_count(i, config, tier) + self.malicious[i] as usize;
+        let (servers, draw, lane) = match tier.kind {
+            ClientKind::Nts if self.assoc_expiry_ns[i] <= at_ns => {
+                (0, Draw::Subsample { m: 0 }, FaultLane::NtpSample)
+            }
+            ClientKind::Chronos | ClientKind::Nts => {
+                let m = tier.chronos.sample_size.min(pool);
+                (pool, Draw::Subsample { m }, FaultLane::NtpSample)
+            }
+            ClientKind::PlainNtp => (pool, Draw::Whole, FaultLane::NtpSample),
+            ClientKind::Roughtime => {
+                let sources = (self.assoc_sources[i] & 0xffff).count_ones() as usize;
+                (sources, Draw::Sources, FaultLane::RoughtimeFetch)
+            }
         };
         let Some(poll_index) = self.open_poll(i, at_ns, servers, config, tier) else {
             return;
         };
-        // The surviving subset feeds the real decision core: enough drops
-        // turn the round into a TooFewSamples reject, and K of those into
-        // a genuine panic episode.
-        let draw = Draw::Subsample {
-            m: tier.chronos.sample_size.min(servers),
-        };
-        self.draw_samples(
-            i,
-            at_ns,
-            draw,
-            FaultLane::NtpSample,
-            poll_index,
-            config,
-            tier,
-        );
+        self.draw_samples(i, at_ns, draw, lane, poll_index, config, tier);
         let collect_ns = at_ns + tier.chronos.response_window.as_nanos();
-        let collect = SimTime::from_nanos(collect_ns);
+        let interval = tier.chronos.poll_interval.as_nanos();
         let mut stats = self.stats[i].widen();
-        let mut last_update = unpack_update(self.last_update_ns[i]);
-        let outcome = core::conclude_sample_round(
-            &tier.chronos,
-            &mut CoreState {
-                phase: &mut self.phase[i],
-                retries: &mut self.retries[i],
-                last_update: &mut last_update,
-                stats: &mut stats,
-            },
-            &mut self.scratch,
-            &self.offsets_buf,
-            collect,
-        );
-        self.stats[i] = CompactStats::narrow(&stats);
-        self.last_update_ns[i] = pack_update(last_update);
-        if let RoundOutcome::Accept { correction_ns, .. } = outcome {
-            self.clocks[i].apply_correction(collect, correction_ns);
-        }
-        self.observe(i, collect, config);
-        match outcome {
-            RoundOutcome::Accept { .. } => {
-                let next_ns = collect_ns + tier.chronos.poll_interval.as_nanos();
-                self.schedule_poll(i, next_ns, config, tier);
+        let (correction, next_ns) = match tier.kind {
+            ClientKind::Chronos | ClientKind::Nts => {
+                let mut last_update = unpack_update(self.last_update_ns[i]);
+                let outcome = core::conclude_sample_round(
+                    &tier.chronos,
+                    &mut CoreState {
+                        phase: &mut self.phase[i],
+                        retries: &mut self.retries[i],
+                        last_update: &mut last_update,
+                        stats: &mut stats,
+                    },
+                    &mut self.scratch,
+                    &self.offsets_buf,
+                    SimTime::from_nanos(collect_ns),
+                );
+                self.last_update_ns[i] = pack_update(last_update);
+                match outcome {
+                    RoundOutcome::Accept { correction_ns, .. } => {
+                        (Some(correction_ns), Some(collect_ns + interval))
+                    }
+                    RoundOutcome::Resample => (None, Some(collect_ns)),
+                    RoundOutcome::EnterPanic => (None, None),
+                }
             }
-            RoundOutcome::Resample => self.schedule_poll(i, collect_ns, config, tier),
-            RoundOutcome::EnterPanic => self.panic_round(i, collect_ns, config, tier),
+            ClientKind::PlainNtp => {
+                let outcome = core::conclude_plain_round(
+                    &mut stats,
+                    &mut self.plain_samples,
+                    &self.offsets_buf,
+                    plain_root_distance_ns(config),
+                );
+                let correction = match outcome {
+                    PlainRoundOutcome::Correction { correction_ns, .. } => Some(correction_ns),
+                    PlainRoundOutcome::NoMajority | PlainRoundOutcome::NoSamples => None,
+                };
+                (correction, Some(at_ns + interval))
+            }
+            ClientKind::Roughtime => {
+                let outcome = core::conclude_roughtime_round(
+                    &mut stats,
+                    &mut self.offsets_buf,
+                    roughtime_agreement_ns(config),
+                );
+                let correction = match outcome {
+                    RoughtimeOutcome::Correction { correction_ns, .. } => Some(correction_ns),
+                    RoughtimeOutcome::Inconsistent => {
+                        self.secure[i].inconsistent += 1;
+                        None
+                    }
+                    RoughtimeOutcome::NoSamples => None,
+                };
+                (correction, Some(at_ns + interval))
+            }
+        };
+        self.stats[i] = CompactStats::narrow(&stats);
+        self.end_round(i, collect_ns, correction, next_ns, config, tier);
+    }
+
+    /// The poll lane's and panic rounds' shared epilogue: applies the
+    /// round's `correction` at `at_ns`, streams the clock error into the
+    /// aggregates, and sets the next poll-lane deadline. `next_ns` of
+    /// `None` means the K-th reject in a row: a panic round follows at
+    /// once.
+    fn end_round(
+        &mut self,
+        i: usize,
+        at_ns: u64,
+        correction: Option<i64>,
+        next_ns: Option<u64>,
+        config: &FleetConfig,
+        tier: &TierParams,
+    ) {
+        let at = SimTime::from_nanos(at_ns);
+        if let Some(correction_ns) = correction {
+            self.clocks[i].apply_correction(at, correction_ns);
+        }
+        self.observe(i, at, config);
+        match next_ns {
+            Some(next_ns) => self.schedule_poll(i, next_ns, config, tier),
+            None => self.panic_round(i, at_ns, config, tier),
         }
     }
 
@@ -1201,7 +1173,6 @@ impl Shard {
             tier,
         );
         let panic_ns = collect_ns + tier.chronos.response_window.as_nanos();
-        let panic_at = SimTime::from_nanos(panic_ns);
         let mut stats = self.stats[i].widen();
         let mut last_update = unpack_update(self.last_update_ns[i]);
         let correction = core::conclude_panic_round(
@@ -1213,28 +1184,20 @@ impl Shard {
             },
             &mut self.scratch,
             &self.offsets_buf,
-            panic_at,
+            SimTime::from_nanos(panic_ns),
         );
         self.stats[i] = CompactStats::narrow(&stats);
         self.last_update_ns[i] = pack_update(last_update);
-        if let Some(correction) = correction {
-            self.clocks[i].apply_correction(panic_at, correction);
-        }
-        self.observe(i, panic_at, config);
-        self.schedule_poll(
-            i,
-            panic_ns + tier.chronos.poll_interval.as_nanos(),
-            config,
-            tier,
-        );
+        let next_ns = panic_ns + tier.chronos.poll_interval.as_nanos();
+        self.end_round(i, panic_ns, correction, Some(next_ns), config, tier);
     }
 
-    // --- the poll lanes' prologue and sampling kernel ---
+    // --- the poll lane's prologue and sampling kernel ---
 
-    /// The poll lanes' shared prologue. A client with no `servers` to
-    /// sample tries again one interval on without counting a poll (as
-    /// the packet clients do) and gets `None`; otherwise the poll is
-    /// counted and its index, the key of the round's loss draws, returned.
+    /// The poll lane's prologue. A client with no `servers` to sample
+    /// tries again one interval on without counting a poll (as the packet
+    /// clients do) and gets `None`; otherwise the poll is counted and its
+    /// index, the key of the round's loss draws, returned.
     fn open_poll(
         &mut self,
         i: usize,
@@ -1253,10 +1216,10 @@ impl Shard {
         Some(poll_index)
     }
 
-    /// The sampling kernel every poll lane runs: fills `offsets_buf` with
-    /// the observed offsets (server offset − client offset at `at_ns` +
-    /// path jitter) of the servers `draw` visits, in its order, from the
-    /// client's stream. One sample site serves every order: a lying
+    /// The sampling kernel of the poll lane and panic rounds: fills
+    /// `offsets_buf` with the observed offsets (server offset − client
+    /// offset at `at_ns` + path jitter) of the servers `draw` visits, in
+    /// its order, from the client's stream. One sample site serves every order: a lying
     /// server (the attacker's farm, or a captured source) draws only its
     /// noise, an honest one its benign offset and then its noise.
     ///
@@ -2060,28 +2023,40 @@ impl Fleet {
         let merge_start = self.metrics.as_ref().map(|_| std::time::Instant::now());
         let now = self.now();
         let t_count = self.tiers.len();
-        let mut tier_clients = vec![0usize; t_count];
-        let mut tier_totals = vec![ChronosStats::default(); t_count];
-        let mut tier_poisoned = vec![0u64; t_count];
-        let mut tier_faults = vec![FaultCounters::default(); t_count];
-        let mut tier_secure = vec![SecureCounters::default(); t_count];
-        let mut tier_synced = vec![0u64; t_count];
+        // One row per tier, accumulated straight from the columns; the
+        // shifted fractions are divided from integer counts at the end.
+        let mut tiers: Vec<TierBreakdown> = self
+            .tiers
+            .iter()
+            .map(|params| TierBreakdown {
+                label: params.label.clone(),
+                kind: params.kind,
+                clients: 0,
+                shifted: Vec::new(),
+                final_shifted_fraction: 0.0,
+                poisoned_clients: 0,
+                synced_clients: 0,
+                totals: ChronosStats::default(),
+                faults: FaultCounters::default(),
+                secure: SecureCounters::default(),
+            })
+            .collect();
         let mut tier_final_shifted = vec![0u64; t_count];
         let mut histogram = OffsetHistogram::log_scale(FINE_BINS_PER_DECADE);
         // Sample-major per-tier counts, stride `t_count`.
         let mut shifted_counts: Vec<u64> = Vec::new();
         for shard in &self.shards {
             for (i, s) in shard.stats.iter().enumerate() {
-                let t = shard.tier[i] as usize;
-                tier_clients[t] += 1;
-                tier_totals[t].accumulate(&s.widen());
-                tier_faults[t].accumulate(&shard.faults[i].widen());
-                tier_secure[t].accumulate(&shard.secure[i].widen());
+                let row = &mut tiers[shard.tier[i] as usize];
+                row.clients += 1;
+                row.totals.accumulate(&s.widen());
+                row.faults.accumulate(&shard.faults[i].widen());
+                row.secure.accumulate(&shard.secure[i].widen());
                 if shard.malicious[i] > 0 {
-                    tier_poisoned[t] += 1;
+                    row.poisoned_clients += 1;
                 }
                 if shard.phase[i] != Phase::PoolGeneration {
-                    tier_synced[t] += 1;
+                    row.synced_clients += 1;
                 }
             }
             shard.shifted_count_by_tier(now, &self.config, &mut tier_final_shifted);
@@ -2107,52 +2082,31 @@ impl Fleet {
                 (sample_at(k), count as f64 / clients)
             })
             .collect();
-        let tiers: Vec<TierBreakdown> = self
-            .tiers
-            .iter()
-            .enumerate()
-            .map(|(t, params)| {
-                let members = tier_clients[t].max(1) as f64;
-                TierBreakdown {
-                    label: params.label.clone(),
-                    kind: params.kind,
-                    clients: tier_clients[t],
-                    shifted: (0..samples)
-                        .map(|k| {
-                            (
-                                sample_at(k),
-                                shifted_counts[k * t_count + t] as f64 / members,
-                            )
-                        })
-                        .collect(),
-                    final_shifted_fraction: tier_final_shifted[t] as f64 / members,
-                    poisoned_clients: tier_poisoned[t],
-                    synced_clients: tier_synced[t],
-                    totals: tier_totals[t],
-                    faults: tier_faults[t],
-                    secure: tier_secure[t],
-                }
-            })
-            .collect();
         let mut totals = ChronosStats::default();
-        for t in &tier_totals {
-            totals.accumulate(t);
-        }
         let mut faults = FaultCounters::default();
-        for t in &tier_faults {
-            faults.accumulate(t);
-        }
         let mut secure = SecureCounters::default();
-        for t in &tier_secure {
-            secure.accumulate(t);
+        for (t, row) in tiers.iter_mut().enumerate() {
+            let members = row.clients.max(1) as f64;
+            row.shifted = (0..samples)
+                .map(|k| {
+                    (
+                        sample_at(k),
+                        shifted_counts[k * t_count + t] as f64 / members,
+                    )
+                })
+                .collect();
+            row.final_shifted_fraction = tier_final_shifted[t] as f64 / members;
+            totals.accumulate(&row.totals);
+            faults.accumulate(&row.faults);
+            secure.accumulate(&row.secure);
         }
         let report = FleetReport {
             clients: self.config.clients,
             end: now,
             shifted,
             final_shifted_fraction: tier_final_shifted.iter().sum::<u64>() as f64 / clients,
-            poisoned_clients: tier_poisoned.iter().sum(),
-            synced_clients: tier_synced.iter().sum(),
+            poisoned_clients: tiers.iter().map(|t| t.poisoned_clients).sum(),
+            synced_clients: tiers.iter().map(|t| t.synced_clients).sum(),
             totals,
             quantiles: TRACKED_QUANTILES
                 .iter()
