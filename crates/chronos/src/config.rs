@@ -87,23 +87,39 @@ impl Default for ChronosConfig {
 impl ChronosConfig {
     /// Number of samples surviving the trim.
     pub fn survivors(&self) -> usize {
-        self.sample_size.saturating_sub(2 * self.trim)
+        self.sample_size.saturating_sub(self.trim.saturating_mul(2))
+    }
+
+    /// Checks internal consistency without panicking: the first rule the
+    /// config breaks, as the message [`ChronosConfig::validate`] panics
+    /// with.
+    ///
+    /// # Errors
+    ///
+    /// When the sample size is zero, the trim leaves no survivors, or pool
+    /// generation has no queries.
+    pub fn check(&self) -> Result<(), String> {
+        if self.sample_size == 0 {
+            Err("sample_size must be positive".to_string())
+        } else if self.survivors() == 0 {
+            let (trim, size) = (self.trim, self.sample_size);
+            Err(format!("trim {trim} leaves no survivors of {size} samples"))
+        } else if self.pool.queries == 0 {
+            Err("pool generation needs queries".to_string())
+        } else {
+            Ok(())
+        }
     }
 
     /// Validates internal consistency.
     ///
     /// # Panics
     ///
-    /// Panics if the trim leaves no survivors or the sample size is zero.
+    /// Panics with [`ChronosConfig::check`]'s message if the trim leaves
+    /// no survivors, the sample size is zero or pool generation has no
+    /// queries.
     pub fn validate(&self) {
-        assert!(self.sample_size > 0, "sample_size must be positive");
-        assert!(
-            self.survivors() > 0,
-            "trim {} leaves no survivors of {} samples",
-            self.trim,
-            self.sample_size
-        );
-        assert!(self.pool.queries > 0, "pool generation needs queries");
+        self.check().unwrap_or_else(|why| panic!("{why}"));
     }
 }
 

@@ -274,15 +274,18 @@ mod tests {
         }
         v2.push(0);
         assert_eq!(decode(&sealed(v2)), Err(CheckpointError::BadVersion(2)));
-        // Configs written under another CHR1 layout are rejected too.
+        // Configs written under another CHR1 layout are rejected too:
+        // version 3 configs carried a shard size that version 4 dropped.
         let cursor = sample();
         let mut bytes = encode(&cursor.points, &cursor.done, cursor.current.as_deref());
         bytes.truncate(bytes.len() - 8);
-        bytes[8..12].copy_from_slice(&(checkpoint::VERSION + 1).to_le_bytes());
-        assert_eq!(
-            decode(&sealed(bytes)),
-            Err(CheckpointError::BadVersion(checkpoint::VERSION + 1))
-        );
+        for config_version in [3, checkpoint::VERSION + 1] {
+            bytes[8..12].copy_from_slice(&config_version.to_le_bytes());
+            assert_eq!(
+                decode(&sealed(bytes.clone())),
+                Err(CheckpointError::BadVersion(config_version))
+            );
+        }
     }
 
     #[test]

@@ -285,21 +285,25 @@ fn corrupt_manifest_quarantines_and_boots_empty() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn corrupt_job_file_quarantines_into_failed_job_not_a_dead_daemon() {
-    let socket = scratch("badjob.sock");
-    let dir = scratch("badjob-state");
+/// Plants `bytes` as the state file of a running e16 fleet job named
+/// `name` under a well-formed manifest, boots a daemon over the state dir
+/// `tag`, and checks that boot adopted the job as `failed`, naming the
+/// quarantine, and moved the file to `quarantine/`.
+fn boot_over_unusable_job_file(
+    tag: &str,
+    name: &str,
+    bytes: &[u8],
+) -> (PathBuf, std::thread::JoinHandle<()>, Client) {
+    let socket = scratch(&format!("{tag}.sock"));
+    let dir = scratch(&format!("{tag}-state"));
     let _ = std::fs::remove_dir_all(&dir);
     let state = StateDir::open(&dir).expect("open state dir");
-
-    // A well-formed manifest whose job file is garbage: the daemon must
-    // adopt the job as failed (quarantining the bytes), not die.
-    let file = StateDir::job_file_name("wounded");
+    let file = StateDir::job_file_name(name);
     state
-        .write_job_file(&file, b"CHR1 but not really - flipped to bits")
-        .expect("plant corrupt job file");
+        .write_job_file(&file, bytes)
+        .expect("plant the job file");
     let entry = ManifestEntry {
-        name: "wounded".to_string(),
+        name: name.to_string(),
         kind: "e16-fleet".to_string(),
         state: chronosd::jobs::JobState::Running,
         error: None,
@@ -318,12 +322,12 @@ fn corrupt_job_file_quarantines_into_failed_job_not_a_dead_daemon() {
 
     let (handle, mut client) = boot(&socket, &dir);
     let status = client
-        .request("status", vec![("name".into(), Json::str("wounded"))])
+        .request("status", vec![("name".into(), Json::str(name))])
         .expect("adopted job answers status");
     assert_eq!(
         status.get("state").and_then(Json::as_str),
         Some("failed"),
-        "corrupt state must adopt as failed: {}",
+        "unusable state must adopt as failed: {}",
         status.render()
     );
     let error = status
@@ -336,7 +340,19 @@ fn corrupt_job_file_quarantines_into_failed_job_not_a_dead_daemon() {
     );
     assert!(
         dir.join("quarantine").join(&file).exists(),
-        "corrupt job file was not quarantined"
+        "unusable job file was not quarantined"
+    );
+    (dir, handle, client)
+}
+
+#[test]
+fn corrupt_job_file_quarantines_into_failed_job_not_a_dead_daemon() {
+    // A well-formed manifest whose job file is garbage: the daemon must
+    // adopt the job as failed (quarantining the bytes), not die.
+    let (dir, handle, mut client) = boot_over_unusable_job_file(
+        "badjob",
+        "wounded",
+        b"CHR1 but not really - flipped to bits",
     );
 
     // The daemon still takes and finishes new work.
@@ -366,6 +382,30 @@ fn corrupt_job_file_quarantines_into_failed_job_not_a_dead_daemon() {
         .expect("quarantine counter");
     assert!(quarantines.value >= 1.0, "quarantine not counted");
 
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    handle.join().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn job_file_with_an_invalid_config_quarantines_not_a_dead_daemon() {
+    // A sealed CHR1 checkpoint whose embedded config fails validation: a
+    // zero sample cadence, patched in and re-checksummed as anyone can.
+    // Building a fleet from it would panic inside boot adoption; the
+    // decoder must refuse it instead.
+    let config = chronos_pitfalls::experiments::e16_config(7, 8, 2, 1);
+    let mut fleet = fleet::Fleet::new(config.clone());
+    fleet.run_until(netsim::time::SimTime::from_secs(500));
+    let snapshot = fleet.checkpoint();
+    let mut payload = snapshot[..snapshot.len() - 8].to_vec();
+    // The config ends in sample_every, record_trajectories, horizon and
+    // threads.
+    let cadence = 8 + fleet::checkpoint::encode_config(&config).len() - 25;
+    payload[cadence..cadence + 8].copy_from_slice(&0u64.to_le_bytes());
+    let sum = fleet::checkpoint::checksum(&payload);
+    payload.extend_from_slice(&sum.to_le_bytes());
+
+    let (dir, handle, mut client) = boot_over_unusable_job_file("badcfg", "still", &payload);
     client.request("shutdown", Vec::new()).expect("shutdown");
     handle.join().expect("daemon exits");
     let _ = std::fs::remove_dir_all(&dir);

@@ -27,12 +27,17 @@
 //! other change that moves them is a regression. The random streams last
 //! moved with "One ziggurat normal sampler for fleet and packet worlds",
 //! which replaced both Box-Muller normal samplers with
-//! `netsim::rng::standard_normal_from`. `FLEET_GOLDENS` were last
-//! regenerated by the change that replaced the P² quantile estimators
-//! with one mergeable histogram and bumped CHR1 to version 3: the
-//! checkpoint lost the timer wheel, the due list and the P² markers and
-//! gained the histogram's fine bins, while `OUTCOME_GOLDENS`, recorded
-//! before that change, held.
+//! `netsim::rng::standard_normal_from`. `FLEET_GOLDENS` and the
+//! checkpoint halves of `EDGE_GOLDENS` were last regenerated by the
+//! change that made CHR1 version 4 layout-free: the checkpoint lost its
+//! per-shard framing (shard count, first ids, lengths, per-shard cursors
+//! and all 577 histogram bins of every shard) and the config's shard
+//! size, and now writes the client records in global order and the
+//! fleet's aggregates once, the histogram as sparse bins. No simulated
+//! value moved: `OUTCOME_GOLDENS` and the outcome halves of
+//! `EDGE_GOLDENS` held through that change, as `OUTCOME_GOLDENS` held
+//! through the earlier one that replaced the P² quantile estimators with
+//! one mergeable histogram and bumped CHR1 to version 3.
 
 use chronos_pitfalls::experiments::{
     compressed_chronos, e14_config, e16_config, e17_config, e18_config,
@@ -148,13 +153,13 @@ fn lanes() -> Vec<Lane> {
 }
 
 const FLEET_GOLDENS: [u64; 7] = [
-    0xf1d0_d4c3_3cc6_64ce,
-    0x959c_1956_6f56_4fe5,
-    0x50e3_df94_6d8c_185f,
-    0x745e_b241_5e52_5d98,
-    0xfeee_d751_10c2_4fb9,
-    0xde7c_e05c_3922_17c5,
-    0xf2e3_f8f8_a16c_a28d,
+    0x6722_3ebe_f31a_b99a,
+    0xd845_2abe_d14a_3627,
+    0x2778_fd63_f32f_13fa,
+    0xf5ed_f740_bb33_7ba9,
+    0xd627_99e4_5dc2_ff59,
+    0x6df8_a6af_d449_52e1,
+    0x81af_a09b_0111_7b93,
 ];
 
 #[test]
@@ -297,12 +302,13 @@ fn edge_lanes() -> Vec<Lane> {
     ]
 }
 
-/// `(checkpoint hash, outcome hash)` per edge fleet, recorded before the
-/// poll lanes merged into one.
+/// `(checkpoint hash, outcome hash)` per edge fleet. The outcome hashes
+/// were recorded before the poll lanes merged into one; the checkpoint
+/// hashes were regenerated for CHR1 version 4.
 const EDGE_GOLDENS: [(u64, u64); 3] = [
-    (0x071e_e444_7b3d_691f, 0xaea7_2a4b_eb5c_6d57),
-    (0xa70e_c32d_55c7_a7a7, 0x900f_fafd_cd62_750d),
-    (0x85ee_dfda_761c_7708, 0x10ec_c4c4_feb0_792e),
+    (0x339a_dad6_c6dc_6401, 0xaea7_2a4b_eb5c_6d57),
+    (0xafbf_5761_1365_f0a5, 0x900f_fafd_cd62_750d),
+    (0xff00_11a9_0bef_db84, 0x10ec_c4c4_feb0_792e),
 ];
 
 #[test]

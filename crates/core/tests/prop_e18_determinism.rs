@@ -8,8 +8,9 @@
 //!    packed source-set columns included. Every secure-lane draw is
 //!    keyed on `(seed, global id, lane, round, slot)`, so stepping
 //!    order cannot leak in.
-//! 2. **Shard-size invariance** — the same contract across shard sizes:
-//!    the whole report and every client's fingerprint.
+//! 2. **Layout invariance** — the same contract across shard layouts on
+//!    a fixed worker count: the whole report and every client's
+//!    fingerprint.
 //! 3. **Experiment-level invariance** — [`run_e18`]'s full result (rows
 //!    and derived series) is identical for any thread budget.
 //! 4. **Inert E18 = PR 6 E17** — `e18_tiers(0.0)` over the E17 fault
@@ -61,7 +62,7 @@ fn fingerprint(fleet: &Fleet, i: usize) -> ClientFingerprint {
 const CLIENTS: usize = 24;
 
 /// One E18 grid point at a secure deployment fraction, with per-client
-/// trajectories recorded and several shards so threading matters.
+/// trajectories recorded.
 fn secure_config(seed: u64, d_units: u32, resolvers: usize, poisoned: usize) -> fleet::FleetConfig {
     let mut config = e18_config(
         seed,
@@ -71,7 +72,6 @@ fn secure_config(seed: u64, d_units: u32, resolvers: usize, poisoned: usize) -> 
         poisoned,
     );
     config.record_trajectories = true;
-    config.shard_size = 8;
     config
 }
 
@@ -105,29 +105,31 @@ proptest! {
         }
     }
 
-    /// ... and for every shard size: the slab decomposition is invisible
-    /// to the secure lanes and to every part of the report.
+    /// ... and for every shard layout on a fixed worker count: the slab
+    /// decomposition is invisible to the secure lanes and to every part
+    /// of the report. Built at 5, 2 and 1 threads, the 24 clients sit in
+    /// shards of 5, 12 and 24; each fleet then steps on 3 workers.
     #[test]
-    fn secure_fleets_are_shard_size_invariant(
+    fn secure_fleets_are_layout_invariant(
         seed in 1u64..400,
         d_units in 1u32..=4,
         resolvers in 1usize..=3,
     ) {
         let poisoned = 1 + (seed as usize) % resolvers;
         let mut config = secure_config(seed, d_units, resolvers, poisoned);
-        config.threads = 2;
+        config.threads = 3;
         let mut coarse = Fleet::new(config.clone());
         let coarse_report = coarse.run();
-        for shard_size in [5usize, 11, CLIENTS] {
-            config.shard_size = shard_size;
-            let mut fleet = Fleet::new(config.clone());
+        for layout_threads in [5usize, 2, 1] {
+            let mut fleet = Fleet::new(fleet::FleetConfig { threads: layout_threads, ..config.clone() });
+            fleet.set_threads(3);
             let report = fleet.run();
             prop_assert_eq!(&coarse_report, &report);
             for i in 0..CLIENTS {
                 prop_assert_eq!(
                     fingerprint(&coarse, i),
                     fingerprint(&fleet, i),
-                    "client {} at shard size {}", i, shard_size
+                    "client {} in shards cut for {} threads", i, layout_threads
                 );
             }
         }

@@ -3,8 +3,9 @@
 //! A long fleet run (`chronosd`'s reason to exist) must survive process
 //! restarts: [`Fleet::checkpoint`](crate::engine::Fleet::checkpoint)
 //! serializes the complete simulation state — the full [`FleetConfig`],
-//! every struct-of-arrays client column, each shard's streaming
-//! aggregates (the offset histogram's bins) and sampling cursor — and [`Fleet::restore`](crate::engine::Fleet::restore) rebuilds
+//! every client's columns, the recorded trajectories, and the fleet's
+//! aggregates (sampling cursor, shifted series, offset histogram, event
+//! count) — and [`Fleet::restore`](crate::engine::Fleet::restore) rebuilds
 //! a fleet that continues **byte-identically** to one that never stopped
 //! (pinned by `tests/prop_checkpoint_resume.rs`).
 //!
@@ -19,21 +20,34 @@
 //! # Layout
 //!
 //! ```text
-//! magic  b"CHR1"            4 bytes
-//! version u32               currently 3
-//! config  FleetConfig       self-delimiting field sequence
-//! now_ns  u64               fleet clock at the snapshot
-//! shards  u32 + per-shard   columns, sampling cursor, aggregates
-//! trailer u64               XOR-fold checksum of everything above
+//! magic   b"CHR1"            4 bytes
+//! version u32                currently 4
+//! config  FleetConfig        self-delimiting field sequence
+//! now_ns  u64                fleet clock at the snapshot
+//! clients config.clients ×   one fixed 154-byte record each, in global
+//!         154 bytes          client-id order
+//! traces  per client         only with record_trajectories: a u32 point
+//!                            count, then (u64 ns, i64 offset) points
+//! next_sample_ns u64         the first sample instant not yet counted
+//! shifted u64 ×              per-tier shifted counts, sample-major; the
+//!         samples × tiers    sample count is next_sample_ns / sample_every
+//! histogram u32 + pairs      the non-empty offset-histogram bins as
+//!                            strictly ascending (u16 bin, u64 count)
+//! events  u64                client events stepped
+//! trailer u64                XOR-fold checksum of everything above
 //! ```
 //!
 //! All integers are little-endian. Variable-length sequences are
-//! length-prefixed (u32 for element counts, u64 for nanosecond values).
-//! The per-shard encoding lives in `engine.rs` (the columns are private
-//! to the engine); this module owns the primitive [`Writer`]/[`Reader`]
-//! pair — the workspace's one binary codec, public so chronosd's `SWP1`
-//! sweep cursor is written and read through it too — the error type and
-//! the [`FleetConfig`] codec.
+//! length-prefixed (u32 for element counts, u64 for nanosecond values);
+//! nothing stores a length or total that another field already fixes.
+//! No byte depends on how the engine cuts the fleet into shards, so a
+//! checkpoint restores into any layout. The client records and the
+//! aggregates are encoded in `engine.rs` (the columns are private to the
+//! engine); this module owns the primitive [`Writer`]/[`Reader`] pair —
+//! the workspace's one binary codec, public so chronosd's `SWP1` sweep
+//! cursor is written and read through it too — the error type and the
+//! [`FleetConfig`] codec, which refuses a configuration that fails
+//! [`FleetConfig::check`].
 
 use crate::cohort::{ClientKind, CohortTier};
 use crate::config::{
@@ -51,8 +65,16 @@ pub const MAGIC: [u8; 4] = *b"CHR1";
 /// per-tier key-lifetime/re-key/sources knobs, and the per-client
 /// association columns. Version 3 dropped the timer-wheel tick, the due
 /// list, the shard clock and run boundary, and the P² marker state, and
-/// carries the 577 bins of the 64-per-decade offset histogram.
-pub const VERSION: u32 = 3;
+/// carried the 577 bins of the 64-per-decade offset histogram per shard.
+/// Version 4 dropped the shard framing and the config's shard size: the
+/// client records follow in global order, and the fleet's aggregates
+/// follow once, the histogram as sparse bins.
+pub const VERSION: u32 = 4;
+
+/// Bytes of one client's fixed record in a checkpoint. A blob must hold
+/// `clients` of them after its header, which bounds the client count by
+/// the input before anything is sized from it.
+pub(crate) const CLIENT_RECORD_BYTES: usize = 154;
 
 /// Why a checkpoint failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -564,12 +586,13 @@ pub(crate) fn put_config(w: &mut Writer, c: &FleetConfig) {
     w.bool(c.record_trajectories);
     put_duration(w, c.horizon);
     w.u64(c.threads as u64);
-    w.u64(c.shard_size as u64);
 }
 
-/// Decodes a [`FleetConfig`] written by [`put_config`].
+/// Decodes a [`FleetConfig`] written by [`put_config`] and refuses one
+/// that fails [`FleetConfig::check`], so no decoded configuration can
+/// reach a panicking constructor.
 pub(crate) fn get_config(r: &mut Reader<'_>) -> Result<FleetConfig, CheckpointError> {
-    Ok(FleetConfig {
+    let config = FleetConfig {
         seed: r.u64()?,
         clients: r.u64()? as usize,
         first_client_id: r.u64()?,
@@ -597,8 +620,11 @@ pub(crate) fn get_config(r: &mut Reader<'_>) -> Result<FleetConfig, CheckpointEr
         record_trajectories: r.bool()?,
         horizon: get_duration(r)?,
         threads: r.u64()? as usize,
-        shard_size: r.u64()? as usize,
-    })
+    };
+    match config.check() {
+        Ok(()) => Ok(config),
+        Err(_) => Err(CheckpointError::Corrupt("configuration fails validation")),
+    }
 }
 
 /// Encodes a [`FleetConfig`] exactly as a checkpoint embeds it (the
@@ -616,7 +642,8 @@ pub fn encode_config(config: &FleetConfig) -> Vec<u8> {
 /// # Errors
 ///
 /// [`CheckpointError::Truncated`] or [`CheckpointError::Corrupt`] when the
-/// bytes are not one config in the current [`VERSION`] layout.
+/// bytes are not one config in the current [`VERSION`] layout, or decode
+/// to one that fails [`FleetConfig::check`].
 pub fn decode_config(bytes: &[u8]) -> Result<FleetConfig, CheckpointError> {
     let mut r = Reader::new(bytes);
     let config = get_config(&mut r)?;
@@ -700,6 +727,32 @@ mod tests {
             decode_config(&long),
             Err(CheckpointError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn configs_that_fail_validation_are_corrupt() {
+        // A zero sample cadence would divide by zero in the engine, a
+        // zero-client fleet builds nothing, and a trim of usize::MAX must
+        // not overflow the survivor count the check computes: each decodes
+        // to an error where the constructor would panic.
+        let mut over_trimmed = FleetConfig::default();
+        over_trimmed.chronos.trim = usize::MAX;
+        for config in [
+            FleetConfig {
+                sample_every: SimDuration::ZERO,
+                ..rich_config()
+            },
+            FleetConfig {
+                clients: 0,
+                ..FleetConfig::default()
+            },
+            over_trimmed,
+        ] {
+            assert_eq!(
+                decode_config(&encode_config(&config)),
+                Err(CheckpointError::Corrupt("configuration fails validation"))
+            );
+        }
     }
 
     #[test]

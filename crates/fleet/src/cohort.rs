@@ -14,7 +14,7 @@
 //!   id. Any contiguous id window of `N` clients contains each tier
 //!   within ±1 of its exact share `N·wᵗ/Σw` (unit-tested), and the
 //!   assignment is a pure function of `(tiers, global id)` — independent
-//!   of fleet slicing, shard size and thread count.
+//!   of fleet slicing, shard layout and thread count.
 //! * **client → resolver** ([`resolver_of`]): a hash of
 //!   `(fleet seed, global id)` reduced onto the `R` resolvers. Hashing
 //!   (rather than striding) decorrelates the resolver choice from the
@@ -243,7 +243,7 @@ impl TierParams {
 /// window of client ids contains each tier within ±1 of `N·wᵗ/Σw`
 /// (asserted by the unit tests across window sizes and offsets). Because
 /// the map reads only the global id, it is invariant under fleet slicing
-/// ([`crate::config::FleetConfig::first_client_id`]), shard size and
+/// ([`crate::config::FleetConfig::first_client_id`]), shard layout and
 /// thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierAssignment {
@@ -339,7 +339,7 @@ fn gcd(a: u64, b: u64) -> u64 {
 ///
 /// A hash (not a stride) so the resolver draw is independent of the tier
 /// pattern; a function of the *global* id alone so it is invariant under
-/// shard size, thread count and fleet slicing — the same client lands on
+/// shard layout, thread count and fleet slicing — the same client lands on
 /// the same resolver in any decomposition, which the determinism tests
 /// pin.
 #[inline]

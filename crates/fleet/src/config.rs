@@ -5,6 +5,16 @@ use chronos::config::{ChronosConfig, PoolGenConfig};
 use dnslab::zone::{POOL_ADDRS_PER_RESPONSE, POOL_NTP_TTL};
 use netsim::time::{SimDuration, SimTime};
 
+/// Returns the formatted message as an `Err` from the enclosing check
+/// unless the condition holds.
+macro_rules! ensure {
+    ($ok:expr, $($why:tt)+) => {
+        if !$ok {
+            return Err(format!($($why)+));
+        }
+    };
+}
+
 /// The shared DNS-poisoning attack against the fleet's resolvers.
 ///
 /// This is the population view of the paper's E1/E4/E8 attacks: *how* the
@@ -227,29 +237,32 @@ impl FaultPlan {
         self.tier_faults(t).dns_servfail > 0.0 || !self.resolver_outages(r).is_empty()
     }
 
-    fn validate(&self, resolvers: usize, tier_count: usize) {
+    /// The plan's rules for a fleet of `resolvers` resolvers and
+    /// `tier_count` tiers (see [`FleetConfig::check`]).
+    fn check(&self, resolvers: usize, tier_count: usize) -> Result<(), String> {
         let check_probs = |f: &TierFaults, what: &str| {
-            assert!(
+            ensure!(
                 f.ntp_loss.is_finite() && (0.0..=1.0).contains(&f.ntp_loss),
                 "{what} ntp_loss {} outside [0, 1]",
                 f.ntp_loss
             );
-            assert!(
+            ensure!(
                 f.dns_servfail.is_finite() && (0.0..=1.0).contains(&f.dns_servfail),
                 "{what} dns_servfail {} outside [0, 1]",
                 f.dns_servfail
             );
+            Ok(())
         };
-        check_probs(&self.all_tiers, "fault plan");
-        assert!(
+        check_probs(&self.all_tiers, "fault plan")?;
+        ensure!(
             self.tiers.len() <= tier_count,
             "fault plan overrides {} tiers but the fleet has {tier_count}",
             self.tiers.len()
         );
         for (t, f) in self.tiers.iter().enumerate() {
-            check_probs(f, &format!("tier {t}"));
+            check_probs(f, &format!("tier {t}"))?;
         }
-        assert!(
+        ensure!(
             self.outages.len() <= resolvers,
             "outage windows for {} resolvers but the fleet has {resolvers}",
             self.outages.len()
@@ -257,8 +270,8 @@ impl FaultPlan {
         for (r, windows) in self.outages.iter().enumerate() {
             let mut prev_end = 0u64;
             for w in windows {
-                assert!(w.duration_ns > 0, "resolver {r}: zero-length outage");
-                assert!(
+                ensure!(w.duration_ns > 0, "resolver {r}: zero-length outage");
+                ensure!(
                     w.start_ns >= prev_end,
                     "resolver {r}: outage windows must be sorted and non-overlapping"
                 );
@@ -266,23 +279,24 @@ impl FaultPlan {
             }
         }
         if let Some(stale) = &self.serve_stale {
-            assert!(stale.max_stale_secs > 0, "zero serve-stale budget");
+            ensure!(stale.max_stale_secs > 0, "zero serve-stale budget");
         }
-        assert!(
+        ensure!(
             (1..=32).contains(&self.retry.max_attempts),
             "retry max_attempts {} outside 1..=32",
             self.retry.max_attempts
         );
-        assert!(
+        ensure!(
             self.retry.jitter.is_finite() && (0.0..1.0).contains(&self.retry.jitter),
             "retry jitter {} outside [0, 1)",
             self.retry.jitter
         );
-        assert!(!self.retry.base.is_zero(), "retry base delay must be > 0");
-        assert!(
+        ensure!(!self.retry.base.is_zero(), "retry base delay must be > 0");
+        ensure!(
             self.retry.cap >= self.retry.base,
             "retry cap below base delay"
         );
+        Ok(())
     }
 }
 
@@ -352,26 +366,16 @@ pub struct FleetConfig {
     pub record_trajectories: bool,
     /// Default run length for [`crate::engine::Fleet::run`].
     pub horizon: SimDuration,
-    /// Worker threads stepping shards inside one
+    /// Worker threads stepping the fleet inside one
     /// [`crate::engine::Fleet::run_until`] call: `1` (the default) steps
-    /// shards sequentially on the calling thread, `0` uses every available
-    /// core. A pure wall-clock knob — results are byte-identical for every
-    /// value, which the determinism proptests pin.
+    /// sequentially on the calling thread, `0` uses every available core.
+    /// A pure wall-clock knob — results and checkpoint bytes apart from
+    /// this field are byte-identical for every value, which the
+    /// determinism proptests pin. The engine also cuts its clients into
+    /// shards from the value in force when it is built (see
+    /// [`crate::engine`]); no result depends on that cut either.
     pub threads: usize,
-    /// Clients per shard, the unit of intra-fleet parallelism. Like
-    /// `threads` it never changes a result: every per-client outcome and
-    /// the whole report, quantiles included, are byte-identical for every
-    /// value, which the determinism proptests pin. It still shapes the
-    /// column layout a reused pooled fleet keeps, so
-    /// [`FleetConfig::structural_fingerprint`] covers it.
-    pub shard_size: usize,
 }
-
-/// Default clients per shard: small enough that a 100k-client fleet yields
-/// ~25 stealable work units for a handful of cores, large enough that the
-/// fixed per-shard machinery (the offset histogram's bins, scratch
-/// buffers) stays well under 2 % of the column footprint.
-pub const DEFAULT_SHARD_SIZE: usize = 4096;
 
 impl Default for FleetConfig {
     fn default() -> Self {
@@ -405,7 +409,6 @@ impl Default for FleetConfig {
             record_trajectories: false,
             horizon: SimDuration::from_secs(4_000),
             threads: 1,
-            shard_size: DEFAULT_SHARD_SIZE,
         }
     }
 }
@@ -441,44 +444,47 @@ impl FleetConfig {
         tiers
     }
 
-    /// Validates internal consistency.
+    /// Checks internal consistency without panicking: the first rule the
+    /// configuration breaks, as the message [`FleetConfig::validate`]
+    /// panics with. A decoded checkpoint or sweep cursor runs this before
+    /// its configuration builds anything.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the configuration cannot be simulated: zero clients, a
+    /// When the configuration cannot be simulated: zero clients, a
     /// universe that is not a whole number of response batches (or more
-    /// than 64 of them — the per-client dedup bitmap's width), or an
-    /// inconsistent Chronos config.
-    pub fn validate(&self) {
-        assert!(self.clients > 0, "a fleet needs at least one client");
-        assert!(self.per_response > 0, "responses must carry addresses");
-        assert!(
+    /// than 64 of them — the per-client dedup bitmap's width), a zero
+    /// sample cadence, a resolver or tier count outside its column, an
+    /// inconsistent tier, Chronos config or fault plan.
+    pub fn check(&self) -> Result<(), String> {
+        ensure!(self.clients > 0, "a fleet needs at least one client");
+        ensure!(self.per_response > 0, "responses must carry addresses");
+        ensure!(
             self.universe.is_multiple_of(self.per_response),
             "universe {} must be a multiple of per_response {}",
             self.universe,
             self.per_response
         );
-        assert!(
+        ensure!(
             self.rotation_batches() >= 1 && self.rotation_batches() <= 64,
             "rotation batches {} outside the 1..=64 dedup-bitmap range",
             self.rotation_batches()
         );
-        assert!(
+        ensure!(
             !self.sample_every.is_zero(),
             "sample cadence must be positive"
         );
-        assert!(self.shard_size > 0, "shards need at least one client");
-        assert!(
+        ensure!(
             self.resolvers >= 1 && self.resolvers <= MAX_RESOLVERS,
             "resolver count {} outside 1..={MAX_RESOLVERS} (u16 column)",
             self.resolvers
         );
-        assert!(self.tiers.len() <= 255, "at most 255 tiers (u8 column)");
+        ensure!(self.tiers.len() <= 255, "at most 255 tiers (u8 column)");
         for tier in &self.tiers {
-            assert!(tier.share >= 1, "tier '{}' has zero share", tier.label);
+            ensure!(tier.share >= 1, "tier '{}' has zero share", tier.label);
             match tier.kind {
                 crate::cohort::ClientKind::PlainNtp | crate::cohort::ClientKind::Nts => {
-                    assert!(
+                    ensure!(
                         tier.pool_size.is_none_or(|n| n >= 1),
                         "tier '{}' keeps zero servers",
                         tier.label
@@ -488,7 +494,7 @@ impl FleetConfig {
                     let m = tier
                         .sources
                         .unwrap_or(crate::cohort::ROUGHTIME_DEFAULT_SOURCES);
-                    assert!(
+                    ensure!(
                         (1..=crate::cohort::ROUGHTIME_MAX_SOURCES).contains(&m),
                         "roughtime tier '{}' wants {m} sources, outside 1..={} \
                          (u32 source-mask column)",
@@ -499,12 +505,12 @@ impl FleetConfig {
                 crate::cohort::ClientKind::Chronos => {}
             }
             if tier.kind == crate::cohort::ClientKind::Nts {
-                assert!(
+                ensure!(
                     tier.key_lifetime.is_none_or(|d| !d.is_zero()),
                     "nts tier '{}' has a zero key lifetime",
                     tier.label
                 );
-                assert!(
+                ensure!(
                     tier.rekey_interval.is_none_or(|d| !d.is_zero()),
                     "nts tier '{}' has a zero re-key interval",
                     tier.label
@@ -512,17 +518,20 @@ impl FleetConfig {
             }
         }
         for params in self.effective_tiers() {
-            params.chronos.validate();
+            params.chronos.check()?;
         }
-        self.chronos.validate();
-        self.faults.validate(
-            self.resolvers,
-            if self.tiers.is_empty() {
-                1
-            } else {
-                self.tiers.len()
-            },
-        );
+        self.chronos.check()?;
+        self.faults.check(self.resolvers, self.tiers.len().max(1))
+    }
+
+    /// Validates internal consistency.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`FleetConfig::check`]'s message when the configuration
+    /// cannot be simulated.
+    pub fn validate(&self) {
+        self.check().unwrap_or_else(|why| panic!("{why}"));
     }
 
     /// Resolved intra-fleet worker count: `threads`, with `0` mapped to
@@ -571,17 +580,8 @@ mod tests {
             clients: 11,
             ..FleetConfig::default()
         };
-        let d = FleetConfig {
-            shard_size: 128,
-            ..FleetConfig::default()
-        };
         assert_eq!(a.structural_fingerprint(), b.structural_fingerprint());
         assert_ne!(a.structural_fingerprint(), c.structural_fingerprint());
-        assert_ne!(
-            a.structural_fingerprint(),
-            d.structural_fingerprint(),
-            "shard size shapes the layout a reused pooled fleet keeps, so it is structural"
-        );
         // The cohort knobs are structural too: a different tier mix or
         // resolver count is a different simulation.
         let tiered = FleetConfig {
@@ -635,7 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_resolve_and_shard_size_validates() {
+    fn threads_resolve() {
         let auto = FleetConfig {
             threads: 0,
             ..FleetConfig::default()
@@ -649,10 +649,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one client")]
-    fn zero_shard_size_rejected() {
+    fn check_reports_what_validate_panics_with() {
+        assert_eq!(FleetConfig::default().check(), Ok(()));
+        let still = FleetConfig {
+            sample_every: SimDuration::ZERO,
+            ..FleetConfig::default()
+        };
+        assert_eq!(
+            still.check(),
+            Err("sample cadence must be positive".to_string())
+        );
+        // The Chronos and fault-plan rules answer through the same form.
+        let mut over_trimmed = FleetConfig::default();
+        over_trimmed.chronos.trim = 8;
+        assert!(over_trimmed
+            .check()
+            .is_err_and(|why| why.contains("leaves no survivors")));
+        let mut jittery = FleetConfig::default();
+        jittery.faults.retry.jitter = 1.0;
+        assert!(jittery
+            .check()
+            .is_err_and(|why| why.contains("retry jitter")));
+    }
+
+    #[test]
+    #[should_panic(expected = "sample cadence must be positive")]
+    fn zero_sample_cadence_rejected() {
         FleetConfig {
-            shard_size: 0,
+            sample_every: SimDuration::ZERO,
             ..FleetConfig::default()
         }
         .validate();

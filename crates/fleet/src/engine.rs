@@ -1,5 +1,5 @@
-//! The fleet engine: struct-of-arrays client state, sharded into
-//! independently-steppable slabs, each client stepped straight through a
+//! The fleet engine: struct-of-arrays client state, cut into
+//! independently-steppable shards, each client stepped straight through a
 //! slice.
 //!
 //! # Event model
@@ -13,7 +13,7 @@
 //! and the immutable DNS view; the offset histogram adds integer counts;
 //! and sample instant s counts each client's clock after exactly its own
 //! events with a deadline before s. So a run's outcome is a pure function
-//! of the configuration, independent of thread count, shard size and
+//! of the configuration, independent of thread count, shard layout and
 //! slicing.
 //!
 //! # Cohorts: heterogeneous tiers across multiple resolvers
@@ -48,22 +48,27 @@
 //!
 //! # Sharded parallel stepping
 //!
-//! A fleet's clients are partitioned into contiguous shards of
-//! [`FleetConfig::shard_size`] clients. Each shard owns its slice of
-//! every state column *plus* its own selection scratch and streaming
-//! aggregates, so stepping one shard touches no other shard's
-//! memory. The only cross-client coupling — the shared resolver caches —
-//! is resolved before stepping by a deterministic pre-pass
-//! ([`ResolverModel::timeline`], one per resolver): pool-query times are
-//! static (`boot + k·interval`, independent of the answers), so each
-//! cache's full answer timeline is replayed once and then read immutably
-//! by every shard. After the pre-pass, shards are embarrassingly
-//! parallel: [`Fleet::run_until`] fans them over
+//! The fleet owns every aggregate: the offset histogram, the per-tier
+//! shifted series with its sampling cursor, and the event count. The
+//! per-client columns are cut into contiguous shards, each with its own
+//! selection scratch and per-slice scratch aggregates, so stepping one
+//! shard touches no other shard's memory. The only cross-client coupling —
+//! the shared resolver caches — is resolved before stepping by a
+//! deterministic pre-pass ([`ResolverModel::timeline`], one per resolver):
+//! pool-query times are static (`boot + k·interval`, independent of the
+//! answers), so each cache's full answer timeline is replayed once and
+//! then read immutably by every shard. After the pre-pass, shards are
+//! embarrassingly parallel: [`Fleet::run_until`] fans them over
 //! [`netsim::par::for_each_mut`] (the same lock-free claim-cursor
-//! dispatcher Monte-Carlo trials use) and the report merges shard
-//! aggregates by integer addition, so a run is byte-identical for every
-//! [`FleetConfig::threads`] and [`FleetConfig::shard_size`] value, which
-//! the determinism proptests pin.
+//! dispatcher Monte-Carlo trials use), then folds each shard's slice into
+//! the fleet's aggregates by integer addition.
+//!
+//! The cut is a stepping detail. A fleet derives it when it is built, from
+//! the [`FleetConfig::threads`] then in force: `clients / threads`
+//! clients a shard, rounded up and at most 4096 (one shard per 4096
+//! clients at `threads = 1`). No report byte and no checkpoint byte
+//! depends on it, so a run is byte-identical for every thread count and a
+//! checkpoint restores into any cut, which the determinism proptests pin.
 //!
 //! # Batched request/response rounds
 //!
@@ -147,11 +152,17 @@ const TRACKED_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
 /// The report's histogram resolution (bins per decade of |offset|).
 const HISTOGRAM_BINS_PER_DECADE: usize = 8;
 
-/// The resolution each shard records at (bins per decade of |offset|).
+/// The resolution the fleet records at (bins per decade of |offset|).
 /// Every report edge is also one of these edges, so the report's
 /// histogram is a sum of runs of fine bins, and the fine bins bound each
 /// quantile within 10^(1/64) − 1 ≈ 3.7 %.
 const FINE_BINS_PER_DECADE: usize = 64;
+
+/// The longest shard: small enough that a 100k-client fleet yields ~25
+/// stealable work units for a handful of cores, large enough that the
+/// fixed per-shard scratch (the slice histogram's bins, selection
+/// buffers) stays well under 2 % of the column footprint.
+const MAX_SHARD_LEN: usize = 4096;
 
 /// Sentinel in the packed `last_update` column meaning "no accepted
 /// correction yet" (a real update at `u64::MAX` ns is unreachable — that
@@ -172,7 +183,9 @@ pub struct FleetReport {
     pub final_shifted_fraction: f64,
     /// Clients whose pool contains at least one malicious server.
     pub poisoned_clients: u64,
-    /// Clients that completed pool generation.
+    /// Clients whose phase has left pool generation, summed over the
+    /// tiers as [`TierBreakdown::synced_clients`] counts them: not
+    /// necessarily clients holding a usable pool.
     pub synced_clients: u64,
     /// Element-wise sum of every client's [`ChronosStats`].
     pub totals: ChronosStats,
@@ -184,7 +197,7 @@ pub struct FleetReport {
     /// quantile. Two rules cover the ends: with no observation every
     /// value is 0.0, and a rank in the open-ended overflow bin (|offset| ≥
     /// 10¹² ns) reports the last edge, 10¹² ns. Like every other field,
-    /// the values are independent of threads, shard size and slicing.
+    /// the values are independent of threads, shard layout and slicing.
     pub quantiles: Vec<(f64, f64)>,
     /// Fixed-bin histogram of the same stream, 8 bins per decade.
     pub histogram: OffsetHistogram,
@@ -219,7 +232,12 @@ pub struct TierBreakdown {
     pub final_shifted_fraction: f64,
     /// Tier clients with at least one malicious server in their pool.
     pub poisoned_clients: u64,
-    /// Tier clients past pool generation (plain-NTP: resolved).
+    /// Tier clients whose phase has left pool generation: a Chronos
+    /// client once its query rounds are spent, a plain-NTP client once its
+    /// boot resolution succeeded or ran out of attempts (leaving it an
+    /// empty pool), a Roughtime client after its boot, and an NTS client
+    /// except while an association (boot or re-key) is pending. It does
+    /// not say that the client holds a usable pool.
     pub synced_clients: u64,
     /// Element-wise sum of the tier's client counters.
     pub totals: ChronosStats,
@@ -244,7 +262,9 @@ pub struct FleetProgress {
     pub clients: usize,
     /// Client events stepped so far (pool rounds + polls).
     pub events: u64,
-    /// Clients past pool generation.
+    /// Clients whose phase has left pool generation, counted as
+    /// [`TierBreakdown::synced_clients`] counts them: not necessarily
+    /// clients holding a usable pool.
     pub synced_clients: u64,
     /// Fraction of the fleet beyond the safety bound right now.
     pub shifted_fraction: f64,
@@ -386,11 +406,44 @@ enum Draw {
     Sources,
 }
 
-/// One contiguous slab of the fleet: a private copy of every per-client
-/// column plus its own scratch buffers and streaming aggregates. Shards
-/// never touch each other's state, so a fleet run can step them
-/// concurrently and merge the aggregates afterwards.
+/// Streaming aggregates that merge by integer addition: a fleet keeps one
+/// for its whole run, and each shard one for the slice it is stepping.
 #[derive(Debug)]
+struct Tally {
+    /// Clients beyond the safety bound at each counted sample instant,
+    /// broken down by tier: sample-major with stride `tier_count`.
+    shifted_counts: Vec<u64>,
+    /// |offset| of every concluded round, [`FINE_BINS_PER_DECADE`].
+    histogram: OffsetHistogram,
+    /// Client events stepped.
+    events: u64,
+}
+
+impl Default for Tally {
+    fn default() -> Tally {
+        Tally {
+            shifted_counts: Vec::new(),
+            histogram: OffsetHistogram::log_scale(FINE_BINS_PER_DECADE),
+            events: 0,
+        }
+    }
+}
+
+impl Tally {
+    /// Forgets everything counted.
+    fn reset(&mut self) {
+        self.shifted_counts.clear();
+        self.histogram.reset();
+        self.events = 0;
+    }
+}
+
+/// One contiguous slab of the fleet: its clients' slice of every
+/// per-client column plus its own scratch buffers, including the slice's
+/// [`Tally`]. Shards never touch each other's state, so a fleet run can
+/// step them concurrently and fold each slice into the fleet's tally
+/// afterwards.
+#[derive(Debug, Default)]
 struct Shard {
     /// Global id of this shard's first client.
     first_global: u64,
@@ -433,50 +486,11 @@ struct Shard {
     offsets_buf: Vec<i64>,
     /// Scratch for the plain-NTP pipeline's [`PeerSample`]s.
     plain_samples: Vec<PeerSample>,
-    /// The first sample instant no slice has counted yet.
-    next_sample_ns: u64,
-    /// Clients beyond the safety bound at each emitted sample, broken
-    /// down by tier: sample-major with stride `tier_count` (the sample
-    /// schedule is fleet-global, so chunk k is the per-tier counts at
-    /// `k · sample_every` for every shard).
-    shifted_counts: Vec<u64>,
-    /// |offset| of every concluded round, [`FINE_BINS_PER_DECADE`].
-    histogram: OffsetHistogram,
-    events: u64,
+    /// The current slice's aggregates, folded into the fleet's.
+    tally: Tally,
 }
 
 impl Shard {
-    /// An empty shard awaiting [`Shard::rebuild`].
-    fn empty() -> Shard {
-        Shard {
-            first_global: 0,
-            clocks: Vec::new(),
-            phase: Vec::new(),
-            tier: Vec::new(),
-            resolver: Vec::new(),
-            retries: Vec::new(),
-            last_update_ns: Vec::new(),
-            rng: Vec::new(),
-            stats: Vec::new(),
-            faults: Vec::new(),
-            pool_rounds: Vec::new(),
-            benign_batches: Vec::new(),
-            malicious: Vec::new(),
-            deadline_ns: Vec::new(),
-            assoc_expiry_ns: Vec::new(),
-            assoc_sources: Vec::new(),
-            secure: Vec::new(),
-            traces: Vec::new(),
-            scratch: SelectScratch::new(),
-            offsets_buf: Vec::new(),
-            plain_samples: Vec::new(),
-            next_sample_ns: 0,
-            shifted_counts: Vec::new(),
-            histogram: OffsetHistogram::log_scale(FINE_BINS_PER_DECADE),
-            events: 0,
-        }
-    }
-
     /// The single construction path: sizes every column for `len` clients
     /// starting at global id `first_global` (reusing allocations when the
     /// layout is unchanged) and reseeds each client at time zero. Used
@@ -490,94 +504,68 @@ impl Shard {
         len: usize,
     ) {
         self.first_global = first_global;
-        // -- resize --
-        self.clocks.resize(len, LocalClock::perfect());
-        self.phase.resize(len, Phase::PoolGeneration);
-        self.tier.resize(len, 0);
-        self.resolver.resize(len, 0);
-        self.retries.resize(len, 0);
-        self.last_update_ns.resize(len, NO_UPDATE);
-        self.rng.resize(len, 0);
-        self.stats.resize(len, CompactStats::default());
-        self.faults.resize(len, CompactFaults::default());
-        self.pool_rounds.resize(len, 0);
-        self.benign_batches.resize(len, 0);
-        self.malicious.resize(len, 0);
-        self.deadline_ns.resize(len, 0);
-        self.assoc_expiry_ns.resize(len, 0);
-        self.assoc_sources.resize(len, 0);
-        self.secure.resize(len, CompactSecure::default());
-        if config.record_trajectories {
-            self.traces.resize(len, Vec::new());
-            for trace in &mut self.traces {
-                trace.clear();
-            }
-        } else {
-            self.traces = Vec::new();
-        }
-        // -- rewind the machinery --
-        self.next_sample_ns = 0;
-        self.shifted_counts.clear();
-        self.histogram.reset();
-        self.events = 0;
-        // -- reseed every client --
+        // -- the columns every client starts at the same value --
+        refill(&mut self.phase, len, Phase::PoolGeneration);
+        refill(&mut self.retries, len, 0);
+        refill(&mut self.last_update_ns, len, NO_UPDATE);
+        refill(&mut self.stats, len, CompactStats::default());
+        refill(&mut self.faults, len, CompactFaults::default());
+        refill(&mut self.pool_rounds, len, 0);
+        refill(&mut self.benign_batches, len, 0);
+        refill(&mut self.malicious, len, 0);
+        refill(&mut self.assoc_expiry_ns, len, 0);
+        refill(&mut self.assoc_sources, len, 0);
+        refill(&mut self.secure, len, CompactSecure::default());
+        let traced = if config.record_trajectories { len } else { 0 };
+        refill(&mut self.traces, traced, Vec::new());
+        // -- the columns seeded from each client's global id --
+        refill(&mut self.clocks, len, LocalClock::perfect());
+        refill(&mut self.tier, len, 0);
+        refill(&mut self.resolver, len, 0);
+        refill(&mut self.rng, len, 0);
+        refill(&mut self.deadline_ns, len, 0);
         for i in 0..len {
-            let global = self.first_global + i as u64;
+            let global = first_global + i as u64;
             let (start_ns, drift, rng_state) = client_boot(config, global);
             self.clocks[i] = LocalClock::new(0, drift);
-            self.phase[i] = Phase::PoolGeneration;
             self.tier[i] = assignment.tier_of(global);
             self.resolver[i] = resolver_of(config.seed, global, config.resolvers);
-            self.retries[i] = 0;
-            self.last_update_ns[i] = NO_UPDATE;
             self.rng[i] = rng_state;
-            self.stats[i] = CompactStats::default();
-            self.faults[i] = CompactFaults::default();
-            self.pool_rounds[i] = 0;
-            self.benign_batches[i] = 0;
-            self.malicious[i] = 0;
-            self.assoc_expiry_ns[i] = 0;
-            self.assoc_sources[i] = 0;
-            self.secure[i] = CompactSecure::default();
             self.schedule(i, start_ns);
         }
     }
 
     /// Runs the shard up to and including every event with a deadline at
     /// or before `target` ns: each client in index order, straight
-    /// through its events. Before an event at deadline d the client is
-    /// counted into every sample instant s ≤ d of the slice it has not yet
-    /// been counted into, and after its last event into the remaining
-    /// instants ≤ `target`, so instant s sees its clock after exactly its
+    /// through its events, into fresh slice aggregates. The slice's
+    /// `samples` sample instants are `first + k · sample_every`. Before an
+    /// event at deadline d the client is counted into every instant s ≤ d
+    /// it has not yet been counted into, and after its last event into the
+    /// remaining instants, so instant s sees its clock after exactly its
     /// own events with a deadline before s (see the module docs).
     ///
     /// `obs` is a pure wall-clock side channel: when attached it records
     /// the shard's slice wall time and event count into `obs` atomics,
     /// and nothing in this method reads it back — simulation state is
     /// byte-identical with and without it.
+    #[allow(clippy::too_many_arguments)]
     fn run_until(
         &mut self,
         target: u64,
+        first: u64,
+        samples: u64,
         config: &FleetConfig,
         tiers: &[TierParams],
         dns: DnsView<'_>,
         obs: Option<&FleetMetrics>,
     ) {
         let slice_start = obs.map(|_| std::time::Instant::now());
-        let events_before = self.events;
-        // The slice's sample instants, first + k·every for k < samples,
-        // each one a chunk of per-tier counts appended to the column.
+        self.tally.reset();
+        self.tally
+            .shifted_counts
+            .resize(samples as usize * tiers.len(), 0);
         let every = config.sample_every.as_nanos();
-        let first = self.next_sample_ns;
-        let samples = if first <= target {
-            (target - first) / every + 1
-        } else {
-            0
-        };
-        let base = self.shifted_counts.len();
-        self.shifted_counts
-            .resize(base + samples as usize * tiers.len(), 0);
-        let chunk = |k: u64| base + k as usize * tiers.len();
+        let chunk = |k: u64| k as usize * tiers.len();
         let bound = config.safety_bound.as_nanos() as i64;
         let mut i = 0;
         while i < self.deadline_ns.len() {
@@ -597,7 +585,7 @@ impl Shard {
                     self.count_shifted(i, first + counted * every, bound, chunk(counted));
                     counted += 1;
                 }
-                self.events += 1;
+                self.tally.events += 1;
                 self.step(i, at_ns, config, tiers, dns);
             }
             for k in counted..samples {
@@ -605,10 +593,9 @@ impl Shard {
             }
             i += 1;
         }
-        self.next_sample_ns = first + samples * every;
         if let (Some(m), Some(start)) = (obs, slice_start) {
             m.shard_slice.record(start.elapsed());
-            m.events.add(self.events - events_before);
+            m.events.add(self.tally.events);
         }
     }
 
@@ -1227,7 +1214,7 @@ impl Shard {
     /// `ntp_loss`, compacting the buffer in place. The draws are keyed
     /// `(lane, round, slot)`, the slot being the sample's position in the
     /// buffer, so loss patterns are byte-identical across thread counts
-    /// and shard sizes, and a dropped sample still consumed its draws:
+    /// and shard layouts, and a dropped sample still consumed its draws:
     /// the survivors are exactly what a lossless run hands the same
     /// slots. A zero loss rate takes no draws.
     #[allow(clippy::too_many_arguments)]
@@ -1316,7 +1303,7 @@ impl Shard {
         if config.record_trajectories {
             self.traces[i].push((now, off));
         }
-        self.histogram.record(off.unsigned_abs());
+        self.tally.histogram.record(off.unsigned_abs());
     }
 
     // --- sampling ---
@@ -1325,7 +1312,7 @@ impl Shard {
     /// `chunk` of `shifted_counts` when it is shifted at `at_ns`.
     fn count_shifted(&mut self, i: usize, at_ns: u64, bound: i64, chunk: usize) {
         if is_shifted(&self.clocks[i], SimTime::from_nanos(at_ns), bound) {
-            self.shifted_counts[chunk + self.tier[i] as usize] += 1;
+            self.tally.shifted_counts[chunk + self.tier[i] as usize] += 1;
         }
     }
 
@@ -1342,13 +1329,12 @@ impl Shard {
 
     // --- checkpoint codec (see crate::checkpoint for the format) ---
 
-    /// Serializes the shard's complete state. The scratch buffers
-    /// (`scratch`, `offsets_buf`, `plain_samples`) are per-event
-    /// temporaries and hold nothing across events, and each client's
-    /// pending event is its `deadline_ns` entry.
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.first_global);
-        w.len(self.clocks.len());
+    /// Writes each client's fixed [`checkpoint::CLIENT_RECORD_BYTES`]
+    /// record, in index order. The scratch buffers (`scratch`,
+    /// `offsets_buf`, `plain_samples`, the slice aggregates) hold nothing
+    /// across slices, and each client's pending event is its
+    /// `deadline_ns` entry.
+    fn encode_clients(&self, w: &mut Writer) {
         for i in 0..self.clocks.len() {
             let (offset_ns, drift_bits, rebased_ns, steps, slews) = self.clocks[i].to_raw();
             w.i64(offset_ns);
@@ -1398,54 +1384,33 @@ impl Shard {
                 w.u32(c);
             }
         }
-        w.len(self.traces.len());
-        for trace in &self.traces {
-            w.len(trace.len());
-            for &(t, off) in trace {
-                w.u64(t.as_nanos());
-                w.i64(off);
-            }
-        }
-        w.u64(self.next_sample_ns);
-        w.len(self.shifted_counts.len());
-        for &c in &self.shifted_counts {
-            w.u64(c);
-        }
-        let (counts, total) = self.histogram.raw_counts();
-        w.len(counts.len());
-        for &c in counts {
-            w.u64(c);
-        }
-        w.u64(total);
-        w.u64(self.events);
     }
 
-    /// Restores the shard from [`Shard::encode`] output. The shard must
-    /// already be [`Shard::rebuild`]-sized for the same config (columns
-    /// allocated, `first_global` set).
+    /// Restores the clients' records from [`Shard::encode_clients`]
+    /// output. The shard must already be [`Shard::rebuild`]-sized for the
+    /// same config (columns allocated, `first_global` set).
     ///
     /// Anyone can recompute the checksum of a crafted blob, so the columns
     /// that index or size the engine's work are checked against what this
-    /// fleet can hold: `tier` and `resolver` must equal the values
-    /// `rebuild` derived for the client, and `malicious` must not exceed
-    /// what the client's lane can write (the farm, capped at the tier's
-    /// servers for plain NTP and NTS, or the source count for Roughtime).
-    fn decode(
+    /// fleet can hold: the clock's drift, `tier` and `resolver` must equal
+    /// the values `rebuild` derived for the client (no run changes them),
+    /// and `malicious` must not exceed what the client's lane can write
+    /// (the farm, capped at the tier's servers for plain NTP and NTS, or
+    /// the source count for Roughtime).
+    fn decode_clients(
         &mut self,
         r: &mut Reader<'_>,
         config: &FleetConfig,
         tiers: &[TierParams],
     ) -> Result<(), CheckpointError> {
-        if r.u64()? != self.first_global {
-            return Err(CheckpointError::Corrupt("shard first_global mismatch"));
-        }
-        let len = r.len()?;
-        if len != self.clocks.len() {
-            return Err(CheckpointError::Corrupt("shard length mismatch"));
-        }
         let farm = config.attack.map_or(0, |a| a.farm_size);
-        for i in 0..len {
+        for i in 0..self.clocks.len() {
             let raw = (r.i64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+            if raw.1 != self.clocks[i].to_raw().1 {
+                return Err(CheckpointError::Corrupt(
+                    "clock drift differs from the client's",
+                ));
+            }
             self.clocks[i] = LocalClock::from_raw(raw);
             self.phase[i] = match r.u8()? {
                 0 => Phase::PoolGeneration,
@@ -1499,41 +1464,15 @@ impl Shard {
                 rekeys: r.u32()?,
             };
         }
-        let trace_count = r.len()?;
-        let expected_traces = if config.record_trajectories { len } else { 0 };
-        if trace_count != expected_traces {
-            return Err(CheckpointError::Corrupt("trajectory layout mismatch"));
-        }
-        for t in 0..trace_count {
-            let points = r.count(16)?;
-            self.traces[t].clear();
-            self.traces[t].reserve(points);
-            for _ in 0..points {
-                let at = SimTime::from_nanos(r.u64()?);
-                self.traces[t].push((at, r.i64()?));
-            }
-        }
-        self.next_sample_ns = r.u64()?;
-        let sc = r.count(8)?;
-        self.shifted_counts.clear();
-        self.shifted_counts.reserve(sc);
-        for _ in 0..sc {
-            self.shifted_counts.push(r.u64()?);
-        }
-        let bins = r.count(8)?;
-        let mut counts = Vec::with_capacity(bins);
-        for _ in 0..bins {
-            counts.push(r.u64()?);
-        }
-        let total = r.u64()?;
-        let expected_bins = self.histogram.raw_counts().0.len();
-        if bins != expected_bins {
-            return Err(CheckpointError::Corrupt("histogram bin count mismatch"));
-        }
-        self.histogram.restore_counts(counts, total);
-        self.events = r.u64()?;
         Ok(())
     }
+}
+
+/// Empties `column` and fills it with `len` copies of `value`, keeping its
+/// allocation.
+fn refill<T: Clone>(column: &mut Vec<T>, len: usize, value: T) {
+    column.clear();
+    column.resize(len, value);
 }
 
 /// Whether a clock's |error| exceeds the safety `bound` at `now`: the one
@@ -1622,8 +1561,15 @@ pub struct Fleet {
     /// Precomputed per-resolver answer timelines (empty in independent
     /// mode).
     timelines: Vec<ResolverTimeline>,
+    /// Clients per shard (the last shard may hold fewer).
+    shard_len: usize,
     shards: Vec<Shard>,
     now_ns: u64,
+    /// The first sample instant no slice has counted yet.
+    next_sample_ns: u64,
+    /// The run's aggregates; chunk k of the shifted counts is the per-tier
+    /// counts at `k · sample_every`.
+    tally: Tally,
     /// Optional wall-clock instrumentation (see [`crate::metrics`]).
     /// Never checkpointed; a restored fleet starts unmetered.
     metrics: Option<std::sync::Arc<FleetMetrics>>,
@@ -1646,8 +1592,11 @@ impl Fleet {
             assignment: TierAssignment::new(&[]),
             resolvers: Vec::new(),
             timelines: Vec::new(),
+            shard_len: 1,
             shards: Vec::new(),
             now_ns: 0,
+            next_sample_ns: 0,
+            tally: Tally::default(),
             metrics: None,
             last_slice: None,
             config,
@@ -1683,7 +1632,7 @@ impl Fleet {
 
     /// Client events stepped so far.
     pub fn events(&self) -> u64 {
-        self.shards.iter().map(|s| s.events).sum()
+        self.tally.events
     }
 
     /// Shards the fleet is partitioned into.
@@ -1698,9 +1647,9 @@ impl Fleet {
     }
 
     /// Changes the intra-fleet worker count without touching simulation
-    /// state — `threads` is a pure wall-clock knob (results are
-    /// byte-identical for every value), so it may change at any time,
-    /// even mid-run. This is the hook pooled reuse needs:
+    /// state or the shard layout — `threads` is a pure wall-clock knob
+    /// (results are byte-identical for every value), so it may change at
+    /// any time, even mid-run. This is the hook pooled reuse needs:
     /// [`FleetConfig::structural_fingerprint`] deliberately ignores
     /// `threads`, so a reused fleet may be serving a config whose worker
     /// count differs from the one it was built with.
@@ -1718,7 +1667,7 @@ impl Fleet {
 
     /// Swaps in a different configuration, reusing allocations where the
     /// shard layout matches (the pooling hook: same-shape configs differ
-    /// only in seed, so columns are always reusable there).
+    /// only in seed and threads, so columns are reusable there).
     pub fn reconfigure(&mut self, config: FleetConfig) {
         config.validate();
         self.config = config;
@@ -1727,10 +1676,11 @@ impl Fleet {
 
     /// The single sizing-and-reseeding path underneath `new`, `reset` and
     /// `reconfigure`: resolves tiers and assignment, derives the resolver
-    /// set from the seed, lays the clients out into shards, rebuilds each
-    /// (one shared code path, so shard-local construction cannot drift
-    /// from any caller), and precomputes the per-resolver timelines for
-    /// shared-cache mode.
+    /// set from the seed, cuts the clients into shards of
+    /// `clients / threads` (rounded up, at most [`MAX_SHARD_LEN`]),
+    /// rebuilds each (one shared code path, so shard-local construction
+    /// cannot drift from any caller), rewinds the aggregates, and
+    /// precomputes the per-resolver timelines for shared-cache mode.
     fn rebuild(&mut self) {
         self.tiers = self.config.effective_tiers();
         self.assignment = TierAssignment::new(&self.config.tiers);
@@ -1738,23 +1688,27 @@ impl Fleet {
             .map(|r| ResolverModel::for_resolver(&self.config, r))
             .collect();
         let n = self.config.clients;
-        let size = self.config.shard_size;
-        let shard_count = n.div_ceil(size);
+        let len = n
+            .div_ceil(self.config.effective_threads())
+            .min(MAX_SHARD_LEN);
+        let shard_count = n.div_ceil(len);
+        self.shard_len = len;
         self.shards.truncate(shard_count);
         while self.shards.len() < shard_count {
-            self.shards.push(Shard::empty());
+            self.shards.push(Shard::default());
         }
         for (s, shard) in self.shards.iter_mut().enumerate() {
-            let base = s * size;
-            let len = size.min(n - base);
+            let base = s * len;
             shard.rebuild(
                 &self.config,
                 &self.assignment,
                 self.config.first_client_id + base as u64,
-                len,
+                len.min(n - base),
             );
         }
         self.now_ns = 0;
+        self.next_sample_ns = 0;
+        self.tally.reset();
         self.last_slice = None;
         let prepass_start = self.metrics.as_ref().map(|_| std::time::Instant::now());
         // Free the old timelines first, so a reset does not hold them
@@ -1841,8 +1795,9 @@ impl Fleet {
 
     /// Runs the fleet up to and including every event with a deadline at
     /// or before `until`, stepping shards on
-    /// [`FleetConfig::effective_threads`] workers. Byte-identical for
-    /// every thread count.
+    /// [`FleetConfig::effective_threads`] workers and then folding their
+    /// slice aggregates into the fleet's. Byte-identical for every thread
+    /// count.
     ///
     /// # Panics
     ///
@@ -1854,7 +1809,15 @@ impl Fleet {
         // Instant read per slice, regardless of instrumentation.
         let slice_start = std::time::Instant::now();
         let sim_ns = target - self.now_ns;
-        let events_before: u64 = self.shards.iter().map(|s| s.events).sum();
+        let events_before = self.tally.events;
+        // The slice's sample instants, first + k·every for k < samples.
+        let every = self.config.sample_every.as_nanos();
+        let first = self.next_sample_ns;
+        let samples = if first <= target {
+            (target - first) / every + 1
+        } else {
+            0
+        };
         let config = &self.config;
         let tiers = &self.tiers[..];
         let obs = self.metrics.as_deref();
@@ -1865,13 +1828,27 @@ impl Fleet {
         };
         let threads = config.effective_threads().min(self.shards.len()).max(1);
         netsim::par::for_each_mut(&mut self.shards, threads, |shard, _| {
-            shard.run_until(target, config, tiers, dns, obs)
+            shard.run_until(target, first, samples, config, tiers, dns, obs)
         });
+        let run = &mut self.tally;
+        let base = run.shifted_counts.len();
+        run.shifted_counts
+            .resize(base + samples as usize * tiers.len(), 0);
+        for slice in self.shards.iter().map(|shard| &shard.tally) {
+            for (sum, c) in run.shifted_counts[base..]
+                .iter_mut()
+                .zip(&slice.shifted_counts)
+            {
+                *sum += c;
+            }
+            run.histogram.merge_from(&slice.histogram);
+            run.events += slice.events;
+        }
+        self.next_sample_ns = first + samples * every;
         self.now_ns = target;
-        let events: u64 = self.shards.iter().map(|s| s.events).sum();
         self.last_slice = Some((
             slice_start.elapsed().as_secs_f64(),
-            events - events_before,
+            self.tally.events - events_before,
             sim_ns,
         ));
     }
@@ -1898,10 +1875,11 @@ impl Fleet {
     }
 
     /// Bytes of per-client column state — the struct-of-arrays entries
-    /// across the shard slabs. Excludes opt-in trajectory capture and the
-    /// fixed per-shard machinery (the 577-bin offset histogram, scratch
-    /// buffers), which amortizes to under 3 bytes/client at the default
-    /// shard size.
+    /// across the shard slabs. Excludes opt-in trajectory capture, the
+    /// fleet's aggregates (one 577-bin offset histogram and the shifted
+    /// series, whatever the client count) and the fixed per-shard
+    /// scratch (a slice's histogram bins, selection buffers), which
+    /// amortizes to under 3 bytes/client in a full 4096-client shard.
     pub const fn per_client_footprint_bytes() -> usize {
         std::mem::size_of::<LocalClock>()               // clocks
             + std::mem::size_of::<Phase>()              // phase (also the event kind)
@@ -1923,8 +1901,7 @@ impl Fleet {
 
     fn locate(&self, i: usize) -> (&Shard, usize) {
         assert!(i < self.config.clients, "client {i} out of range");
-        let s = i / self.config.shard_size;
-        (&self.shards[s], i - s * self.config.shard_size)
+        (&self.shards[i / self.shard_len], i % self.shard_len)
     }
 
     /// One client's clock error at `now`, ns.
@@ -2017,8 +1994,8 @@ impl Fleet {
         &shard.traces[local]
     }
 
-    /// Builds the aggregate report at the current time by merging shard
-    /// aggregates: integer additions, so the merge order does not matter.
+    /// Builds the aggregate report at the current time from the fleet's
+    /// aggregates and one pass over the client columns.
     pub fn report(&self) -> FleetReport {
         let merge_start = self.metrics.as_ref().map(|_| std::time::Instant::now());
         let now = self.now();
@@ -2042,9 +2019,6 @@ impl Fleet {
             })
             .collect();
         let mut tier_final_shifted = vec![0u64; t_count];
-        let mut histogram = OffsetHistogram::log_scale(FINE_BINS_PER_DECADE);
-        // Sample-major per-tier counts, stride `t_count`.
-        let mut shifted_counts: Vec<u64> = Vec::new();
         for shard in &self.shards {
             for (i, s) in shard.stats.iter().enumerate() {
                 let row = &mut tiers[shard.tier[i] as usize];
@@ -2060,18 +2034,8 @@ impl Fleet {
                 }
             }
             shard.shifted_count_by_tier(now, &self.config, &mut tier_final_shifted);
-            histogram.merge_from(&shard.histogram);
-            debug_assert!(
-                shifted_counts.is_empty() || shifted_counts.len() == shard.shifted_counts.len(),
-                "shards share one sample schedule"
-            );
-            if shifted_counts.len() < shard.shifted_counts.len() {
-                shifted_counts.resize(shard.shifted_counts.len(), 0);
-            }
-            for (sum, c) in shifted_counts.iter_mut().zip(&shard.shifted_counts) {
-                *sum += c;
-            }
         }
+        let shifted_counts = &self.tally.shifted_counts;
         let sample_ns = self.config.sample_every.as_nanos();
         let clients = self.config.clients as f64;
         let samples = shifted_counts.len() / t_count.max(1);
@@ -2110,10 +2074,10 @@ impl Fleet {
             totals,
             quantiles: TRACKED_QUANTILES
                 .iter()
-                .map(|&p| (p, histogram.quantile(p)))
+                .map(|&p| (p, self.tally.histogram.quantile(p)))
                 .collect(),
-            histogram: histogram.coarsened(HISTOGRAM_BINS_PER_DECADE),
-            events: self.events(),
+            histogram: self.tally.histogram.coarsened(HISTOGRAM_BINS_PER_DECADE),
+            events: self.tally.events,
             faults,
             secure,
             tiers,
@@ -2129,21 +2093,13 @@ impl Fleet {
     /// [`Fleet::run_until`] boundary.
     pub fn progress(&self) -> FleetProgress {
         let now = self.now();
-        let synced_clients = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.phase
-                    .iter()
-                    .filter(|&&p| p != Phase::PoolGeneration)
-                    .count() as u64
-            })
-            .sum();
+        let phases = self.shards.iter().flat_map(|shard| &shard.phase);
+        let synced_clients = phases.filter(|&&p| p != Phase::PoolGeneration).count() as u64;
         FleetProgress {
             now,
             horizon: self.config.horizon,
             clients: self.config.clients,
-            events: self.events(),
+            events: self.tally.events,
             synced_clients,
             shifted_fraction: self.shifted_fraction(now),
             throughput: self.last_slice.map(|(wall_secs, events, sim_ns)| {
@@ -2158,8 +2114,9 @@ impl Fleet {
     }
 
     /// Serializes the fleet's complete simulation state — configuration,
-    /// every client column, streaming aggregates and sampling cursors — into the versioned binary format
-    /// of [`crate::checkpoint`]. A fleet restored from this snapshot
+    /// every client column, trajectories, aggregates and sampling cursor —
+    /// into the versioned binary format of [`crate::checkpoint`]. No byte
+    /// depends on the shard layout. A fleet restored from this snapshot
     /// ([`Fleet::restore`]) continues **byte-identically** to one that
     /// never stopped, for every thread count (the checkpoint/resume
     /// proptest pins this).
@@ -2199,10 +2156,22 @@ impl Fleet {
         w.u32(checkpoint::VERSION);
         checkpoint::put_config(&mut w, &self.config);
         w.u64(self.now_ns);
-        w.len(self.shards.len());
         for shard in &self.shards {
-            shard.encode(&mut w);
+            shard.encode_clients(&mut w);
         }
+        for trace in self.shards.iter().flat_map(|shard| &shard.traces) {
+            w.len(trace.len());
+            for &(t, off) in trace {
+                w.u64(t.as_nanos());
+                w.i64(off);
+            }
+        }
+        w.u64(self.next_sample_ns);
+        for &c in &self.tally.shifted_counts {
+            w.u64(c);
+        }
+        self.tally.histogram.encode(&mut w);
+        w.u64(self.tally.events);
         let bytes = w.finish();
         if let (Some(m), Some(start)) = (&self.metrics, encode_start) {
             m.checkpoint_encode.record(start.elapsed());
@@ -2212,16 +2181,19 @@ impl Fleet {
     }
 
     /// Rebuilds a fleet from a [`Fleet::checkpoint`] snapshot. Structural
-    /// state (tier parameters, resolver models, cache timelines) is
-    /// re-derived from the embedded configuration through the same
-    /// `rebuild` path a fresh fleet uses; the client columns and
+    /// state (tier parameters, resolver models, cache timelines, the shard
+    /// layout) is re-derived from the embedded configuration through the
+    /// same `rebuild` path a fresh fleet uses; the client columns and
     /// aggregates are then overwritten with the snapshot.
     ///
     /// # Errors
     ///
     /// Returns a [`CheckpointError`] when the bytes are not a checkpoint,
-    /// are from another format version, fail the checksum, or decode to
-    /// an inconsistent structure.
+    /// are from another format version, fail the checksum, embed a
+    /// configuration that fails [`FleetConfig::check`], are too short for
+    /// the client records the configuration announces (checked before
+    /// anything is sized from the client count), or decode to a state no
+    /// run can write.
     pub fn restore(bytes: &[u8]) -> Result<Fleet, CheckpointError> {
         Self::restore_with(bytes, None)
     }
@@ -2249,29 +2221,67 @@ impl Fleet {
             return Err(CheckpointError::BadVersion(version));
         }
         let config = checkpoint::get_config(&mut r)?;
-        let mut fleet = Fleet::new(config);
         let now_ns = r.u64()?;
-        if r.len()? != fleet.shards.len() {
-            return Err(CheckpointError::Corrupt("shard count mismatch"));
+        let records = config.clients.checked_mul(checkpoint::CLIENT_RECORD_BYTES);
+        if records.is_none_or(|bytes| bytes > r.remaining()) {
+            return Err(CheckpointError::Truncated);
         }
-        let Fleet {
-            ref mut shards,
-            ref config,
-            ref tiers,
-            ..
-        } = fleet;
-        for shard in shards.iter_mut() {
-            shard.decode(&mut r, config, tiers)?;
-        }
+        let mut fleet = Fleet::new(config);
         fleet.now_ns = now_ns;
+        fleet.decode_state(&mut r)?;
         if r.remaining() != 0 {
-            return Err(CheckpointError::Corrupt("trailing bytes after shards"));
+            return Err(CheckpointError::Corrupt("trailing bytes after aggregates"));
         }
         if let (Some(m), Some(start)) = (&metrics, restore_start) {
             m.checkpoint_restore.record(start.elapsed());
         }
         fleet.metrics = metrics;
         Ok(fleet)
+    }
+
+    /// Overwrites a freshly built fleet, its `now_ns` set, with the client
+    /// records, trajectories and aggregates [`Fleet::checkpoint`] writes
+    /// after `now_ns`. The sampling cursor must be the one a run to
+    /// `now_ns` leaves (the first multiple of the cadence past `now_ns`,
+    /// or 0 before the first slice), and it fixes how many shifted counts
+    /// follow; none may exceed the fleet's clients.
+    fn decode_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        for shard in &mut self.shards {
+            shard.decode_clients(r, &self.config, &self.tiers)?;
+        }
+        for trace in self.shards.iter_mut().flat_map(|shard| &mut shard.traces) {
+            let points = r.count(16)?;
+            trace.reserve(points);
+            for _ in 0..points {
+                trace.push((SimTime::from_nanos(r.u64()?), r.i64()?));
+            }
+        }
+        let every = self.config.sample_every.as_nanos();
+        self.next_sample_ns = r.u64()?;
+        let samples = self.next_sample_ns / every;
+        let after_now = (self.now_ns / every).checked_add(1);
+        if !self.next_sample_ns.is_multiple_of(every)
+            || (after_now != Some(samples) && (self.now_ns, samples) != (0, 0))
+        {
+            return Err(CheckpointError::Corrupt(
+                "sampling cursor disagrees with now_ns",
+            ));
+        }
+        let counts = usize::try_from(samples)
+            .ok()
+            .and_then(|k| k.checked_mul(self.tiers.len()))
+            .filter(|&n| n <= r.remaining() / 8)
+            .ok_or(CheckpointError::Truncated)?;
+        for _ in 0..counts {
+            let count = r.u64()?;
+            if count > self.config.clients as u64 {
+                return Err(CheckpointError::Corrupt("shifted count exceeds the fleet"));
+            }
+            self.tally.shifted_counts.push(count);
+        }
+        self.tally.histogram.decode(r)?;
+        self.tally.events = r.u64()?;
+        Ok(())
     }
 }
 
@@ -2476,9 +2486,13 @@ mod tests {
         // Reconfiguring across shard layouts rebuilds the partition too.
         let mut sharded = small_config();
         sharded.clients = 40;
-        sharded.shard_size = 16;
+        sharded.threads = 3;
         fleet.reconfigure(sharded.clone());
-        assert_eq!(fleet.shard_count(), 3, "40 clients / 16 per shard");
+        assert_eq!(
+            fleet.shard_count(),
+            3,
+            "40 clients over 3 threads: 14 per shard"
+        );
         let c = fleet.run();
         let d = Fleet::new(sharded).run();
         assert_eq!(c, d);
@@ -2561,6 +2575,48 @@ mod tests {
         }
     }
 
+    /// The histogram travels as sparse (bin, count) pairs and its total is
+    /// their sum, so no stored total can disagree with the bins: a raised
+    /// count is just another histogram. Pairs no run writes are refused.
+    #[test]
+    fn restore_refuses_histogram_pairs_no_run_writes() {
+        let mut fleet = Fleet::new(FleetConfig {
+            clients: 16,
+            ..small_config()
+        });
+        fleet.run_until(SimTime::from_secs(2_000));
+        let snapshot = fleet.checkpoint();
+        let pairs = fleet.tally.histogram.nonzero_bins().count();
+        assert!(pairs >= 2, "the run fills several bins");
+        // The payload ends in the (u16 bin, u64 count) pairs, then the u64
+        // event count.
+        let payload = snapshot.len() - 8;
+        let pair = |k: usize| payload - 8 - 10 * (pairs - k);
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut blob = snapshot[..payload].to_vec();
+            blob[at..at + bytes.len()].copy_from_slice(bytes);
+            let sum = checkpoint::checksum(&blob);
+            blob.extend_from_slice(&sum.to_le_bytes());
+            Fleet::restore(&blob)
+        };
+        let last = pairs - 1;
+        let count = fleet.tally.histogram.nonzero_bins().last().unwrap().1;
+        let raised = patched(pair(last) + 2, &(count + 1).to_le_bytes()).expect("a histogram");
+        let report = raised.report();
+        assert_eq!(report.histogram.total(), fleet.tally.histogram.total() + 1);
+        let corrupt = |at: usize, bytes: &[u8]| {
+            assert!(
+                matches!(patched(at, bytes), Err(CheckpointError::Corrupt(_))),
+                "accepted {bytes:?} at {at}"
+            );
+        };
+        corrupt(pair(0) + 2, &0u64.to_le_bytes());
+        corrupt(pair(1), &snapshot[pair(0)..pair(0) + 2]);
+        corrupt(pair(last), &577u16.to_le_bytes());
+        corrupt(pair(last), &u16::MAX.to_le_bytes());
+        corrupt(pair(last) + 2, &u64::MAX.to_le_bytes());
+    }
+
     /// The satellite footprint budget: per-client column state must sit
     /// comfortably below ~180 B, so a 10⁶-client fleet's columns fit in
     /// ~170 MB.
@@ -2585,6 +2641,12 @@ mod tests {
             fleet.shards.iter().all(|s| s.traces.is_empty()),
             "traces must not be allocated when capture is off"
         );
+        // A checkpoint writes the same fields, one fixed record a client:
+        // restore bounds the client count by that size.
+        let mut w = Writer::new();
+        fleet.shards[0].encode_clients(&mut w);
+        let record_bytes = w.finish().len() - 8;
+        assert_eq!(record_bytes, 64 * checkpoint::CLIENT_RECORD_BYTES);
         let mut recording = small_config();
         recording.record_trajectories = true;
         let fleet = Fleet::new(recording);
@@ -2604,14 +2666,15 @@ mod tests {
             SimDuration::from_millis(500),
         ));
         config.record_trajectories = true;
-        let one_shard = Fleet::new(config.clone());
-        let mut one_shard = one_shard;
+        let mut one_shard = Fleet::new(config.clone());
         let coarse = one_shard.run();
         assert_eq!(one_shard.shard_count(), 1);
-        config.shard_size = 10; // 64 clients -> 7 ragged shards
+        config.threads = 7; // 64 clients -> 7 ragged shards of 10
         let mut sharded = Fleet::new(config);
-        let fine = sharded.run();
         assert_eq!(sharded.shard_count(), 7);
+        // Step the seven shards on the one worker the coarse fleet used.
+        sharded.set_threads(1);
+        let fine = sharded.run();
         assert_eq!(coarse, fine, "the whole report is layout-free");
         for i in 0..64 {
             assert_eq!(one_shard.trace(i), sharded.trace(i), "client {i}");

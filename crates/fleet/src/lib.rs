@@ -21,17 +21,19 @@
 //! * **Struct-of-arrays state** ([`Fleet`]): clocks (real
 //!   [`ntplab::clock::LocalClock`]s), phases, retry counters, poll
 //!   deadlines and per-client RNG streams live in parallel columns; one
-//!   client costs under 120 bytes
+//!   client costs 154 bytes
 //!   ([`Fleet::per_client_footprint_bytes`]) and no allocations after
 //!   construction.
-//! * **Sharded parallel stepping**: the columns are partitioned into
-//!   contiguous shards ([`FleetConfig::shard_size`] clients each), every
-//!   shard owning its scratch buffers and streaming aggregates. The only
-//!   cross-client coupling — the shared resolver cache — is resolved by
-//!   a deterministic pre-pass ([`resolver::ResolverTimeline`]; pool-query
+//! * **Sharded parallel stepping**: the columns are cut into contiguous
+//!   shards, `clients / threads` clients each (at most 4096), every shard
+//!   owning its scratch buffers and one slice's scratch aggregates; the
+//!   fleet owns the aggregates themselves. The only cross-client
+//!   coupling — the shared resolver cache — is resolved by a
+//!   deterministic pre-pass ([`resolver::ResolverTimeline`]; pool-query
 //!   times are static), after which shards step embarrassingly parallel
-//!   on [`FleetConfig::threads`] workers and merge by integer addition:
-//!   runs are **byte-identical for every thread count and shard size**.
+//!   on [`FleetConfig::threads`] workers and fold into the fleet's
+//!   aggregates by integer addition: runs and checkpoints are
+//!   **byte-identical for every thread count and shard layout**.
 //! * **The decision logic is the real one**: every round concludes through
 //!   [`chronos::core`] — the same borrowed-state stepping API the
 //!   packet-level [`chronos::client::ChronosClient`] delegates to — so the
@@ -63,7 +65,7 @@
 //! sample slot) that consumes nothing from the client's main RNG
 //! sequence — so an all-zero plan reproduces the fault-free run
 //! byte-for-byte, and faulty runs stay byte-identical across thread
-//! counts and shard sizes. Surviving sample subsets feed the *real*
+//! counts and shard layouts. Surviving sample subsets feed the *real*
 //! [`chronos::core`] decision logic, so starved rounds reject and panic
 //! exactly as the reference client would.
 //!

@@ -20,7 +20,7 @@
 //!   advances exactly as in a fault-free fleet (fault layer off = legacy,
 //!   byte for byte);
 //! * every draw is addressable without replaying history, so faulty runs
-//!   stay byte-identical across thread counts, shard sizes and fleet
+//!   stay byte-identical across thread counts, shard layouts and fleet
 //!   slicings (the draw never depends on stepping order).
 
 use netsim::rng::{splitmix_finalize, standard_normal_from, SPLITMIX_GAMMA};

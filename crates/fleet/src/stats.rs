@@ -7,15 +7,17 @@
 //! keeps a fleet run's peak RSS bounded by the state columns alone.
 //!
 //! Histograms are **mergeable** (`merge_from`) by integer bin addition,
-//! exactly and in any order, which is what lets the sharded fleet engine
-//! keep one private instance per shard and combine them after parallel
-//! stepping. The fleet's quantiles come from the merged bins
-//! ([`OffsetHistogram::quantile`]), so they too are independent of how
-//! the fleet is sharded.
+//! exactly and in any order, which is what lets the fleet engine record
+//! each slice into one private instance per shard and fold them into the
+//! fleet's histogram after parallel stepping. The fleet's quantiles come
+//! from those bins ([`OffsetHistogram::quantile`]), so they too are
+//! independent of how the fleet is sharded.
 //!
 //! [`P2Quantile`] is an online estimator the engine no longer uses; it
 //! stays only for the repository benchmark's `stats.p2_observe_ns`
 //! kernel.
+
+use crate::checkpoint::{CheckpointError, Reader, Writer};
 
 /// Fault-injection activity counters ([`crate::config::FaultPlan`]),
 /// accumulated per client and merged into per-tier and fleet-wide sums in
@@ -172,23 +174,36 @@ impl OffsetHistogram {
         above as f64 / self.total as f64
     }
 
-    /// The raw bin counts and total, for checkpoint serialization (bin
-    /// edges are structural — a restore target rebuilt with the same
-    /// `log_scale` call already carries them).
-    pub(crate) fn raw_counts(&self) -> (&[u64], u64) {
-        (&self.counts, self.total)
+    /// Writes the non-empty bins for a checkpoint: a pair count, then
+    /// `(bin index, count)` pairs in ascending bin order. The bin edges
+    /// are structural (a restore target built with the same `log_scale`
+    /// call carries them), and the total is the sum of the counts.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        w.len(self.counts.iter().filter(|&&c| c > 0).count());
+        for (bin, &count) in self.counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            w.u16(u16::try_from(bin).expect("bin index fits the u16 field"));
+            w.u64(count);
+        }
     }
 
-    /// Overwrites the bin counts and total from a checkpoint. The caller
-    /// guarantees `counts` came from a histogram with this bin layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` has the wrong number of bins.
-    pub(crate) fn restore_counts(&mut self, counts: Vec<u64>, total: u64) {
-        assert_eq!(counts.len(), self.counts.len(), "bin layout mismatch");
-        self.counts = counts;
-        self.total = total;
+    /// Reads [`OffsetHistogram::encode`] output into this empty
+    /// histogram. Every pair must name a bin past the previous one and
+    /// inside this layout, with a positive count, and the counts must sum
+    /// within a `u64`: anything else no run writes is
+    /// [`CheckpointError::Corrupt`].
+    pub(crate) fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        let mut next_bin = 0;
+        for _ in 0..r.count(10)? {
+            let (bin, count) = (usize::from(r.u16()?), r.u64()?);
+            let written = count > 0 && (next_bin..self.counts.len()).contains(&bin);
+            self.total = match self.total.checked_add(count) {
+                Some(total) if written => total,
+                _ => return Err(CheckpointError::Corrupt("histogram pair no run writes")),
+            };
+            self.counts[bin] = count;
+            next_bin = bin + 1;
+        }
+        Ok(())
     }
 
     /// The upper edge of the bin holding the nearest-rank ⌈p·n⌉-th

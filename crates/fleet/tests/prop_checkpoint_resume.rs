@@ -5,11 +5,15 @@
 //! report (shifted series, histogram bins, quantiles, totals, fault
 //! counters, per-tier breakdowns) and every per-client end state
 //! (trajectory, pool composition, counters, phase, final offset) — across
-//! thread counts {1, 4} and shard sizes. The restore path re-derives
-//! structural state (tier params, resolver timelines) from the embedded
-//! config and overwrites the columns, sampling cursors and histogram bins,
-//! so these tests are what make that reconstruction trustworthy.
+//! thread counts and shard layouts. No checkpoint byte depends on the
+//! layout: two fleets cut into one shard and into several write the same
+//! bytes, and either restores into whatever layout its thread count
+//! gives. The restore path re-derives structural state (tier params,
+//! resolver timelines, the layout) from the embedded config and
+//! overwrites the columns, sampling cursor and histogram bins, so these
+//! tests are what make that reconstruction trustworthy.
 
+use fleet::checkpoint::CheckpointError;
 use fleet::cohort::CohortTier;
 use fleet::config::{FaultPlan, FleetAttack, FleetConfig, TierFaults};
 use fleet::engine::Fleet;
@@ -26,7 +30,6 @@ use proptest::prelude::*;
 fn config(
     seed: u64,
     clients: usize,
-    shard_size: usize,
     resolvers: usize,
     lossy: bool,
     attack_at: Option<u64>,
@@ -37,7 +40,6 @@ fn config(
     FleetConfig {
         seed,
         clients,
-        shard_size,
         resolvers,
         tiers: vec![
             CohortTier::chronos("chronos", 2),
@@ -108,30 +110,38 @@ fn fingerprint(fleet: &Fleet, i: usize) -> ClientFingerprint {
 }
 
 proptest! {
-    /// The acceptance property: save at an arbitrary boundary, restore,
-    /// finish → byte-identical to the uninterrupted run, for
-    /// threads ∈ {1, 4} on both sides of the snapshot and varying shard
-    /// sizes.
+    /// The acceptance property, with layout freedom: the same config
+    /// built at 1 thread (one shard) and at 8 (several shards), then set
+    /// to the same worker count, checkpoints to the same bytes at an
+    /// arbitrary cut. Restoring those bytes into the layout of any thread
+    /// count and finishing on any worker count is byte-identical to the
+    /// uninterrupted run.
     #[test]
     fn resume_equals_uninterrupted_run(
         seed in 1u64..300,
         clients in 8usize..=20,
-        shard_size in 3usize..=7,
         resolvers in 1usize..=3,
         lossy in any::<bool>(),
         attack_at in prop_oneof![Just(None), Just(Some(300u64))],
         cut in 1u64..1_800,
-        threads_before in prop_oneof![Just(1usize), Just(4usize)],
+        threads_before in 1usize..=8,
         threads_after in prop_oneof![Just(1usize), Just(4usize)],
     ) {
-        let base = config(seed, clients, shard_size, resolvers, lossy, attack_at);
+        let base = config(seed, clients, resolvers, lossy, attack_at);
         let horizon = SimTime::ZERO + base.horizon;
         let mut uninterrupted = Fleet::new(base.clone());
         uninterrupted.run_until(horizon);
 
-        let mut first_leg = Fleet::new(FleetConfig { threads: threads_before, ..base.clone() });
-        first_leg.run_until(SimTime::from_secs(cut));
-        let snapshot = first_leg.checkpoint();
+        let mut one = Fleet::new(FleetConfig { threads: 1, ..base.clone() });
+        let mut many = Fleet::new(FleetConfig { threads: 8, ..base.clone() });
+        prop_assert_eq!(one.shard_count(), 1);
+        prop_assert!(many.shard_count() >= 2, "{} clients over 8 threads", clients);
+        for leg in [&mut one, &mut many] {
+            leg.set_threads(threads_before);
+            leg.run_until(SimTime::from_secs(cut));
+        }
+        let snapshot = one.checkpoint();
+        prop_assert_eq!(&snapshot, &many.checkpoint(), "checkpoint bytes depend on the layout");
 
         let mut resumed = Fleet::restore(&snapshot).expect("snapshot decodes");
         prop_assert_eq!(resumed.now(), SimTime::from_secs(cut));
@@ -163,7 +173,7 @@ proptest! {
         cut1 in 200u64..800,
         extra in 100u64..600,
     ) {
-        let base = config(seed, 12, 5, 2, true, Some(300));
+        let base = config(seed, 12, 2, true, Some(300));
         let horizon = SimTime::ZERO + base.horizon;
         let mut fleet = Fleet::new(base.clone());
         fleet.run_until(SimTime::from_secs(cut1));
@@ -188,7 +198,7 @@ proptest! {
 
 #[test]
 fn garbage_and_tampering_are_rejected() {
-    let mut fleet = Fleet::new(config(7, 10, 4, 2, false, Some(300)));
+    let mut fleet = Fleet::new(config(7, 10, 2, false, Some(300)));
     fleet.run_until(SimTime::from_secs(500));
     let snapshot = fleet.checkpoint();
 
@@ -201,4 +211,44 @@ fn garbage_and_tampering_are_rejected() {
     assert!(Fleet::restore(truncated).is_err(), "truncation detected");
     // The pristine bytes still decode after all that.
     assert!(Fleet::restore(&snapshot).is_ok());
+}
+
+/// Overwrites `bytes` at `at` in a checkpoint's payload and recomputes
+/// the checksum, as anyone crafting a blob can.
+fn patched(snapshot: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
+    let mut blob = snapshot[..snapshot.len() - 8].to_vec();
+    blob[at..at + bytes.len()].copy_from_slice(bytes);
+    let sum = fleet::checkpoint::checksum(&blob);
+    blob.extend_from_slice(&sum.to_le_bytes());
+    blob
+}
+
+#[test]
+fn older_versions_and_impossible_configs_are_refused() {
+    let base = config(7, 16, 2, true, Some(300));
+    let mut fleet = Fleet::new(base.clone());
+    fleet.run_until(SimTime::from_secs(500));
+    let snapshot = fleet.checkpoint();
+    // A version-3 file (the per-shard layout) is refused by its version,
+    // before any layout is read.
+    assert_eq!(
+        Fleet::restore(&patched(&snapshot, 4, &3u32.to_le_bytes())).err(),
+        Some(CheckpointError::BadVersion(3))
+    );
+    // The config ends in sample_every, record_trajectories, horizon and
+    // threads. A zero cadence fails validation: a decode error, where
+    // building the fleet would panic.
+    let config_end = 8 + fleet::checkpoint::encode_config(&base).len();
+    let zero_cadence = patched(&snapshot, config_end - 25, &0u64.to_le_bytes());
+    assert_eq!(
+        Fleet::restore(&zero_cadence).err(),
+        Some(CheckpointError::Corrupt("configuration fails validation"))
+    );
+    // A client count the bytes cannot hold (the field follows the seed)
+    // is refused before a fleet is sized from it.
+    let inflated = patched(&snapshot, 16, &1_000_000u64.to_le_bytes());
+    assert_eq!(
+        Fleet::restore(&inflated).err(),
+        Some(CheckpointError::Truncated)
+    );
 }

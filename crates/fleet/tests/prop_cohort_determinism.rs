@@ -11,7 +11,7 @@
 //! 2. **Thread/shard invariance** — a mixed multi-resolver fleet report
 //!    (including the per-tier breakdown, the quantiles and every client's
 //!    end state) is byte-identical for threads ∈ {1, 2, 3, 8} and across
-//!    shard sizes.
+//!    shard layouts.
 //! 3. **No baseline drift** — an explicit single Chronos tier at `R = 1`
 //!    reproduces the implicit homogeneous fleet (the pre-cohort engine)
 //!    exactly, so the cohort layer costs the legacy configuration
@@ -144,12 +144,10 @@ proptest! {
         n in 8usize..=24,
         resolvers in 1usize..=4,
         poisoned in 0usize..=4,
-        shard_size in prop_oneof![Just(3usize), Just(7), Just(4096)],
     ) {
         let mut config = base_config(
             seed, n, true, resolvers, Some(300), Some(poisoned.min(resolvers)),
         );
-        config.shard_size = shard_size;
         let mut reference: Option<(fleet::FleetReport, Vec<ClientFingerprint>)> = None;
         for threads in [1usize, 2, 3, 8] {
             config.threads = threads;
@@ -167,10 +165,11 @@ proptest! {
         }
     }
 
-    /// Shard size is an internal decomposition: neither per-client
-    /// outcomes nor any part of the report may depend on it.
+    /// The shard layout is an internal decomposition: neither per-client
+    /// outcomes nor any part of the report may depend on it. One shard
+    /// and a cut for 5 threads, both stepped on one worker.
     #[test]
-    fn mixed_fleet_is_shard_size_invariant(
+    fn mixed_fleet_is_layout_invariant(
         seed in 1u64..300,
         n in 8usize..=24,
         resolvers in 1usize..=3,
@@ -178,10 +177,11 @@ proptest! {
     ) {
         let config = base_config(seed, n, true, resolvers, attack_at, Some(1));
         let mut coarse = Fleet::new(config.clone());
+        prop_assert_eq!(coarse.shard_count(), 1);
         let a = coarse.run();
-        let mut fine_config = config;
-        fine_config.shard_size = 5;
-        let mut fine = Fleet::new(fine_config);
+        let mut fine = Fleet::new(FleetConfig { threads: 5, ..config });
+        prop_assert!(fine.shard_count() >= 2);
+        fine.set_threads(1);
         let b = fine.run();
         prop_assert_eq!(&a, &b, "the whole report is layout-free");
         for i in 0..n {

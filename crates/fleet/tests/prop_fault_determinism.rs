@@ -8,7 +8,7 @@
 //! 2. **Faulty runs are deterministic** — with losses, SERVFAILs,
 //!    outages and serve-stale all active, reports and per-client
 //!    fingerprints are byte-identical across thread counts ∈ {1,2,3,8}
-//!    and shard sizes, because every fault draw is keyed on
+//!    and shard layouts, because every fault draw is keyed on
 //!    `(global id, lane, round, slot)` rather than stepping order.
 //! 3. **Lossy lanes feed the real decision core** — a hand-stepped
 //!    reference client (the same `chronos::core` calls the packet-level
@@ -137,7 +137,6 @@ proptest! {
     ) {
         let mut config = base_config(seed, 24, Some(300));
         config.faults = noisy_plan(loss, servfail);
-        config.shard_size = 8; // several shards, so threads matter
         config.threads = 1;
         let mut reference = Fleet::new(config.clone());
         let reference_report = reference.run();
@@ -156,10 +155,12 @@ proptest! {
         }
     }
 
-    /// ... and for every shard size: the slab decomposition is invisible
-    /// to the fault substreams and to every part of the report.
+    /// ... and for every shard layout on a fixed worker count: the slab
+    /// decomposition is invisible to the fault substreams and to every
+    /// part of the report. Built at 1, 3 and 5 threads, the 24 clients sit
+    /// in shards of 24, 8 and 5; each fleet then steps on 2 workers.
     #[test]
-    fn faulty_runs_are_shard_size_invariant(
+    fn faulty_runs_are_layout_invariant(
         seed in 1u64..400,
         loss in 0.05f64..0.5,
         servfail in 0.0f64..0.4,
@@ -169,16 +170,16 @@ proptest! {
         config.threads = 2;
         let mut coarse = Fleet::new(config.clone());
         let coarse_report = coarse.run();
-        for shard_size in [5usize, 8, 24] {
-            config.shard_size = shard_size;
-            let mut fleet = Fleet::new(config.clone());
+        for layout_threads in [1usize, 3, 5] {
+            let mut fleet = Fleet::new(FleetConfig { threads: layout_threads, ..config.clone() });
+            fleet.set_threads(2);
             let report = fleet.run();
             prop_assert_eq!(&coarse_report, &report);
             for i in 0..24 {
                 prop_assert_eq!(
                     fingerprint(&coarse, i),
                     fingerprint(&fleet, i),
-                    "client {} at shard size {}", i, shard_size
+                    "client {} in shards cut for {} threads", i, layout_threads
                 );
             }
         }

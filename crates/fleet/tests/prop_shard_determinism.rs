@@ -1,29 +1,23 @@
 //! Property tests pinning the sharded engine's headline contract: a
-//! `Fleet::run` is **byte-identical** for every thread count. Shards are
-//! fixed by `shard_size` (never by `threads`), the shared-cache coupling
-//! is resolved by the deterministic resolver pre-pass, and per-shard
-//! aggregates merge by integer addition — so stepping shards serially
-//! (`threads = 1`, the sequential engine) and stepping them concurrently
-//! on any worker count must produce the same report (shifted series,
-//! histogram bins, quantiles, totals) and the same per-client end states
-//! at matched global ids.
+//! `Fleet::run` is **byte-identical** for every thread count and shard
+//! layout. A fleet cuts its clients into shards from the thread count it
+//! is built with, and `set_threads` later changes only the worker count;
+//! the shared-cache coupling is resolved by the deterministic resolver
+//! pre-pass, and each slice's shard aggregates fold into the fleet's by
+//! integer addition — so one shard stepped on one thread (the sequential
+//! engine) and several shards stepped on any worker count must produce
+//! the same report (shifted series, histogram bins, quantiles, totals)
+//! and the same per-client end states at matched global ids.
 
 use fleet::config::{FleetAttack, FleetConfig};
 use fleet::engine::Fleet;
 use netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-fn config(
-    seed: u64,
-    clients: usize,
-    shard_size: usize,
-    shared: bool,
-    attack_at: Option<u64>,
-) -> FleetConfig {
+fn config(seed: u64, clients: usize, shared: bool, attack_at: Option<u64>) -> FleetConfig {
     FleetConfig {
         seed,
         clients,
-        shard_size,
         shared_cache: shared,
         record_trajectories: true,
         universe: 96,
@@ -70,22 +64,25 @@ fn fingerprint(fleet: &Fleet, i: usize) -> ClientFingerprint {
 
 proptest! {
     /// The acceptance property: sharded runs equal the sequential engine
-    /// for every threads ∈ {1, 2, 3, 8} — whole report and every client.
+    /// for every threads ∈ {1, 2, 3, 8} — whole report and every client —
+    /// on a layout cut for `layout_threads`.
     #[test]
     fn sharded_run_is_byte_identical_to_sequential(
         seed in 1u64..400,
         clients in 8usize..=24,
-        shard_size in 3usize..=7,
+        layout_threads in 2usize..=8,
         shared in any::<bool>(),
         attack_at in prop_oneof![Just(None), Just(Some(300u64)), Just(Some(900u64))],
     ) {
-        let base = config(seed, clients, shard_size, shared, attack_at);
-        // clients ≥ 8 with shard_size ≤ 7 always yields multiple shards.
-        prop_assert!(clients.div_ceil(shard_size) >= 2);
+        let base = config(seed, clients, shared, attack_at);
         let mut sequential = Fleet::new(FleetConfig { threads: 1, ..base.clone() });
+        prop_assert_eq!(sequential.shard_count(), 1);
         let reference = sequential.run();
         for threads in [1usize, 2, 3, 8] {
-            let mut sharded = Fleet::new(FleetConfig { threads, ..base.clone() });
+            let mut sharded = Fleet::new(FleetConfig { threads: layout_threads, ..base.clone() });
+            // clients ≥ 8 over ≥ 2 threads always yields multiple shards.
+            prop_assert!(sharded.shard_count() >= 2);
+            sharded.set_threads(threads);
             let report = sharded.run();
             prop_assert_eq!(
                 &reference, &report,
@@ -111,7 +108,7 @@ proptest! {
         threads in 1usize..=4,
         cut in 200u64..1_600,
     ) {
-        let base = config(seed, clients, 5, true, Some(300));
+        let base = config(seed, clients, true, Some(300));
         let mut continuous = Fleet::new(FleetConfig { threads, ..base.clone() });
         let expected = continuous.run();
         let mut pieces = Fleet::new(FleetConfig { threads, ..base.clone() });
@@ -130,14 +127,14 @@ proptest! {
         seed in 1u64..400,
         threads in 1usize..=3,
     ) {
-        let base = config(seed, 13, 4, true, Some(300));
+        let base = config(seed, 13, true, Some(300));
         let fresh = Fleet::new(FleetConfig { threads, ..base.clone() }).run();
         let mut reused = Fleet::new(FleetConfig { threads, seed: seed ^ 0xa5a5, ..base.clone() });
         reused.run();
         reused.reset(seed);
         prop_assert_eq!(&fresh, &reused.run(), "reset reuse diverged");
         // Crossing a shard-layout boundary and coming back.
-        reused.reconfigure(FleetConfig { threads, clients: 7, shard_size: 2, ..base.clone() });
+        reused.reconfigure(FleetConfig { threads: 4, clients: 7, ..base.clone() });
         reused.run();
         reused.reconfigure(FleetConfig { threads, ..base.clone() });
         prop_assert_eq!(&fresh, &reused.run(), "reconfigure round-trip diverged");
