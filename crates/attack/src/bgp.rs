@@ -185,8 +185,8 @@ mod tests {
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Ipv4Packet) {
             if let Some(StackEvent::Udp { src, datagram, .. }) = self.stack.handle(ctx, pkt) {
                 if let Some(resp) = self.stub.handle(src, &datagram) {
-                    self.answers = resp.message.answer_addrs();
-                    self.ttl = resp.message.answers.first().map(|r| r.ttl).unwrap_or(0);
+                    self.answers = resp.reply.answers().filter_map(|a| a.addr).collect();
+                    self.ttl = resp.reply.answers().next().map(|a| a.ttl).unwrap_or(0);
                 }
             }
         }

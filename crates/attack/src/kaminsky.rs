@@ -260,7 +260,7 @@ mod tests {
                 SimTime::from_secs(1000),
                 &CacheKey::a("pool.ntp.org".parse().unwrap()),
             )
-            .map(|records| records.iter().filter_map(|r| r.as_a()).any(is_farm_addr))
+            .map(|hit| hit.addrs().any(is_farm_addr))
             .unwrap_or(false);
         assert!(poisoned, "weak resolver poisoned within a few attempts");
     }
@@ -288,7 +288,7 @@ mod tests {
                 SimTime::from_secs(1000),
                 &CacheKey::a("pool.ntp.org".parse().unwrap()),
             )
-            .map(|records| records.iter().filter_map(|r| r.as_a()).any(is_farm_addr))
+            .map(|hit| hit.addrs().any(is_farm_addr))
             .unwrap_or(false);
         assert!(!poisoned);
         let stats = world.node::<RecursiveResolver>(resolver).stats();

@@ -107,10 +107,14 @@ impl Node for SmtpServer {
         if let Some(resp) = self.stub.handle(src, &datagram) {
             if resp.tag == TAG_MX {
                 // Chase the exchange host's address, as real MTAs do.
-                let exchange = resp.message.answers.iter().find_map(|r| match &r.rdata {
-                    RData::Mx { exchange, .. } => Some(exchange.clone()),
-                    _ => None,
-                });
+                let exchange = resp
+                    .message()
+                    .answers
+                    .into_iter()
+                    .find_map(|r| match r.rdata {
+                        RData::Mx { exchange, .. } => Some(exchange),
+                        _ => None,
+                    });
                 if let Some(exchange) = exchange {
                     self.stats.a_lookups += 1;
                     self.stub

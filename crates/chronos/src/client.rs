@@ -39,6 +39,9 @@ pub struct ChronosClient {
     retries: u32,
     last_update: Option<SimTime>,
     dns_outstanding: bool,
+    /// The latest pool reply's answers as (TTL, A address) pairs, read in
+    /// one walk over the reply; reused across rounds.
+    pool_answers: Vec<(u32, Option<Ipv4Addr>)>,
     round_samples: Vec<PeerSample>,
     // Reused across rounds so the selection hot path never allocates in
     // steady state: `offsets_buf` collects the round's raw offsets,
@@ -78,6 +81,7 @@ impl ChronosClient {
             retries: 0,
             last_update: None,
             dns_outstanding: false,
+            pool_answers: Vec::new(),
             round_samples: Vec::new(),
             offsets_buf: Vec::with_capacity(sample_size),
             scratch: SelectScratch::with_capacity(sample_size),
@@ -280,9 +284,12 @@ impl Node for ChronosClient {
         if self.phase == Phase::PoolGeneration {
             if let Some(resp) = self.stub.handle(src, &datagram) {
                 self.dns_outstanding = false;
-                let has_addrs = resp.message.answers.iter().any(|r| r.as_a().is_some());
-                if resp.message.rcode() == Rcode::NoError && has_addrs {
-                    self.pool_gen.record_response(ctx.now(), &resp.message);
+                self.pool_answers.clear();
+                let answers = resp.reply.answers().map(|a| (a.ttl, a.addr));
+                self.pool_answers.extend(answers);
+                let has_addrs = self.pool_answers.iter().any(|(_, addr)| addr.is_some());
+                if resp.reply.rcode() == Rcode::NoError && has_addrs {
+                    self.pool_gen.record_response(ctx.now(), &self.pool_answers);
                 } else {
                     self.stats.pool_failures += 1;
                     self.pool_gen.record_failure(ctx.now());

@@ -180,13 +180,13 @@ impl Node for ConsensusPoolClient {
                 }
                 self.stats.responses += 1;
                 // Apply the TTL mitigation per resolver answer.
-                let max_ttl = resp.message.answers.iter().map(|r| r.ttl).max();
+                let max_ttl = resp.reply.answers().map(|a| a.ttl).max();
                 let rejected = matches!(
                     (self.config.reject_ttl_above, max_ttl),
                     (Some(limit), Some(ttl)) if ttl > limit
                 );
                 if !rejected {
-                    self.round_answers[i] = resp.message.answer_addrs();
+                    self.round_answers[i] = resp.reply.answers().filter_map(|a| a.addr).collect();
                 }
                 return;
             }

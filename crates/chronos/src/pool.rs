@@ -11,7 +11,6 @@
 //! pool composition per round.
 
 use crate::config::PoolGenConfig;
-use dnslab::wire::{Message, Record};
 use netsim::hash::MulHashSet;
 use netsim::time::SimTime;
 use std::net::Ipv4Addr;
@@ -103,13 +102,22 @@ impl PoolGenerator {
 
     /// Processes one DNS response as the next round.
     ///
+    /// `answers` holds each answer record of the response in order: its
+    /// TTL and, for an A record, its address. The client reads them in
+    /// place, in one walk over the reply. The maximum TTL is taken over
+    /// every answer record, addressed or not.
+    ///
     /// Applies the mitigations, dedups against the existing pool and records
     /// a [`PoolRound`]. A round is consumed even when the response is
     /// rejected or adds nothing — Chronos cannot tell a cache hit from a
     /// fresh answer.
-    pub fn record_response(&mut self, at: SimTime, response: &Message) -> &PoolRound {
+    pub fn record_response(
+        &mut self,
+        at: SimTime,
+        answers: &[(u32, Option<Ipv4Addr>)],
+    ) -> &PoolRound {
         let round = self.rounds.len() + 1;
-        let max_ttl = response.answers.iter().map(|r| r.ttl).max().unwrap_or(0);
+        let max_ttl = answers.iter().map(|&(ttl, _)| ttl).max().unwrap_or(0);
 
         let mut rejected_high_ttl = false;
         let mut capped = 0;
@@ -123,7 +131,7 @@ impl PoolGenerator {
         }
         if !rejected_high_ttl {
             let limit = self.config.max_records_per_response.unwrap_or(usize::MAX);
-            for (i, addr) in response.answers.iter().filter_map(Record::as_a).enumerate() {
+            for (i, addr) in answers.iter().filter_map(|&(_, addr)| addr).enumerate() {
                 if i >= limit {
                     capped += 1;
                 } else if self.seen.insert(u32::from(addr)) {
@@ -191,24 +199,29 @@ mod tests {
         "pool.ntp.org".parse().unwrap()
     }
 
+    /// Each answer record's TTL and address, as the client reads them.
+    fn answers(msg: &Message) -> Vec<(u32, Option<Ipv4Addr>)> {
+        msg.answers.iter().map(|r| (r.ttl, r.as_a())).collect()
+    }
+
     /// A benign 4-record response with the given base address and TTL 150.
-    fn benign_response(base: u8) -> Message {
+    fn benign_response(base: u8) -> Vec<(u32, Option<Ipv4Addr>)> {
         let mut msg = Message::response_to(&Message::query(1, Question::a(pool_name())));
         for i in 0..4u8 {
             msg.answers
                 .push(Record::a(pool_name(), Ipv4Addr::new(10, 32, base, i), 150));
         }
-        msg
+        answers(&msg)
     }
 
     /// The attacker's 89-record, TTL-86401 response.
-    fn attack_response() -> Message {
+    fn attack_response() -> Vec<(u32, Option<Ipv4Addr>)> {
         let mut msg = response_with_answers(&pool_name(), 89, 86_401, true);
         // Rebase addresses into the attacker range 198.18.0.0/15 (they
         // already are, from `response_with_answers`).
         assert_eq!(msg.answer_addrs().len(), 89);
         msg.flags.response = true;
-        msg
+        answers(&msg)
     }
 
     fn t(h: u64) -> SimTime {
@@ -324,6 +337,23 @@ mod tests {
         let (benign, malicious) = gen.composition(is_malicious);
         assert_eq!(malicious, 0);
         assert_eq!(benign, 92);
+    }
+
+    /// A record without an address adds nothing but still counts towards
+    /// the maximum TTL the mitigation judges.
+    #[test]
+    fn max_ttl_covers_records_without_an_address() {
+        let mut gen = PoolGenerator::new(PoolGenConfig {
+            reject_ttl_above: Some(3600),
+            ..PoolGenConfig::default()
+        });
+        let mut response = benign_response(0);
+        response.insert(0, (86_401, None));
+        let r = gen.record_response(t(0), &response);
+        assert_eq!(r.max_ttl, 86_401);
+        assert!(r.rejected_high_ttl);
+        let r = gen.record_response(t(1), &response[1..]);
+        assert_eq!((r.max_ttl, r.added.len()), (150, 4));
     }
 
     #[test]

@@ -1991,7 +1991,7 @@ pub fn run_e11(seed: u64) -> Vec<E11Row> {
                 now,
                 &dnslab::cache::CacheKey::a("pool.ntp.org".parse().expect("static name")),
             )
-            .map(|records| records.iter().filter_map(|r| r.as_a()).any(is_farm_addr))
+            .map(|hit| hit.addrs().any(is_farm_addr))
             .unwrap_or(false);
         let rejected_txid = world
             .node::<RecursiveResolver>(resolver)

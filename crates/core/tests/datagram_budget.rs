@@ -11,7 +11,9 @@
 //!   `NtpServer`) allocates at most 2 times per delivered datagram;
 //! * one trial of the `packet_worlds` benchmark shape (Oracle poisoning
 //!   at round 2, 24 pool rounds 200 s apart, 400 s of sync) allocates at
-//!   most 2 000 times.
+//!   most 1 800 times. A trial made 1 558 allocations when the budget was
+//!   set, the cache-hit replies being encoded from the cache's shared
+//!   record sets and read in place.
 //!
 //! Lives in its own integration-test binary because a `#[global_allocator]`
 //! is process-wide, and everything runs inside ONE `#[test]` function so
@@ -187,7 +189,7 @@ fn datagrams_stay_within_their_allocation_budget() {
          (budget 2: one wire buffer)"
     );
     assert!(
-        per_trial <= 2_000,
-        "a packet_worlds trial allocated {per_trial} times (budget 2000)"
+        per_trial <= 1_800,
+        "a packet_worlds trial allocated {per_trial} times (budget 1800)"
     );
 }

@@ -5,11 +5,22 @@
 //! hit, freezing the Chronos pool with the attacker's 89 servers in it. The
 //! optional [`DnsCache::ttl_cap`] implements the paper's §V mitigation of
 //! distrusting extreme TTLs.
+//!
+//! Each record set is stored once, as a shared `Arc<[…]>` of its records
+//! with the instants they expire. A hit hands out that slice together with
+//! the lookup instant ([`CacheHit`]), so it copies no record and allocates
+//! nothing; the set is copied only when one of its records has expired and
+//! must be dropped. A record's remaining TTL, its expiry minus the lookup
+//! instant in whole seconds, is computed when it is read, and the resolver
+//! writes it straight into the reply through
+//! [`Message::encode_with_answers`](crate::wire::Message::encode_with_answers).
 
 use crate::name::Name;
 use crate::wire::{Record, RecordType};
 use netsim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Cache lookup key, ordered by name (label by label, most specific
 /// first) and then by type.
@@ -39,16 +50,71 @@ struct CachedRecord {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    records: Vec<CachedRecord>,
+    /// The record set, shared with every hit that reads it.
+    records: Arc<[CachedRecord]>,
+    /// The earliest expiry in `records`.
+    earliest: SimTime,
 }
 
 impl Entry {
-    fn earliest_expiry(&self) -> SimTime {
-        self.records
-            .iter()
-            .map(|r| r.expires)
-            .min()
-            .unwrap_or(SimTime::ZERO)
+    /// The entry holding `records`; `None` when there are none.
+    fn new(records: Vec<CachedRecord>) -> Option<Entry> {
+        let earliest = records.iter().map(|r| r.expires).min()?;
+        Some(Entry {
+            records: records.into(),
+            earliest,
+        })
+    }
+
+    /// Drops the records expired at `now`, copying the set only when one
+    /// has. Returns `false` when none remain.
+    fn expire(&mut self, now: SimTime) -> bool {
+        if self.earliest > now {
+            return true;
+        }
+        let live = self.records.iter().filter(|r| r.expires > now).cloned();
+        match Entry::new(live.collect()) {
+            Some(entry) => {
+                *self = entry;
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+/// A cache hit: the key's shared record set as read at one instant.
+#[derive(Debug, Clone)]
+pub struct CacheHit {
+    records: Arc<[CachedRecord]>,
+    now: SimTime,
+}
+
+impl CacheHit {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// `true` when the hit holds no record (never, for a hit `get` made).
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Each record with its remaining TTL: its expiry minus the lookup
+    /// instant, in whole seconds rounded down.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Record, u32)> + '_ {
+        self.records.iter().map(|c| {
+            (
+                &c.record,
+                c.expires.duration_since(self.now).as_secs() as u32,
+            )
+        })
+    }
+
+    /// The addresses of the A records.
+    pub fn addrs(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
+        self.records.iter().filter_map(|c| c.record.as_a())
     }
 }
 
@@ -141,58 +207,35 @@ impl DnsCache {
                 expires: now + SimDuration::from_secs(u64::from(ttl)),
             });
         }
-        if cached.is_empty() {
+        let Some(entry) = Entry::new(cached) else {
             return;
-        }
+        };
         self.stats.inserts += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             self.evict_soonest_expiring();
         }
-        self.entries.insert(key, Entry { records: cached });
+        self.entries.insert(key, entry);
     }
 
-    /// Looks up `key`, returning unexpired records with their remaining TTL.
-    pub fn get(&mut self, now: SimTime, key: &CacheKey) -> Option<Vec<Record>> {
-        let hit = match self.entries.get_mut(key) {
-            None => None,
-            Some(entry) => {
-                entry.records.retain(|r| r.expires > now);
-                if entry.records.is_empty() {
-                    None
-                } else {
-                    Some(
-                        entry
-                            .records
-                            .iter()
-                            .map(|c| {
-                                let mut r = c.record.clone();
-                                r.ttl = c.expires.duration_since(now).as_secs() as u32;
-                                r
-                            })
-                            .collect::<Vec<_>>(),
-                    )
-                }
-            }
-        };
-        match hit {
-            Some(records) => {
+    /// Looks up `key`: its unexpired records, shared, as read at `now`.
+    pub fn get(&mut self, now: SimTime, key: &CacheKey) -> Option<CacheHit> {
+        if let Some(entry) = self.entries.get_mut(key) {
+            if entry.expire(now) {
                 self.stats.hits += 1;
-                Some(records)
+                return Some(CacheHit {
+                    records: Arc::clone(&entry.records),
+                    now,
+                });
             }
-            None => {
-                self.entries.remove(key);
-                self.stats.misses += 1;
-                None
-            }
+            self.entries.remove(key);
         }
+        self.stats.misses += 1;
+        None
     }
 
     /// Removes expired records; drops empty entries.
     pub fn purge_expired(&mut self, now: SimTime) {
-        self.entries.retain(|_, entry| {
-            entry.records.retain(|r| r.expires > now);
-            !entry.records.is_empty()
-        });
+        self.entries.retain(|_, entry| entry.expire(now));
     }
 
     /// Removes one key outright (cache flush of a name).
@@ -218,7 +261,7 @@ impl DnsCache {
         if let Some(key) = self
             .entries
             .iter()
-            .min_by_key(|(k, e)| (e.earliest_expiry(), *k))
+            .min_by_key(|(k, e)| (e.earliest, *k))
             .map(|(k, _)| k.clone())
         {
             self.entries.remove(&key);
@@ -230,7 +273,6 @@ impl DnsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::Ipv4Addr;
 
     fn key() -> CacheKey {
         CacheKey::a("pool.ntp.org".parse().unwrap())
@@ -258,7 +300,8 @@ mod tests {
         cache.insert(t(0), key(), &recs(150, 4));
         let hit = cache.get(t(100), &key()).expect("still fresh");
         assert_eq!(hit.len(), 4);
-        assert_eq!(hit[0].ttl, 50, "remaining ttl is decremented");
+        let (_, ttl) = hit.iter().next().unwrap();
+        assert_eq!(ttl, 50, "remaining ttl is decremented");
         assert!(cache.get(t(150), &key()).is_none(), "expired at ttl");
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
@@ -364,5 +407,24 @@ mod tests {
         cache.insert(t(0), key(), &records);
         assert_eq!(cache.get(t(5), &key()).unwrap().len(), 2);
         assert_eq!(cache.get(t(50), &key()).unwrap().len(), 1);
+    }
+
+    /// Hits hand out the one stored set; only an expiry copies it.
+    #[test]
+    fn hits_share_the_record_set_until_a_record_expires() {
+        let mut cache = DnsCache::new(16);
+        let mut records = recs(100, 3);
+        records[2].ttl = 10;
+        cache.insert(t(0), key(), &records);
+        let first = cache.get(t(1), &key()).unwrap();
+        let second = cache.get(t(9), &key()).unwrap();
+        assert!(Arc::ptr_eq(&first.records, &second.records));
+        let ttls = |hit: &CacheHit| hit.iter().map(|(_, ttl)| ttl).collect::<Vec<_>>();
+        assert_eq!(ttls(&first), [99, 99, 9]);
+        assert_eq!(ttls(&second), [91, 91, 1]);
+        let after = cache.get(t(10), &key()).unwrap();
+        assert!(!Arc::ptr_eq(&first.records, &after.records));
+        assert_eq!(ttls(&after), [90, 90]);
+        assert_eq!(ttls(&first), [99, 99, 9], "an earlier hit keeps its set");
     }
 }

@@ -4,9 +4,18 @@
 //! servers) embed a [`StubResolver`]: it allocates TXIDs, sends queries to
 //! the configured recursive resolver, and matches responses back to the
 //! caller-supplied tag.
+//!
+//! A response is read in place. [`StubResolver::handle`] checks the
+//! datagram's payload with the wire decoder's walk ([`MessageView::parse`])
+//! and matches its TXID and question without building a record or a name,
+//! and the [`StubResponse`] it returns borrows that payload: the owner
+//! walks the answers once, reading each one's type, TTL and A address from
+//! the bytes, or asks for [`StubResponse::message`] when it wants owned
+//! records. A poisoned 89-record pool answer thus costs its reader no
+//! allocation per record.
 
 use crate::server::DNS_PORT;
-use crate::wire::{Message, Question};
+use crate::wire::{Message, MessageView, Question};
 use netsim::hash::MulHashMap;
 use netsim::node::Context;
 use netsim::stack::IpStack;
@@ -17,17 +26,25 @@ use std::net::Ipv4Addr;
 /// Default local port stub queries are sent from.
 pub const STUB_PORT: u16 = 5353;
 
-/// A matched response handed back to the owning node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StubResponse {
+/// A matched response handed back to the owning node, read in place from
+/// the datagram it arrived in.
+#[derive(Debug, Clone)]
+pub struct StubResponse<'a> {
     /// The tag passed to [`StubResolver::query`].
     pub tag: u64,
     /// The question this answers.
     pub question: Question,
-    /// The full response message.
-    pub message: Message,
+    /// The response, checked and read in place.
+    pub reply: MessageView<'a>,
     /// When the query was sent.
     pub sent_at: SimTime,
+}
+
+impl StubResponse<'_> {
+    /// The response decoded into owned records.
+    pub fn message(&self) -> Message {
+        self.reply.to_message()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -102,28 +119,27 @@ impl StubResolver {
     ///
     /// Validates source address (must be the resolver), destination port,
     /// TXID and question — a client-side mirror of resolver validation.
-    pub fn handle(&mut self, src: Ipv4Addr, datagram: &UdpDatagram) -> Option<StubResponse> {
+    pub fn handle<'a>(
+        &mut self,
+        src: Ipv4Addr,
+        datagram: &'a UdpDatagram,
+    ) -> Option<StubResponse<'a>> {
         if src != self.resolver || datagram.src_port != DNS_PORT || datagram.dst_port != self.port {
             return None;
         }
-        let message = Message::decode(&datagram.payload).ok()?;
-        if !message.flags.response {
+        let reply = MessageView::parse(&datagram.payload).ok()?;
+        if !reply.flags().response {
             return None;
         }
-        let pending = self.pending.get(&message.id)?;
-        let question_matches = message
-            .question
-            .first()
-            .map(|q| *q == pending.question)
-            .unwrap_or(false);
-        if !question_matches {
+        let pending = self.pending.get(&reply.id())?;
+        if !reply.question_is(&pending.question) {
             return None;
         }
-        let pending = self.pending.remove(&message.id).expect("present");
+        let pending = self.pending.remove(&reply.id()).expect("present");
         Some(StubResponse {
             tag: pending.tag,
             question: pending.question,
-            message,
+            reply,
             sent_at: pending.sent_at,
         })
     }
@@ -176,9 +192,12 @@ mod tests {
         let mut stack = IpStack::new(Ipv4Addr::new(198, 51, 100, 10));
         let txid = ctx_scope(|ctx| stub.query(ctx, &mut stack, question(), 42));
         assert_eq!(stub.pending(), 1);
-        let resp = stub.handle(resolver, &respond(txid, &question())).unwrap();
+        let datagram = respond(txid, &question());
+        let resp = stub.handle(resolver, &datagram).unwrap();
         assert_eq!(resp.tag, 42);
-        assert_eq!(resp.message.answer_addrs().len(), 1);
+        assert_eq!(resp.message().answer_addrs().len(), 1);
+        let addrs: Vec<_> = resp.reply.answers().map(|a| (a.ttl, a.addr)).collect();
+        assert_eq!(addrs, [(150, Some(Ipv4Addr::new(10, 32, 0, 1)))]);
         assert_eq!(stub.pending(), 0);
     }
 
@@ -228,9 +247,12 @@ mod tests {
             )
         });
         assert_eq!(stub.pending(), 2);
-        let r2 = stub.handle(resolver, &respond(t2, &q2)).unwrap();
-        assert_eq!(r2.tag, 2);
-        let r1 = stub.handle(resolver, &respond(t1, &question())).unwrap();
-        assert_eq!(r1.tag, 1);
+        let r2 = stub.handle(resolver, &respond(t2, &q2)).unwrap().tag;
+        assert_eq!(r2, 2);
+        let r1 = stub
+            .handle(resolver, &respond(t1, &question()))
+            .unwrap()
+            .tag;
+        assert_eq!(r1, 1);
     }
 }

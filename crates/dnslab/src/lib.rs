@@ -42,7 +42,8 @@ pub mod prelude {
     pub use crate::resolver::{RecursiveResolver, ResolverConfig, SourcePortPolicy, Upstream};
     pub use crate::server::{AuthServer, AuthServerConfig, DNS_PORT};
     pub use crate::wire::{
-        FieldSpan, Message, Question, RData, Rcode, Record, RecordSpan, RecordType, Section,
+        Answer, FieldSpan, Message, MessageView, Question, RData, Rcode, Record, RecordSpan,
+        RecordType, Section,
     };
     pub use crate::zone::{pool_ntp_zone, Rotation, Zone};
 }

@@ -234,9 +234,21 @@ impl NameBuf {
         Ok(())
     }
 
+    /// `true` while the labels pushed so far fit in [`MAX_NAME_LEN`], so
+    /// that [`NameBuf::finish`] succeeds.
+    pub(crate) fn fits(&self) -> bool {
+        !self.too_long
+    }
+
+    /// `true` when the finished name would equal `name`; nothing is
+    /// allocated.
+    pub(crate) fn matches(&self, name: &Name) -> bool {
+        self.fits() && name.wire.split_last() == Some((&0, &self.buf[..self.len]))
+    }
+
     /// The finished name, allocated once.
     pub(crate) fn finish(mut self) -> Result<Name, NameError> {
-        if self.too_long {
+        if !self.fits() {
             return Err(NameError::NameTooLong);
         }
         self.buf[self.len] = 0;

@@ -21,12 +21,13 @@
 use crate::cache::{CacheKey, DnsCache};
 use crate::name::Name;
 use crate::server::DNS_PORT;
-use crate::wire::{Message, Question, Rcode, RcodeField, Record};
+use crate::wire::{Flags, Message, Question, RData, Rcode, RcodeField, Record};
 use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackConfig, StackEvent};
 use netsim::time::SimDuration;
 use std::collections::BTreeMap;
+use std::iter;
 use std::net::Ipv4Addr;
 
 /// How the resolver picks source ports for upstream queries.
@@ -124,11 +125,41 @@ pub struct ResolverStats {
     pub servfails: u64,
 }
 
+/// A client waiting for a reply, and what its reply must echo.
 #[derive(Debug, Clone)]
 struct ClientRef {
     addr: Ipv4Addr,
     port: u16,
     txid: u16,
+    /// The query's RD bit, which RFC 1035 §4.1.1 copies into the response.
+    rd: bool,
+}
+
+/// The one construction of every reply to a client: its TXID and RD bit
+/// echoed, `question` as the question section, and `answers` each written
+/// with the TTL paired with it.
+fn client_reply<'r>(
+    client: &ClientRef,
+    question: Vec<Question>,
+    rcode: Rcode,
+    recursion_available: bool,
+    answers: impl ExactSizeIterator<Item = (&'r Record, u32)>,
+) -> Vec<u8> {
+    let header = Message {
+        id: client.txid,
+        flags: Flags {
+            response: true,
+            recursion_desired: client.rd,
+            recursion_available,
+            rcode: RcodeField(rcode),
+            ..Flags::default()
+        },
+        question,
+        answers: Vec::new(),
+        authorities: Vec::new(),
+        additionals: Vec::new(),
+    };
+    header.encode_with_answers(answers)
 }
 
 #[derive(Debug)]
@@ -241,8 +272,8 @@ impl RecursiveResolver {
         let ns_names = self.upstreams[upstream_idx].ns_names.clone();
         let mut candidates: Vec<Ipv4Addr> = Vec::new();
         for ns_name in ns_names {
-            if let Some(records) = self.cache.get(now, &CacheKey::a(ns_name)) {
-                candidates.extend(records.iter().filter_map(Record::as_a));
+            if let Some(hit) = self.cache.get(now, &CacheKey::a(ns_name)) {
+                candidates.extend(hit.addrs());
             }
         }
         if candidates.is_empty() {
@@ -310,31 +341,35 @@ impl RecursiveResolver {
             return;
         };
         self.stats.client_queries += 1;
-        if !self.config.open && !self.allowed_clients.contains(&src) {
-            self.stats.refused_acl += 1;
-            let mut resp = Message::response_to(&query);
-            resp.flags.rcode = RcodeField(Rcode::Refused);
-            self.respond(ctx, src, src_port, resp);
-            return;
-        }
-        // Cache first.
-        let cache_key = CacheKey {
-            name: question.name.clone(),
-            rtype: question.qtype,
-        };
-        if let Some(records) = self.cache.get(ctx.now(), &cache_key) {
-            self.stats.cache_hits += 1;
-            let mut resp = Message::response_to(&query);
-            resp.flags.recursion_available = true;
-            resp.answers = records;
-            self.respond(ctx, src, src_port, resp);
-            return;
-        }
         let client = ClientRef {
             addr: src,
             port: src_port,
             txid: query.id,
+            rd: query.flags.recursion_desired,
         };
+        if !self.config.open && !self.allowed_clients.contains(&src) {
+            self.stats.refused_acl += 1;
+            let reply = client_reply(
+                &client,
+                query.question,
+                Rcode::Refused,
+                false,
+                iter::empty(),
+            );
+            self.respond(ctx, &client, &reply);
+            return;
+        }
+        // Cache first: the hit's shared records go straight into the reply.
+        let cache_key = CacheKey {
+            name: question.name.clone(),
+            rtype: question.qtype,
+        };
+        if let Some(hit) = self.cache.get(ctx.now(), &cache_key) {
+            self.stats.cache_hits += 1;
+            let reply = client_reply(&client, query.question, Rcode::NoError, true, hit.iter());
+            self.respond(ctx, &client, &reply);
+            return;
+        }
         // Coalesce with an identical in-flight query.
         if let Some((_, p)) = self
             .pending
@@ -346,9 +381,14 @@ impl RecursiveResolver {
         }
         let Some(upstream_idx) = self.upstream_for(&question.name) else {
             self.stats.servfails += 1;
-            let mut resp = Message::response_to(&query);
-            resp.flags.rcode = RcodeField(Rcode::ServFail);
-            self.respond(ctx, src, src_port, resp);
+            let reply = client_reply(
+                &client,
+                query.question,
+                Rcode::ServFail,
+                false,
+                iter::empty(),
+            );
+            self.respond(ctx, &client, &reply);
             return;
         };
         let txid = self.alloc_txid(ctx);
@@ -419,7 +459,7 @@ impl RecursiveResolver {
             .chain(&msg.authorities)
             .chain(&msg.additionals)
         {
-            if matches!(r.rdata, crate::wire::RData::Opt { .. }) {
+            if matches!(r.rdata, RData::Opt { .. }) {
                 continue;
             }
             if self.config.bailiwick_check && !r.name.is_subdomain_of(&zone) {
@@ -440,37 +480,26 @@ impl RecursiveResolver {
         }
 
         // Answer the waiting clients with the (filtered) answer section.
-        let answers: Vec<Record> = msg
-            .answers
-            .iter()
-            .filter(|r| !self.config.bailiwick_check || r.name.is_subdomain_of(&zone))
-            .cloned()
-            .collect();
+        let rcode = msg.flags.rcode.0;
+        let answers: Vec<&Record> = match rcode {
+            Rcode::NoError => msg
+                .answers
+                .iter()
+                .filter(|r| !self.config.bailiwick_check || r.name.is_subdomain_of(&zone))
+                .collect(),
+            _ => Vec::new(),
+        };
         for c in &p.clients {
-            let mut resp = Message {
-                id: c.txid,
-                flags: crate::wire::Flags {
-                    response: true,
-                    recursion_available: true,
-                    rcode: msg.flags.rcode,
-                    ..Default::default()
-                },
-                question: vec![p.question.clone()],
-                answers: answers.clone(),
-                authorities: Vec::new(),
-                additionals: Vec::new(),
-            };
-            if msg.flags.rcode.0 != Rcode::NoError {
-                resp.answers.clear();
-            }
-            self.respond(ctx, c.addr, c.port, resp);
+            let own_ttls = answers.iter().map(|&r| (r, r.ttl));
+            let reply = client_reply(c, vec![p.question.clone()], rcode, true, own_ttls);
+            self.respond(ctx, c, &reply);
         }
     }
 
-    fn respond(&mut self, ctx: &mut Context<'_>, dst: Ipv4Addr, dst_port: u16, resp: Message) {
+    fn respond(&mut self, ctx: &mut Context<'_>, client: &ClientRef, reply: &[u8]) {
         let me = self.stack.addr();
         self.stack
-            .send_udp(ctx, me, DNS_PORT, dst, dst_port, &resp.encode());
+            .send_udp(ctx, me, DNS_PORT, client.addr, client.port, reply);
     }
 }
 
@@ -519,20 +548,9 @@ impl Node for RecursiveResolver {
             let p = self.pending.remove(&tag).expect("just checked");
             self.stats.servfails += 1;
             for c in &p.clients {
-                let resp = Message {
-                    id: c.txid,
-                    flags: crate::wire::Flags {
-                        response: true,
-                        recursion_available: true,
-                        rcode: RcodeField(Rcode::ServFail),
-                        ..Default::default()
-                    },
-                    question: vec![p.question.clone()],
-                    answers: Vec::new(),
-                    authorities: Vec::new(),
-                    additionals: Vec::new(),
-                };
-                self.respond(ctx, c.addr, c.port, resp);
+                let question = vec![p.question.clone()];
+                let reply = client_reply(c, question, Rcode::ServFail, true, iter::empty());
+                self.respond(ctx, c, &reply);
             }
         }
     }
@@ -579,7 +597,7 @@ mod tests {
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Ipv4Packet) {
             if let Some(StackEvent::Udp { src, datagram, .. }) = self.stack.handle(ctx, pkt) {
                 if let Some(resp) = self.stub.handle(src, &datagram) {
-                    self.responses.push(resp.message);
+                    self.responses.push(resp.message());
                 }
             }
         }
@@ -853,6 +871,111 @@ mod tests {
             went_to_evil >= 1,
             "poisoned glue redirects upstream queries"
         );
+    }
+
+    /// RFC 1035 §4.1.1 copies RD into the response: every reply echoes
+    /// it, whether a miss answered from upstream, a cache hit, an ACL
+    /// refusal or a SERVFAIL after the retries run out.
+    #[test]
+    fn every_reply_echoes_rd() {
+        let rd = |world: &World, id: NodeId| -> Vec<bool> {
+            let client = world.node::<TestClient>(id);
+            client
+                .responses
+                .iter()
+                .map(|m| m.flags.recursion_desired)
+                .collect()
+        };
+        let mut s = setup(2);
+        s.world.node_mut::<TestClient>(s.client).repeat_every = Some(SimDuration::from_secs(30));
+        let resolver_addr = s.world.node::<RecursiveResolver>(s.resolver).addr();
+        let stranger_addr = Ipv4Addr::new(198, 51, 100, 99);
+        let stranger = TestClient::new(stranger_addr, resolver_addr, pool_question());
+        let stranger = s
+            .world
+            .add_node("stranger", Box::new(stranger), &[stranger_addr]);
+        s.world.run_until(SimTime::from_secs(70));
+        let stats = s.world.node::<RecursiveResolver>(s.resolver).stats();
+        assert_eq!((stats.cache_hits, stats.refused_acl), (2, 1));
+        assert_eq!(rd(&s.world, s.client), [true; 3], "a miss, then two hits");
+        assert_eq!(rd(&s.world, stranger), [true], "an ACL refusal");
+
+        // No auth server answers: the client gets a SERVFAIL.
+        let client_addr = Ipv4Addr::new(198, 51, 100, 10);
+        let mut world = World::new(6);
+        let mut res = RecursiveResolver::new(
+            resolver_addr,
+            vec![pool_upstream(Ipv4Addr::new(203, 0, 113, 77))],
+        );
+        res.allow_client(client_addr);
+        world.add_node("resolver", Box::new(res), &[resolver_addr]);
+        let client = TestClient::new(client_addr, resolver_addr, pool_question());
+        let client = world.add_node("client", Box::new(client), &[client_addr]);
+        world.run_for(SimDuration::from_secs(30));
+        assert_eq!(rd(&world, client), [true], "a SERVFAIL");
+        let servfail = &world.node::<TestClient>(client).responses[0];
+        assert_eq!(servfail.rcode(), Rcode::ServFail);
+    }
+
+    /// A cache hit's reply, encoded from the shared record set with each
+    /// TTL computed as it is written, equals byte for byte the reply built
+    /// from records cloned with their remaining TTL: for the poisoned
+    /// 89-record set and for a set of mixed expiries, inserted at a whole
+    /// and a fractional instant and read at whole and fractional instants.
+    #[test]
+    fn cache_hit_replies_match_the_cloned_record_encoding() {
+        let pool: Name = "pool.ntp.org".parse().unwrap();
+        let key = CacheKey::a(pool.clone());
+        let set = |ttls: &[u32]| -> Vec<Record> {
+            ttls.iter()
+                .enumerate()
+                .map(|(i, &ttl)| Record::a(pool.clone(), Ipv4Addr::new(198, 18, 0, i as u8), ttl))
+                .collect()
+        };
+        let poisoned = set(&[86_401; 89]);
+        let mixed = set(&[150, 86_401, 200, 500, 86_400, 1]);
+        let query = Message::query(0x2b1d, Question::a(pool.clone()));
+        let client = ClientRef {
+            addr: Ipv4Addr::new(198, 51, 100, 10),
+            port: 5353,
+            txid: query.id,
+            rd: query.flags.recursion_desired,
+        };
+        let mut compared = 0;
+        for records in [&poisoned, &mixed] {
+            for inserted in [SimTime::ZERO, SimTime::from_millis(250)] {
+                for now_ms in [1_000, 200_500, 499_999, 86_400_999] {
+                    let now = SimTime::from_millis(now_ms);
+                    let mut cache = DnsCache::default();
+                    cache.insert(inserted, key.clone(), records);
+                    let Some(hit) = cache.get(now, &key) else {
+                        continue;
+                    };
+                    let got = client_reply(
+                        &client,
+                        query.question.clone(),
+                        Rcode::NoError,
+                        true,
+                        hit.iter(),
+                    );
+                    let mut want = Message::response_to(&query);
+                    want.flags.recursion_available = true;
+                    want.answers = records
+                        .iter()
+                        .filter_map(|r| {
+                            let expires = inserted + SimDuration::from_secs(u64::from(r.ttl));
+                            (expires > now).then(|| Record {
+                                ttl: expires.duration_since(now).as_secs() as u32,
+                                ..r.clone()
+                            })
+                        })
+                        .collect();
+                    assert_eq!(got, want.encode(), "{} records at {now:?}", records.len());
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(compared, 16, "every set is live at every instant");
     }
 
     #[test]

@@ -10,12 +10,22 @@
 //! * The encoder compresses against a list of name suffixes already
 //!   written, borrowed from the message. A suffix is recorded only at an
 //!   offset a pointer can reach (at most 0x3fff), and the first offset
-//!   wins.
-//! * The decoder validates labels into one stack buffer per name. A name
+//!   wins. Every record goes through one `encode_record`, which writes
+//!   the TTL it is handed: [`Message::encode`] hands each record its own,
+//!   and [`Message::encode_with_answers`] writes a cache hit's shared
+//!   records with the TTLs they have left.
+//! * The decoder is one validating walk over the message bytes: header,
+//!   questions, then every record's owner, fixed fields and type-checked
+//!   RDATA. It validates labels into one stack buffer per name. A name
 //!   that is only a pointer to where an earlier name of the message
-//!   started shares that [`Name`] instead of decoding it again, as long
-//!   as the chain stays within the 32-jump bound. A cached pool answer of
-//!   89 records thus decodes with no more allocations than one of 4.
+//!   started is not walked again, as long as the chain stays within the
+//!   32-jump bound. [`Message::decode`] builds its questions and records
+//!   as it walks and shares such a name's [`Name`], so a cached pool
+//!   answer of 89 records decodes with no more allocations than one of 4.
+//!   [`MessageView::parse`] runs the same walk but only checks the owner
+//!   names, so it accepts exactly what [`Message::decode`] accepts; the
+//!   view then reads each answer's type, TTL and A address in place from
+//!   the bytes, with no allocation per record.
 //!
 //! # Examples
 //!
@@ -418,19 +428,39 @@ impl Message {
     /// *predicted* response at exactly the right offsets.
     pub fn encode_tracked(&self) -> (Vec<u8>, Vec<RecordSpan>) {
         let mut spans = Vec::new();
-        let bytes = self.encode_impl(Some(&mut spans));
+        let bytes = self.encode_impl(self.own_answers(), Some(&mut spans));
         (bytes, spans)
     }
 
     /// Serialises the message with name compression into one buffer.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_impl(None)
+        self.encode_impl(self.own_answers(), None)
     }
 
-    fn encode_impl(&self, mut track: Option<&mut Vec<RecordSpan>>) -> Vec<u8> {
+    /// Serialises the message with `answers` in place of its own answer
+    /// section, each record written with the TTL paired with it.
+    ///
+    /// The resolver encodes a cache hit this way: the records stay shared
+    /// in the cache, and each TTL is the time its record has left.
+    pub fn encode_with_answers<'r>(
+        &self,
+        answers: impl ExactSizeIterator<Item = (&'r Record, u32)>,
+    ) -> Vec<u8> {
+        self.encode_impl(answers, None)
+    }
+
+    fn own_answers(&self) -> impl ExactSizeIterator<Item = (&Record, u32)> {
+        self.answers.iter().map(|r| (r, r.ttl))
+    }
+
+    fn encode_impl<'r>(
+        &self,
+        answers: impl ExactSizeIterator<Item = (&'r Record, u32)>,
+        mut track: Option<&mut Vec<RecordSpan>>,
+    ) -> Vec<u8> {
         // Header and question fit in 128 bytes and a compressed A record
         // takes 16, so an A-record answer of any size never regrows this.
-        let records = self.answers.len() + self.authorities.len() + self.additionals.len();
+        let records = answers.len() + self.authorities.len() + self.additionals.len();
         let mut out = Vec::with_capacity(128 + 16 * records);
         out.extend_from_slice(&self.id.to_be_bytes());
         let mut b2: u8 = 0;
@@ -453,7 +483,7 @@ impl Message {
         }
         out.push(b3);
         out.extend_from_slice(&(self.question.len() as u16).to_be_bytes());
-        out.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
+        out.extend_from_slice(&(answers.len() as u16).to_be_bytes());
         out.extend_from_slice(&(self.authorities.len() as u16).to_be_bytes());
         out.extend_from_slice(&(self.additionals.len() as u16).to_be_bytes());
 
@@ -463,22 +493,18 @@ impl Message {
             out.extend_from_slice(&q.qtype.code().to_be_bytes());
             out.extend_from_slice(&1u16.to_be_bytes()); // IN
         }
+        for (index, (r, ttl)) in answers.enumerate() {
+            let fields = encode_record(&mut out, r, ttl, &mut compress);
+            track_span(&mut track, Section::Answer, index, r, fields);
+        }
         let sections = [
-            (Section::Answer, &self.answers),
             (Section::Authority, &self.authorities),
             (Section::Additional, &self.additionals),
         ];
         for (section, records) in sections {
             for (index, r) in records.iter().enumerate() {
-                let fields = encode_record(&mut out, r, &mut compress);
-                if let Some(track) = track.as_deref_mut() {
-                    track.push(RecordSpan {
-                        section,
-                        index,
-                        record: r.clone(),
-                        fields,
-                    });
-                }
+                let fields = encode_record(&mut out, r, r.ttl, &mut compress);
+                track_span(&mut track, section, index, r, fields);
             }
         }
         out
@@ -497,21 +523,7 @@ impl Message {
     /// pointer loops, or inconsistent RDLENGTH fields.
     pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
         let mut cur = Cursor::new(bytes);
-        let id = cur.u16()?;
-        let b2 = cur.u8()?;
-        let b3 = cur.u8()?;
-        let qd = cur.u16()? as usize;
-        let an = cur.u16()? as usize;
-        let ns = cur.u16()? as usize;
-        let ar = cur.u16()? as usize;
-        let flags = Flags {
-            response: b2 & 0x80 != 0,
-            authoritative: b2 & 0x04 != 0,
-            truncated: b2 & 0x02 != 0,
-            recursion_desired: b2 & 0x01 != 0,
-            recursion_available: b3 & 0x80 != 0,
-            rcode: RcodeField(Rcode::from(b3 & 0x0f)),
-        };
+        let (id, flags, [qd, an, ns, ar]) = cur.header()?;
         // Reserve from the header counts only as far as the bytes left
         // could hold: a question takes at least 5 bytes (root name, type,
         // class) and a record at least 11, so a bare header claiming
@@ -519,16 +531,13 @@ impl Message {
         // message reserves exactly its counts.
         let mut question = Vec::with_capacity(qd.min(cur.remaining() / 5));
         for _ in 0..qd {
-            let name = cur.name()?;
-            let qtype = RecordType::from(cur.u16()?);
-            let _class = cur.u16()?;
-            question.push(Question { name, qtype });
+            question.extend(cur.question(true)?);
         }
         let answers = Vec::with_capacity(an.min(cur.remaining() / 11));
         let mut sections = [answers, Vec::new(), Vec::new()];
         for (idx, count) in [an, ns, ar].into_iter().enumerate() {
             for _ in 0..count {
-                sections[idx].push(decode_record(&mut cur)?);
+                sections[idx].extend(cur.record(true)?);
             }
         }
         let [answers, authorities, additionals] = sections;
@@ -540,6 +549,145 @@ impl Message {
             authorities,
             additionals,
         })
+    }
+}
+
+/// A message checked by the decoder's walk and read in place.
+///
+/// [`MessageView::parse`] runs the walk [`Message::decode`] runs, checking
+/// the question and owner names without building them, so it accepts
+/// exactly the bytes `decode` accepts. The view keeps only the bytes and
+/// where the answer section starts: the header, the first question and
+/// each answer's type, TTL and A address are read from the bytes when
+/// asked for, and [`MessageView::to_message`] decodes owned records for
+/// callers that want them.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageView<'a> {
+    bytes: &'a [u8],
+    /// Offset of the first answer record.
+    answers_at: usize,
+}
+
+impl<'a> MessageView<'a> {
+    /// Checks a message in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`WireError`] that [`Message::decode`] returns for the
+    /// same bytes.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let mut cur = Cursor::new(bytes);
+        let (_, _, [qd, an, ns, ar]) = cur.header()?;
+        for _ in 0..qd {
+            cur.question(false)?;
+        }
+        let answers_at = cur.pos;
+        for _ in 0..an + ns + ar {
+            cur.record(false)?;
+        }
+        Ok(MessageView { bytes, answers_at })
+    }
+
+    /// The header's `index`th section count (questions, answers,
+    /// authorities, additionals).
+    fn count(&self, index: usize) -> usize {
+        let at = 4 + 2 * index;
+        usize::from(u16::from_be_bytes([self.bytes[at], self.bytes[at + 1]]))
+    }
+
+    /// Transaction id.
+    pub fn id(&self) -> u16 {
+        u16::from_be_bytes([self.bytes[0], self.bytes[1]])
+    }
+
+    /// Header flags.
+    pub fn flags(&self) -> Flags {
+        Flags::from_wire(self.bytes[2], self.bytes[3])
+    }
+
+    /// The response code.
+    pub fn rcode(&self) -> Rcode {
+        self.flags().rcode.0
+    }
+
+    /// `true` when the first question is `question`, compared in place.
+    pub fn question_is(&self, question: &Question) -> bool {
+        if self.count(0) == 0 {
+            return false;
+        }
+        let mut cur = Cursor::at(self.bytes, DNS_HEADER_LEN);
+        let mut buf = NameBuf::new();
+        cur.walk_name(&mut buf).is_ok()
+            && buf.matches(&question.name)
+            && cur.u16().map(RecordType::from) == Ok(question.qtype)
+    }
+
+    /// The answer section, one record at a time, read in place.
+    pub fn answers(&self) -> Answers<'a> {
+        Answers {
+            cur: Cursor::at(self.bytes, self.answers_at),
+            left: self.count(1),
+        }
+    }
+
+    /// The whole message with owned records.
+    pub fn to_message(&self) -> Message {
+        Message::decode(self.bytes).expect("a parsed view decodes: both run the one walk")
+    }
+}
+
+/// One answer record as a [`MessageView`] reads it in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Answer {
+    /// The record type.
+    pub rtype: RecordType,
+    /// Time to live in seconds (0 for an OPT record, as decoded).
+    pub ttl: u32,
+    /// The address, for an A record.
+    pub addr: Option<Ipv4Addr>,
+}
+
+/// The answer records of a [`MessageView`], from [`MessageView::answers`].
+#[derive(Debug, Clone)]
+pub struct Answers<'a> {
+    cur: Cursor<'a>,
+    left: usize,
+}
+
+impl Iterator for Answers<'_> {
+    type Item = Answer;
+
+    fn next(&mut self) -> Option<Answer> {
+        self.left = self.left.checked_sub(1)?;
+        self.cur.skip_walked_name().ok()?;
+        let answer = |rtype, ttl, rdata| {
+            let addr = match rdata {
+                RData::A(addr) => Some(addr),
+                _ => None,
+            };
+            Answer { rtype, ttl, addr }
+        };
+        self.cur.record_body(answer).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Answers<'_> {}
+
+impl Flags {
+    /// The flags held in the header's third and fourth bytes.
+    fn from_wire(b2: u8, b3: u8) -> Flags {
+        Flags {
+            response: b2 & 0x80 != 0,
+            authoritative: b2 & 0x04 != 0,
+            truncated: b2 & 0x02 != 0,
+            recursion_desired: b2 & 0x01 != 0,
+            recursion_available: b3 & 0x80 != 0,
+            rcode: RcodeField(Rcode::from(b3 & 0x0f)),
+        }
     }
 }
 
@@ -604,9 +752,33 @@ fn encode_name<'m>(out: &mut Vec<u8>, name: &'m Name, compress: &mut Compression
     out.push(0);
 }
 
+/// Notes where `record` landed, when the encoding tracks spans.
+#[inline]
+fn track_span(
+    track: &mut Option<&mut Vec<RecordSpan>>,
+    section: Section,
+    index: usize,
+    record: &Record,
+    fields: FieldSpan,
+) {
+    if let Some(track) = track {
+        track.push(RecordSpan {
+            section,
+            index,
+            record: record.clone(),
+            fields,
+        });
+    }
+}
+
+/// Writes one record, with `ttl` in its TTL field (an OPT record writes
+/// 0 there). Inlined into both of the encoder's record loops, so that the
+/// buffer stays in registers across a record.
+#[inline(always)]
 fn encode_record<'m>(
     out: &mut Vec<u8>,
     r: &'m Record,
+    ttl: u32,
     compress: &mut Compression<'m>,
 ) -> FieldSpan {
     let start = out.len();
@@ -629,7 +801,7 @@ fn encode_record<'m>(
         }
         _ => {
             out.extend_from_slice(&1u16.to_be_bytes()); // IN
-            out.extend_from_slice(&r.ttl.to_be_bytes());
+            out.extend_from_slice(&ttl.to_be_bytes());
         }
     }
     let ttl_offset = out.len() - 4;
@@ -681,74 +853,14 @@ fn encode_record<'m>(
     }
 }
 
-fn decode_record(cur: &mut Cursor<'_>) -> Result<Record, WireError> {
-    let name = cur.name()?;
-    let rtype = RecordType::from(cur.u16()?);
-    if rtype == RecordType::Opt {
-        let udp_payload_size = cur.u16()?;
-        let _ttl = cur.u32()?;
-        let rdlen = cur.u16()? as usize;
-        cur.skip(rdlen)?;
-        return Ok(Record {
-            name,
-            ttl: 0,
-            rdata: RData::Opt { udp_payload_size },
-        });
-    }
-    let _class = cur.u16()?;
-    let ttl = cur.u32()?;
-    let rdlen = cur.u16()? as usize;
-    let end = cur
-        .pos
-        .checked_add(rdlen)
-        .filter(|&e| e <= cur.bytes.len())
-        .ok_or(WireError::Truncated)?;
-    let rdata = match rtype {
-        RecordType::A => {
-            if rdlen != 4 {
-                return Err(WireError::BadRdata);
-            }
-            RData::A(Ipv4Addr::new(cur.u8()?, cur.u8()?, cur.u8()?, cur.u8()?))
-        }
-        RecordType::Ns => RData::Ns(cur.name()?),
-        RecordType::Cname => RData::Cname(cur.name()?),
-        RecordType::Soa => RData::Soa {
-            mname: cur.name()?,
-            rname: cur.name()?,
-            serial: cur.u32()?,
-            refresh: cur.u32()?,
-            retry: cur.u32()?,
-            expire: cur.u32()?,
-            minimum: cur.u32()?,
-        },
-        RecordType::Mx => RData::Mx {
-            preference: cur.u16()?,
-            exchange: cur.name()?,
-        },
-        RecordType::Txt => {
-            let mut strings = Vec::new();
-            while cur.pos < end {
-                let len = cur.u8()? as usize;
-                let bytes = cur.take(len)?;
-                strings.push(String::from_utf8_lossy(bytes).into_owned());
-            }
-            RData::Txt(strings)
-        }
-        RecordType::Opt => unreachable!("handled above"),
-        RecordType::Unknown(_) => RData::Raw(cur.take(rdlen)?.to_vec()),
-    };
-    if cur.pos != end {
-        return Err(WireError::BadRdata);
-    }
-    Ok(Record { name, ttl, rdata })
-}
-
+/// A walk's read position in one message, plus the names it has walked.
+#[derive(Debug, Clone)]
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Names decoded so far that start with a label, in offset order:
-    /// (offset, pointer jumps taken, name).
-    names: Vec<(usize, u32, Name)>,
+    /// Names walked so far that start with a label, in offset order:
+    /// (offset, pointer jumps taken, the name when it was built).
+    names: Vec<(usize, u32, Option<Name>)>,
 }
 
 /// Pointer jumps one name may take before it counts as a loop.
@@ -756,9 +868,13 @@ const MAX_JUMPS: u32 = 32;
 
 impl<'a> Cursor<'a> {
     fn new(bytes: &'a [u8]) -> Self {
+        Cursor::at(bytes, 0)
+    }
+
+    fn at(bytes: &'a [u8], pos: usize) -> Self {
         Cursor {
             bytes,
-            pos: 0,
+            pos,
             names: Vec::new(),
         }
     }
@@ -768,25 +884,7 @@ impl<'a> Cursor<'a> {
         self.bytes.len().saturating_sub(self.pos)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self.bytes.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes([self.u8()?, self.u8()?]))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes([
-            self.u8()?,
-            self.u8()?,
-            self.u8()?,
-            self.u8()?,
-        ]))
-    }
-
+    #[inline(always)]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self
             .pos
@@ -798,19 +896,177 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn skip(&mut self, n: usize) -> Result<(), WireError> {
-        self.take(n).map(|_| ())
+    #[inline(always)]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        let bytes = *rest.first_chunk().ok_or(WireError::Truncated)?;
+        self.pos += N;
+        Ok(bytes)
     }
 
-    fn name(&mut self) -> Result<Name, WireError> {
-        let at = self.pos;
-        if let Some(name) = self.shared_name(at) {
-            self.pos = at + 2;
-            return Ok(name);
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, WireError> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    /// The header: id, flags, and the question, answer, authority and
+    /// additional counts.
+    fn header(&mut self) -> Result<(u16, Flags, [usize; 4]), WireError> {
+        let id = self.u16()?;
+        let flags = Flags::from_wire(self.u8()?, self.u8()?);
+        let mut counts = [0; 4];
+        for count in &mut counts {
+            *count = usize::from(self.u16()?);
         }
+        Ok((id, flags, counts))
+    }
+
+    /// One question; its name is built only when `build` is set.
+    fn question(&mut self, build: bool) -> Result<Option<Question>, WireError> {
+        let name = self.name(build)?;
+        let qtype = RecordType::from(self.u16()?);
+        let _class = self.u16()?;
+        Ok(name.map(|name| Question { name, qtype }))
+    }
+
+    /// One record; its owner name is built only when `build` is set, and
+    /// the record only then.
+    #[inline(always)]
+    fn record(&mut self, build: bool) -> Result<Option<Record>, WireError> {
+        let name = self.name(build)?;
+        self.record_body(|_, ttl, rdata| name.map(|name| Record { name, ttl, rdata }))
+    }
+
+    /// A record after its owner name: type, class, TTL and RDATA, with
+    /// the format's per-type RDATA checks. Hands `read` the type as
+    /// written, the TTL as decoded (0 for OPT) and the typed data.
+    ///
+    /// Inlined, and `read` is called where each type's data is made, so a
+    /// caller that keeps only an A record's address copies and drops no
+    /// `RData`. The types whose data holds names are read out of line.
+    #[inline(always)]
+    fn record_body<R>(
+        &mut self,
+        read: impl FnOnce(RecordType, u32, RData) -> R,
+    ) -> Result<R, WireError> {
+        let [t0, t1, c0, c1, l0, l1, l2, l3, r0, r1] = self.array()?;
+        let rtype = RecordType::from(u16::from_be_bytes([t0, t1]));
+        let class = u16::from_be_bytes([c0, c1]);
+        let ttl = u32::from_be_bytes([l0, l1, l2, l3]);
+        let rdlen = usize::from(u16::from_be_bytes([r0, r1]));
+        let end = self
+            .pos
+            .checked_add(rdlen)
+            .filter(|&e| e <= self.bytes.len())
+            .ok_or(WireError::Truncated)?;
+        match rtype {
+            // OPT abuses class as the UDP payload size, ttl as ext-rcode.
+            RecordType::Opt => {
+                self.pos = end;
+                let udp_payload_size = class;
+                Ok(read(rtype, 0, RData::Opt { udp_payload_size }))
+            }
+            // Four bytes of address fill the RDATA exactly.
+            RecordType::A if rdlen == 4 => {
+                let addr = Ipv4Addr::from(self.array::<4>()?);
+                Ok(read(rtype, ttl, RData::A(addr)))
+            }
+            RecordType::A => Err(WireError::BadRdata),
+            _ => Ok(read(rtype, ttl, self.other_rdata(rtype, end)?)),
+        }
+    }
+
+    /// The RDATA of the types not read inline, which must end at `end`.
+    #[inline(never)]
+    fn other_rdata(&mut self, rtype: RecordType, end: usize) -> Result<RData, WireError> {
+        let rdata = match rtype {
+            RecordType::Ns => RData::Ns(self.built_name()?),
+            RecordType::Cname => RData::Cname(self.built_name()?),
+            RecordType::Soa => RData::Soa {
+                mname: self.built_name()?,
+                rname: self.built_name()?,
+                serial: self.u32()?,
+                refresh: self.u32()?,
+                retry: self.u32()?,
+                expire: self.u32()?,
+                minimum: self.u32()?,
+            },
+            RecordType::Mx => RData::Mx {
+                preference: self.u16()?,
+                exchange: self.built_name()?,
+            },
+            RecordType::Txt => {
+                let mut strings = Vec::new();
+                while self.pos < end {
+                    let len = usize::from(self.u8()?);
+                    let bytes = self.take(len)?;
+                    strings.push(String::from_utf8_lossy(bytes).into_owned());
+                }
+                RData::Txt(strings)
+            }
+            RecordType::Unknown(_) => RData::Raw(self.take(end - self.pos)?.to_vec()),
+            RecordType::A | RecordType::Opt => unreachable!("read inline"),
+        };
+        if self.pos != end {
+            return Err(WireError::BadRdata);
+        }
+        Ok(rdata)
+    }
+
+    fn built_name(&mut self) -> Result<Name, WireError> {
+        Ok(self.name(true)?.expect("a built name"))
+    }
+
+    /// The name at the cursor: built into a [`Name`] when `build` is set,
+    /// otherwise only checked. A name that repeats one already walked is
+    /// taken inline; any other is walked out of line.
+    #[inline(always)]
+    fn name(&mut self, build: bool) -> Result<Option<Name>, WireError> {
+        let at = self.pos;
+        match self.repeated_name(at) {
+            Some(Some(name)) => {
+                let name = build.then(|| name.clone());
+                self.pos = at + 2;
+                Ok(name)
+            }
+            Some(None) if !build => {
+                self.pos = at + 2;
+                Ok(None)
+            }
+            _ => self.new_name(build),
+        }
+    }
+
+    /// [`Cursor::name`] for a name no walked name stands for: walked,
+    /// built when `build` is set, and remembered when it starts with a
+    /// label.
+    #[inline(never)]
+    fn new_name(&mut self, build: bool) -> Result<Option<Name>, WireError> {
+        let at = self.pos;
         let mut buf = NameBuf::new();
+        let jumps = self.walk_name(&mut buf)?;
+        let name = match build {
+            true => Some(buf.finish().map_err(|_| WireError::BadName)?),
+            false => None,
+        };
+        if self.bytes[at] & 0xC0 == 0 {
+            self.names.push((at, jumps, name.clone()));
+        }
+        Ok(name)
+    }
+
+    /// Walks the name at the cursor into `buf`, validating its labels and
+    /// following compression pointers, and returns the jumps it took.
+    fn walk_name(&mut self, buf: &mut NameBuf) -> Result<u32, WireError> {
         let mut valid = true;
-        let mut pos = at;
+        let mut pos = self.pos;
         let mut jumped = false;
         let mut jumps = 0;
         loop {
@@ -849,20 +1105,17 @@ impl<'a> Cursor<'a> {
             valid &= buf.push(bytes).is_ok();
             pos = end;
         }
-        if !valid {
+        if !valid || !buf.fits() {
             return Err(WireError::BadName);
         }
-        let name = buf.finish().map_err(|_| WireError::BadName)?;
-        if self.bytes[at] & 0xC0 == 0 {
-            self.names.push((at, jumps, name.clone()));
-        }
-        Ok(name)
+        Ok(jumps)
     }
 
-    /// The earlier name that the name at `pos` repeats, when the name is
-    /// only a pointer to where that one started and following it stays
-    /// within [`MAX_JUMPS`].
-    fn shared_name(&self, pos: usize) -> Option<Name> {
+    /// The walked name that the name at `pos` repeats (built or not), when
+    /// the name is only a pointer to where that one started and following
+    /// it stays within [`MAX_JUMPS`].
+    #[inline(always)]
+    fn repeated_name(&self, pos: usize) -> Option<&Option<Name>> {
         let (&hi, &lo) = (self.bytes.get(pos)?, self.bytes.get(pos + 1)?);
         if hi & 0xC0 != 0xC0 {
             return None;
@@ -873,7 +1126,21 @@ impl<'a> Cursor<'a> {
             .binary_search_by_key(&target, |&(at, _, _)| at)
             .ok()?;
         let (_, jumps, name) = &self.names[i];
-        (*jumps < MAX_JUMPS).then(|| name.clone())
+        (*jumps < MAX_JUMPS).then_some(name)
+    }
+
+    /// Steps over a name that a walk of this message has already checked.
+    fn skip_walked_name(&mut self) -> Result<(), WireError> {
+        loop {
+            let len = usize::from(self.u8()?);
+            if len & 0xC0 == 0xC0 {
+                return self.take(1).map(drop);
+            }
+            if len == 0 {
+                return Ok(());
+            }
+            self.take(len)?;
+        }
     }
 }
 

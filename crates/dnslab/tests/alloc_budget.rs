@@ -3,9 +3,11 @@
 //!
 //! After the paper's attack, every pool round serves one 89-record
 //! `pool.ntp.org` answer from the resolver cache: `DnsCache::get` hands
-//! out the records, the resolver encodes the reply, and the client
-//! decodes it. Names are shared, reference-counted wire encodings, so
-//! none of the three calls may allocate per record.
+//! out the shared record set, the resolver encodes the reply from it with
+//! each record's remaining TTL, and the client reads the reply in place.
+//! A hit allocates nothing; the encode allocates its buffer and its
+//! suffix list; the in-place read and the full decode allocate no more
+//! for 89 records than for 4.
 //!
 //! A hostile header gets a budget too: a message whose header claims
 //! 65 535 questions or answers but carries next to no body must fail to
@@ -20,7 +22,7 @@
 
 use dnslab::cache::{CacheKey, DnsCache};
 use dnslab::name::Name;
-use dnslab::wire::{Message, Question, Record};
+use dnslab::wire::{Message, MessageView, Question, Record};
 use netsim::time::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -95,12 +97,12 @@ fn hostile(questions: u16, answers: u16, body: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// The resolver's cache-hit reply carrying `records`.
-fn reply(records: Vec<Record>) -> Message {
+/// The header of the resolver's cache-hit reply to a `pool.ntp.org`
+/// query: the answers come from the cache.
+fn reply_header() -> Message {
     let pool: Name = "pool.ntp.org".parse().expect("valid");
     let mut resp = Message::response_to(&Message::query(0x2b1d, Question::a(pool)));
     resp.flags.recursion_available = true;
-    resp.answers = records;
     resp
 }
 
@@ -126,20 +128,47 @@ fn poisoned_pool_answer_stays_within_its_allocation_budget() {
     assert!(allocs >= 1, "the counting allocator must see allocations");
 
     let mut cache = poisoned_cache(89);
-    let (get_allocs, records) = min_allocations(|| cache.get(now, &key).expect("a cache hit"));
-    assert_eq!(records.len(), 89);
+    let (get_allocs, hit) = min_allocations(|| cache.get(now, &key).expect("a cache hit"));
+    assert_eq!(hit.len(), 89);
 
-    let poisoned = reply(records);
-    let (encode_allocs, wire) = min_allocations(|| poisoned.encode());
+    let header = reply_header();
+    let (encode_allocs, wire) = min_allocations(|| header.encode_with_answers(hit.iter()));
 
-    let small = reply(poisoned_cache(4).get(now, &key).expect("a cache hit")).encode();
+    let small_hit = poisoned_cache(4).get(now, &key).expect("a cache hit");
+    let small = header.encode_with_answers(small_hit.iter());
     let (small_decode_allocs, _) = min_allocations(|| Message::decode(&small).expect("decodes"));
     let (decode_allocs, back) = min_allocations(|| Message::decode(&wire).expect("decodes"));
-    assert_eq!(back, poisoned, "the reply round-trips");
+    let mut expected = reply_header();
+    expected.answers = hit
+        .iter()
+        .map(|(r, ttl)| Record { ttl, ..r.clone() })
+        .collect();
+    assert_eq!(back, expected, "the reply round-trips");
 
-    assert!(
-        get_allocs <= 1,
-        "DnsCache::get of 89 records allocated {get_allocs} times (budget: the one result Vec)"
+    // The client's read: parse in place, then one walk over the answers
+    // into a reused buffer of (TTL, address) pairs.
+    let mut pairs = Vec::with_capacity(89);
+    let mut read = |bytes: &[u8]| {
+        let view = MessageView::parse(bytes).expect("parses");
+        pairs.clear();
+        pairs.extend(view.answers().map(|a| (a.ttl, a.addr)));
+        pairs.len()
+    };
+    let (small_read_allocs, _) = min_allocations(|| read(&small));
+    let (read_allocs, read_count) = min_allocations(|| read(&wire));
+    assert_eq!(read_count, 89);
+    assert_eq!(
+        pairs,
+        back.answers
+            .iter()
+            .map(|r| (85_801, r.as_a()))
+            .collect::<Vec<_>>(),
+        "each answer reads its remaining TTL and its address"
+    );
+
+    assert_eq!(
+        get_allocs, 0,
+        "DnsCache::get of 89 records allocated {get_allocs} times (budget 0: the set is shared)"
     );
     assert!(
         encode_allocs <= 2,
@@ -150,6 +179,11 @@ fn poisoned_pool_answer_stays_within_its_allocation_budget() {
         decode_allocs <= small_decode_allocs,
         "decoding the 89-answer reply allocated {decode_allocs} times, \
          more than the {small_decode_allocs} of a 4-answer reply"
+    );
+    assert!(
+        read_allocs <= small_read_allocs,
+        "reading the 89-answer reply in place allocated {read_allocs} times, \
+         more than the {small_read_allocs} of a 4-answer reply"
     );
 
     // Headers claiming 65 535 questions or answers over 0 to 11 body

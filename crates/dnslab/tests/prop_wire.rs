@@ -2,7 +2,7 @@
 
 use dnslab::cache::{CacheKey, DnsCache};
 use dnslab::name::Name;
-use dnslab::wire::{Flags, Message, Question, RData, RcodeField, Record, RecordType};
+use dnslab::wire::{Flags, Message, MessageView, Question, RData, RcodeField, Record, RecordType};
 use netsim::time::SimTime;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -35,6 +35,51 @@ fn arb_record() -> impl Strategy<Value = Record> {
         ttl,
         rdata,
     })
+}
+
+/// A response to an A question with `answers`, optionally carrying an
+/// EDNS OPT record.
+fn response(id: u16, qname: Name, answers: Vec<Record>, edns: bool) -> Message {
+    let mut msg = Message::response_to(&Message::query(id, Question::a(qname)));
+    msg.answers = answers;
+    match edns {
+        true => msg.with_edns(1232),
+        false => msg,
+    }
+}
+
+/// The in-place view and the decoder give one verdict on `bytes`: the
+/// view parses exactly what `Message::decode` accepts, with the same
+/// error, and reads the same id, flags, first question and (TTL, A
+/// address) of every answer.
+fn same_verdict(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let decoded = Message::decode(bytes);
+    let view = MessageView::parse(bytes);
+    prop_assert_eq!(
+        view.as_ref().err(),
+        decoded.as_ref().err(),
+        "verdict on {:?}",
+        bytes
+    );
+    let (Ok(msg), Ok(view)) = (decoded, view) else {
+        return Ok(());
+    };
+    prop_assert_eq!(view.id(), msg.id);
+    prop_assert_eq!(view.flags(), msg.flags);
+    match msg.question.first() {
+        Some(first) => prop_assert!(view.question_is(first)),
+        None => prop_assert!(!view.question_is(&Question::a(Name::root()))),
+    }
+    let answers = view.answers();
+    prop_assert_eq!(answers.len(), msg.answers.len());
+    for (read, record) in answers.zip(&msg.answers) {
+        prop_assert_eq!((read.ttl, read.addr), (record.ttl, record.as_a()));
+        if !matches!(record.rdata, RData::Raw(_)) {
+            prop_assert_eq!(read.rtype, record.rtype());
+        }
+    }
+    prop_assert_eq!(view.to_message(), msg);
+    Ok(())
 }
 
 proptest! {
@@ -72,6 +117,31 @@ proptest! {
     #[test]
     fn decode_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
         let _ = Message::decode(&bytes);
+    }
+
+    /// One decoder: on random bytes, and on every truncation and several
+    /// bit flips of random encoded responses, the in-place view accepts
+    /// exactly what `Message::decode` accepts and reads what it decodes.
+    #[test]
+    fn in_place_view_gives_the_decoder_verdict(
+        noise in proptest::collection::vec(any::<u8>(), 0..600),
+        id in any::<u16>(),
+        qname in arb_name(),
+        answers in proptest::collection::vec(arb_record(), 0..12),
+        edns in any::<bool>(),
+        flips in proptest::collection::vec(any::<u32>(), 8),
+    ) {
+        same_verdict(&noise)?;
+        let wire = response(id, qname, answers, edns).encode();
+        for cut in 0..=wire.len() {
+            same_verdict(&wire[..cut])?;
+        }
+        for flip in flips {
+            let mut bent = wire.clone();
+            let bit = flip as usize % (8 * wire.len());
+            bent[bit / 8] ^= 1 << (bit % 8);
+            same_verdict(&bent)?;
+        }
     }
 
     /// Tracked encoding is byte-identical to plain encoding and its spans
@@ -116,9 +186,9 @@ proptest! {
         match cache.get(t1, &CacheKey::a(name)) {
             Some(out) => {
                 prop_assert!(query_delta < u64::from(ttl));
-                for r in out {
-                    prop_assert!(r.ttl <= ttl);
-                    prop_assert!(u64::from(r.ttl) <= u64::from(ttl) - query_delta);
+                for (_, left) in out.iter() {
+                    prop_assert!(left <= ttl);
+                    prop_assert!(u64::from(left) <= u64::from(ttl) - query_delta);
                 }
             }
             None => prop_assert!(query_delta >= u64::from(ttl)),
@@ -137,8 +207,8 @@ proptest! {
             &[Record::a(name.clone(), Ipv4Addr::new(1, 2, 3, 4), ttl)],
         );
         if let Some(records) = cache.get(SimTime::ZERO, &CacheKey::a(name)) {
-            for r in records {
-                prop_assert!(r.ttl <= cap.min(ttl));
+            for (_, left) in records.iter() {
+                prop_assert!(left <= cap.min(ttl));
             }
         }
     }

@@ -142,19 +142,33 @@ pub fn encode(src: Ipv4Addr, src_port: u16, dst: Ipv4Addr, dst_port: u16, payloa
     Bytes::from(out)
 }
 
-/// Ones-complement sum of 16-bit words (the "Internet checksum" kernel).
+/// Ones-complement sum of 16-bit words (the "Internet checksum" kernel),
+/// folded to at most 17 bits.
 ///
-/// Odd-length data is padded with a trailing zero byte, per RFC 1071.
+/// Odd-length data is padded with a trailing zero byte, per RFC 1071. The
+/// data is summed as big-endian 8-byte words with end-around carry: since
+/// 2¹⁶, 2³² and 2⁶⁴ are all 1 modulo 0xffff, that sum and the fold to 17
+/// bits keep the 16-bit word sum's residue, and each is zero only when
+/// every byte is, so [`fold_checksum`] of the result equals the fold of
+/// the plain 16-bit word sum. At most 17 bits, a few such sums added
+/// together cannot overflow a `u32`.
 pub fn ones_complement_sum(data: &[u8]) -> u32 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+    let add = |sum: u64, word: u64| {
+        let (sum, carry) = sum.overflowing_add(word);
+        sum + u64::from(carry)
+    };
+    let mut sum = 0;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        sum = add(sum, u64::from_be_bytes(chunk.try_into().expect("8 bytes")));
     }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    sum
+    let rest = chunks.remainder();
+    let mut tail = [0u8; 8];
+    tail[..rest.len()].copy_from_slice(rest);
+    let sum = add(sum, u64::from_be_bytes(tail));
+    let sum = (sum & 0xffff_ffff) + (sum >> 32); // < 2^33
+    let sum = ((sum & 0xffff_ffff) + (sum >> 32)) as u32; // < 2^32
+    (sum & 0xffff) + (sum >> 16)
 }
 
 /// Folds carries into 16 bits.

@@ -19,7 +19,59 @@ fn packet(payload: Vec<u8>, id: u16) -> Ipv4Packet {
     p
 }
 
+/// The 16-bit word loop that `ones_complement_sum` replaced, kept as its
+/// reference: its raw value differs, its folded value may not.
+fn reference_sum(data: &[u8]) -> u32 {
+    let mut sum: u32 = 0;
+    let mut chunks = data.chunks_exact(2);
+    for c in &mut chunks {
+        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+    }
+    if let [last] = chunks.remainder() {
+        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    }
+    sum
+}
+
+/// `ones_complement_sum` of `data` folds as the reference does and stays
+/// within 17 bits, alone and as the split sum `UdpDatagram::decode` adds
+/// around the checksum field (split at an even offset).
+fn kernel_matches_reference(data: &[u8], split: usize) -> Result<(), TestCaseError> {
+    let sum = ones_complement_sum(data);
+    prop_assert!(sum < 1 << 17, "raw sum {sum:#x} of {} bytes", data.len());
+    prop_assert_eq!(fold_checksum(sum), fold_checksum(reference_sum(data)));
+    let (head, tail) = data.split_at((split % (data.len() + 1)) & !1);
+    prop_assert_eq!(
+        fold_checksum(ones_complement_sum(head) + ones_complement_sum(tail)),
+        fold_checksum(reference_sum(head) + reference_sum(tail))
+    );
+    Ok(())
+}
+
+/// Every length from 0 to 2 999 bytes, all-zero, all-0xff and a mixed
+/// pattern: the shapes where an end-around carry or a zero fold could go
+/// wrong.
+#[test]
+fn checksum_kernel_matches_the_reference_at_every_length() {
+    for len in 0..3000 {
+        let mixed: Vec<u8> = (0..len).map(|i| (i * 151 + len) as u8).collect();
+        for data in [vec![0; len], vec![0xff; len], mixed] {
+            kernel_matches_reference(&data, len / 3).unwrap();
+        }
+    }
+}
+
 proptest! {
+    /// The 8-byte checksum kernel folds to what the 16-bit word loop folds
+    /// to, on random data.
+    #[test]
+    fn checksum_kernel_matches_the_16_bit_loop(
+        data in proptest::collection::vec(any::<u8>(), 0..3000),
+        split in any::<usize>(),
+    ) {
+        kernel_matches_reference(&data, split)?;
+    }
+
     /// fragment ∘ reassemble = identity, for any payload and legal MTU,
     /// in any delivery order.
     #[test]

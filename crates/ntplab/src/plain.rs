@@ -196,9 +196,9 @@ impl Node for PlainNtpClient {
         // DNS bootstrap response?
         if self.servers.is_empty() {
             if let Some(resp) = self.stub.handle(src, &datagram) {
-                let addrs = resp.message.answer_addrs();
-                if !addrs.is_empty() {
-                    self.servers = addrs.into_iter().take(self.config.num_servers).collect();
+                let mut addrs = resp.reply.answers().filter_map(|a| a.addr).peekable();
+                if addrs.peek().is_some() {
+                    self.servers = addrs.take(self.config.num_servers).collect();
                     self.start_poll(ctx);
                 }
                 return;

@@ -116,9 +116,9 @@ fn poisoned_glue_is_visible_in_the_resolver_cache() {
     let mut poisoned_glue = 0;
     for i in 1..=14 {
         let key = CacheKey::a(format!("ns{i}.pool.ntp.org").parse().unwrap());
-        if let Some(records) = resolver.cache_mut().get(now, &key) {
-            for r in &records {
-                if r.as_a() == Some(attacklab::farm::fake_ns_addr()) {
+        if let Some(hit) = resolver.cache_mut().get(now, &key) {
+            for addr in hit.addrs() {
+                if addr == attacklab::farm::fake_ns_addr() {
                     poisoned_glue += 1;
                 }
             }
@@ -130,10 +130,6 @@ fn poisoned_glue_is_visible_in_the_resolver_cache() {
         .cache_mut()
         .get(now, &CacheKey::a("pool.ntp.org".parse().unwrap()))
         .expect("pool entry cached");
-    let farm = pool
-        .iter()
-        .filter_map(|r| r.as_a())
-        .filter(|&a| is_farm_addr(a))
-        .count();
+    let farm = pool.addrs().filter(|&a| is_farm_addr(a)).count();
     assert_eq!(farm, 89);
 }
